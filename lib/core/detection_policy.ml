@@ -70,6 +70,25 @@ let initial_interval = function
   | Lazy_on_timeout { blocked_ticks; _ } -> blocked_ticks
   | Adaptive -> adaptive_start
 
+type cadence = { mutable interval : int; mutable quiet : int }
+
+let cadence interval = { interval; quiet = 0 }
+
+(* The adaptive rule (after Ling et al.): a pass that found deadlocks
+   halves the interval; two consecutive empty passes double it. *)
+let adapt c ~found =
+  if found then begin
+    c.interval <- max adaptive_min (c.interval / 2);
+    c.quiet <- 0
+  end
+  else begin
+    c.quiet <- c.quiet + 1;
+    if c.quiet >= 2 then begin
+      c.interval <- min adaptive_max (c.interval * 2);
+      c.quiet <- 0
+    end
+  end
+
 let all_deferred =
   [
     Periodic 32;

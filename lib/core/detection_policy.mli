@@ -61,6 +61,20 @@ val adaptive_min : int
 val adaptive_max : int
 val adaptive_start : int
 
+(** The [Adaptive] cadence, shared by both engines' detection services. *)
+type cadence = {
+  mutable interval : int;  (** ticks until the next pass *)
+  mutable quiet : int;  (** consecutive passes that found nothing *)
+}
+
+val cadence : int -> cadence
+(** A cadence starting at the given interval. *)
+
+val adapt : cadence -> found:bool -> unit
+(** After a pass: one that found deadlocks halves the interval, two
+    consecutive empty ones double it, clamped to
+    [adaptive_min]..[adaptive_max]. *)
+
 val all : t list
 (** Representative instances of every policy, for sweeps and matrices. *)
 

@@ -192,6 +192,12 @@ type stats = {
           checks and global rounds alike; 0 unless the config supplies a
           clock *)
   enumerate_calls : int;  (** cycle enumerations run *)
+  requeues : int;
+      (** victims whose arcs were all queue arcs, broken by cancelling the
+          pending request (no progress lost) *)
+  overshoot_ops : int;
+      (** progress rollbacks destroyed beyond the minimal release point —
+          0 under [Mcs]; not printed by {!pp_stats} *)
 }
 
 val stats : t -> stats
