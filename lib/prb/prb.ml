@@ -55,7 +55,6 @@ module Rng = Prb_util.Rng
 module Zipf = Prb_util.Zipf
 module Stats = Prb_util.Stats
 module Table = Prb_util.Table
-module Heap = Prb_util.Heap
 module Digraph = Prb_graph.Digraph
 module Ugraph = Prb_graph.Ugraph
 module Cutset = Prb_graph.Cutset

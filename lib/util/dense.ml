@@ -110,9 +110,9 @@ end
 
 module Pqueue = struct
   (* Int-payload binary min-heap on parallel arrays. Tie-break is
-     (priority, push sequence) — exactly [Heap]'s, so an event loop moved
-     onto this queue replays byte-identically. Popping deposits the entry
-     into the [cur_*] fields instead of allocating an option/tuple. *)
+     (priority, push sequence): equal-priority events fire in the order
+     they were scheduled. Popping deposits the entry into the [cur_*]
+     fields instead of allocating an option/tuple. *)
   type t = {
     mutable prio : int array;
     mutable seq : int array;

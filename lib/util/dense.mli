@@ -55,10 +55,11 @@ end
 
 module Pqueue : sig
   (** Int-payload binary min-heap on parallel int arrays. The tie-break
-      is (priority, push sequence) — exactly {!Heap}'s — so an event loop
-      moved onto this queue pops in the identical order. Push and pop
-      allocate nothing in steady state: {!pop} deposits the popped entry
-      into the [cur_*] fields instead of returning an option. *)
+      is (priority, push sequence): equal-priority events fire in the
+      order they were scheduled, as in a boxed FIFO-tie heap (the test
+      suite keeps one as the reference). Push and pop allocate nothing in
+      steady state: {!pop} deposits the popped entry into the [cur_*]
+      fields instead of returning an option. *)
 
   type t
 

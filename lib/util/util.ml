@@ -24,6 +24,3 @@ let sorted_keys cmp tbl =
 
 let iter_sorted cmp f tbl =
   List.iter (fun (k, v) -> f k v) (sorted_bindings cmp tbl)
-
-let fold_sorted cmp f tbl init =
-  List.fold_left (fun acc (k, v) -> f k v acc) init (sorted_bindings cmp tbl)

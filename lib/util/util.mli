@@ -21,12 +21,3 @@ val iter_sorted :
   ('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted cmp f tbl] applies [f] to each binding in ascending key
     order. *)
-
-val fold_sorted :
-  ('k -> 'k -> int) ->
-  ('k -> 'v -> 'acc -> 'acc) ->
-  ('k, 'v) Hashtbl.t ->
-  'acc ->
-  'acc
-(** [fold_sorted cmp f tbl init] folds over the bindings in ascending key
-    order. *)

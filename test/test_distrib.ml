@@ -10,6 +10,9 @@ module Store = Prb_storage.Store
 module Program = Prb_txn.Program
 module Expr = Prb_txn.Expr
 module History = Prb_history.History
+module Scheduler = Prb_core.Scheduler
+module Policy = Prb_core.Policy
+module Sim = Prb_sim.Sim
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -250,6 +253,77 @@ let test_deferred_policies_complete () =
       checkb "serializable" true r.Dist_sim.serializable)
     DP.all_deferred
 
+(* --- The shared engine core ----------------------------------------- *)
+
+(* A contended fixed-seed workload run through both engines on the same
+   programs: the central engine under its defaults, the distributed one
+   on [n_sites] sites with [policy]. *)
+let hot_params =
+  { Generator.default_params with n_entities = 16; zipf_theta = 0.9; max_locks = 6 }
+
+let run_both ?(n_sites = 4) ?(policy = D.default_config.D.policy) strategy =
+  let programs = Generator.generate hot_params ~seed:7 ~n:80 in
+  let central =
+    Sim.run
+      ~config:
+        {
+          Sim.scheduler = { Scheduler.default_config with strategy; seed = 7 };
+          mpl = 12;
+        }
+      ~store:(Generator.populate hot_params) programs
+  in
+  let distrib =
+    Dist_sim.run
+      ~config:
+        {
+          Dist_sim.scheduler =
+            { D.default_config with n_sites; strategy; policy; seed = 7 };
+          mpl = 12;
+        }
+      ~store:(Generator.populate hot_params) programs
+  in
+  (central.Sim.stats, distrib.Dist_sim.stats)
+
+(* Every resolution round breaks its cycles through at least one victim,
+   which either rolls back or requeues — in both engines, now that both
+   count requeues and overshoot through the one rollback path. MCS rolls
+   back exactly to the releasing lock state, so it never overshoots. *)
+let test_requeues_and_overshoot_counted () =
+  List.iter
+    (fun strategy ->
+      let c, d = run_both strategy in
+      let name = Strategy.to_string strategy in
+      checkb (name ^ ": central deadlocks happened") true
+        (c.Scheduler.deadlocks > 0);
+      checkb (name ^ ": distrib deadlocks happened") true (d.D.deadlocks > 0);
+      checkb (name ^ ": central victims cover deadlocks") true
+        (c.Scheduler.rollbacks + c.Scheduler.requeues >= c.Scheduler.deadlocks);
+      checkb (name ^ ": distrib victims cover deadlocks") true
+        (d.D.rollbacks + d.D.requeues >= d.D.deadlocks);
+      if Strategy.equal strategy Strategy.Mcs then begin
+        checki "central MCS overshoot" 0 c.Scheduler.overshoot_ops;
+        checki "distrib MCS overshoot" 0 d.D.overshoot_ops
+      end)
+    Strategy.all_basic
+
+(* A fault-free single-site distributed run sees every cycle locally at
+   block time, so with the central engine's victim policy it reproduces
+   the central run exactly (DESIGN.md Section 15). *)
+let test_single_site_matches_central () =
+  List.iter
+    (fun strategy ->
+      let c, d = run_both ~n_sites:1 ~policy:Policy.Ordered_min_cost strategy in
+      let name = Strategy.to_string strategy in
+      checki (name ^ ": global deadlocks") 0 d.D.global_deadlocks;
+      checki (name ^ ": commits") c.Scheduler.commits d.D.commits;
+      checki (name ^ ": ticks") c.Scheduler.ticks d.D.ticks;
+      checki (name ^ ": deadlocks") c.Scheduler.deadlocks d.D.deadlocks;
+      checki (name ^ ": rollbacks") c.Scheduler.rollbacks d.D.rollbacks;
+      checki (name ^ ": requeues") c.Scheduler.requeues d.D.requeues;
+      checki (name ^ ": ops lost") c.Scheduler.ops_lost d.D.ops_lost;
+      checki (name ^ ": overshoot") c.Scheduler.overshoot_ops d.D.overshoot_ops)
+    Strategy.all_basic
+
 let () =
   Alcotest.run "prb_distrib"
     [
@@ -275,5 +349,12 @@ let () =
           Alcotest.test_case "wound-wait ages" `Quick test_wound_wait_orders_by_age;
           Alcotest.test_case "deferred policies complete" `Slow
             test_deferred_policies_complete;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "requeues and overshoot counted" `Quick
+            test_requeues_and_overshoot_counted;
+          Alcotest.test_case "single site matches central" `Quick
+            test_single_site_matches_central;
         ] );
     ]

@@ -42,7 +42,6 @@ let test_umbrella_surface () =
   checkb "digraph" true (Digraph.n_vertices (Digraph.create ()) = 0);
   checkb "ugraph" true (Ugraph.n_vertices (Ugraph.create ()) = 0);
   checkb "cutset" true (Cutset.greedy { Cutset.cycles = []; cost = (fun _ -> 1.) } = []);
-  checkb "heap" true (Heap.is_empty (Heap.create () : int Heap.t));
   checkb "stats" true (Stats.count (Stats.create ()) = 0);
   checkb "table" true (String.length (Table.render (Table.create [ ("x", Table.Left) ])) > 0);
   checkb "lock table" true (Lock_table.is_fair (Lock_table.create ()));

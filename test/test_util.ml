@@ -3,7 +3,6 @@
 module Rng = Prb_util.Rng
 module Zipf = Prb_util.Zipf
 module Stats = Prb_util.Stats
-module Heap = Prb_util.Heap
 module Dense = Prb_util.Dense
 module Table = Prb_util.Table
 
