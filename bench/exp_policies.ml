@@ -1,7 +1,7 @@
-(* E14: detection-policy sweep — each deferred policy (periodic, lazy
-   timeout probes, adaptive) against eager detection at low/high
-   contention, with and without a detector-outage fault plan, on the
-   centralised engine with the starvation guard armed. Reports wall-time
+(* E14: detection-policy sweep — each deferred policy (adaptive, and the
+   periodic override) against eager detection at low/high contention,
+   with and without a detector-outage fault plan, on the centralised
+   engine with the starvation guard armed. Reports wall-time
    speedup over eager at equal commits plus the liveness counters
    (detection passes, watchdog fires, longest blocking episode), and
    folds the points into BENCH_scale.json next to E13's so the perf
@@ -37,6 +37,6 @@ let run () =
   Common.note
     "eager detection pays a cycle search on every blocked request — at\n\
      high contention that is most of the wall clock. The deferred\n\
-     policies batch that work into scheduled sweeps or targeted probes;\n\
-     the stall watchdog and the starvation guard bound what deferral may\n\
-     cost any single transaction."
+     policies batch that work into scheduled sweeps; the stall watchdog\n\
+     and the starvation guard bound what deferral may cost any single\n\
+     transaction."

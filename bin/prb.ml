@@ -142,11 +142,9 @@ let detection_policy_conv =
 
 let detection_policy_doc =
   "When to run deadlock detection: $(b,eager) (at every blocked request), \
-   $(b,periodic:N) (a sweep every N ticks), $(b,lazy:B) or $(b,lazy:B:K) \
-   (a targeted probe after B blocked ticks, backing off up to K doublings \
-   on misses) or $(b,adaptive) (a sweep whose period tracks the \
-   deadlock-arrival rate). Deferred policies are backstopped by a stall \
-   watchdog."
+   $(b,adaptive) (a sweep whose period tracks the deadlock-arrival rate) \
+   or $(b,periodic:N) (a sweep every N ticks). Deferred policies resolve \
+   in batches, with victim backoff and escalation to a full restart."
 
 let detection_policy_arg ~names =
   let module DP = Prb_core.Detection_policy in
@@ -549,7 +547,7 @@ let chaos_matrix_arg =
     & info [ "matrix" ]
         ~doc:
           "Also run the detection-policy liveness matrix: every policy \
-           (eager, periodic, lazy, adaptive) on both engines, under a \
+           (eager, periodic, adaptive) on both engines, under a \
            clean plan and a detector-outage plan, with the starvation \
            guard armed — checking the usual invariants plus the \
            no-starvation bound.")
@@ -896,9 +894,8 @@ let lint_cmd =
          traversal in replay-critical libraries), D2 (no polymorphic \
          compare where an id module owns the order), D3 (no ambient \
          randomness or wall clock), L1 (core/lock must not depend on the \
-         simulation stack), L2 (no catch-all match arm on the distributed \
-         protocol message type), L3 (production code must not reference a \
-         *_ref differential-test oracle).";
+         simulation stack) and L2 (no catch-all match arm on the \
+         distributed protocol message type).";
       `P
         "With $(b,--deep), additionally loads the typed trees (.cmt) of \
          the enclosing dune build and checks A1 (functions marked \

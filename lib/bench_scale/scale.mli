@@ -72,7 +72,7 @@ type policy_point = {
   p_enumerate_seconds : float;
   p_enumerate_share : float;
   p_enumerate_calls : int;
-  p_detection_passes : int;  (** scheduled sweeps/probes that ran *)
+  p_detection_passes : int;  (** scheduled sweeps that ran *)
   p_watchdog_fires : int;
   p_max_blocked_ticks : int;  (** longest completed blocking episode *)
 }

@@ -1,8 +1,4 @@
-type t =
-  | Eager
-  | Periodic of int
-  | Lazy_on_timeout of { blocked_ticks : int; backoff : int }
-  | Adaptive
+type t = Eager | Periodic of int | Adaptive
 
 let adaptive_min = 8
 let adaptive_max = 512
@@ -12,16 +8,11 @@ let equal a b =
   match (a, b) with
   | Eager, Eager | Adaptive, Adaptive -> true
   | Periodic m, Periodic n -> m = n
-  | ( Lazy_on_timeout { blocked_ticks = b1; backoff = k1 },
-      Lazy_on_timeout { blocked_ticks = b2; backoff = k2 } ) ->
-      b1 = b2 && k1 = k2
-  | (Eager | Periodic _ | Lazy_on_timeout _ | Adaptive), _ -> false
+  | (Eager | Periodic _ | Adaptive), _ -> false
 
 let to_string = function
   | Eager -> "eager"
   | Periodic n -> Printf.sprintf "periodic:%d" n
-  | Lazy_on_timeout { blocked_ticks; backoff } ->
-      Printf.sprintf "lazy:%d:%d" blocked_ticks backoff
   | Adaptive -> "adaptive"
 
 let of_string s =
@@ -34,40 +25,25 @@ let of_string s =
           match int_of_string_opt n with
           | Some n when n > 0 -> Some (Periodic n)
           | Some _ | None -> None)
-      | [ "lazy"; b ] -> (
-          match int_of_string_opt b with
-          | Some b when b > 0 ->
-              Some (Lazy_on_timeout { blocked_ticks = b; backoff = 4 })
-          | Some _ | None -> None)
-      | [ "lazy"; b; k ] -> (
-          match (int_of_string_opt b, int_of_string_opt k) with
-          | Some b, Some k when b > 0 && k >= 0 && k <= 20 ->
-              Some (Lazy_on_timeout { blocked_ticks = b; backoff = k })
-          | _ -> None)
       | _ -> None)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let is_eager = function
-  | Eager -> true
-  | Periodic _ | Lazy_on_timeout _ | Adaptive -> false
+let is_eager = function Eager -> true | Periodic _ | Adaptive -> false
 
 (* The watchdog bound: the longest a transaction may sit blocked with no
    detection pass having run since it blocked, before the engine forces a
    full sweep. Derived so that a healthy detector always beats it — the
-   watchdog only fires when passes were lost (detector outage, arbitrarily
-   backed-off lazy probes), never in steady state. *)
+   watchdog only fires when passes were lost (a detector outage), never in
+   steady state. *)
 let stall_bound = function
   | Eager -> 0 (* detection is inline in the request path; never stalls *)
   | Periodic n -> 4 * n
-  | Lazy_on_timeout { blocked_ticks; backoff } ->
-      2 * blocked_ticks * (1 lsl min backoff 20)
   | Adaptive -> 4 * adaptive_max
 
 let initial_interval = function
   | Eager -> 0
   | Periodic n -> n
-  | Lazy_on_timeout { blocked_ticks; _ } -> blocked_ticks
   | Adaptive -> adaptive_start
 
 type cadence = { mutable interval : int; mutable quiet : int }
@@ -89,11 +65,6 @@ let adapt c ~found =
     end
   end
 
-let all_deferred =
-  [
-    Periodic 32;
-    Lazy_on_timeout { blocked_ticks = 24; backoff = 4 };
-    Adaptive;
-  ]
+let all_deferred = [ Periodic 32; Adaptive ]
 
 let all = Eager :: all_deferred

@@ -13,13 +13,14 @@
     scheduler routes deferred resolutions through {!Prb_graph.Cutset}.
 
     Every policy is made safe by two scheduler-level nets (DESIGN.md
-    Section 11): a {e stall watchdog} — if any transaction has been
-    blocked longer than {!stall_bound} with no detection pass since it
-    blocked, a full sweep is forced, so the engine can be slow but never
-    stuck — and a {e starvation guard} — a transaction rolled back at
-    least [starvation_limit] times becomes immune to victim selection,
-    bounding the repeated-victim livelock that Figure 2 otherwise only
-    caps with [max_ticks]. *)
+    Section 11): a {e stall watchdog} in the central engine — if any
+    transaction has been blocked longer than {!stall_bound} with no
+    detection pass since it blocked, a full sweep is forced, so the engine
+    can be slow but never stuck (the distributed detector's firing chain
+    runs a round at every healthy firing anyway) — and a {e starvation
+    guard} — a transaction rolled back at least [starvation_limit] times
+    becomes immune to victim selection, bounding the repeated-victim
+    livelock that Figure 2 otherwise only caps with [max_ticks]. *)
 
 type t =
   | Eager
@@ -27,13 +28,7 @@ type t =
           historical default; byte-identical to the pre-policy engine *)
   | Periodic of int
       (** a full detection sweep every [n] ticks; blocked requests pay
-          nothing *)
-  | Lazy_on_timeout of { blocked_ticks : int; backoff : int }
-      (** a blocked transaction arms a timer for [blocked_ticks]; expiry
-          triggers a targeted probe of its reachable waits-for slice. A
-          false alarm (no cycle) doubles that transaction's next timer, up
-          to [2^backoff] times — transactions that merely wait long stop
-          paying for probes *)
+          nothing. An experiment override of [Adaptive]'s cadence *)
   | Adaptive
       (** a sweep cadence tuned online to the observed deadlock-arrival
           rate (after Ling et al.): a sweep that finds deadlocks halves
@@ -45,7 +40,7 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val of_string : string -> t option
-(** Accepts [eager], [periodic:N], [lazy:B], [lazy:B:K], [adaptive]. *)
+(** Accepts [eager], [periodic:N] (N > 0) and [adaptive]. *)
 
 val is_eager : t -> bool
 
@@ -55,7 +50,7 @@ val stall_bound : t -> int
     detection cannot stall). *)
 
 val initial_interval : t -> int
-(** First scheduled pass/probe delay; 0 for [Eager]. *)
+(** First scheduled pass delay; 0 for [Eager]. *)
 
 val adaptive_min : int
 val adaptive_max : int

@@ -33,7 +33,12 @@ type t = {
   mutable rollback_counts : int array;
   mutable blocked_since : int array;
   mutable n_blocked : int;
-  mutable lazy_false : int array;
+  mutable hook :
+    (requester:int ->
+    cycles:Resolver.cycle list ->
+    decision:Resolver.decision ->
+    unit)
+    option;
   mutable next_id : int;
   mutable tick : int;
   mutable commits : int;
@@ -74,7 +79,7 @@ let create ~strategy ~policy ~starvation_limit ~cycle_limit ~restart_delay
     rollback_counts = Array.make initial_txn_cap 0;
     blocked_since = Array.make initial_txn_cap (-1);
     n_blocked = 0;
-    lazy_false = Array.make initial_txn_cap 0;
+    hook = None;
     next_id = 0;
     tick = 0;
     commits = 0;
@@ -115,8 +120,7 @@ let admit ?copy_allocation e program =
     let cap = max (id + 1) (2 * old) in
     e.txns <- grown e.txns cap None;
     e.rollback_counts <- grown e.rollback_counts cap 0;
-    e.blocked_since <- grown e.blocked_since cap (-1);
-    e.lazy_false <- grown e.lazy_false cap 0
+    e.blocked_since <- grown e.blocked_since cap (-1)
   end;
   e.txns.(id) <-
     Some
@@ -156,8 +160,7 @@ let note_unblocked e id =
     if d > e.max_blocked_ticks then e.max_blocked_ticks <- d;
     e.total_blocked_ticks <- e.total_blocked_ticks + d;
     e.blocked_since.(id) <- -1;
-    e.n_blocked <- e.n_blocked - 1;
-    e.lazy_false.(id) <- 0
+    e.n_blocked <- e.n_blocked - 1
   end
 
 let note_rollback e v = e.rollback_counts.(v) <- e.rollback_counts.(v) + 1
@@ -198,7 +201,6 @@ let commit e ~release id =
     e.blocked_since.(id) <- -1;
     e.n_blocked <- e.n_blocked - 1
   end;
-  e.lazy_false.(id) <- 0;
   e.commits <- e.commits + 1;
   Txn_state.dispose ts
 
@@ -240,13 +242,27 @@ let census wfg seeds () = Waits_for.on_cycle_from wfg seeds
 let on_cycle_from e seeds = clocked e Check census seeds ()
 let enumerate wfg limit requester = Waits_for.cycles_through ~limit wfg requester
 
+(* A deferred round's cycle-enumeration budget. An eager round enumerates
+   up to [cycle_limit] cycles through the requester because its victim
+   choices are part of the replayable contract. A deferred round
+   re-examines the graph after every cut, so it can feed the Section 3.2
+   cut solver a small sample per round and let iteration make up the
+   difference. On the dense graphs deferral accretes, DFS cycle
+   enumeration is the dominant detection cost, and this budget is where
+   the deferred policies' wall-clock win over eager detection comes from.
+   (Sampling is only safe together with {!deferred_escalation}: small cuts
+   roll back fewer victims per round, and without escalation the
+   survivors re-collide indefinitely.) *)
+let deferred_cycle_budget = 8
+
 (* Cycles through the requester, converted to the resolver's (member,
    entity-to-release) form. A waits-for cycle [r; v1; ...; vk] has edges
    r->v1 (r waits for v1 on e1) ... vk->r; deleting the arc into a member
    means that member releases the entity labelling the arc. *)
-let resolver_cycles ?limit e requester =
+let resolver_cycles e ~deferred requester =
   let limit =
-    match limit with Some l -> min l e.cycle_limit | None -> e.cycle_limit
+    if deferred then min deferred_cycle_budget e.cycle_limit
+    else e.cycle_limit
   in
   let raw = clocked e Enumerate enumerate limit requester in
   let label u v =
@@ -332,7 +348,7 @@ let restart e ~drop_wait ~release ~resume_at v =
    behind it. *)
 let deferred_escalation = 4
 
-let apply_partial_rollback e ~log ~drop_wait ~release ~deferred ~stagger v
+let apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v
     entities =
   let ts = txn_state e v in
   let held, _queued = split_arcs ts entities in
@@ -361,12 +377,11 @@ let apply_partial_rollback e ~log ~drop_wait ~release ~deferred ~stagger v
         e.overshoot_ops
         + Txn_state.cost_of_target ts target
         - Txn_state.cost_of_target ts minimal;
-      if log then
-        Log.info (fun m ->
-            m "[%d] partial rollback of T%d to %s (releasing %s)" e.tick v
-              (if target = Txn_state.restart_target then "restart"
-               else Printf.sprintf "lock state %d" target)
-              (String.concat "," xs));
+      Log.info (fun m ->
+          m "[%d] partial rollback of T%d to %s (releasing %s)" e.tick v
+            (if target = Txn_state.restart_target then "restart"
+             else Printf.sprintf "lock state %d" target)
+            (String.concat "," xs));
       roll_back e ~release v ts target);
   (* A deferred pass can roll back many victims in one round; restarted in
      lockstep at [t+1] they re-request the same hot entities in the same
@@ -385,30 +400,28 @@ let apply_partial_rollback e ~log ~drop_wait ~release ~deferred ~stagger v
   in
   schedule_at e v ~at:(e.tick + 1 + e.restart_delay + backoff)
 
-let apply_rollback e ~log ~drop_wait ~release ~restart ~deferred ~stagger v
+let apply_rollback e ~drop_wait ~release ~restart ~deferred ~stagger v
     entities =
   let prior = e.rollback_counts.(v) in
   if deferred && prior >= deferred_escalation then
     restart v
       ~resume_at:
         (e.tick + 1 + e.restart_delay + stagger + min 4096 (prior * prior))
-  else apply_partial_rollback e ~log ~drop_wait ~release ~deferred ~stagger v
-      entities
+  else apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v entities
 
 (* --- Resolution ---------------------------------------------------- *)
 
 (* Victim policy for one resolution round. An eager round sees only
    cycles a single request just closed, where the configured policy's
-   trade-offs were calibrated; a deferred pass can face several cycles
+   trade-offs were calibrated; a deferred round can face several cycles
    that accreted between passes — exactly the multi-cycle regime Section
    3.2's minimum-cost vertex cut was built for — so the iterative
    single-victim policies are routed through the cut solver
    ([Ordered_min_cost], keeping Theorem 2's preemption order). Policies
-   that already are cuts run unchanged. Which rounds may be routed is the
-   engine's call. *)
-let resolution_policy e ~route cycles =
+   that already are cuts run unchanged. *)
+let resolution_policy e ~deferred cycles =
   if
-    route
+    deferred
     && (match cycles with _ :: _ :: _ -> true | [] | [ _ ] -> false)
     &&
     match e.policy with
@@ -417,16 +430,15 @@ let resolution_policy e ~route cycles =
   then Policy.Ordered_min_cost
   else e.policy
 
-let resolve_round e ~log ~hook ~route ~deferred ~apply requester cycles =
-  if log then
-    Log.info (fun m ->
-        m "[%d] deadlock: %d cycle(s) through T%d" e.tick
-          (List.length cycles) requester);
+let resolve_round e ~deferred ~apply requester cycles =
+  Log.info (fun m ->
+      m "[%d] deadlock: %d cycle(s) through T%d" e.tick (List.length cycles)
+        requester);
   e.deadlocks <- e.deadlocks + 1;
   e.cycles_broken <- e.cycles_broken + List.length cycles;
   let decision =
     Resolver.choose ~immune:(immune e)
-      ~policy:(resolution_policy e ~route cycles)
+      ~policy:(resolution_policy e ~deferred cycles)
       ~requester
       ~entry_order:(fun v -> Txn_state.entry_order (txn_state e v))
       ~release_cost:(release_cost e) ~rng:e.rng cycles
@@ -435,7 +447,7 @@ let resolve_round e ~log ~hook ~route ~deferred ~apply requester cycles =
     e.optimal_resolutions <- e.optimal_resolutions + 1;
   if decision.Resolver.starved_fallback then
     e.starvation_fallbacks <- e.starvation_fallbacks + 1;
-  (match hook with
+  (match e.hook with
   | Some h -> h ~requester ~cycles ~decision
   | None -> ());
   List.iteri

@@ -5,10 +5,12 @@
     costs in messages. So the dense per-transaction state, the shared
     counters, the starvation guard, clocked detection calls, victim
     costing, rollback application and the resolution round live here
-    once. Engine-specific steps are plain labelled arguments:
-    [drop_wait v] abandons [v]'s pending request and clears its wait;
-    [release v released] releases what a rollback gave up; [restart v
-    ~resume_at] is the engine's full restart. *)
+    once, with one resolution rule: a round's [deferred] flag alone
+    decides its cycle budget, its cut-solver routing and its victims'
+    backoff and escalation. Engine-specific steps are plain labelled
+    arguments: [drop_wait v] abandons [v]'s pending request and clears
+    its wait; [release v released] releases what a rollback gave up;
+    [restart v ~resume_at] is the engine's full restart. *)
 
 module Store = Prb_storage.Store
 module Txn_state = Prb_rollback.Txn_state
@@ -40,8 +42,13 @@ type t = {
   mutable rollback_counts : int array;
   mutable blocked_since : int array;  (** [-1] when not blocked *)
   mutable n_blocked : int;
-  mutable lazy_false : int array;
-      (** false-alarm lazy probes in the current blocking episode *)
+  mutable hook :
+    (requester:int ->
+    cycles:Resolver.cycle list ->
+    decision:Resolver.decision ->
+    unit)
+    option;
+      (** shown every resolution decision, before its victims roll back *)
   mutable next_id : int;
   mutable tick : int;
   mutable commits : int;
@@ -120,9 +127,10 @@ val would_deadlock : t -> waiter:int -> holders:int list -> bool
 val on_cycle_from : t -> int list -> int list
 (** A check: blocked transactions on a cycle reachable from the seeds. *)
 
-val resolver_cycles : ?limit:int -> t -> int -> Resolver.cycle list
-(** An enumeration: at most [min limit cycle_limit] cycles through the
-    requester, as (member, entity it must release) arcs. *)
+val resolver_cycles : t -> deferred:bool -> int -> Resolver.cycle list
+(** An enumeration: at most [cycle_limit] cycles through the requester —
+    at most 8 in a [deferred] round — as (member, entity it must release)
+    arcs. *)
 
 (** {2 Rollback} *)
 
@@ -146,7 +154,6 @@ val restart :
 
 val apply_partial_rollback :
   t ->
-  log:bool ->
   drop_wait:(int -> unit) ->
   release:(int -> Store.entity list -> unit) ->
   deferred:bool ->
@@ -160,7 +167,6 @@ val apply_partial_rollback :
 
 val apply_rollback :
   t ->
-  log:bool ->
   drop_wait:(int -> unit) ->
   release:(int -> Store.entity list -> unit) ->
   restart:(int -> resume_at:int -> unit) ->
@@ -176,20 +182,12 @@ val apply_rollback :
 
 val resolve_round :
   t ->
-  log:bool ->
-  hook:
-    (requester:int ->
-    cycles:Resolver.cycle list ->
-    decision:Resolver.decision ->
-    unit)
-    option ->
-  route:bool ->
   deferred:bool ->
   apply:(deferred:bool -> stagger:int -> int -> Store.entity list -> unit) ->
   int ->
   Resolver.cycle list ->
   unit
-(** Count the round, choose victims — a [route]d multi-cycle round sends
-    the single-victim policies through the cut solver — show the decision
-    to [hook] and [apply] each victim with its position as the
-    stagger. *)
+(** Count and log the round, choose victims — a [deferred] multi-cycle
+    round sends the single-victim policies through the cut solver — show
+    the decision to [hook] and [apply] each victim with its position as
+    the stagger. *)

@@ -71,12 +71,7 @@ let ev_detect_tick = 3
    sweep and reschedules itself, so the queue never drains while
    transactions are deadlocked *)
 
-let ev_probe = 4
-(* a [Lazy_on_timeout] probe for a blocked transaction [a]; [b] is the
-   tick at which the wait being probed began, so a probe armed for an
-   abandoned wait dies silently (the next block arms a fresh one) *)
-
-let ev_watchdog = 5
+let ev_watchdog = 4
 (* the stall watchdog: periodically checks for a transaction blocked
    past the policy's stall bound with no detection pass since it
    blocked, and forces a full sweep if one exists *)
@@ -100,10 +95,7 @@ type t = {
           duplicate-free). *)
   mutable dirty_ids : int array;
   mutable n_dirty : int;
-  mutable last_detect_tick : int;
-      (** tick of the last full detection sweep (not targeted probes —
-          a probe only proves one reachable slice acyclic, which the
-          watchdog must not mistake for global coverage) *)
+  mutable last_detect_tick : int;  (** tick of the last detection sweep *)
   cadence : Detection_policy.cadence;  (** the [Adaptive] sweep cadence *)
   mutable detection_passes : int;
   mutable watchdog_fires : int;
@@ -111,9 +103,6 @@ type t = {
   mutable submit_ticks : int array;  (** [-1] when never submitted *)
   mutable commit_ticks : int array;  (** [-1] when uncommitted *)
   mutable ops_committed : int;
-  mutable deadlock_hook :
-    (requester:int -> cycles:Resolver.cycle list -> decision:Resolver.decision -> unit)
-    option;
 }
 
 let create ?(config = default_config) store =
@@ -145,7 +134,6 @@ let create ?(config = default_config) store =
       submit_ticks = Array.make cap (-1);
       commit_ticks = Array.make cap (-1);
       ops_committed = 0;
-      deadlock_hook = None;
     }
   in
   (match config.faults with
@@ -157,17 +145,14 @@ let create ?(config = default_config) store =
         p.Fault.txn_crashes
   | Some _ | None -> ());
   (* A deferred detection policy supplies its own wake sources up front:
-     the sweep tick chain ([Periodic]/[Adaptive]) and the watchdog chain
-     are both self-perpetuating, so the event queue cannot drain while
+     the sweep tick chain and the watchdog chain are both
+     self-perpetuating, so the event queue cannot drain while
      deadlocked transactions sit with no [Exec] events of their own. *)
   (match config.intervention with
   | Detect when not (Detection_policy.is_eager config.detection) ->
-      (match config.detection with
-      | Detection_policy.Periodic _ | Detection_policy.Adaptive ->
-          Pqueue.push eng.events
-            ~priority:(Detection_policy.initial_interval config.detection)
-            ~tag:ev_detect_tick ~a:0 ~b:0
-      | Detection_policy.Eager | Detection_policy.Lazy_on_timeout _ -> ());
+      Pqueue.push eng.events
+        ~priority:(Detection_policy.initial_interval config.detection)
+        ~tag:ev_detect_tick ~a:0 ~b:0;
       Pqueue.push eng.events
         ~priority:(Detection_policy.stall_bound config.detection)
         ~tag:ev_watchdog ~a:0 ~b:0
@@ -304,32 +289,11 @@ let self_restart t id =
   restart t id ~resume_at:(t.eng.tick + 1 + t.cfg.restart_delay)
 
 let roll_back_victim t ~deferred ~stagger v entities =
-  Engine.apply_rollback t.eng ~log:true ~drop_wait:(drop_wait t)
+  Engine.apply_rollback t.eng ~drop_wait:(drop_wait t)
     ~release:(release_rolled_back t) ~restart:(restart t) ~deferred ~stagger v
     entities
 
 (* --- Deadlock resolution ------------------------------------------- *)
-
-(* A deferred round's cycle-enumeration budget. The eager path enumerates
-   up to [cycle_limit] cycles through the requester because its victim
-   choices are part of the replayable contract. A deferred pass — sweep
-   fixpoint or targeted probe — re-examines the graph after every cut, so
-   it can feed the Section 3.2 cut solver a small sample per round and
-   let iteration make up the difference. On the dense graphs deferral
-   accretes, DFS cycle enumeration is the dominant detection cost, and
-   this budget is where the deferred policies' wall-clock win over eager
-   detection comes from. (Sampling is only safe together with the
-   engine's deferred escalation: small cuts roll back fewer victims per
-   round, and without escalation the survivors re-collide
-   indefinitely.) *)
-let deferred_cycle_budget = 8
-
-(* One resolution round through the engine core. This engine routes only
-   deferred rounds through the cut solver, logs, and shows every decision
-   to the deadlock hook. *)
-let resolve_cycles t ~deferred requester cycles =
-  Engine.resolve_round t.eng ~log:true ~hook:t.deadlock_hook ~route:deferred
-    ~deferred ~apply:(roll_back_victim t) requester cycles
 
 (* Resolve until no blocked transaction lies on a cycle. New requests can
    only close cycles through the requester, but a resolution round's side
@@ -348,9 +312,7 @@ let resolve_cycles t ~deferred requester cycles =
    on one — so victim choices (and hence all statistics) are unchanged.
 
    [primary = None] is a full sweep (deferred policies, watchdog): same
-   fixpoint, no preferred requester. Only this fixpoint may clear the
-   dirty set — its convergence proves the whole graph acyclic, which a
-   targeted probe's single reachable slice never does. *)
+   fixpoint, no preferred requester. *)
 let rd_converged t =
   for i = 0 to t.n_dirty - 1 do
     t.wait_dirty.(t.dirty_ids.(i)) <- false
@@ -401,11 +363,7 @@ let[@lint.allow
   let cycle_site =
     List.find_map
       (fun b ->
-        match
-          Engine.resolver_cycles
-            ?limit:(if deferred then Some deferred_cycle_budget else None)
-            t.eng b
-        with
+        match Engine.resolver_cycles t.eng ~deferred b with
         | [] -> None
         | cycles -> Some (b, cycles))
       candidates
@@ -417,7 +375,8 @@ let[@lint.allow
          transactions. *)
       false
   | Some (requester, cycles) ->
-      resolve_cycles t ~deferred requester cycles;
+      Engine.resolve_round t.eng ~deferred ~apply:(roll_back_victim t)
+        requester cycles;
       true
 
 let rec rd_fixpoint t ~deferred primary round =
@@ -435,38 +394,6 @@ let rec rd_fixpoint t ~deferred primary round =
 let[@hot] resolve_deadlocks t ~deferred primary =
   rd_fixpoint t ~deferred primary 1
 
-(* A targeted lazy probe: examine only the waits-for slice reachable from
-   the one transaction whose timer expired, resolving until that slice is
-   cycle-free. Returns whether any deadlock was found. Never touches the
-   dirty set — an acyclic slice says nothing about the rest of the
-   graph. *)
-let resolve_probe t id =
-  let found = ref false in
-  let continue_ = ref true in
-  let round = ref 0 in
-  while !continue_ do
-    incr round;
-    if !round > 1000 then raise (Stuck "probe resolution did not converge");
-    match Engine.on_cycle_from t.eng [ id ] with
-    | [] -> continue_ := false
-    | on_cycle -> (
-        let requester =
-          if List.exists (Txn_id.equal id) on_cycle then id
-          else List.fold_left min (List.hd on_cycle) on_cycle
-        in
-        match
-          Engine.resolver_cycles ~limit:deferred_cycle_budget t.eng requester
-        with
-        | [] ->
-            (* enumeration budget exhausted; leave it to the watchdog's
-               full sweep rather than spinning here *)
-            continue_ := false
-        | cycles ->
-            found := true;
-            resolve_cycles t ~deferred:true requester cycles)
-  done;
-  !found
-
 (* A full detection sweep (periodic/adaptive tick or watchdog): one run
    of the global fixpoint, whose check/enumerate cost bills itself at the
    waits-for call sites. Returns whether it found any deadlock, which
@@ -481,10 +408,10 @@ let[@lint.allow
   t.eng.deadlocks > before
 
 (* Detector outages model the asynchronous detector service being down:
-   scheduled passes and probes are suppressed (counted as missed) while
-   the current tick lies inside an outage window. Eager detection is not
-   a service — it is inline in the lock-request path (the paper's scheme
-   has no separate detector process) — so it is unaffected. *)
+   scheduled passes are suppressed (counted as missed) while the current
+   tick lies inside an outage window. Eager detection is not a service —
+   it is inline in the lock-request path (the paper's scheme has no
+   separate detector process) — so it is unaffected. *)
 let in_detector_outage t =
   match t.cfg.faults with
   | Some p -> Fault.in_outage p t.eng.tick
@@ -596,8 +523,8 @@ let handle_lock_request t id mode e =
          "A1: log msgf closure renders only when a reporter is armed"]);
       set_wait t ~waiter:id ~holders e;
       (* Every block is tracked, whatever the intervention: the duration
-         feeds the blocked-time statistics, the lazy probes and the stall
-         watchdog; [Timeout_abort] timers read it as before. *)
+         feeds the blocked-time statistics and the stall watchdog;
+         [Timeout_abort] timers read it as before. *)
       Engine.note_blocked eng id;
       match t.cfg.intervention with
       | Detect -> (
@@ -615,11 +542,7 @@ let handle_lock_request t id mode e =
                     resolution, which allocates by design"])
           | Detection_policy.Periodic _ | Detection_policy.Adaptive ->
               (* the request path pays nothing; the sweep chain detects *)
-              ()
-          | Detection_policy.Lazy_on_timeout { blocked_ticks; _ } ->
-              Pqueue.push eng.events
-                ~priority:(eng.tick + blocked_ticks)
-                ~tag:ev_probe ~a:id ~b:eng.tick)
+              ())
       | Timeout_abort n ->
           Pqueue.push eng.events ~priority:(eng.tick + n)
             ~tag:ev_timer ~a:id ~b:0
@@ -716,59 +639,7 @@ let[@lint.allow
       Pqueue.push events
         ~priority:(now + t.cadence.Detection_policy.interval)
         ~tag:ev_detect_tick ~a:0 ~b:0
-  | Detection_policy.Eager | Detection_policy.Lazy_on_timeout _ -> ()
-
-let[@lint.allow
-     "A1: the opt-in lazy-probe policy resolves one reachable slice per \
-      expired timer with backoff re-arming — probe bookkeeping is off \
-      the request path"] handle_probe t id armed =
-  let eng = t.eng in
-  match t.cfg.detection with
-  | Detection_policy.Lazy_on_timeout { blocked_ticks; backoff } ->
-      let since = eng.blocked_since.(id) in
-      if since >= 0 && since = armed && Waits_for.is_blocked eng.wfg id
-      then
-        if in_detector_outage t then begin
-          (* detector down: the probe is lost; re-arm past the outage
-             (the watchdog, re-armed at the outage end itself, checks
-             first on recovery) *)
-          t.missed_passes <- t.missed_passes + 1;
-          Pqueue.push eng.events
-            ~priority:(outage_end t + blocked_ticks)
-            ~tag:ev_probe ~a:id ~b:armed
-        end
-        else begin
-          t.detection_passes <- t.detection_passes + 1;
-          let found = resolve_probe t id in
-          if found then begin
-            eng.lazy_false.(id) <- 0;
-            (* resolution may have left [id] blocked (it survived as a
-               non-victim): watch the still-running wait with a fresh
-               timer *)
-            let since' = eng.blocked_since.(id) in
-            if since' >= 0 && Waits_for.is_blocked eng.wfg id then
-              Pqueue.push eng.events
-                ~priority:(eng.tick + blocked_ticks)
-                ~tag:ev_probe ~a:id ~b:since'
-          end
-          else begin
-            (* false alarm: the slice is acyclic, the wait is legitimate
-               — double this transaction's next probe delay *)
-            let n = eng.lazy_false.(id) in
-            eng.lazy_false.(id) <- n + 1;
-            Pqueue.push eng.events
-              ~priority:
-                (eng.tick + (blocked_ticks * (1 lsl min n backoff)))
-              ~tag:ev_probe ~a:id ~b:armed
-          end
-        end
-      else
-        (* the wait this probe was armed for ended; a later block armed
-           its own probe *)
-        ()
-  | Detection_policy.Eager | Detection_policy.Periodic _
-  | Detection_policy.Adaptive ->
-      ()
+  | Detection_policy.Eager -> ()
 
 (* Ascending-id scan over tracked blocks, stopping at the first stalled
    transaction — the short-circuit the sorted fold had. Top-level and
@@ -785,8 +656,8 @@ let rec watchdog_scan t bound (id : int) =
 
 let handle_watchdog t =
   (* the liveness net: a transaction blocked past the policy's stall
-     bound with no full sweep since it blocked means passes were lost
-     (outage, backed-off probes) — force one. Self-perpetuating at half
+     bound with no sweep since it blocked means passes were lost (an
+     outage) — force one. Self-perpetuating at half
      the bound, so a stall is caught within 1.5x the bound of arising. *)
   let eng = t.eng in
   let bound = Detection_policy.stall_bound t.cfg.detection in
@@ -826,12 +697,10 @@ let[@hot] step t =
       eng.tick <- max eng.tick tick;
       let tag = Pqueue.cur_tag events in
       let a = Pqueue.cur_a events in
-      let b = Pqueue.cur_b events in
       if tag = ev_exec then exec_one t a
       else if tag = ev_crash_txn then crash_transaction t a
       else if tag = ev_timer then handle_timer t a
       else if tag = ev_detect_tick then handle_detect_tick t
-      else if tag = ev_probe then handle_probe t a b
       else handle_watchdog t;
       true
     end
@@ -868,7 +737,7 @@ type stats = {
   max_txn_rollbacks : int;
 }
 
-let set_deadlock_hook t hook = t.deadlock_hook <- Some hook
+let set_deadlock_hook t hook = t.eng.hook <- Some hook
 
 let submit_tick t id =
   if id >= 0 && id < t.eng.next_id && t.submit_ticks.(id) >= 0 then

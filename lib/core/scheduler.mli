@@ -44,8 +44,8 @@ type config = {
       (** when to run deadlock detection under [Detect]: [Eager]
           (default — at every blocked request, byte-identical to the
           pre-policy engine) or one of the deferred policies, which keep
-          the request path detection-free and run scheduled sweeps or
-          targeted probes instead (DESIGN.md Section 11). Deferred
+          the request path detection-free and run scheduled sweeps
+          instead (DESIGN.md Section 11). Deferred
           policies are guarded by a stall watchdog: a transaction blocked
           longer than {!Detection_policy.stall_bound} with no sweep since
           it blocked forces one. Ignored by the non-[Detect]
@@ -73,8 +73,8 @@ type config = {
           live growing transaction, rolls it back to state 0 and
           re-admits it after a delay that doubles with repeated crashes
           of the same transaction (DESIGN.md Section 7). Detector outages
-          suppress the deferred policies' scheduled sweeps and probes
-          (counted as [missed_passes]) and the watchdog re-arms for the
+          suppress the deferred policies' scheduled sweeps (counted as
+          [missed_passes]) and the watchdog re-arms for the
           first healthy tick, so recovery sweeps promptly; [Eager]
           detection is inline in the request path — not a detector
           service — and is unaffected *)
@@ -150,8 +150,8 @@ val check_seconds : t -> float
 
 val check_calls : t -> int
 (** Boolean deadlock checks actually run: [would_deadlock] probes under
-    [Eager] plus the census pass seeding each fixpoint round of sweeps
-    and probes. *)
+    [Eager] plus the census pass seeding each fixpoint round of
+    sweeps. *)
 
 val enumerate_seconds : t -> float
 (** Wall-clock seconds spent enumerating the cycles a detected deadlock
@@ -191,13 +191,13 @@ type stats = {
   preventions : int;  (** wounds ([Wound_wait_c]) or deaths ([Wait_die_c]) *)
   txn_crashes : int;  (** fault-plan transaction crashes that hit a victim *)
   detection_passes : int;
-      (** scheduled sweeps and lazy probes run (0 under [Eager], whose
-          checks count only in {!check_calls}) *)
+      (** scheduled sweeps run (0 under [Eager], whose checks count only
+          in {!check_calls}) *)
   watchdog_fires : int;  (** full sweeps forced by the stall watchdog *)
   starvation_fallbacks : int;
       (** resolutions where a cycle offered no non-immune victim and the
           starvation guard was overridden *)
-  missed_passes : int;  (** sweeps/probes suppressed by detector outages *)
+  missed_passes : int;  (** sweeps suppressed by detector outages *)
   max_blocked_ticks : int;  (** longest completed blocking episode *)
   total_blocked_ticks : int;  (** Σ durations of completed episodes *)
   max_txn_rollbacks : int;

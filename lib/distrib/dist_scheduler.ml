@@ -115,14 +115,7 @@ type t = {
   mutable retransmissions : int;
   mutable timeout_aborts : int;
   mutable missed_rounds : int;
-  mutable last_round_tick : int;
-      (** tick of the last global round that actually ran; the stall
-          watchdog compares it against blocking times *)
-  cadence : Detection_policy.cadence;
-      (** current service cadence ([Adaptive]/[Lazy_on_timeout]) *)
-  mutable watchdog_fires : int;
-  mutable skipped_rounds : int;
-      (** lazy firings that shipped nothing (nobody waited long enough) *)
+  cadence : Detection_policy.cadence;  (** the [Adaptive] service cadence *)
 }
 
 (* --- Events ---------------------------------------------------------- *)
@@ -230,17 +223,9 @@ let create ?site_of config store =
       retransmissions = 0;
       timeout_aborts = 0;
       missed_rounds = 0;
-      last_round_tick = 0;
       cadence =
         Detection_policy.cadence
-          (match config.detection_policy with
-          | Detection_policy.Eager -> (
-              match config.detection with
-              | Local_then_global period -> period
-              | Wound_wait -> 0)
-          | p -> Detection_policy.initial_interval p);
-      watchdog_fires = 0;
-      skipped_rounds = 0;
+          (Detection_policy.initial_interval config.detection_policy);
     }
   in
   (match config.detection with
@@ -265,7 +250,15 @@ let lock_table t = t.eng.locks
 let now t = t.eng.tick
 let n_committed t = t.eng.commits
 let all_committed t = t.eng.commits = t.eng.next_id
-let quiescent t = all_committed t && t.inflight_releases = 0
+
+(* The run ends once every transaction committed, no release is in flight
+   and no site is down: a release swallowed by a down site leaves its row
+   behind until the site's recovery rebuild purges it. *)
+let quiescent t =
+  all_committed t
+  && t.inflight_releases = 0
+  && not (Array.exists Fun.id t.down)
+
 let history t = t.eng.hist
 let site_up t s = not t.down.(s)
 let txn_state t id = Engine.txn_state t.eng id
@@ -462,7 +455,7 @@ let restart t id ~resume_at =
   m.last_site <- m.home
 
 let roll_back_victim t ~deferred ~stagger v entities =
-  Engine.apply_rollback t.eng ~log:false ~drop_wait:(forget_wait t)
+  Engine.apply_rollback t.eng ~drop_wait:(forget_wait t)
     ~release:(release_victim t) ~restart:(restart t) ~deferred ~stagger v
     entities
 
@@ -475,27 +468,29 @@ let is_local_cycle t cycle =
       let s = site_of t e0 in
       List.for_all (fun (_, e) -> site_of t e = s) rest
 
-(* One resolution round through the engine core. Under a deferred
-   detection policy any round — local ones included — can face several
-   cycles that accreted between global rounds, so this engine lets the
-   core route every multi-cycle round through the cut solver; it neither
-   logs nor has a deadlock hook. *)
-let resolve_cycles t ~deferred requester cycles =
-  Engine.resolve_round t.eng ~log:false ~hook:None
-    ~route:(not (Detection_policy.is_eager t.cfg.detection_policy))
-    ~deferred ~apply:(roll_back_victim t) requester cycles
+(* Under a deferred detection policy every resolution round is a deferred
+   one, the site-local block-time rounds included. A local round's victims
+   then get the same stagger, backoff and escalation as a global round's;
+   without them, a local round re-picks the same victim indefinitely
+   (DESIGN.md Section 11). *)
+let deferred t = not (Detection_policy.is_eager t.cfg.detection_policy)
+
+let cycles_through t requester =
+  Engine.resolver_cycles t.eng ~deferred:(deferred t) requester
+
+let resolve_cycles t requester cycles =
+  Engine.resolve_round t.eng ~deferred:(deferred t)
+    ~apply:(roll_back_victim t) requester cycles
 
 (* Local detection at block time: a site resolves instantly any cycle
    whose contested entities all live on it. *)
 let rec resolve_local t requester round =
   if round > 1000 then raise (Stuck "local resolution did not converge");
   if Waits_for.is_blocked t.eng.wfg requester then begin
-    let local =
-      List.filter (is_local_cycle t) (Engine.resolver_cycles t.eng requester)
-    in
+    let local = List.filter (is_local_cycle t) (cycles_through t requester) in
     if local <> [] then begin
       t.local_deadlocks <- t.local_deadlocks + 1;
-      resolve_cycles t ~deferred:false requester local;
+      resolve_cycles t requester local;
       resolve_local t requester (round + 1)
     end
   end
@@ -540,9 +535,7 @@ let run_global_detection t =
     let site =
       List.find_map
         (fun b ->
-          match
-            List.filter cycle_visible (Engine.resolver_cycles t.eng b)
-          with
+          match List.filter cycle_visible (cycles_through t b) with
           | [] -> None
           | cycles -> Some (b, cycles))
         (blocked_txns t)
@@ -551,9 +544,7 @@ let run_global_detection t =
     | None -> ()
     | Some (requester, cycles) ->
         t.global_deadlocks <- t.global_deadlocks + 1;
-        resolve_cycles t
-          ~deferred:(not (Detection_policy.is_eager t.cfg.detection_policy))
-          requester cycles;
+        resolve_cycles t requester cycles;
         fixpoint ()
   in
   fixpoint ()
@@ -573,91 +564,30 @@ let degrade t =
       end)
     (List.sort Txn_id.compare (blocked_txns t))
 
-(* Over blocked transactions: the longest current wait, and whether one
-   has waited past [bound] with no round since it blocked. *)
-let blocked_survey t ~bound =
-  let e = t.eng in
-  let oldest = ref 0 and stalled = ref false in
-  for id = 0 to e.next_id - 1 do
-    let since = e.blocked_since.(id) in
-    if since >= 0 && Waits_for.is_blocked e.wfg id then begin
-      let waited = e.tick - since in
-      oldest := max !oldest waited;
-      stalled := !stalled || (waited >= bound && t.last_round_tick <= since)
-    end
-  done;
-  (!oldest, !stalled)
-
-(* One firing of the global-detector service: decide per the detection
-   policy whether a round actually runs, and return the delay until the
-   next firing. The firing chain itself is policy-independent and
+(* One firing of the global-detector service: run a round — or, while
+   the detector is out, degrade — and return the delay until the next
+   firing. The firing chain itself is policy-independent and
    self-perpetuating, so deferral can never leave deadlocked
    configurations without a pending wake source. *)
 let detector_round t ~period =
   let c = t.cadence in
-  let next_delay () =
-    match t.cfg.detection_policy with
-    | Detection_policy.Eager -> period
-    | Detection_policy.Periodic n -> n
-    | Detection_policy.Adaptive | Detection_policy.Lazy_on_timeout _ ->
-        c.Detection_policy.interval
-  in
-  match t.faults with
+  (match t.faults with
   | Some f when Fault.in_outage (Fault.plan f) t.eng.tick ->
       (* detector service down, whatever the policy: degrade gracefully
-         (timeout-abort long-blocked transactions) and keep the cadence —
-         the first post-outage firing runs the watchdog check below *)
+         (timeout-abort long-blocked transactions) and keep the cadence *)
       t.missed_rounds <- t.missed_rounds + 1;
-      degrade t;
-      next_delay ()
+      degrade t
   | _ -> (
-      let run_round () =
-        let before = t.eng.deadlocks in
-        run_global_detection t;
-        t.last_round_tick <- t.eng.tick;
-        t.eng.deadlocks > before
-      in
+      let before = t.eng.deadlocks in
+      run_global_detection t;
       match t.cfg.detection_policy with
-      | Detection_policy.Eager ->
-          ignore (run_round ());
-          period
-      | Detection_policy.Periodic n ->
-          ignore (run_round ());
-          n
       | Detection_policy.Adaptive ->
-          Detection_policy.adapt c ~found:(run_round ());
-          c.Detection_policy.interval
-      | Detection_policy.Lazy_on_timeout { blocked_ticks; backoff } ->
-          let oldest, stalled =
-            blocked_survey t
-              ~bound:(Detection_policy.stall_bound t.cfg.detection_policy)
-          in
-          if stalled then begin
-            (* the watchdog: blocked past the stall bound with no round
-               since — lost rounds (outage) or runaway backoff; force a
-               round and reset the cadence *)
-            t.watchdog_fires <- t.watchdog_fires + 1;
-            ignore (run_round ());
-            c.Detection_policy.interval <- blocked_ticks;
-            blocked_ticks
-          end
-          else if oldest >= blocked_ticks then begin
-            (if run_round () then c.Detection_policy.interval <- blocked_ticks
-             else begin
-               (* false alarm: long waits but no cycle — back off, capped
-                  at half the stall bound so the watchdog stays behind *)
-               let cap = blocked_ticks * (1 lsl min backoff 20) in
-               c.Detection_policy.interval <-
-                 min cap (c.Detection_policy.interval * 2)
-             end);
-            c.Detection_policy.interval
-          end
-          else begin
-            (* nobody has waited long enough to suspect a deadlock: skip
-               the round, shipping no edges at all *)
-            t.skipped_rounds <- t.skipped_rounds + 1;
-            c.Detection_policy.interval
-          end)
+          Detection_policy.adapt c ~found:(t.eng.deadlocks > before)
+      | Detection_policy.Eager | Detection_policy.Periodic _ -> ()));
+  match t.cfg.detection_policy with
+  | Detection_policy.Eager -> period
+  | Detection_policy.Periodic n -> n
+  | Detection_policy.Adaptive -> c.Detection_policy.interval
 
 (* Wound-wait: an older requester wounds every younger blocker — holders
    roll back to release the entity, younger queued requests requeue
@@ -690,7 +620,7 @@ let partial_crash_rollback t id ~site =
       (Txn_state.locks_held (txn_state t id))
   in
   if on_site <> [] then
-    Engine.apply_partial_rollback t.eng ~log:false ~drop_wait:(forget_wait t)
+    Engine.apply_partial_rollback t.eng ~drop_wait:(forget_wait t)
       ~release:(release_rolled_back t) ~deferred:false ~stagger:0 id on_site
 
 let crash_site t s downtime =
@@ -1011,8 +941,6 @@ type stats = {
   timeout_aborts : int;
   missed_rounds : int;
   deferred_detection : bool;
-  watchdog_fires : int;
-  skipped_rounds : int;
   starvation_fallbacks : int;
   max_blocked_ticks : int;
   total_blocked_ticks : int;
@@ -1047,10 +975,7 @@ let stats t =
     retransmissions = t.retransmissions;
     timeout_aborts = t.timeout_aborts;
     missed_rounds = t.missed_rounds;
-    deferred_detection =
-      not (Detection_policy.is_eager t.cfg.detection_policy);
-    watchdog_fires = t.watchdog_fires;
-    skipped_rounds = t.skipped_rounds;
+    deferred_detection = deferred t;
     starvation_fallbacks = e.starvation_fallbacks;
     max_blocked_ticks = e.max_blocked_ticks;
     total_blocked_ticks = e.total_blocked_ticks;
@@ -1078,8 +1003,8 @@ let pp_stats ppf s =
     s.missed_rounds;
   if s.deferred_detection then
     Fmt.pf ppf
-      "@,skipped rounds: %d, watchdog fires: %d, starvation fallbacks: %d@,\
+      "@,starvation fallbacks: %d@,\
        max blocked: %d ticks (total %d), max txn rollbacks: %d"
-      s.skipped_rounds s.watchdog_fires s.starvation_fallbacks
-      s.max_blocked_ticks s.total_blocked_ticks s.max_txn_rollbacks;
+      s.starvation_fallbacks s.max_blocked_ticks s.total_blocked_ticks
+      s.max_txn_rollbacks;
   Fmt.pf ppf "@]"

@@ -65,17 +65,13 @@ type config = {
           [Local_then_global]: [Eager] (default) runs a full round at
           every firing, every [period] ticks — byte-identical to the
           pre-policy engine. The deferred policies reschedule the service
-          by their own rule — [Periodic n] fires every [n] ticks,
-          [Adaptive] tunes its interval to the deadlock-arrival rate, and
-          [Lazy_on_timeout] ships nothing unless some transaction has
-          been blocked at least [blocked_ticks] (backing off after rounds
-          that find no cycle, capped at half the stall bound). A stall
-          watchdog folded into the firing chain forces a round whenever a
-          transaction has been blocked past
-          {!Prb_core.Detection_policy.stall_bound} with no round since it
-          blocked. Site-local block-time detection is inline in the
-          request path (not a service) and always runs. Ignored under
-          [Wound_wait] *)
+          by their own rule — [Periodic n] fires every [n] ticks and
+          [Adaptive] tunes its interval to the deadlock-arrival rate.
+          Site-local block-time detection is inline in the request path
+          (not a service) and always runs; under a deferred policy every
+          resolution round, local ones included, is a deferred round
+          (small cycle budget, cut-solver routing, victim backoff and
+          escalation). Ignored under [Wound_wait] *)
   starvation_limit : int option;
       (** [Some k]: a transaction rolled back [k] times becomes immune to
           victim selection (overridden only when a cycle offers nobody
@@ -168,12 +164,6 @@ type stats = {
   deferred_detection : bool;
       (** the run used a non-[Eager] detection policy; drives which stat
           lines {!pp_stats} prints, keeping eager output byte-identical *)
-  watchdog_fires : int;
-      (** rounds forced by the stall watchdog (a transaction blocked past
-          the stall bound with no round since it blocked) *)
-  skipped_rounds : int;
-      (** [Lazy_on_timeout] firings that shipped nothing because nobody
-          had waited long enough *)
   starvation_fallbacks : int;
       (** resolutions where a cycle offered no non-immune victim and the
           starvation guard was overridden *)

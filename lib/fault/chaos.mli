@@ -58,7 +58,7 @@ val policy_matrix : seeds:int -> unit -> report list
     invariants {e plus} the no-starvation bound: when no resolution had
     to override victim immunity, no transaction may have been rolled back
     more than the guard's limit (excused only by degraded-mode forced
-    restarts, which bypass victim selection). [4 * 2 * 2 * seeds]
+    restarts, which bypass victim selection). [3 * 2 * 2 * seeds]
     reports, deterministic in the seed range. *)
 
 val failures : report list -> report list

@@ -15,8 +15,8 @@
     Serializability of the {e committed} transactions is then acyclicity
     of the precedence graph over conflicting intervals.
 
-    Unlike the naive construction (retained as {!History_naive} for
-    differential testing), the conflict graph is maintained online: when a
+    Unlike the naive construction (retained in the test suite as
+    [History_naive], the differential-testing oracle), the conflict graph is maintained online: when a
     transaction commits, each of its intervals is checked only against the
     retained committed intervals on the {e same entity} — O(conflicting
     accessors), not O(all intervals ever). Once a committed transaction

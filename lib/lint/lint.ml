@@ -8,11 +8,11 @@
 module P = Parsetree
 module A = Ast_iterator
 
-type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | P1 | H1
+type rule = D1 | D2 | D3 | L1 | L2 | A1 | P1 | H1
 
-let all_rules = [ D1; D2; D3; L1; L2; L3; A1; P1; H1 ]
+let all_rules = [ D1; D2; D3; L1; L2; A1; P1; H1 ]
 
-let untyped_rules = [ D1; D2; D3; L1; L2; L3 ]
+let untyped_rules = [ D1; D2; D3; L1; L2 ]
 
 let deep_rules = [ A1; P1; H1 ]
 
@@ -22,7 +22,6 @@ let rule_id = function
   | D3 -> "D3"
   | L1 -> "L1"
   | L2 -> "L2"
-  | L3 -> "L3"
   | A1 -> "A1"
   | P1 -> "P1"
   | H1 -> "H1"
@@ -34,7 +33,6 @@ let rule_of_id s =
   | "D3" -> Some D3
   | "L1" -> Some L1
   | "L2" -> Some L2
-  | "L3" -> Some L3
   | "A1" -> Some A1
   | "P1" -> Some P1
   | "H1" -> Some H1
@@ -56,9 +54,6 @@ let rule_doc = function
   | L2 ->
       "no catch-all arm in matches over the distributed protocol message \
        type"
-  | L3 ->
-      "production code must not depend on a *_ref reference module (they \
-       exist for the differential tests only)"
   | A1 ->
       "[deep] functions marked [@hot] must not allocate, transitively \
        through repo-local calls"
@@ -293,37 +288,10 @@ let check_structure ?(rules = all_rules) ~(context : context) ~file str =
         f ();
         scope_allows := List.tl !scope_allows
   in
-  let in_ref_module =
-    (* the *_ref modules may reference themselves and each other *)
-    Filename.check_suffix (Filename.basename file) "_ref.ml"
-  in
-  let rec lid_components = function
-    | Longident.Lident s -> [ s ]
-    | Longident.Ldot (l, s) -> s :: lid_components l
-    | Longident.Lapply (a, b) -> lid_components a @ lid_components b
-  in
   (* Rules over one identifier reference. [applied] distinguishes the
      function position of an application: infix [a = b] is allowed, while
      [=] handed to a higher-order function is a polymorphic comparator. *)
   let check_lid ~applied lid loc =
-    (if not in_ref_module then
-       match
-         List.find_opt
-           (fun c ->
-             String.length c > 4
-             && c.[0] >= 'A'
-             && c.[0] <= 'Z'
-             && Filename.check_suffix c "_ref")
-           (lid_components lid)
-       with
-       | Some m ->
-           emit L3 loc
-             (Printf.sprintf
-                "dependency on reference module %s: the *_ref modules exist \
-                 only as differential-test oracles; production code uses the \
-                 dense implementations"
-                m)
-       | None -> ());
     (match lid_last_module lid with
     | Some "Hashtbl" when context.replay_critical -> (
         match Longident.last lid with

@@ -32,12 +32,6 @@
       over the distributed protocol message type ([Dist_scheduler.event]),
       so adding a message variant forces every handler site to decide.
 
-    - {b L3} — production code (everything under [lib/], [bin/] and
-      [bench/]) must not reference a [*_ref] module
-      ([Lock_table_ref], [Waits_for_ref], [History_stack_ref]): the
-      reference implementations exist only as differential-test oracles
-      and must never creep back onto a hot path.
-
     Three further rules — {b A1} (hot paths are allocation-free), {b P1}
     (static two-phase locking discipline) and {b H1} (slot handles do not
     escape their arena) — need type and call-graph information and are
@@ -52,7 +46,7 @@
     [[@lint.allow "A1: amortized buffer growth"]] — and is {e required}
     by the deep rules. *)
 
-type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | P1 | H1
+type rule = D1 | D2 | D3 | L1 | L2 | A1 | P1 | H1
 
 val all_rules : rule list
 

@@ -16,8 +16,8 @@ type mode = Lock_mode.t
    Holder-set order is not observable through the API (every reader sorts
    or tests membership), so holders use swap-remove; queues preserve FIFO
    order with a sliding window. The previous hashtable-of-entries
-   implementation is retained verbatim as [Lock_table_ref] for the
-   differential tests. *)
+   implementation is retained verbatim as the test suite's
+   [Lock_table_ref], the oracle of the differential tests. *)
 
 let bit_of_mode = function Lock_mode.Shared -> 0 | Lock_mode.Exclusive -> 1
 let mode_of_bit b = if b = 1 then Lock_mode.Exclusive else Lock_mode.Shared

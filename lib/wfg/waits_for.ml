@@ -13,8 +13,8 @@ type entity = Prb_storage.Store.entity
    ([would_deadlock], the Tarjan census, cycle enumeration) run on
    stamp-versioned scratch arrays owned by [t]: no per-call hashtables,
    no allocation unless a cycle is actually reported. The Digraph-backed
-   implementation is retained verbatim as [Waits_for_ref] for the
-   differential tests. *)
+   implementation is retained verbatim as the test suite's
+   [Waits_for_ref], the oracle of the differential tests. *)
 type t = {
   mutable present : bool array;
   mutable out_buf : int array array; (* holders of v, ascending *)

@@ -3,7 +3,7 @@
    construction. *)
 
 module History = Prb_history.History
-module Naive = Prb_history.History_naive
+module Naive = History_naive
 module Digraph = Prb_graph.Digraph
 module Rng = Prb_util.Rng
 module Lock_mode = Prb_txn.Lock_mode

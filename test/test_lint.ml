@@ -34,7 +34,6 @@ let test_fixture_rules () =
     ("sim__d3_wallclock.ml", [ "D3" ]);
     ("core__l1_layering.ml", [ "L1" ]);
     ("distrib__l2_catch_all.ml", [ "L2" ]);
-    ("core__l3_ref_dep.ml", [ "L3" ]);
     ("core__allow_suppression.ml", []);
     ("clean__ok.ml", []);
   ]

@@ -348,7 +348,7 @@ let qcheck_index_vs_reference fair =
    waiters granted in the same order) and on every read-side accessor
    after every step. *)
 let qcheck_dense_vs_reference fair =
-  let module Ref = Prb_lock.Lock_table_ref in
+  let module Ref = Lock_table_ref in
   let name =
     Printf.sprintf "dense table matches retained reference (%s)"
       (if fair then "fair" else "availability")

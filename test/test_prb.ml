@@ -37,6 +37,8 @@ let test_umbrella_surface () =
   checkb "detection policy" true
     (Detection_policy.of_string "periodic:32"
     = Some (Detection_policy.Periodic 32));
+  checkb "no lazy detection policy" true
+    (Detection_policy.of_string "lazy:8" = None);
   checkb "zipf" true (Zipf.n (Zipf.make ~n:3 ~theta:0.5) = 3);
   checkb "rng" true (Rng.int (Rng.make 1) 10 < 10);
   checkb "digraph" true (Digraph.n_vertices (Digraph.create ()) = 0);

@@ -752,7 +752,7 @@ let qcheck_alloc_runtime_agreement =
    step. [via_pool] runs the arena side through a warm Pool, so recycled
    buffers must be indistinguishable from fresh ones. *)
 let qcheck_hs_dense_vs_reference via_pool =
-  let module R = Prb_rollback.History_stack_ref in
+  let module R = History_stack_ref in
   let name =
     Printf.sprintf "arena stack matches cons-list reference (%s)"
       (if via_pool then "pooled" else "fresh")

@@ -487,7 +487,10 @@ let qcheck_deferred_liveness =
   QCheck.Test.make
     ~name:"deferred detection leaves no cycles, orphans or starvation"
     ~count:30
-    QCheck.(triple small_int (int_bound 2) (int_bound 1))
+    QCheck.(
+      triple small_int
+        (int_bound (List.length DP.all_deferred - 1))
+        (int_bound 1))
     (fun (seed, pol_i, strat_i) ->
       let detection = List.nth DP.all_deferred pol_i in
       let strategy = List.nth [ Strategy.Sdg; Strategy.Total ] strat_i in

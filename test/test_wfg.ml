@@ -116,7 +116,7 @@ let qcheck_would_deadlock_oracle =
    every observable compared after every step, including the cycle
    enumeration the resolver consumes. *)
 let qcheck_dense_vs_reference =
-  let module R = Prb_wfg.Waits_for_ref in
+  let module R = Waits_for_ref in
   QCheck.Test.make ~name:"dense graph matches retained reference" ~count:300
     QCheck.(
       list
@@ -181,7 +181,7 @@ let qcheck_dense_vs_reference =
    (needless fallback is invisible here, but a corrupted order is not
    once the count drops back). *)
 let qcheck_dynamic_order_vs_reference =
-  let module R = Prb_wfg.Waits_for_ref in
+  let module R = Waits_for_ref in
   QCheck.Test.make ~name:"dynamic topological order matches reference"
     ~count:200
     QCheck.(
