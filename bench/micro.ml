@@ -1,6 +1,6 @@
 (* Micro-benchmarks of the hot paths (bechamel): deadlock detection,
-   cycle enumeration, history-stack writes, rollback execution, SDG
-   analysis. One Test.make per mechanism; estimated ns/op printed as a
+   cycle enumeration, victim choice, history-stack writes, rollback
+   execution, SDG analysis. One Test.make per mechanism; estimated ns/op printed as a
    table. *)
 
 open Bechamel
@@ -17,6 +17,8 @@ module History_stack = Prb_rollback.History_stack
 module Txn_state = Prb_rollback.Txn_state
 module Sdg_view = Prb_rollback.Sdg_view
 module Strategy = Prb_rollback.Strategy
+module Resolver = Prb_core.Resolver
+module Policy = Prb_core.Policy
 
 (* A 40-txn waits-for chain with a cycle at the end. *)
 let chain_wfg () =
@@ -164,6 +166,34 @@ let bench_cycles_through =
   done;
   Test.make ~name:"cycles_through (6-cycle fan)"
     (Staged.stage (fun () -> Waits_for.cycles_through g 0))
+
+let bench_victim_choice =
+  let g = Waits_for.create () in
+  (* A requester behind eight layers of two shared holders: each holder
+     waits on both holders of the next layer and the last layer on the
+     requester, so 2^8 = 256 cycles close through it — the shape of the
+     hotspot deadlocks that reach the default cycle_limit. The first
+     layer is cheapest, so, as in those deadlocks, branch-and-bound
+     proves the greedy cut optimal in a few nodes and the time goes to
+     enumerating and preparing the cycles. *)
+  let layer i = [ (2 * i) + 1; (2 * i) + 2 ] in
+  Waits_for.set_wait g ~waiter:0 ~holders:(layer 0) "r";
+  for i = 0 to 7 do
+    List.iter
+      (fun v ->
+        Waits_for.set_wait g ~waiter:v
+          ~holders:(if i = 7 then [ 0 ] else layer (i + 1))
+          (Printf.sprintf "e%d" v))
+      (layer i)
+  done;
+  let rng = Prb_util.Rng.make 1 in
+  Test.make ~name:"victim choice (256-cycle fan)"
+    (Staged.stage (fun () ->
+         Resolver.choose_cycles ~policy:Policy.Ordered_min_cost ~requester:0
+           ~entry_order:Fun.id
+           ~release_cost:(fun v es -> List.length es + if v <= 2 then 0 else 8)
+           ~rng
+           (Waits_for.enumerate ~limit:256 g 0)))
 
 let bench_history_write =
   Test.make ~name:"history write (mcs, 16 segments)"
@@ -316,6 +346,7 @@ let run () =
       bench_held_by;
       bench_fixpoint;
       bench_cycles_through;
+      bench_victim_choice;
       bench_history_write;
       bench_txn_execute;
       bench_rollback;

@@ -240,7 +240,7 @@ let would_deadlock e ~waiter ~holders =
 
 let census wfg seeds () = Waits_for.on_cycle_from wfg seeds
 let on_cycle_from e seeds = clocked e Check census seeds ()
-let enumerate wfg limit requester = Waits_for.cycles_through ~limit wfg requester
+let enumerate wfg limit requester = Waits_for.enumerate ~limit wfg requester
 
 (* A deferred round's cycle-enumeration budget. An eager round enumerates
    up to [cycle_limit] cycles through the requester because its victim
@@ -255,30 +255,14 @@ let enumerate wfg limit requester = Waits_for.cycles_through ~limit wfg requeste
    survivors re-collide indefinitely.) *)
 let deferred_cycle_budget = 8
 
-(* Cycles through the requester, converted to the resolver's (member,
-   entity-to-release) form. A waits-for cycle [r; v1; ...; vk] has edges
-   r->v1 (r waits for v1 on e1) ... vk->r; deleting the arc into a member
-   means that member releases the entity labelling the arc. *)
+(* The enumeration already records each cycle in the resolver's form —
+   member and entity to release per arc — so this is the whole step. *)
 let resolver_cycles e ~deferred requester =
   let limit =
     if deferred then min deferred_cycle_budget e.cycle_limit
     else e.cycle_limit
   in
-  let raw = clocked e Enumerate enumerate limit requester in
-  let label u v =
-    match Waits_for.wait_label e.wfg u v with
-    | Some x -> x
-    | None -> raise (Stuck "waits-for edge vanished during resolution")
-  in
-  List.map
-    (fun cycle ->
-      let rec arcs = function
-        | [] -> []
-        | [ last ] -> [ (requester, label last requester) ]
-        | u :: (v :: _ as rest) -> (v, label u v) :: arcs rest
-      in
-      arcs cycle)
-    raw
+  clocked e Enumerate enumerate limit requester
 
 (* --- Rollback ------------------------------------------------------ *)
 
@@ -291,20 +275,13 @@ let resolver_cycles e ~deferred requester =
 let split_arcs ts entities =
   List.partition (fun x -> Txn_state.holds ts x <> None) entities
 
-(* The latest lock state the strategy can restore that releases every one
-   of the held entities. *)
-let rollback_target ts held =
-  List.fold_left
-    (fun acc x -> min acc (Txn_state.rollback_target ts x))
-    (Txn_state.lock_index ts) held
-
 let release_cost e v entities =
   let ts = txn_state e v in
   let held, queued = split_arcs ts entities in
   let rollback_part =
     match held with
     | [] -> 0
-    | xs -> Txn_state.cost_of_target ts (rollback_target ts xs)
+    | xs -> Txn_state.cost_of_target ts (Txn_state.rollback_target_all ts xs)
   in
   (* Requeueing loses no progress but is not free: charge one op so the
      optimiser does not see it as a universally-winning move. *)
@@ -361,7 +338,7 @@ let apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v
   (match held with
   | [] -> e.requeue_events <- e.requeue_events + 1
   | xs ->
-      let target = rollback_target ts xs in
+      let target = Txn_state.rollback_target_all ts xs in
       (* Overshoot: progress destroyed beyond the minimal release point —
          zero under MCS, the whole prefix under Total, the price of
          non-well-defined states under SDG. *)
@@ -419,10 +396,9 @@ let apply_rollback e ~drop_wait ~release ~restart ~deferred ~stagger v
    single-victim policies are routed through the cut solver
    ([Ordered_min_cost], keeping Theorem 2's preemption order). Policies
    that already are cuts run unchanged. *)
-let resolution_policy e ~deferred cycles =
+let resolution_policy e ~deferred n_cycles =
   if
-    deferred
-    && (match cycles with _ :: _ :: _ -> true | [] | [ _ ] -> false)
+    deferred && n_cycles > 1
     &&
     match e.policy with
     | Policy.Min_cost | Policy.Ordered_min_cost -> false
@@ -430,15 +406,17 @@ let resolution_policy e ~deferred cycles =
   then Policy.Ordered_min_cost
   else e.policy
 
-let resolve_round e ~deferred ~apply requester cycles =
+let resolve_round e ~deferred ~apply requester (cycles : Waits_for.cycles) =
+  if not (Waits_for.intact e.wfg cycles) then
+    raise (Stuck "waits-for edge vanished during resolution");
+  let n = cycles.Waits_for.n_cycles in
   Log.info (fun m ->
-      m "[%d] deadlock: %d cycle(s) through T%d" e.tick (List.length cycles)
-        requester);
+      m "[%d] deadlock: %d cycle(s) through T%d" e.tick n requester);
   e.deadlocks <- e.deadlocks + 1;
-  e.cycles_broken <- e.cycles_broken + List.length cycles;
+  e.cycles_broken <- e.cycles_broken + n;
   let decision =
-    Resolver.choose ~immune:(immune e)
-      ~policy:(resolution_policy e ~deferred cycles)
+    Resolver.choose_cycles ~immune:(immune e)
+      ~policy:(resolution_policy e ~deferred n)
       ~requester
       ~entry_order:(fun v -> Txn_state.entry_order (txn_state e v))
       ~release_cost:(release_cost e) ~rng:e.rng cycles
@@ -447,8 +425,9 @@ let resolve_round e ~deferred ~apply requester cycles =
     e.optimal_resolutions <- e.optimal_resolutions + 1;
   if decision.Resolver.starved_fallback then
     e.starvation_fallbacks <- e.starvation_fallbacks + 1;
+  (* Only an installed hook pays for the list view. *)
   (match e.hook with
-  | Some h -> h ~requester ~cycles ~decision
+  | Some h -> h ~requester ~cycles:(Waits_for.arcs cycles) ~decision
   | None -> ());
   List.iteri
     (fun i (v, entities) -> apply ~deferred ~stagger:i v entities)

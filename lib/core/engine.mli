@@ -127,10 +127,11 @@ val would_deadlock : t -> waiter:int -> holders:int list -> bool
 val on_cycle_from : t -> int list -> int list
 (** A check: blocked transactions on a cycle reachable from the seeds. *)
 
-val resolver_cycles : t -> deferred:bool -> int -> Resolver.cycle list
+val resolver_cycles : t -> deferred:bool -> int -> Prb_wfg.Waits_for.cycles
 (** An enumeration: at most [cycle_limit] cycles through the requester —
-    at most 8 in a [deferred] round — as (member, entity it must release)
-    arcs. *)
+    at most 8 in a [deferred] round — as a flat record of (member, entity
+    it must release) arcs. The record is the waits-for graph's own and is
+    overwritten by the next enumeration. *)
 
 (** {2 Rollback} *)
 
@@ -185,9 +186,11 @@ val resolve_round :
   deferred:bool ->
   apply:(deferred:bool -> stagger:int -> int -> Store.entity list -> unit) ->
   int ->
-  Resolver.cycle list ->
+  Prb_wfg.Waits_for.cycles ->
   unit
 (** Count and log the round, choose victims — a [deferred] multi-cycle
     round sends the single-victim policies through the cut solver — show
-    the decision to [hook] and [apply] each victim with its position as
-    the stagger. *)
+    the decision to [hook] (with the cycles as lists, built only then)
+    and [apply] each victim with its position as the stagger.
+    @raise Stuck if the waits-for graph has lost an edge since the
+    record was enumerated ({!Prb_wfg.Waits_for.intact}). *)

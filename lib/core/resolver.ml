@@ -2,6 +2,7 @@ module Cutset = Prb_graph.Cutset
 module Rng = Prb_util.Rng
 module Txn_id = Prb_txn.Txn_id
 module Entity = Prb_storage.Store.Entity
+module Waits_for = Prb_wfg.Waits_for
 
 type txn = Txn_id.t
 type entity = Prb_storage.Store.entity
@@ -13,166 +14,183 @@ type decision = {
   starved_fallback : bool;
 }
 
-(* One pass over the cycles builds the per-member released-entity table
-   that both the cost function and the final decision read; entities are
-   sorted and deduped once per member, not once per query. The cost
-   function is consulted once per candidate per resolution (the cut
-   solver memoises it), so with up to [cycle_limit] cycles of up to MPL
-   members this table is what keeps victim selection linear in the cycle
-   input instead of quadratic. The per-member entity set is exactly what
-   [concat_map] + [sort_uniq] over the cycle list produced, so decisions
-   are unchanged. *)
-let rec member_slot_ (a : int array) v lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) / 2 in
-    if a.(mid) < v then member_slot_ a v (mid + 1) hi
-    else member_slot_ a v lo mid
+(* Victim choice runs over the record's member indices (DESIGN §16):
+   whatever a policy asks of a member — the entities it releases, its
+   eligibility, its immunity, its cost — is worked out once per member,
+   never once per arc, and no cycle is rebuilt as a list. Members are
+   ascending by transaction id, so member-index order is id order: the
+   cut solver's candidates and each cycle's candidate set come out
+   ascending, which fixes branch-and-bound's branch order and greedy's
+   lowest-vertex tie-break exactly as the list resolver had them. *)
 
-let needed_table cycles =
-  (* The distinct members of a resolution's cycles are the blocked
-     transactions of one strongly connected component — bounded by the
-     multiprogramming level even when the cycle list runs to the
-     enumeration limit — so a sorted array with binary search beats
-     hashing the member id once per (member, entity) pair of a long
-     cycle stream. *)
-  let members = ref (Array.make 16 0) in
-  let raw : entity list array ref = ref (Array.make 16 []) in
-  let n = ref 0 in
-  List.iter
-    (fun cycle ->
-      List.iter
-        (fun ((m : int), e) ->
-          let p = member_slot_ !members m 0 !n in
-          if p < !n && !members.(p) = m then !raw.(p) <- e :: !raw.(p)
-          else begin
-            if !n = Array.length !members then begin
-              let nm = Array.make (2 * !n) 0 and nr = Array.make (2 * !n) [] in
-              Array.blit !members 0 nm 0 !n;
-              Array.blit !raw 0 nr 0 !n;
-              members := nm;
-              raw := nr
-            end;
-            Array.blit !members p !members (p + 1) (!n - p);
-            Array.blit !raw p !raw (p + 1) (!n - p);
-            !members.(p) <- m;
-            !raw.(p) <- [ e ];
-            incr n
-          end)
-        cycle)
-    cycles;
-  let members = !members and raw = !raw and n = !n in
-  let memo : entity list option array = Array.make (max 1 n) None in
-  fun v ->
-    let p = member_slot_ members v 0 n in
-    if p < n && members.(p) = v then
-      match memo.(p) with
-      | Some es -> es
-      | None ->
-          let es = List.sort_uniq Entity.compare raw.(p) in
-          memo.(p) <- Some es;
-          es
-    else []
+let rec mem_entity (x : entity) = function
+  | [] -> false
+  | y :: rest -> String.equal x y || mem_entity x rest
 
-let decision_of ~needed ~optimal ~immune chosen =
+(* Each member's released entities: the sorted union of the labels of
+   its inbound arcs over every cycle of the record. An arc's label is its
+   predecessor's one stored string, so a repeat is usually the very same
+   string and the physical test settles it. *)
+let released (c : Waits_for.cycles) =
+  let raw = Array.make c.n_members [] in
+  for p = 0 to c.first.(c.n_cycles) - 1 do
+    let m = c.member.(p) and x = c.release.(p) in
+    if not (List.memq x raw.(m) || mem_entity x raw.(m)) then
+      raw.(m) <- x :: raw.(m)
+  done;
+  Array.map (List.sort Entity.compare) raw
+
+let decision_of (c : Waits_for.cycles) ~released ~immune ~optimal chosen =
   {
-    victims =
-      (* victims are pairwise-distinct transactions *)
-      List.map (fun v -> (v, needed v)) chosen
-      |> List.sort (fun (a, _) (b, _) -> Txn_id.compare a b);
+    (* member indices ascending: victims sorted by txn id *)
+    victims = List.map (fun m -> (c.members.(m), released.(m))) chosen;
     optimal;
     (* the starvation guard had to be overridden: some cycle offered no
        non-immune victim, so an immune transaction is rolled back anyway
        (deadlocks must break; immunity bends before liveness does) *)
-    starved_fallback = List.exists immune chosen;
+    starved_fallback = List.exists (fun m -> immune.(m)) chosen;
   }
 
-(* Iteratively break surviving cycles, picking a member of the first
-   surviving cycle by [pick]. *)
-let iterative_pick cycles pick =
-  let rec loop chosen =
-    let surviving =
-      List.filter
-        (fun cycle ->
-          not
-            (List.exists
-               (fun (m, _) -> List.exists (Txn_id.equal m) chosen)
-               cycle))
-        cycles
-    in
-    match surviving with
-    | [] -> List.rev chosen
-    | cycle :: _ -> loop (pick cycle :: chosen)
-  in
-  loop []
+(* Is member [m] among arcs [first .. p]? Scanned from the back: an
+   enumerated cycle ends at its requester. *)
+let rec on_cycle (c : Waits_for.cycles) m first p =
+  p >= first && (c.member.(p) = m || on_cycle c m first (p - 1))
 
-let min_cost_cut ~requester cycles ~needed ~release_cost ~eligible ~immune =
+let ascending chosen =
+  let acc = ref [] in
+  for m = Array.length chosen - 1 downto 0 do
+    if chosen.(m) then acc := m :: !acc
+  done;
+  !acc
+
+let cheapest_cut (c : Waits_for.cycles) ~req ~released ~release_cost
+    ~eligible ~immune =
   (* Hitting set over cycles restricted to eligible members. Starvation-
      immune members are dropped first; a cycle with only immune eligible
      members keeps them (immunity bends before liveness — the caller reads
      [starved_fallback] off the decision). A cycle with no eligible member
      at all falls back to the requester (which is on every cycle), so a
-     cut always exists. *)
-  let restricted =
-    List.map
-      (fun cycle ->
-        match
-          List.filter_map
-            (fun (m, _) ->
-              if eligible m && not (immune m) then Some m else None)
-            cycle
-        with
-        | _ :: _ as kept -> kept
-        | [] -> (
-            match
-              List.filter_map
-                (fun (m, _) -> if eligible m then Some m else None)
-                cycle
-            with
-            | [] ->
-                List.filter_map
-                  (fun (m, _) ->
-                    if Txn_id.equal m requester then Some m else None)
-                  cycle
-            | kept -> kept))
-      cycles
+     cut always exists. In [rank] terms, a cycle keeps its members of the
+     lowest rank present on it, rank 2 meaning the requester alone. *)
+  let n = c.n_cycles and nm = c.n_members in
+  let rank =
+    Array.init nm (fun m ->
+        if not eligible.(m) then 2 else if immune.(m) then 1 else 0)
   in
-  let instance =
-    {
-      Cutset.cycles = restricted;
-      cost = (fun v -> float_of_int (release_cost v (needed v)));
-    }
+  let tier = Array.make n 2 in
+  let cand = Array.make nm (-1) in
+  for k = 0 to n - 1 do
+    let first = c.first.(k) and stop = c.first.(k + 1) in
+    for p = first to stop - 1 do
+      let r = rank.(c.member.(p)) in
+      if r < tier.(k) then tier.(k) <- r
+    done;
+    if tier.(k) = 2 then cand.(req) <- 0
+    else
+      for p = first to stop - 1 do
+        let m = c.member.(p) in
+        if rank.(m) = tier.(k) then cand.(m) <- 0
+      done
+  done;
+  (* Candidates numbered in member order, hence ascending by id. *)
+  let ncand = ref 0 in
+  for m = 0 to nm - 1 do
+    if cand.(m) >= 0 then begin
+      cand.(m) <- !ncand;
+      incr ncand
+    end
+  done;
+  let ncand = !ncand in
+  let cand_member = Array.make ncand 0 in
+  for m = 0 to nm - 1 do
+    if cand.(m) >= 0 then cand_member.(cand.(m)) <- m
+  done;
+  (* Each cycle's candidates, laid out flat like the record's arcs (a
+     cycle has at least as many arcs as candidates). *)
+  let seen = Array.make ncand (-1) in
+  let first = Array.make (n + 1) 0 and cands = Array.make c.first.(n) 0 in
+  for k = 0 to n - 1 do
+    let lo = first.(k) in
+    let hi = ref lo in
+    if tier.(k) = 2 then begin
+      cands.(lo) <- cand.(req);
+      incr hi
+    end
+    else
+      for p = c.first.(k) to c.first.(k + 1) - 1 do
+        let i = cand.(c.member.(p)) in
+        if rank.(c.member.(p)) = tier.(k) && seen.(i) <> k then begin
+          seen.(i) <- k;
+          (* insertion keeps the cycle's candidates ascending *)
+          let j = ref !hi in
+          while !j > lo && cands.(!j - 1) > i do
+            cands.(!j) <- cands.(!j - 1);
+            decr j
+          done;
+          cands.(!j) <- i;
+          incr hi
+        end
+      done;
+    first.(k + 1) <- !hi
+  done;
+  let costs =
+    Array.map
+      (fun m -> float_of_int (release_cost c.members.(m) released.(m)))
+      cand_member
   in
-  match Cutset.exact instance with
-  | Some chosen -> (chosen, true)
-  | None -> (Cutset.greedy instance, false)
+  let x = { Cutset.costs; first; cands } in
+  let chosen, optimal =
+    match Cutset.exact_indexed x with
+    | Some chosen -> (chosen, true)
+    | None -> (Cutset.greedy_indexed x, false)
+  in
+  (List.map (fun i -> cand_member.(i)) chosen, optimal)
 
-let choose ?(immune = fun _ -> false) ~policy ~requester ~entry_order
-    ~release_cost ~rng cycles =
-  if cycles = [] then invalid_arg "Resolver.choose: no cycles";
-  List.iter
-    (fun cycle ->
-      if not (List.exists (fun (m, _) -> Txn_id.equal m requester) cycle) then
-        invalid_arg "Resolver.choose: requester missing from a cycle")
-    cycles;
-  let needed = needed_table cycles in
+(* Break the cycles in order: the first cycle no pick so far hits gets a
+   member by [pick]. A hit cycle stays hit, so one forward pass visits
+   the surviving cycles exactly as the list resolver's refiltering did. *)
+let pick_in_order (c : Waits_for.cycles) pick =
+  let chosen = Array.make c.n_members false in
+  for k = 0 to c.n_cycles - 1 do
+    let hit = ref false in
+    for p = c.first.(k) to c.first.(k + 1) - 1 do
+      if chosen.(c.member.(p)) then hit := true
+    done;
+    if not !hit then chosen.(pick k) <- true
+  done;
+  ascending chosen
+
+let choose_cycles ?(immune = fun _ -> false) ~policy ~requester ~entry_order
+    ~release_cost ~rng (c : Waits_for.cycles) =
+  if c.n_cycles = 0 then invalid_arg "Resolver.choose: no cycles";
+  let req = Waits_for.member_index c requester in
+  for k = 0 to c.n_cycles - 1 do
+    if not (on_cycle c req c.first.(k) (c.first.(k + 1) - 1)) then
+      invalid_arg "Resolver.choose: requester missing from a cycle"
+  done;
+  let released = released c in
+  let immune = Array.init c.n_members (fun m -> immune c.members.(m)) in
   (* The iterative policies pick among a cycle's non-immune members when
      any exist, else the whole cycle (same override rule as the cut). *)
-  let pickable cycle =
-    match List.filter (fun (m, _) -> not (immune m)) cycle with
-    | [] -> cycle
-    | kept -> kept
+  let pickable k =
+    let any = ref false in
+    for p = c.first.(k) to c.first.(k + 1) - 1 do
+      if not immune.(c.member.(p)) then any := true
+    done;
+    fun m -> (not !any) || not immune.(m)
+  in
+  let decide ~optimal chosen =
+    decision_of c ~released ~immune ~optimal chosen
   in
   match policy with
-  | Policy.Requester ->
-      decision_of ~needed ~optimal:false ~immune [ requester ]
+  | Policy.Requester -> decide ~optimal:false [ req ]
   | Policy.Min_cost ->
       let chosen, optimal =
-        min_cost_cut ~requester cycles ~needed ~release_cost
-          ~eligible:(fun _ -> true)
+        cheapest_cut c ~req ~released ~release_cost
+          ~eligible:(Array.make c.n_members true)
           ~immune
       in
-      decision_of ~needed ~optimal ~immune chosen
+      decide ~optimal chosen
   | Policy.Ordered_min_cost ->
       (* Theorem 2 with entry time as the partial order: a conflict may
          only preempt transactions that entered strictly later than the
@@ -180,30 +198,56 @@ let choose ?(immune = fun _ -> false) ~policy ~requester ~entry_order
          must eventually commit); a cycle whose members are all older
          falls back to rolling the requester itself. *)
       let requester_order = entry_order requester in
-      let eligible v = entry_order v > requester_order in
+      let eligible =
+        Array.init c.n_members (fun m ->
+            entry_order c.members.(m) > requester_order)
+      in
       let chosen, optimal =
-        min_cost_cut ~requester cycles ~needed ~release_cost ~eligible ~immune
+        cheapest_cut c ~req ~released ~release_cost ~eligible ~immune
       in
-      decision_of ~needed ~optimal ~immune chosen
+      decide ~optimal chosen
   | Policy.Youngest ->
-      let pick cycle =
-        let candidates = pickable cycle in
-        let seed =
-          if List.exists (fun (m, _) -> Txn_id.equal m requester) candidates
-          then (requester, entry_order requester)
-          else
-            match candidates with
-            | (m, _) :: _ -> (m, entry_order m)
-            | [] -> (requester, entry_order requester)
-        in
-        fst
-          (List.fold_left
-             (fun ((_, best) as acc) (m, e) ->
-               if entry_order m > best then (m, entry_order m)
-               else (ignore e; acc))
-             seed candidates)
+      let order = Array.init c.n_members (fun m -> entry_order c.members.(m)) in
+      let pick k =
+        let ok = pickable k in
+        let first = c.first.(k) and stop = c.first.(k + 1) in
+        (* seeded with the requester (on every cycle) when pickable, else
+           the first pickable member; later members replace it only when
+           strictly younger *)
+        let best = ref req in
+        if not (ok req) then
+          for p = stop - 1 downto first do
+            if ok c.member.(p) then best := c.member.(p)
+          done;
+        for p = first to stop - 1 do
+          let m = c.member.(p) in
+          if ok m && order.(m) > order.(!best) then best := m
+        done;
+        !best
       in
-      decision_of ~needed ~optimal:false ~immune (iterative_pick cycles pick)
+      decide ~optimal:false (pick_in_order c pick)
   | Policy.Random_victim ->
-      let pick cycle = fst (Rng.pick rng (Array.of_list (pickable cycle))) in
-      decision_of ~needed ~optimal:false ~immune (iterative_pick cycles pick)
+      let pick k =
+        let ok = pickable k in
+        let first = c.first.(k) and stop = c.first.(k + 1) in
+        let n = ref 0 in
+        for p = first to stop - 1 do
+          if ok c.member.(p) then incr n
+        done;
+        (* [Rng.pick] over the pickable arcs in cycle order *)
+        let target = Rng.int rng !n in
+        let found = ref (-1) and i = ref 0 in
+        for p = first to stop - 1 do
+          let m = c.member.(p) in
+          if ok m then begin
+            if !i = target then found := m;
+            incr i
+          end
+        done;
+        !found
+      in
+      decide ~optimal:false (pick_in_order c pick)
+
+let choose ?immune ~policy ~requester ~entry_order ~release_cost ~rng cycles =
+  choose_cycles ?immune ~policy ~requester ~entry_order ~release_cost ~rng
+    (Waits_for.cycles_of_arcs cycles)

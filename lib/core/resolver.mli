@@ -36,6 +36,21 @@ type decision = {
           liveness does) *)
 }
 
+val choose_cycles :
+  ?immune:(txn -> bool) ->
+  policy:Policy.t ->
+  requester:txn ->
+  entry_order:(txn -> int) ->
+  release_cost:(txn -> entity list -> int) ->
+  rng:Prb_util.Rng.t ->
+  Prb_wfg.Waits_for.cycles ->
+  decision
+(** Victim choice over a flat cycle record (DESIGN.md Section 16), each
+    arc's entity being the one its member must release. Works out every
+    member's released entities, eligibility, immunity and cost at most
+    once. Same contract and decisions as {!choose} on the record's
+    {!Prb_wfg.Waits_for.arcs}. *)
+
 val choose :
   ?immune:(txn -> bool) ->
   policy:Policy.t ->
@@ -53,4 +68,6 @@ val choose :
     selection (rolled back too many times already). Every policy prefers
     non-immune members of each cycle; a cycle whose members are all immune
     falls back to them and the decision reports [starved_fallback].
-    Defaults to no one, which leaves every policy's choice unchanged. *)
+    Defaults to no one, which leaves every policy's choice unchanged.
+
+    Converts the cycles into a record and runs {!choose_cycles}. *)

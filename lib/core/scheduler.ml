@@ -363,9 +363,8 @@ let[@lint.allow
   let cycle_site =
     List.find_map
       (fun b ->
-        match Engine.resolver_cycles t.eng ~deferred b with
-        | [] -> None
-        | cycles -> Some (b, cycles))
+        let cycles = Engine.resolver_cycles t.eng ~deferred b in
+        if cycles.Waits_for.n_cycles = 0 then None else Some (b, cycles))
       candidates
   in
   match cycle_site with

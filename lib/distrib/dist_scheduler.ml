@@ -461,12 +461,15 @@ let roll_back_victim t ~deferred ~stagger v entities =
 
 (* --- Cycle detection ------------------------------------------------- *)
 
-let is_local_cycle t cycle =
-  match cycle with
-  | [] -> true
-  | (_, e0) :: rest ->
-      let s = site_of t e0 in
-      List.for_all (fun (_, e) -> site_of t e = s) rest
+(* Whether the site of every entity on cycle [k]'s arcs satisfies [ok]. *)
+let all_sites t (c : Waits_for.cycles) k ok =
+  let rec go p =
+    p >= c.first.(k + 1) || (ok (site_of t c.release.(p)) && go (p + 1))
+  in
+  go c.first.(k)
+
+let is_local_cycle t (c : Waits_for.cycles) k =
+  all_sites t c k (Site_id.equal (site_of t c.release.(c.first.(k))))
 
 (* Under a deferred detection policy every resolution round is a deferred
    one, the site-local block-time rounds included. A local round's victims
@@ -487,10 +490,11 @@ let resolve_cycles t requester cycles =
 let rec resolve_local t requester round =
   if round > 1000 then raise (Stuck "local resolution did not converge");
   if Waits_for.is_blocked t.eng.wfg requester then begin
-    let local = List.filter (is_local_cycle t) (cycles_through t requester) in
-    if local <> [] then begin
+    let cycles = cycles_through t requester in
+    Waits_for.keep_cycles cycles (is_local_cycle t cycles);
+    if cycles.n_cycles > 0 then begin
       t.local_deadlocks <- t.local_deadlocks + 1;
-      resolve_cycles t requester local;
+      resolve_cycles t requester cycles;
       resolve_local t requester (round + 1)
     end
   end
@@ -509,24 +513,28 @@ let blocked_txns t =
    which resolves everything it sees, local or not. Under a fault plan a
    site's shipment can be lost (and down sites ship nothing), so the
    coordinator only acts on cycles all of whose arcs it can see; missed
-   cycles survive to the next round. *)
+   cycles survive to the next round.
+
+   Each fixpoint round takes one cycle census over the blocked
+   transactions and enumerates only those on a cycle, in id order: a
+   blocked transaction on no cycle has no cycles through it, so the
+   first one with visible cycles is the one a scan of every blocked
+   transaction would find. *)
 let run_global_detection t =
   t.detection_rounds <- t.detection_rounds + 1;
-  let cycle_visible =
+  let visible =
     match t.faults with
     | None ->
         t.messages <- t.messages + t.cfg.n_sites;
-        fun _ -> true
+        None
     | Some f ->
-        let vis =
-          Array.init t.cfg.n_sites (fun s ->
-              if t.down.(s) then false
-              else begin
-                t.messages <- t.messages + 1;
-                Fault.shipment_arrives f ~tick:t.eng.tick
-              end)
-        in
-        fun cycle -> List.for_all (fun (_, e) -> vis.(site_of t e)) cycle
+        Some
+          (Array.init t.cfg.n_sites (fun s ->
+               if t.down.(s) then false
+               else begin
+                 t.messages <- t.messages + 1;
+                 Fault.shipment_arrives f ~tick:t.eng.tick
+               end))
   in
   let round = ref 0 in
   let rec fixpoint () =
@@ -535,10 +543,14 @@ let run_global_detection t =
     let site =
       List.find_map
         (fun b ->
-          match List.filter cycle_visible (cycles_through t b) with
-          | [] -> None
-          | cycles -> Some (b, cycles))
-        (blocked_txns t)
+          let cycles = cycles_through t b in
+          (match visible with
+          | None -> ()
+          | Some vis ->
+              Waits_for.keep_cycles cycles (fun k ->
+                  all_sites t cycles k (Array.get vis)));
+          if cycles.n_cycles = 0 then None else Some (b, cycles))
+        (Engine.on_cycle_from t.eng (blocked_txns t))
     in
     match site with
     | None -> ()

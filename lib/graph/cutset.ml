@@ -8,25 +8,25 @@ let is_cut t set =
   let s = Iset.of_list set in
   List.for_all (fun cycle -> List.exists (fun v -> Iset.mem v s) cycle) t.cycles
 
-(* Both solvers run on a prepared flat form of the instance: candidate
-   vertices deduped ascending, the cost function evaluated once per
-   candidate (it is pure but arbitrarily expensive — the resolver's cost
-   walks rollback targets per call, so memoising it here is the bulk of
-   the E13 high-contention win), and per-candidate bitmasks over the
-   cycle list so "which cycles does this set hit" is word-parallel
-   instead of a list scan per (vertex, cycle) pair. Search order, tie
-   breaks and the float pruning epsilons are exactly the original
-   list/Iset solver's, so every decision — including which of several
-   optima is found first, and the node at which the budget trips — is
-   unchanged. *)
+type indexed = { costs : float array; first : int array; cands : int array }
+
+(* Both solvers run on a prepared form of an indexed instance: candidates
+   are indices [0 .. n-1], each with its cost evaluated once by the
+   caller (the resolver's cost walks rollback targets per call), and
+   per-candidate bitmasks over the cycle list make "which cycles does
+   this set hit" word-parallel instead of a list scan per (vertex,
+   cycle) pair. Search order, tie breaks and the float pruning epsilons
+   are exactly the original list/Iset solver's, so every decision —
+   including which of several optima is found first, and the node at
+   which the budget trips — is unchanged. *)
 type prep = {
-  verts : int array;  (* candidate vertex ids, ascending *)
-  costs : float array;  (* costs.(i) = cost verts.(i) *)
+  costs : float array;  (* costs.(i): candidate i's cost *)
   ncyc : int;
   nwords : int;  (* words of 63 bits covering the cycle list *)
-  vmask : int array array;  (* vmask.(i): cycles containing verts.(i) *)
+  vmask : int array array;  (* vmask.(i): cycles containing candidate i *)
   vert_cycs : int array array;  (* per candidate: cycle indices, ascending *)
-  cyc_verts : int array array;  (* per cycle: candidate indices, ascending *)
+  first : int array;  (* cycle c's candidates: cands.(first.(c) ..) *)
+  cands : int array;  (* per cycle: candidate indices, ascending *)
   full : int array;  (* mask with one bit per cycle *)
 }
 
@@ -42,77 +42,71 @@ let rec vert_index_ (verts : int array) v lo hi =
     if verts.(mid) < v then vert_index_ verts v (mid + 1) hi
     else vert_index_ verts v lo mid
 
-let vert_index verts v = vert_index_ verts v 0 (Array.length verts)
-
-(* Shift-insert [v] into the sorted prefix [a.(0..n-1)]; returns the new
-   prefix length. The candidate sets here are tiny (bounded by the
+(* Shift-insert [v] into the sorted run [a.(lo .. hi-1)]; returns the
+   run's new end. The candidate sets here are tiny (bounded by the
    multiprogramming level) while the cycle stream is long, so binary
    search plus an occasional shift beats a comparison sort of the whole
    stream. *)
-let sorted_insert_distinct (a : int array) n v =
-  let p = vert_index_ a v 0 n in
-  if p < n && a.(p) = v then n
+let sorted_insert_distinct (a : int array) lo hi v =
+  let p = vert_index_ a v lo hi in
+  if p < hi && a.(p) = v then hi
   else begin
-    Array.blit a p a (p + 1) (n - p);
+    Array.blit a p a (p + 1) (hi - p);
     a.(p) <- v;
-    n + 1
+    hi + 1
   end
 
-let prepare t =
-  let ncyc = List.length t.cycles in
+let prepare ({ costs; first; cands } : indexed) =
+  let ncand = Array.length costs and ncyc = Array.length first - 1 in
   let nwords = max 1 ((ncyc + 62) / 63) in
-  (* Flatten the cycle lists once: vertex ids into one buffer with cycle
-     boundaries, accumulating the sorted distinct candidate set as the
-     stream goes by. *)
-  let total = List.fold_left (fun acc c -> acc + List.length c) 0 t.cycles in
-  let flat = Array.make (max 1 total) 0 in
-  let bounds = Array.make (ncyc + 1) 0 in
-  let cand = Array.make (max 1 total) 0 in
-  let ncand = ref 0 in
-  let pos = ref 0 in
-  List.iteri
-    (fun c cycle ->
-      bounds.(c) <- !pos;
-      List.iter
-        (fun v ->
-          flat.(!pos) <- v;
-          incr pos;
-          ncand := sorted_insert_distinct cand !ncand v)
-        cycle;
-      bounds.(c + 1) <- !pos)
-    t.cycles;
-  let ncand = !ncand in
-  let verts = Array.sub cand 0 ncand in
-  let costs = Array.init ncand (fun i -> t.cost verts.(i)) in
   let vmask = Array.init ncand (fun _ -> Array.make nwords 0) in
-  let cyc_verts =
-    let buf = Array.make (max 1 ncand) 0 in
-    Array.init ncyc (fun c ->
-        let m = ref 0 in
-        for k = bounds.(c) to bounds.(c + 1) - 1 do
-          m := sorted_insert_distinct buf !m (vert_index verts flat.(k))
-        done;
-        let members = Array.sub buf 0 !m in
-        Array.iter
-          (fun i ->
-            vmask.(i).(c / 63) <- vmask.(i).(c / 63) lor (1 lsl (c mod 63)))
-          members;
-        members)
-  in
-  let vert_cycs =
-    Array.init ncand (fun i ->
-        let acc = ref [] in
-        for c = ncyc - 1 downto 0 do
-          if vmask.(i).(c / 63) land (1 lsl (c mod 63)) <> 0 then
-            acc := c :: !acc
-        done;
-        Array.of_list !acc)
-  in
+  let hits = Array.make ncand 0 in
+  for c = 0 to ncyc - 1 do
+    for j = first.(c) to first.(c + 1) - 1 do
+      let i = cands.(j) in
+      vmask.(i).(c / 63) <- vmask.(i).(c / 63) lor (1 lsl (c mod 63));
+      hits.(i) <- hits.(i) + 1
+    done
+  done;
+  let vert_cycs = Array.map (fun n -> Array.make n 0) hits in
+  Array.fill hits 0 ncand 0;
+  for c = 0 to ncyc - 1 do
+    for j = first.(c) to first.(c + 1) - 1 do
+      let i = cands.(j) in
+      vert_cycs.(i).(hits.(i)) <- c;
+      hits.(i) <- hits.(i) + 1
+    done
+  done;
   let full = Array.make nwords 0 in
   for c = 0 to ncyc - 1 do
     full.(c / 63) <- full.(c / 63) lor (1 lsl (c mod 63))
   done;
-  { verts; costs; ncyc; nwords; vmask; vert_cycs; cyc_verts; full }
+  { costs; ncyc; nwords; vmask; vert_cycs; first; cands; full }
+
+(* A vertex-list instance in indexed form: candidate vertices deduped
+   ascending, each cost evaluated once, each cycle as its sorted
+   distinct candidate indices. Returns the candidates' vertex ids too. *)
+let index t =
+  let total = List.fold_left (fun acc c -> acc + List.length c) 0 t.cycles in
+  let verts = Array.make (max 1 total) 0 in
+  let ncand =
+    List.fold_left
+      (List.fold_left (fun n v -> sorted_insert_distinct verts 0 n v))
+      0 t.cycles
+  in
+  let verts = Array.sub verts 0 ncand in
+  let first = Array.make (List.length t.cycles + 1) 0 in
+  let cands = Array.make (max 1 total) 0 in
+  List.iteri
+    (fun c cycle ->
+      first.(c + 1) <-
+        List.fold_left
+          (fun hi v ->
+            sorted_insert_distinct cands first.(c) hi
+              (vert_index_ verts v 0 ncand))
+          first.(c) cycle)
+    t.cycles;
+  (verts, ({ costs = Array.map t.cost verts; first; cands } : indexed))
 
 (* Cycles hit by candidate [i] among the still-alive cycles. *)
 let hits_alive p covered i =
@@ -148,10 +142,10 @@ let first_surviving p covered =
   done;
   !r
 
-let chosen_elements p chosen =
+let chosen_elements chosen =
   let acc = ref [] in
-  for i = Array.length p.verts - 1 downto 0 do
-    if chosen.(i) then acc := p.verts.(i) :: !acc
+  for i = Array.length chosen - 1 downto 0 do
+    if chosen.(i) then acc := i :: !acc
   done;
   !acc
 
@@ -160,7 +154,7 @@ let chosen_elements p chosen =
    strictly-better-by-1e-12 score replaces, so the lowest vertex wins
    ties. *)
 let greedy_prepared p =
-  let ncand = Array.length p.verts in
+  let ncand = Array.length p.costs in
   let chosen = Array.make ncand false in
   let covered = Array.make p.nwords 0 in
   let rec loop () =
@@ -189,21 +183,21 @@ let greedy_prepared p =
     end
   in
   loop ();
-  chosen_elements p chosen
+  chosen_elements chosen
 
-let greedy t = greedy_prepared (prepare t)
+let greedy_indexed x = greedy_prepared (prepare x)
 
 exception Budget_exhausted
 
-let exact ?(node_budget = 1_000_000) t =
+let exact_indexed ?(node_budget = 1_000_000) x =
   (* Branch and bound on the first surviving cycle: one branch per vertex of
      that cycle. Upper bound initialised by the greedy solution. *)
-  let p = prepare t in
-  let ncand = Array.length p.verts in
+  let p = prepare x in
+  let ncand = Array.length p.costs in
   let greedy_set = greedy_prepared p in
   let best_set = ref greedy_set in
   let best_cost =
-    ref (List.fold_left (fun acc v -> acc +. t.cost v) 0.0 greedy_set)
+    ref (List.fold_left (fun acc i -> acc +. p.costs.(i)) 0.0 greedy_set)
   in
   let nodes = ref 0 in
   let chosen = Array.make ncand false in
@@ -235,19 +229,29 @@ let exact ?(node_budget = 1_000_000) t =
     if chosen_cost < !best_cost -. 1e-12 then begin
       match first_surviving p covered with
       | -1 ->
-          best_set := chosen_elements p chosen;
+          best_set := chosen_elements chosen;
           best_cost := chosen_cost
       | cyc ->
-          Array.iter
-            (fun i ->
-              if not chosen.(i) then begin
-                add i;
-                search (chosen_cost +. p.costs.(i));
-                remove i
-              end)
-            p.cyc_verts.(cyc)
+          for j = p.first.(cyc) to p.first.(cyc + 1) - 1 do
+            let i = p.cands.(j) in
+            if not chosen.(i) then begin
+              add i;
+              search (chosen_cost +. p.costs.(i));
+              remove i
+            end
+          done
     end
   in
   match search 0.0 with
   | () -> Some !best_set
   | exception Budget_exhausted -> None
+
+let to_verts verts = List.map (fun i -> verts.(i))
+
+let exact ?node_budget t =
+  let verts, x = index t in
+  Option.map (to_verts verts) (exact_indexed ?node_budget x)
+
+let greedy t =
+  let verts, x = index t in
+  to_verts verts (greedy_indexed x)

@@ -14,12 +14,33 @@ type instance = {
   cost : int -> float;  (** rollback cost of removing a vertex *)
 }
 
+type indexed = {
+  costs : float array;  (** [costs.(i)]: rollback cost of candidate [i] *)
+  first : int array;
+      (** cycle [c]'s candidates are [cands.(first.(c))] to
+          [cands.(first.(c+1) - 1)]; [Array.length first] is one more
+          than the number of cycles *)
+  cands : int array;
+      (** each cycle's candidates, ascending and distinct *)
+}
+(** An instance over candidate indices [0 .. Array.length costs - 1],
+    costs already evaluated — the form the resolver builds straight from
+    a flat cycle record (DESIGN.md Section 16), and the one both solvers
+    run on. *)
+
+val exact_indexed : ?node_budget:int -> indexed -> int list option
+(** {!exact} on an indexed instance: candidate indices, ascending. *)
+
+val greedy_indexed : indexed -> int list
+(** {!greedy} on an indexed instance: candidate indices, ascending. *)
+
 val exact : ?node_budget:int -> instance -> int list option
 (** Branch-and-bound minimum-cost hitting set over the cycles. Returns the
     chosen vertices sorted ascending, [None] only if the search exceeds
     [node_budget] expansions (default [1_000_000]) without proving an
     optimum — callers then fall back to {!greedy}. An instance with no
-    cycles yields [Some []]. Deterministic: ties broken by vertex id. *)
+    cycles yields [Some []]. Deterministic: ties broken by vertex id.
+    Evaluates [cost] once per distinct vertex. *)
 
 val greedy : instance -> int list
 (** Classic set-cover heuristic: repeatedly remove the vertex with the best

@@ -310,21 +310,33 @@ let well_defined_states t =
    Figure 1's state-index arithmetic). *)
 let restart_target = -1
 
-let rollback_target t e =
-  match lock_state_of t e with
-  | None -> invalid_arg "Txn_state.rollback_target: entity not held"
-  | Some k -> (
-      match t.strategy with
-      | Strategy.Total -> restart_target
-      | Strategy.Mcs -> k
-      | Strategy.Sdg | Strategy.Sdg_k _ ->
-          let hists = all_histories t in
-          let rec best q =
-            if q < 0 then restart_target
-            else if restorable_all hists q then q
-            else best (q - 1)
-          in
-          best k)
+(* The nearest restorable state at or below a lock state never decreases
+   as the state grows, so the latest target releasing every entity of a
+   set is the target of its lowest lock state: one history sort and one
+   downward scan, however many entities. *)
+let rollback_target_all t es =
+  let lowest =
+    List.fold_left
+      (fun acc e ->
+        match lock_state_of t e with
+        | Some k -> if k < acc then k else acc
+        | None -> invalid_arg "Txn_state.rollback_target: entity not held")
+      t.lock_idx es
+  in
+  match (es, t.strategy) with
+  | [], _ -> lowest
+  | _ :: _, Strategy.Total -> restart_target
+  | _ :: _, Strategy.Mcs -> lowest
+  | _ :: _, (Strategy.Sdg | Strategy.Sdg_k _) ->
+      let hists = all_histories t in
+      let rec best q =
+        if q < 0 then restart_target
+        else if restorable_all hists q then q
+        else best (q - 1)
+      in
+      best lowest
+
+let rollback_target t e = rollback_target_all t [ e ]
 
 (* State index at a rollback target: the position of the q-th lock
    request ([records] is newest-first, so offset [lock_idx - 1 - q]), or

@@ -134,6 +134,12 @@ val rollback_target : t -> entity -> int
     {!restart_target} — for [Sdg]/[Sdg_k].
     @raise Invalid_argument if the entity is not held. *)
 
+val rollback_target_all : t -> entity list -> int
+(** The latest target releasing every entity of the list: the minimum of
+    their {!rollback_target}s ({!lock_index} for the empty list), found
+    with one sort of the histories and one scan.
+    @raise Invalid_argument if some entity is not held. *)
+
 val cost_of_target : t -> int -> int
 (** Progress lost by rolling to a target: [pc - pc_at_that_state] ([pc]
     itself for {!restart_target}). *)

@@ -15,6 +15,21 @@ type entity = Prb_storage.Store.entity
    no allocation unless a cycle is actually reported. The Digraph-backed
    implementation is retained verbatim as the test suite's
    [Waits_for_ref], the oracle of the differential tests. *)
+
+(* A cycle enumeration's output, flat (DESIGN §16): cycle [c] owns arc
+   positions [first.(c) .. first.(c+1) - 1], in the resolver's order
+   [v1; ...; vk; root]; each arc names the member it enters (an index
+   into the ascending [members]) and the entity labelling it. *)
+type cycles = {
+  mutable epoch : int; (* [removals] when recorded; -1 if not from a graph *)
+  mutable n_cycles : int;
+  mutable first : int array;
+  mutable member : int array;
+  mutable release : entity array;
+  mutable members : int array;
+  mutable n_members : int;
+}
+
 type t = {
   mutable present : bool array;
   mutable out_buf : int array array; (* holders of v, ascending *)
@@ -53,7 +68,20 @@ type t = {
   mutable pk_f : int array; (* repair scratch: forward affected set *)
   mutable pk_b : int array; (* repair scratch: backward affected set *)
   mutable pk_pool : int array; (* repair scratch: pooled positions *)
+  cyc : cycles; (* the last enumeration's record, overwritten by the next *)
+  mutable removals : int; (* calls that deleted edges, ever *)
 }
+
+let empty_cycles () =
+  {
+    epoch = -1;
+    n_cycles = 0;
+    first = [| 0 |];
+    member = [||];
+    release = [||];
+    members = [||];
+    n_members = 0;
+  }
 
 let create () =
   {
@@ -81,6 +109,8 @@ let create () =
     pk_f = [||];
     pk_b = [||];
     pk_pool = [||];
+    cyc = empty_cycles ();
+    removals = 0;
   }
 
 let[@lint.allow
@@ -326,6 +356,7 @@ let note_new_edge t waiter holder =
 
 let[@hot] clear_wait t v =
   if v >= 0 && v < t.cap then begin
+    if t.out_len.(v) > 0 then t.removals <- t.removals + 1;
     for i = 0 to t.out_len.(v) - 1 do
       let h = t.out_buf.(v).(i) in
       sorted_remove t.in_buf t.in_len h v;
@@ -337,6 +368,7 @@ let[@hot] clear_wait t v =
 let remove_txn t v =
   if v >= 0 && v < t.cap then begin
     clear_wait t v;
+    if t.in_len.(v) > 0 then t.removals <- t.removals + 1;
     for i = 0 to t.in_len.(v) - 1 do
       let u = t.in_buf.(v).(i) in
       sorted_remove t.out_buf t.out_len u v;
@@ -477,96 +509,264 @@ let[@hot] would_deadlock t ~waiter ~holders =
    [stamp] in [mark]. [v] itself is marked only if re-reached — exactly
    the Digraph [reach_set] convention ([root] marked forward <=> root on
    a cycle). *)
+let rec reach_scan t (mark : int array) (b : int array) n stamp i top =
+  if i >= n then top
+  else
+    let w = b.(i) in
+    if mark.(w) <> stamp then begin
+      mark.(w) <- stamp;
+      reach_scan t mark b n stamp (i + 1) (stack_push t top w)
+    end
+    else reach_scan t mark b n stamp (i + 1) top
+
+let reach_expand t mark (buf : int array array) (len : int array) stamp v top =
+  reach_scan t mark buf.(v) len.(v) stamp 0 top
+
+let rec reach_drain t mark buf len stamp top =
+  if top > 0 then
+    reach_drain t mark buf len stamp
+      (reach_expand t mark buf len stamp t.stack.(top - 1) (top - 1))
+
 let reach t mark buf len stamp v =
-  let top = ref 0 in
-  let expand v =
-    let b = buf.(v) in
-    for i = 0 to len.(v) - 1 do
-      let w = b.(i) in
-      if mark.(w) <> stamp then begin
-        mark.(w) <- stamp;
-        top := stack_push t !top w
+  reach_drain t mark buf len stamp (reach_expand t mark buf len stamp v 0)
+
+(* --- Cycle enumeration ------------------------------------------------ *)
+
+let rec mem_edge_ (buf : int array) n (v : int) i =
+  i < n && (buf.(i) = v || mem_edge_ buf n v (i + 1))
+
+let[@hot] mem_edge t u v = mem_edge_ t.out_buf.(u) t.out_len.(u) v 0
+
+(* Room in the record for arc positions below [arcs] and one more cycle
+   boundary. The record is reused by every enumeration, so this grows
+   geometrically and then stops allocating. *)
+let[@lint.allow
+     "A1: amortized geometric growth of the reused cycle record; a \
+      steady-state enumeration writes in place"] cy_room r arcs =
+  let cap = Array.length r.member in
+  if arcs > cap then begin
+    let cap = max 64 (max arcs (2 * cap)) in
+    r.member <- grow_int cap 0 r.member;
+    let nr = Array.make cap "" in
+    Array.blit r.release 0 nr 0 (Array.length r.release);
+    r.release <- nr
+  end;
+  if r.n_cycles + 2 > Array.length r.first then
+    r.first <- grow_int (max 16 (2 * Array.length r.first)) 0 r.first
+
+(* A member seen for the first time in this enumeration joins [members];
+   [seen_mark] under the enumeration's stamp is the membership test. *)
+let cy_note t stamp v =
+  if t.seen_mark.(v) <> stamp then begin
+    t.seen_mark.(v) <- stamp;
+    let r = t.cyc in
+    if r.n_members >= Array.length r.members then
+      r.members <- grow_int (max 16 (2 * r.n_members)) 0 r.members;
+    r.members.(r.n_members) <- v;
+    r.n_members <- r.n_members + 1
+  end
+
+(* Append the cycle the arc [path.(plen-1) -> root] closes, where
+   [path.(0)] is the root. Deleting the arc into a member means the
+   member releases the entity labelling that arc, which is its
+   predecessor's wait label, read here while the DFS stands on the arc.
+   Members go in as transaction ids; {!cy_finish} renumbers them. *)
+let cy_record t stamp plen =
+  let r = t.cyc in
+  let path = t.stack in
+  let base = r.first.(r.n_cycles) in
+  cy_room r (base + plen);
+  for i = 1 to plen - 1 do
+    let m = path.(i) in
+    r.member.(base + i - 1) <- m;
+    r.release.(base + i - 1) <- t.label.(path.(i - 1));
+    cy_note t stamp m
+  done;
+  r.member.(base + plen - 1) <- path.(0);
+  r.release.(base + plen - 1) <- t.label.(path.(plen - 1));
+  cy_note t stamp path.(0);
+  r.n_cycles <- r.n_cycles + 1;
+  r.first.(r.n_cycles) <- base + plen
+
+(* Backtracking DFS from the root over its strongly connected component
+   (both marks carry [stamp]); the path lives in [t.stack], which the
+   reachability passes have finished with. [budget] caps edge
+   traversals — even within an SCC the simple-path space can be
+   exponential — and [limit] caps the cycles recorded. Returns the steps
+   taken. Arcs are tried in ascending holder order and a cap stops the
+   search right after the step that reaches it: the cycles reported,
+   and their order, are part of the replay contract. *)
+let rec cy_arcs t stamp root limit budget v i plen steps =
+  if i >= t.out_len.(v) then steps
+  else
+    let steps = steps + 1 in
+    if t.cyc.n_cycles >= limit || steps >= budget then steps
+    else
+      let w = t.out_buf.(v).(i) in
+      if w = root then begin
+        cy_record t stamp plen;
+        cy_arcs t stamp root limit budget v (i + 1) plen steps
       end
-    done
-  in
-  expand v;
-  while !top > 0 do
-    decr top;
-    expand t.stack.(!top)
+      else if
+        t.fwd_mark.(w) = stamp && t.bwd_mark.(w) = stamp && not t.on_path.(w)
+      then begin
+        t.on_path.(w) <- true;
+        let steps =
+          cy_dfs t stamp root limit budget w (stack_push t plen w) steps
+        in
+        t.on_path.(w) <- false;
+        cy_arcs t stamp root limit budget v (i + 1) plen steps
+      end
+      else cy_arcs t stamp root limit budget v (i + 1) plen steps
+
+and cy_dfs t stamp root limit budget v plen steps =
+  if t.cyc.n_cycles >= limit || steps >= budget then steps
+  else cy_arcs t stamp root limit budget v 0 plen steps
+
+let rec ins_shift (a : int array) j x =
+  if j >= 0 && a.(j) > x then begin
+    a.(j + 1) <- a.(j);
+    ins_shift a (j - 1) x
+  end
+  else a.(j + 1) <- x
+
+(* Sort the distinct members ascending (there are few: one strongly
+   connected component's worth), record each one's rank in [idx] — valid
+   while [seen_mark] holds this enumeration's stamp — and turn every
+   arc's transaction id into its member index. *)
+let cy_finish t =
+  let r = t.cyc in
+  for i = 1 to r.n_members - 1 do
+    ins_shift r.members (i - 1) r.members.(i)
+  done;
+  for i = 0 to r.n_members - 1 do
+    t.idx.(r.members.(i)) <- i
+  done;
+  for p = 0 to r.first.(r.n_cycles) - 1 do
+    r.member.(p) <- t.idx.(r.member.(p))
   done
 
-let cycles_through ?(limit = 10_000) t root =
-  if root < 0 || root >= t.cap || not t.present.(root) then []
-  else begin
+let[@hot] record_cycles t limit root =
+  let r = t.cyc in
+  r.epoch <- t.removals;
+  r.n_cycles <- 0;
+  r.n_members <- 0;
+  if root >= 0 && root < t.cap && t.present.(root) then begin
     (* Every simple cycle through [root] lies inside [root]'s strongly
-       connected component, so restrict the search to vertices that both
-       are reachable from the root and reach it. The [budget] caps edge
-       traversals — even within an SCC the simple-path space can be
-       exponential. Truncation is safe for deadlock resolution: breaking
-       the reported cycles and re-enumerating reaches the rest. *)
+       connected component: the vertices that both are reachable from
+       the root and reach it. Truncation is safe for deadlock
+       resolution: breaking the reported cycles and re-enumerating
+       reaches the rest. *)
     let stamp = next_stamp t in
     reach t t.fwd_mark t.out_buf t.out_len stamp root;
     reach t t.bwd_mark t.in_buf t.in_len stamp root;
-    let in_scc v = t.fwd_mark.(v) = stamp && t.bwd_mark.(v) = stamp in
-    if t.fwd_mark.(root) <> stamp then [] (* root is on no cycle at all *)
-    else begin
+    if t.fwd_mark.(root) = stamp then begin
       let budget = 200 * (limit + 50) in
-      let cycles = ref [] in
-      let count = ref 0 in
-      let steps = ref 0 in
-      let path = ref [||] in
-      let plen = ref 0 in
-      let path_push v =
-        if !plen >= Array.length !path then
-          path := grow_int (max 16 (2 * Array.length !path)) 0 !path;
-        !path.(!plen) <- v;
-        incr plen
-      in
-      let record () =
-        let rec build i acc =
-          if i < 0 then acc else build (i - 1) (!path.(i) :: acc)
-        in
-        cycles := build (!plen - 1) [] :: !cycles;
-        incr count
-      in
-      let exhausted () = !count >= limit || !steps >= budget in
-      let rec dfs v =
-        if not (exhausted ()) then begin
-          let buf = t.out_buf.(v) in
-          for i = 0 to t.out_len.(v) - 1 do
-            let w = buf.(i) in
-            incr steps;
-            if not (exhausted ()) then
-              if w = root then record ()
-              else if in_scc w && not t.on_path.(w) then begin
-                t.on_path.(w) <- true;
-                path_push w;
-                dfs w;
-                decr plen;
-                t.on_path.(w) <- false
-              end
-          done
-        end
-      in
       t.on_path.(root) <- true;
-      path_push root;
-      dfs root;
+      let _steps : int =
+        cy_dfs t stamp root limit budget root (stack_push t 0 root) 0
+      in
       t.on_path.(root) <- false;
-      List.rev !cycles
+      cy_finish t
     end
-  end
+  end;
+  r
 
-let mem_edge t u v =
-  let buf = t.out_buf.(u) in
-  let rec go i = i < t.out_len.(u) && (buf.(i) = v || go (i + 1)) in
-  go 0
+let enumerate ?(limit = 10_000) t root = record_cycles t limit root
 
-(* All of a waiter's out-edges carry its single pending entity, so the
-   arc label is an edge-membership test plus one array read — no waits
-   list is built. Cycle relabelling reads one label per arc of every
-   enumerated cycle, which made the list-building lookup a measurable
-   slice of high-contention resolution. *)
-let wait_label t u v = if mem_edge t u v then Some t.label.(u) else None
+let arc_txn c p = c.members.(c.member.(p))
+
+(* The list views are built back to front, so no list is reversed. *)
+let arcs c =
+  let acc = ref [] in
+  for k = c.n_cycles - 1 downto 0 do
+    let cycle = ref [] in
+    for p = c.first.(k + 1) - 1 downto c.first.(k) do
+      cycle := (arc_txn c p, c.release.(p)) :: !cycle
+    done;
+    acc := !cycle :: !acc
+  done;
+  !acc
+
+let cycles_through ?limit t root =
+  let c = enumerate ?limit t root in
+  let acc = ref [] in
+  for k = c.n_cycles - 1 downto 0 do
+    let cycle = ref [] in
+    for p = c.first.(k + 1) - 2 downto c.first.(k) do
+      cycle := arc_txn c p :: !cycle
+    done;
+    acc := (root :: !cycle) :: !acc
+  done;
+  !acc
+
+let rec lower_bound (a : int array) v lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) < v then lower_bound a v (mid + 1) hi else lower_bound a v lo mid
+
+let member_index c v =
+  let p = lower_bound c.members v 0 c.n_members in
+  if p < c.n_members && c.members.(p) = v then p else -1
+
+let cycles_of_arcs cycles =
+  let members =
+    Array.of_list
+      (List.sort_uniq Txn_id.compare (List.concat_map (List.map fst) cycles))
+  in
+  let n_members = Array.length members in
+  let all = List.concat cycles in
+  let first = Array.make (List.length cycles + 1) 0 in
+  List.iteri (fun k c -> first.(k + 1) <- first.(k) + List.length c) cycles;
+  {
+    epoch = -1;
+    n_cycles = List.length cycles;
+    first;
+    member =
+      Array.of_list
+        (List.map (fun (m, _) -> lower_bound members m 0 n_members) all);
+    release = Array.of_list (List.map snd all);
+    members;
+    n_members;
+  }
+
+let keep_cycles c keep =
+  let kept = Array.init c.n_cycles keep in
+  let used = Array.make c.n_members false in
+  let n = ref 0 and q = ref 0 in
+  (* Compaction only moves data to lower positions, and [first.(k+1)] is
+     rewritten only once cycle [k] has been read. *)
+  for k = 0 to c.n_cycles - 1 do
+    if kept.(k) then begin
+      for p = c.first.(k) to c.first.(k + 1) - 1 do
+        c.member.(!q) <- c.member.(p);
+        c.release.(!q) <- c.release.(p);
+        used.(c.member.(p)) <- true;
+        incr q
+      done;
+      incr n;
+      c.first.(!n) <- !q
+    end
+  done;
+  let rank = Array.make c.n_members 0 and m = ref 0 in
+  for i = 0 to c.n_members - 1 do
+    if used.(i) then begin
+      c.members.(!m) <- c.members.(i);
+      rank.(i) <- !m;
+      incr m
+    end
+  done;
+  for p = 0 to !q - 1 do
+    c.member.(p) <- rank.(c.member.(p))
+  done;
+  c.n_cycles <- !n;
+  c.n_members <- !m
+
+(* Edges only vanish through [clear_wait] and [remove_txn], which count
+   themselves in [removals]: a record enumerated since the last such call
+   still names edges only. *)
+let[@hot] intact t c = c.epoch = t.removals
 
 (* Tarjan restricted to the subgraph reachable from the seeds; the
    output is the ascending list of vertices in non-trivial SCCs (or with

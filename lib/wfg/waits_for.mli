@@ -35,11 +35,6 @@ val clear_wait : t -> txn -> unit
 val waits : t -> txn -> (txn * entity) list
 (** Current out-edges of a transaction, sorted by holder id. *)
 
-val wait_label : t -> txn -> txn -> entity option
-(** Entity labelling the arc [waiter -> holder], if the edge is present.
-    Allocation-free (one membership scan plus an array read) — the
-    resolver relabels every arc of every enumerated cycle through this. *)
-
 val waiting_on : t -> txn -> (txn * entity) list
 (** In-edges: who waits for this transaction, sorted by waiter id. *)
 
@@ -62,10 +57,62 @@ val on_cycle_from : t -> txn list -> txn list
     to pass through a seed — the scheduler seeds it with the transactions
     whose wait edges changed since the graph was last acyclic. *)
 
+(** {2 Cycle enumeration}
+
+    Victim choice reads the cycles through a requester in a flat record
+    (DESIGN.md Section 16), written straight by the enumeration's DFS. *)
+
+type cycles = private {
+  mutable epoch : int;
+      (** the graph's edge-removal count when recorded; [-1] for a record
+          not enumerated from a graph *)
+  mutable n_cycles : int;
+  mutable first : int array;
+      (** cycle [c] owns arc positions [first.(c)] to [first.(c+1) - 1];
+          [first.(0) = 0] *)
+  mutable member : int array;
+      (** per arc, the member it enters, as an index into [members]. A
+          DFS cycle [root; v1; ...; vk] is recorded as the arcs into
+          [v1; ...; vk; root]. *)
+  mutable release : entity array;
+      (** per arc, the entity labelling it — the one its member must
+          release to delete the arc (the predecessor's wait label) *)
+  mutable members : txn array;
+      (** the distinct members, ascending, in [members.(0 .. n_members-1)] *)
+  mutable n_members : int;
+}
+
+val enumerate : ?limit:int -> t -> txn -> cycles
+(** The simple cycles through the transaction, at most [limit] (default
+    10,000) of them and cut short by an edge-traversal budget, in DFS
+    order. The record belongs to [t]: the next enumeration overwrites it.
+    Allocation-free once its buffers have grown (a [[@hot]] path, so
+    deep-lint rule A1 checks it). *)
+
 val cycles_through : ?limit:int -> t -> txn -> txn list list
-(** All simple cycles containing the transaction, each starting at it —
-    after a deadlock has materialised (edges installed), these are the
-    cycles the victim choice must break. *)
+(** {!enumerate}, each cycle as its vertex list starting at the
+    transaction. *)
+
+val arcs : cycles -> (txn * entity) list list
+(** Each cycle as its (member, entity to release) arcs, in record order. *)
+
+val cycles_of_arcs : (txn * entity) list list -> cycles
+(** A fresh record holding the given cycles of (member, entity) arcs —
+    the inverse of {!arcs}. *)
+
+val member_index : cycles -> txn -> int
+(** Position of the transaction in [members], or [-1]. *)
+
+val keep_cycles : cycles -> (int -> bool) -> unit
+(** Keep only the cycles whose index satisfies the predicate (evaluated
+    once per cycle, against the record as it was), in order, and drop the
+    members left on none of them. *)
+
+val intact : t -> cycles -> bool
+(** Has no edge of the graph been removed since the record was
+    enumerated from it — so that every arc it holds is still an edge?
+    Constant-time and allocation-free: the bug guard that a record is
+    not resolved after the graph moved on. *)
 
 val is_exclusive_forest : t -> bool
 (** Theorem 1 shape check for exclusive-only systems: out-degree <= 1

@@ -362,6 +362,27 @@ let test_cutset_greedy_is_cut () =
   in
   checkb "greedy produces a cut" true (Cutset.is_cut inst (Cutset.greedy inst))
 
+(* The solver evaluates each candidate's cost once; the greedy seed of
+   the branch-and-bound bound reads those costs instead of asking again. *)
+let test_cutset_cost_once () =
+  let calls = Hashtbl.create 8 in
+  let cost v =
+    Hashtbl.replace calls v
+      (1 + Option.value ~default:0 (Hashtbl.find_opt calls v));
+    1.0 +. float_of_int (v mod 3)
+  in
+  let inst =
+    { Cutset.cycles = [ [ 1; 2; 3 ]; [ 3; 4 ]; [ 5; 1 ]; [ 2; 4; 5 ] ]; cost }
+  in
+  checkb "exact found a cut" true (Cutset.exact inst <> None);
+  List.iter
+    (fun v ->
+      checki
+        (Printf.sprintf "cost of %d asked once" v)
+        1
+        (Option.value ~default:0 (Hashtbl.find_opt calls v)))
+    [ 1; 2; 3; 4; 5 ]
+
 let qcheck_exact_beats_greedy =
   QCheck.Test.make ~name:"exact cut is a cut and costs <= greedy" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 5) (list_of_size (Gen.int_range 1 4) (int_bound 6)))
@@ -425,6 +446,8 @@ let () =
           Alcotest.test_case "shared vertex" `Quick test_cutset_shared_vertex;
           Alcotest.test_case "prefers split" `Quick test_cutset_prefers_split;
           Alcotest.test_case "greedy is cut" `Quick test_cutset_greedy_is_cut;
+          Alcotest.test_case "cost asked once per vertex" `Quick
+            test_cutset_cost_once;
           QCheck_alcotest.to_alcotest qcheck_exact_beats_greedy;
         ] );
     ]

@@ -127,6 +127,134 @@ let qcheck_victim_entities_sound =
             entities)
         d.Resolver.victims)
 
+(* --- Flat records against the list reference ---------------------- *)
+
+module W = Prb_wfg.Waits_for
+module R = Waits_for_ref
+
+(* A random waits-for graph from a script of [set_wait]s, applied to the
+   dense graph and to the Digraph-backed reference. Waiters wait on
+   different entities, so the arc labels are meaningful. *)
+let script_gen =
+  QCheck.(
+    list_of_size
+      Gen.(1 -- 20)
+      (triple (int_bound 7)
+         (list_of_size Gen.(1 -- 3) (int_bound 7))
+         (oneofl [ "a"; "b"; "c"; "d" ])))
+
+let build script =
+  let g = W.create () and r = R.create () in
+  List.iter
+    (fun (waiter, hs, e) ->
+      let holders = List.sort_uniq compare (List.filter (( <> ) waiter) hs) in
+      if holders <> [] then begin
+        W.set_wait g ~waiter ~holders e;
+        R.set_wait r ~waiter ~holders e
+      end)
+    script;
+  (g, r)
+
+(* The reference enumeration relabelled arc by arc, as the engine once
+   did: a cycle [root; v1; ...; vk] becomes the arcs into
+   [v1; ...; vk; root], each labelled with its predecessor's wait. *)
+let relabel r cycles =
+  let label u v = List.assoc v (R.waits r u) in
+  List.map
+    (fun cycle ->
+      let root = List.hd cycle in
+      let rec arcs = function
+        | [] -> []
+        | [ last ] -> [ (root, label last root) ]
+        | u :: (v :: _ as rest) -> (v, label u v) :: arcs rest
+      in
+      arcs cycle)
+    cycles
+
+(* The record's member table is exactly the distinct arc members,
+   ascending. *)
+let members_exact (c : W.cycles) =
+  Array.to_list (Array.sub c.members 0 c.n_members)
+  = List.sort_uniq compare (List.concat_map (List.map fst) (W.arcs c))
+
+let roots = List.init 8 Fun.id
+
+let qcheck_record_matches_reference =
+  QCheck.Test.make ~name:"flat record = reference enumeration relabelled"
+    ~count:300 script_gen (fun script ->
+      let g, r = build script in
+      List.for_all
+        (fun root ->
+          List.for_all
+            (fun limit ->
+              let expected = relabel r (R.cycles_through ~limit r root) in
+              let c = W.enumerate ~limit g root in
+              W.arcs c = expected
+              && members_exact c
+              &&
+              (* the distributed engine's in-place filter *)
+              (W.keep_cycles c (fun k -> k mod 2 = 0);
+               W.arcs c = List.filteri (fun k _ -> k mod 2 = 0) expected
+               && members_exact c))
+            [ 1; 3; 64 ])
+        roots)
+
+let qcheck_flat_decides_as_reference =
+  QCheck.Test.make
+    ~name:"flat victim choice = list reference (all policies)" ~count:300
+    QCheck.(
+      quad script_gen
+        (array_of_size (Gen.return 8) (int_bound 4))
+        (array_of_size (Gen.return 8) bool)
+        (pair (array_of_size (Gen.return 8) (int_bound 3)) small_int))
+    (fun (script, costs, immune_of, (order, seed)) ->
+      let g, r = build script in
+      let immune v = immune_of.(v) and entry_order v = order.(v) in
+      let release_cost v es = costs.(v) + List.length es in
+      List.for_all
+        (fun root ->
+          List.for_all
+            (fun limit ->
+              let expected = relabel r (R.cycles_through ~limit r root) in
+              expected = []
+              || List.for_all
+                   (fun policy ->
+                     let rng = Rng.make seed and rng_ref = Rng.make seed in
+                     let d =
+                       Resolver.choose_cycles ~immune ~policy ~requester:root
+                         ~entry_order ~release_cost ~rng
+                         (W.enumerate ~limit g root)
+                     in
+                     d
+                     = Resolver_ref.choose ~immune ~policy ~requester:root
+                         ~entry_order ~release_cost ~rng:rng_ref expected
+                     && Rng.int rng 1_000_000 = Rng.int rng_ref 1_000_000)
+                   Policy.all)
+            [ 3; 64 ])
+        roots)
+
+(* The list entry point on hand-built cycles — duplicate members, the
+   requester anywhere in a cycle — against the reference. *)
+let qcheck_list_entry_as_reference =
+  QCheck.Test.make ~name:"list entry point = list reference" ~count:300
+    QCheck.(
+      triple
+        (make (arbitrary_cycles 1))
+        (array_of_size (Gen.return 7) bool)
+        small_int)
+    (fun (cycles, immune_of, seed) ->
+      let immune v = immune_of.(v) in
+      let release_cost v es = (v mod 3) + List.length es in
+      List.for_all
+        (fun policy ->
+          let rng = Rng.make seed and rng_ref = Rng.make seed in
+          Resolver.choose ~immune ~policy ~requester:1 ~entry_order:Fun.id
+            ~release_cost ~rng cycles
+          = Resolver_ref.choose ~immune ~policy ~requester:1
+              ~entry_order:Fun.id ~release_cost ~rng:rng_ref cycles
+          && Rng.int rng 1_000_000 = Rng.int rng_ref 1_000_000)
+        Policy.all)
+
 let () =
   Alcotest.run "prb_resolver"
     [
@@ -153,4 +281,10 @@ let () =
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest (qcheck_decision_is_cut p)) Policy.all
         @ [ QCheck_alcotest.to_alcotest qcheck_victim_entities_sound ] );
+      ( "flat records",
+        [
+          QCheck_alcotest.to_alcotest qcheck_record_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_flat_decides_as_reference;
+          QCheck_alcotest.to_alcotest qcheck_list_entry_as_reference;
+        ] );
     ]

@@ -646,6 +646,63 @@ let qcheck_runtime_sdg_matches_static =
       let _ = run_with_snapshots ts in
       Txn_state.well_defined_states ts = Sdg_view.well_defined_states program)
 
+(* The set-valued rollback target is the minimum of the per-entity
+   targets, under every strategy and for any subset of the held entities;
+   an unheld entity anywhere in the set still raises. The per-entity
+   target is worked out here from the strategy's definition: restart for
+   Total, the entity's lock state for MCS, the nearest well-defined state
+   at or below it for SDG. *)
+let qcheck_rollback_target_all =
+  QCheck.Test.make ~name:"set rollback target = per-entity minimum"
+    ~count:300
+    QCheck.(pair small_int (int_bound 63))
+    (fun (seed, mask) ->
+      List.for_all
+        (fun strategy ->
+          let ts =
+            Txn_state.create ~strategy ~id:0 ~store:(fresh_store ())
+              (oracle_program seed)
+          in
+          let _ = run_with_snapshots ts in
+          let subset =
+            List.filteri
+              (fun i _ -> mask land (1 lsl i) <> 0)
+              (List.map (fun (e, _, _) -> e) (Txn_state.locks_held ts))
+          in
+          let raises es =
+            match Txn_state.rollback_target_all ts es with
+            | _ -> false
+            | exception Invalid_argument _ -> true
+          in
+          let target e =
+            let k = Option.get (Txn_state.lock_state_of ts e) in
+            match strategy with
+            | Strategy.Total -> Txn_state.restart_target
+            | Strategy.Mcs -> k
+            | Strategy.Sdg | Strategy.Sdg_k _ ->
+                let rec best q =
+                  if q < 0 || Txn_state.well_defined ts q then q
+                  else best (q - 1)
+                in
+                best k
+          in
+          Txn_state.rollback_target_all ts subset
+          = List.fold_left
+              (fun acc e -> min acc (target e))
+              (Txn_state.lock_index ts) subset
+          && List.for_all
+               (fun e -> Txn_state.rollback_target ts e = target e)
+               subset
+          && raises ("E9" :: subset)
+          && raises (subset @ [ "E9" ]))
+        [
+          Strategy.Total;
+          Strategy.Mcs;
+          Strategy.Sdg;
+          Strategy.Sdg_k 0;
+          Strategy.Sdg_k 1;
+        ])
+
 (* --- Allocation (the paper's closing question) ------------------------ *)
 
 module Allocation = Prb_rollback.Allocation
@@ -866,6 +923,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_theorem3_bound;
           QCheck_alcotest.to_alcotest qcheck_single_copy_space;
           QCheck_alcotest.to_alcotest qcheck_runtime_sdg_matches_static;
+          QCheck_alcotest.to_alcotest qcheck_rollback_target_all;
         ] );
       ( "allocation",
         [

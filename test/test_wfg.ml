@@ -57,6 +57,24 @@ let test_cycles_through () =
   checki "two cycles through 1" 2 (List.length (W.cycles_through g 1));
   checki "one cycle through 2" 1 (List.length (W.cycles_through g 2))
 
+(* A cycle record stays intact until the graph loses an edge; adding
+   edges does not invalidate it, and a fresh enumeration is intact
+   again. *)
+let test_record_intact () =
+  let g = W.create () in
+  W.set_wait g ~waiter:1 ~holders:[ 2 ] "a";
+  W.set_wait g ~waiter:2 ~holders:[ 1 ] "b";
+  let c = W.enumerate g 1 in
+  checki "one cycle" 1 c.W.n_cycles;
+  checkb "fresh record intact" true (W.intact g c);
+  W.set_wait g ~waiter:3 ~holders:[ 1 ] "c";
+  checkb "an added edge keeps it" true (W.intact g c);
+  W.clear_wait g 3;
+  checkb "a removed edge stales it" false (W.intact g c);
+  checkb "re-enumerated record intact" true (W.intact g (W.enumerate g 1));
+  W.remove_txn g 2;
+  checkb "a removed vertex stales it" false (W.intact g c)
+
 let test_exclusive_forest () =
   let g = W.create () in
   W.set_wait g ~waiter:1 ~holders:[ 2 ] "a";
@@ -250,6 +268,7 @@ let () =
           Alcotest.test_case "would_deadlock transitive" `Quick
             test_would_deadlock_transitive;
           Alcotest.test_case "cycles through" `Quick test_cycles_through;
+          Alcotest.test_case "stale cycle record" `Quick test_record_intact;
           Alcotest.test_case "forest shape" `Quick test_exclusive_forest;
           Alcotest.test_case "pp / dot" `Quick test_pp_and_dot;
           QCheck_alcotest.to_alcotest qcheck_would_deadlock_oracle;
