@@ -60,7 +60,7 @@ let distributed () =
               Strategy.to_string strategy;
               i s.D.commits;
               Printf.sprintf "%d/%d" s.D.local_deadlocks s.D.global_deadlocks;
-              i s.D.wounds;
+              i s.D.preventions;
               i s.D.ops_lost;
               f2 r.Dist_sim.messages_per_commit;
               f2 r.Dist_sim.shipped_per_commit;
@@ -113,7 +113,7 @@ let distributed () =
           i period;
           i s.D.commits;
           i s.D.global_deadlocks;
-          i s.D.detection_rounds;
+          i s.D.detection_passes;
           f2 r.Dist_sim.messages_per_commit;
           i s.D.ticks;
         ])

@@ -171,8 +171,8 @@ let detector_outage n_txns =
         [
           label;
           i s.D.commits;
-          i s.D.missed_rounds;
-          i s.D.timeout_aborts;
+          i s.D.missed_passes;
+          i s.D.timeouts;
           Printf.sprintf "%d/%d" s.D.local_deadlocks s.D.global_deadlocks;
           i s.D.ticks;
         ])

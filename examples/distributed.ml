@@ -68,7 +68,7 @@ let () =
               Table.cell_int s.D.commits;
               Printf.sprintf "%d (%d/%d)" s.D.deadlocks s.D.local_deadlocks
                 s.D.global_deadlocks;
-              Table.cell_int s.D.wounds;
+              Table.cell_int s.D.preventions;
               Table.cell_int s.D.ops_lost;
               Table.cell_int s.D.messages;
               Table.cell_int s.D.shipped_copies;

@@ -1,5 +1,6 @@
 module Table = Prb_util.Table
 module Scheduler = Prb_core.Scheduler
+module Run_stats = Prb_core.Run_stats
 module Detection_policy = Prb_core.Detection_policy
 module Fault = Prb_fault.Fault
 module Sim = Prb_sim.Sim
@@ -81,57 +82,55 @@ let measure f =
   let w1 = allocated_words () in
   (r, t1 -. t0, (w1 -. w0) /. 1e6)
 
-let run_central ~contention ~txns =
-  let n_entities, theta, params = params_of ~contention ~txns in
-  (* Workload synthesis happens outside the timed region — the point
-     measures the engine, not the generator (the distributed points
-     always measured this way; the central ones used to fold synthesis
-     in, understating engine throughput by ~40% at low contention). *)
-  let store = Generator.populate params in
-  let programs = Generator.generate params ~seed ~n:txns in
-  let config =
-    {
-      Sim.scheduler =
-        {
-          Scheduler.default_config with
-          strategy = Strategy.Sdg;
-          seed;
-          max_ticks;
-          clock = Some Unix.gettimeofday;
-        };
-      mpl;
-    }
-  in
-  let r, wall, mwords = measure (fun () -> Sim.run ~config ~store programs) in
-  let s = r.Sim.stats in
+(* One point per measured run, over the record both engines report. *)
+let point ~engine ~contention ~txns ((s : Run_stats.stats), wall, mwords) =
+  let entities, theta, _ = params_of ~contention ~txns in
+  let share x = if wall > 0.0 then x /. wall else nan in
   {
-    engine = "central";
+    engine;
     txns;
     contention = contention_name contention;
-    entities = n_entities;
+    entities;
     theta;
     mpl;
-    commits = s.Scheduler.commits;
-    ticks = s.Scheduler.ticks;
-    deadlocks = s.Scheduler.deadlocks;
-    rollbacks = s.Scheduler.rollbacks;
+    commits = s.commits;
+    ticks = s.ticks;
+    deadlocks = s.deadlocks;
+    rollbacks = s.rollbacks;
     wall_seconds = wall;
-    commits_per_sec =
-      (if wall > 0.0 then float_of_int s.Scheduler.commits /. wall else nan);
-    check_seconds = r.Sim.check_seconds;
-    check_share = (if wall > 0.0 then r.Sim.check_seconds /. wall else nan);
-    check_calls = r.Sim.check_calls;
-    enumerate_seconds = r.Sim.enumerate_seconds;
-    enumerate_share =
-      (if wall > 0.0 then r.Sim.enumerate_seconds /. wall else nan);
-    enumerate_calls = r.Sim.enumerate_calls;
+    commits_per_sec = share (float_of_int s.commits);
+    check_seconds = s.check_seconds;
+    check_share = share s.check_seconds;
+    check_calls = s.check_calls;
+    enumerate_seconds = s.enumerate_seconds;
+    enumerate_share = share s.enumerate_seconds;
+    enumerate_calls = s.enumerate_calls;
     allocated_mwords = mwords;
   }
 
+(* Workload synthesis happens outside the timed region: a point measures
+   the engine, not the generator (folding synthesis in understated
+   central throughput by ~40% at low contention). *)
+let workload ~contention ~txns =
+  let _, _, params = params_of ~contention ~txns in
+  (Generator.populate params, Generator.generate params ~seed ~n:txns)
+
+let central_config =
+  {
+    Scheduler.default_config with
+    strategy = Strategy.Sdg;
+    seed;
+    max_ticks;
+    clock = Some Unix.gettimeofday;
+  }
+
+let run_central ~contention ~txns scheduler =
+  let store, programs = workload ~contention ~txns in
+  let config = { Sim.scheduler; mpl } in
+  measure (fun () -> (Sim.run ~config ~store programs).Sim.stats)
+
 let run_distrib ~contention ~txns =
-  let n_entities, theta, params = params_of ~contention ~txns in
-  let store = Generator.populate params in
-  let programs = Generator.generate params ~seed ~n:txns in
+  let store, programs = workload ~contention ~txns in
   let config =
     {
       Dist_sim.scheduler =
@@ -145,33 +144,7 @@ let run_distrib ~contention ~txns =
       mpl;
     }
   in
-  let r, wall, mwords =
-    measure (fun () -> Dist_sim.run ~config ~store programs)
-  in
-  let s = r.Dist_sim.stats in
-  {
-    engine = "distrib";
-    txns;
-    contention = contention_name contention;
-    entities = n_entities;
-    theta;
-    mpl;
-    commits = s.D.commits;
-    ticks = s.D.ticks;
-    deadlocks = s.D.deadlocks;
-    rollbacks = s.D.rollbacks;
-    wall_seconds = wall;
-    commits_per_sec =
-      (if wall > 0.0 then float_of_int s.D.commits /. wall else nan);
-    check_seconds = s.D.check_seconds;
-    check_share = (if wall > 0.0 then s.D.check_seconds /. wall else nan);
-    check_calls = s.D.check_calls;
-    enumerate_seconds = s.D.enumerate_seconds;
-    enumerate_share =
-      (if wall > 0.0 then s.D.enumerate_seconds /. wall else nan);
-    enumerate_calls = s.D.enumerate_calls;
-    allocated_mwords = mwords;
-  }
+  measure (fun () -> (Dist_sim.run ~config ~store programs).Dist_sim.stats)
 
 (* The smallest points finish in single-digit milliseconds, where
    scheduler noise swamps a 20% regression gate; every point therefore
@@ -195,8 +168,12 @@ let sweep ?(quick = false) () =
       List.concat_map
         (fun txns ->
           [
-            best_of (fun () -> run_central ~contention ~txns);
-            best_of (fun () -> run_distrib ~contention ~txns);
+            best_of (fun () ->
+                point ~engine:"central" ~contention ~txns
+                  (run_central ~contention ~txns central_config));
+            best_of (fun () ->
+                point ~engine:"distrib" ~contention ~txns
+                  (run_distrib ~contention ~txns));
           ])
         txn_counts)
     [ `Low; `High ]
@@ -242,49 +219,36 @@ let policy_outage_plan =
   }
 
 let run_policy ~detection ~contention ~txns ~outage =
-  let _, _, params = params_of ~contention ~txns in
-  let store = Generator.populate params in
-  let programs = Generator.generate params ~seed ~n:txns in
-  let config =
-    {
-      Sim.scheduler =
-        {
-          Scheduler.default_config with
-          strategy = Strategy.Sdg;
-          seed;
-          max_ticks;
-          clock = Some Unix.gettimeofday;
-          detection;
-          starvation_limit = Some policy_starvation_limit;
-          faults = (if outage then Some policy_outage_plan else None);
-        };
-      mpl;
-    }
+  let ((s, _, _) as run) =
+    run_central ~contention ~txns
+      {
+        central_config with
+        detection;
+        starvation_limit = Some policy_starvation_limit;
+        faults = (if outage then Some policy_outage_plan else None);
+      }
   in
-  let r, wall, _ = measure (fun () -> Sim.run ~config ~store programs) in
-  let s = r.Sim.stats in
+  let p = point ~engine:"central" ~contention ~txns run in
   {
     p_policy = Detection_policy.to_string detection;
-    p_contention = contention_name contention;
+    p_contention = p.contention;
     p_txns = txns;
     p_outage = outage;
-    p_commits = s.Scheduler.commits;
-    p_ticks = s.Scheduler.ticks;
-    p_deadlocks = s.Scheduler.deadlocks;
-    p_rollbacks = s.Scheduler.rollbacks;
-    p_wall_seconds = wall;
-    p_commits_per_sec =
-      (if wall > 0.0 then float_of_int s.Scheduler.commits /. wall else nan);
-    p_check_seconds = r.Sim.check_seconds;
-    p_check_share = (if wall > 0.0 then r.Sim.check_seconds /. wall else nan);
-    p_check_calls = r.Sim.check_calls;
-    p_enumerate_seconds = r.Sim.enumerate_seconds;
-    p_enumerate_share =
-      (if wall > 0.0 then r.Sim.enumerate_seconds /. wall else nan);
-    p_enumerate_calls = r.Sim.enumerate_calls;
-    p_detection_passes = s.Scheduler.detection_passes;
-    p_watchdog_fires = s.Scheduler.watchdog_fires;
-    p_max_blocked_ticks = s.Scheduler.max_blocked_ticks;
+    p_commits = p.commits;
+    p_ticks = p.ticks;
+    p_deadlocks = p.deadlocks;
+    p_rollbacks = p.rollbacks;
+    p_wall_seconds = p.wall_seconds;
+    p_commits_per_sec = p.commits_per_sec;
+    p_check_seconds = p.check_seconds;
+    p_check_share = p.check_share;
+    p_check_calls = p.check_calls;
+    p_enumerate_seconds = p.enumerate_seconds;
+    p_enumerate_share = p.enumerate_share;
+    p_enumerate_calls = p.enumerate_calls;
+    p_detection_passes = s.detection_passes;
+    p_watchdog_fires = s.watchdog_fires;
+    p_max_blocked_ticks = s.max_blocked_ticks;
   }
 
 let best_of_policy f =

@@ -27,6 +27,13 @@ let of_string s =
           | Some _ | None -> None)
       | _ -> None)
 
+(* A [Periodic] pass re-arms [n] ticks on; with [n < 1] it re-arms at the
+   current tick, the tick never advances and [max_ticks] never trips. *)
+let check = function
+  | Periodic n when n < 1 ->
+      invalid_arg (Printf.sprintf "Detection_policy: periodic:%d (period < 1)" n)
+  | Eager | Periodic _ | Adaptive -> ()
+
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let is_eager = function Eager -> true | Periodic _ | Adaptive -> false

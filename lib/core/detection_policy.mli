@@ -42,6 +42,11 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Accepts [eager], [periodic:N] (N > 0) and [adaptive]. *)
 
+val check : t -> unit
+(** @raise Invalid_argument on [Periodic n] with [n < 1], whose passes
+    would re-arm at the current tick forever. Both engines' [create] call
+    it. *)
+
 val is_eager : t -> bool
 
 val stall_bound : t -> int

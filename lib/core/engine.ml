@@ -20,7 +20,6 @@ type t = {
   policy : Policy.t;
   starvation_limit : int option;
   cycle_limit : int;
-  restart_delay : int;
   clock : (unit -> float) option;
   store : Store.t;
   locks : Lock_table.t;
@@ -48,6 +47,11 @@ type t = {
   mutable requeue_events : int;
   mutable overshoot_ops : int;
   mutable optimal_resolutions : int;
+  mutable ops_committed : int;
+  mutable timeouts : int;
+  mutable preventions : int;
+  mutable detection_passes : int;
+  mutable missed_passes : int;
   mutable starvation_fallbacks : int;
   mutable max_blocked_ticks : int;
   mutable total_blocked_ticks : int;
@@ -58,15 +62,15 @@ type t = {
 }
 
 let initial_txn_cap = 64
+let default_cycle_limit = 256
 
-let create ~strategy ~policy ~starvation_limit ~cycle_limit ~restart_delay
-    ~clock ~seed ~fair store =
+let create ~strategy ~policy ~starvation_limit ~cycle_limit ~clock ~seed ~fair
+    store =
   {
     strategy;
     policy;
     starvation_limit;
     cycle_limit;
-    restart_delay;
     clock;
     store;
     locks = Lock_table.create ~fair ();
@@ -89,6 +93,11 @@ let create ~strategy ~policy ~starvation_limit ~cycle_limit ~restart_delay
     requeue_events = 0;
     overshoot_ops = 0;
     optimal_resolutions = 0;
+    ops_committed = 0;
+    timeouts = 0;
+    preventions = 0;
+    detection_passes = 0;
+    missed_passes = 0;
     starvation_fallbacks = 0;
     max_blocked_ticks = 0;
     total_blocked_ticks = 0;
@@ -202,6 +211,7 @@ let commit e ~release id =
     e.n_blocked <- e.n_blocked - 1
   end;
   e.commits <- e.commits + 1;
+  e.ops_committed <- e.ops_committed + Program.length (Txn_state.program ts);
   Txn_state.dispose ts
 
 (* --- Detection ----------------------------------------------------- *)
@@ -375,16 +385,29 @@ let apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v
       let n = e.rollback_counts.(v) in
       stagger + (n * n)
   in
-  schedule_at e v ~at:(e.tick + 1 + e.restart_delay + backoff)
+  schedule_at e v ~at:(e.tick + 1 + backoff)
 
 let apply_rollback e ~drop_wait ~release ~restart ~deferred ~stagger v
     entities =
   let prior = e.rollback_counts.(v) in
   if deferred && prior >= deferred_escalation then
-    restart v
-      ~resume_at:
-        (e.tick + 1 + e.restart_delay + stagger + min 4096 (prior * prior))
+    restart v ~resume_at:(e.tick + 1 + stagger + min 4096 (prior * prior))
   else apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v entities
+
+(* Wound-wait: an older requester wounds every younger blocker. Shrinking
+   blockers are immune (Section 2's no-rollback-after-unlock rule) and
+   exempt: they issue no more lock requests, so they can never sit on a
+   cycle, and they will release on their own. Afterwards every wait edge
+   points to an older or shrinking transaction, and no cycle can close. *)
+let wound_younger e ~wound requester blockers =
+  List.iter
+    (fun b ->
+      if b > requester && Txn_state.phase (txn_state e b) = Txn_state.Growing
+      then begin
+        e.preventions <- e.preventions + 1;
+        wound b
+      end)
+    blockers
 
 (* --- Resolution ---------------------------------------------------- *)
 
@@ -432,3 +455,57 @@ let resolve_round e ~deferred ~apply requester (cycles : Waits_for.cycles) =
   List.iteri
     (fun i (v, entities) -> apply ~deferred ~stagger:i v entities)
     decision.Resolver.victims
+
+(* --- Statistics ---------------------------------------------------- *)
+
+let stats e =
+  (* One ascending pass accumulating all three per-transaction
+     aggregates. *)
+  let ops_lost, ops_executed, peak_copies =
+    fold_txns e
+      (fun (lost, executed, peak) ts ->
+        ( lost + Txn_state.ops_lost ts,
+          executed + Txn_state.total_executed ts,
+          max peak (Txn_state.peak_copies ts) ))
+      (0, 0, 0)
+  in
+  {
+    Run_stats.ticks = e.tick;
+    commits = e.commits;
+    deadlocks = e.deadlocks;
+    cycles_broken = e.cycles_broken;
+    rollbacks = e.rollback_events;
+    requeues = e.requeue_events;
+    ops_lost;
+    overshoot_ops = e.overshoot_ops;
+    ops_committed = e.ops_committed;
+    ops_executed;
+    blocks = Lock_table.n_blocks e.locks;
+    peak_copies;
+    optimal_resolutions = e.optimal_resolutions;
+    timeouts = e.timeouts;
+    preventions = e.preventions;
+    txn_crashes = 0;
+    detection_passes = e.detection_passes;
+    watchdog_fires = 0;
+    starvation_fallbacks = e.starvation_fallbacks;
+    missed_passes = e.missed_passes;
+    max_blocked_ticks = e.max_blocked_ticks;
+    total_blocked_ticks = e.total_blocked_ticks;
+    max_txn_rollbacks = max_txn_rollbacks e;
+    local_deadlocks = 0;
+    global_deadlocks = 0;
+    messages = 0;
+    shipped_copies = 0;
+    site_crashes = 0;
+    site_recoveries = 0;
+    purged_locks = 0;
+    msgs_lost = 0;
+    msgs_duplicated = 0;
+    retransmissions = 0;
+    deferred_detection = false;
+    check_seconds = e.check_seconds;
+    check_calls = e.check_calls;
+    enumerate_seconds = e.enumerate_seconds;
+    enumerate_calls = e.enumerate_calls;
+  }

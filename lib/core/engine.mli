@@ -10,7 +10,8 @@
     backoff and escalation. Engine-specific steps are plain labelled
     arguments: [drop_wait v] abandons [v]'s pending request and clears
     its wait; [release v released] releases what a rollback gave up;
-    [restart v ~resume_at] is the engine's full restart. *)
+    [restart v ~resume_at] is the engine's full restart. The core also
+    fills the one {!Run_stats.stats} record both engines report. *)
 
 module Store = Prb_storage.Store
 module Txn_state = Prb_rollback.Txn_state
@@ -27,7 +28,6 @@ type t = {
   policy : Policy.t;
   starvation_limit : int option;
   cycle_limit : int;
-  restart_delay : int;
   clock : (unit -> float) option;
   store : Store.t;
   locks : Prb_lock.Lock_table.t;
@@ -58,6 +58,11 @@ type t = {
   mutable requeue_events : int;
   mutable overshoot_ops : int;
   mutable optimal_resolutions : int;
+  mutable ops_committed : int;  (** counted by {!commit} *)
+  mutable timeouts : int;
+  mutable preventions : int;  (** {!wound_younger} counts its wounds *)
+  mutable detection_passes : int;
+  mutable missed_passes : int;
   mutable starvation_fallbacks : int;
   mutable max_blocked_ticks : int;
   mutable total_blocked_ticks : int;
@@ -67,12 +72,15 @@ type t = {
   mutable enumerate_calls : int;
 }
 
+val default_cycle_limit : int
+(** 256: the cycle-enumeration bound per deadlock of both engines'
+    default configurations. *)
+
 val create :
   strategy:Prb_rollback.Strategy.t ->
   policy:Policy.t ->
   starvation_limit:int option ->
   cycle_limit:int ->
-  restart_delay:int ->
   clock:(unit -> float) option ->
   seed:int ->
   fair:bool ->
@@ -116,8 +124,9 @@ val commit :
   int ->
   unit
 (** Commit: install the final values, close the intervals of the locks
-    still held and [release] them, then retire the transaction (its
-    history buffers go back to the pool). *)
+    still held and [release] them, count the program's length in
+    [ops_committed], then retire the transaction (its history buffers go
+    back to the pool). *)
 
 (** {2 Detection}, counted and (with a clock) timed *)
 
@@ -179,6 +188,12 @@ val apply_rollback :
 (** {!apply_partial_rollback}, or [restart] after a quadratic delay for a
     deferred round's member already rolled back four times. *)
 
+val wound_younger : t -> wound:(int -> unit) -> int -> int list -> unit
+(** [wound_younger t ~wound requester blockers]: wound-wait prevention.
+    Each growing blocker younger than [requester] (a larger id) is counted
+    in [preventions] and handed to [wound], which rolls it back far enough
+    to release the contested entity. Shrinking blockers are immune. *)
+
 (** {2 Resolution} *)
 
 val resolve_round :
@@ -194,3 +209,11 @@ val resolve_round :
     and [apply] each victim with its position as the stagger.
     @raise Stuck if the waits-for graph has lost an edge since the
     record was enumerated ({!Prb_wfg.Waits_for.intact}). *)
+
+(** {2 Statistics} *)
+
+val stats : t -> Run_stats.stats
+(** Every counter the core keeps; the engine-specific ones
+    ([txn_crashes], [watchdog_fires], the site and message counters, the
+    local/global deadlock split) and [deferred_detection] read 0 or
+    [false], for the embedder to supply. *)

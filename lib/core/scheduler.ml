@@ -1,5 +1,4 @@
 module Store = Prb_storage.Store
-module Program = Prb_txn.Program
 module Lock_mode = Prb_txn.Lock_mode
 module Lock_table = Prb_lock.Lock_table
 module Waits_for = Prb_wfg.Waits_for
@@ -25,7 +24,6 @@ type config = {
   seed : int;
   max_ticks : int;
   cycle_limit : int;
-  restart_delay : int;
   fair_locking : bool;
   faults : Fault.plan option;
   clock : (unit -> float) option;
@@ -40,8 +38,7 @@ let default_config =
     starvation_limit = None;
     seed = 1;
     max_ticks = 1_000_000;
-    cycle_limit = 256;
-    restart_delay = 0;
+    cycle_limit = Engine.default_cycle_limit;
     fair_locking = true;
     faults = None;
     clock = None;
@@ -81,8 +78,6 @@ type t = {
   eng : Engine.t;
       (** per-transaction state, lock table, waits-for graph, history,
           event queue and the shared counters *)
-  mutable timeout_events : int;
-  mutable prevention_events : int;
   mutable txn_crash_events : int;
   mutable crash_counts : int array;
       (** crashes suffered per transaction, driving re-admission backoff *)
@@ -97,28 +92,24 @@ type t = {
   mutable n_dirty : int;
   mutable last_detect_tick : int;  (** tick of the last detection sweep *)
   cadence : Detection_policy.cadence;  (** the [Adaptive] sweep cadence *)
-  mutable detection_passes : int;
   mutable watchdog_fires : int;
-  mutable missed_passes : int;
   mutable submit_ticks : int array;  (** [-1] when never submitted *)
   mutable commit_ticks : int array;  (** [-1] when uncommitted *)
-  mutable ops_committed : int;
 }
 
 let create ?(config = default_config) store =
+  Detection_policy.check config.detection;
   let eng =
     Engine.create ~strategy:config.strategy ~policy:config.policy
       ~starvation_limit:config.starvation_limit
-      ~cycle_limit:config.cycle_limit ~restart_delay:config.restart_delay
-      ~clock:config.clock ~seed:config.seed ~fair:config.fair_locking store
+      ~cycle_limit:config.cycle_limit ~clock:config.clock ~seed:config.seed
+      ~fair:config.fair_locking store
   in
   let cap = Array.length eng.txns in
   let t =
     {
       cfg = config;
       eng;
-      timeout_events = 0;
-      prevention_events = 0;
       txn_crash_events = 0;
       crash_counts = Array.make cap 0;
       wait_dirty = Array.make cap false;
@@ -128,12 +119,9 @@ let create ?(config = default_config) store =
       cadence =
         Detection_policy.cadence
           (Detection_policy.initial_interval config.detection);
-      detection_passes = 0;
       watchdog_fires = 0;
-      missed_passes = 0;
       submit_ticks = Array.make cap (-1);
       commit_ticks = Array.make cap (-1);
-      ops_committed = 0;
     }
   in
   (match config.faults with
@@ -285,8 +273,7 @@ let[@lint.allow
     ~release:(release_rolled_back t) ~resume_at v
 
 (* The prevention/timeout baselines restart a transaction directly. *)
-let self_restart t id =
-  restart t id ~resume_at:(t.eng.tick + 1 + t.cfg.restart_delay)
+let self_restart t id = restart t id ~resume_at:(t.eng.tick + 1)
 
 let roll_back_victim t ~deferred ~stagger v entities =
   Engine.apply_rollback t.eng ~drop_wait:(drop_wait t)
@@ -400,7 +387,7 @@ let[@hot] resolve_deadlocks t ~deferred primary =
 let[@lint.allow
      "A1: a full detection sweep is scheduled work off the request \
       path"] run_sweep t =
-  t.detection_passes <- t.detection_passes + 1;
+  t.eng.detection_passes <- t.eng.detection_passes + 1;
   let before = t.eng.deadlocks in
   resolve_deadlocks t ~deferred:true None;
   t.last_detect_tick <- t.eng.tick;
@@ -436,27 +423,18 @@ let[@lint.allow
              Int.compare a.Fault.out_from b.Fault.out_from)
            p.Fault.detector_outages)
 
-(* Wound-wait (centralised): the older requester wounds each younger
-   blocker, which partially rolls back just far enough to release the
-   entity (or requeues, if it was merely queued ahead); shrinking-phase
-   blockers are immune and safe to wait for. *)
+(* Wound-wait (centralised): each wounded blocker partially rolls back
+   just far enough to release the entity (or requeues, if it was merely
+   queued ahead). *)
 let[@lint.allow
      "A1: a wound rolls the younger blocker back far enough to release \
       the entity — the prevention baseline's rollback path allocates its \
       restart machinery by design"] wound_younger_blockers t requester e
     blockers =
-  List.iter
-    (fun b ->
-      if
-        b > requester
-        && Txn_state.phase (txn_state t b) = Txn_state.Growing
-      then begin
-        t.prevention_events <- t.prevention_events + 1;
-        Log.info (fun m ->
-            m "[%d] T%d wounds T%d over %s" t.eng.tick requester b e);
-        roll_back_victim t ~deferred:false ~stagger:0 b [ e ]
-      end)
-    blockers
+  Engine.wound_younger t.eng requester blockers ~wound:(fun b ->
+      Log.info (fun m ->
+          m "[%d] T%d wounds T%d over %s" t.eng.tick requester b e);
+      roll_back_victim t ~deferred:false ~stagger:0 b [ e ])
 
 (* A transaction crash (fault plan): the victim loses its volatile state —
    rollback to state 0, releasing everything — and is re-admitted after a
@@ -549,7 +527,7 @@ let handle_lock_request t id mode e =
       | Wait_die_c ->
           if any_blocker_older id holders then begin
             (* younger than a blocker: die, keeping the timestamp *)
-            t.prevention_events <- t.prevention_events + 1;
+            eng.preventions <- eng.preventions + 1;
             (Log.info (fun m -> m "[%d] T%d dies over %s" eng.tick id e)
              [@lint.allow
                "A1: log msgf closure renders only when a reporter is \
@@ -574,9 +552,7 @@ let[@lint.allow
          re-pointed *)
       List.iter (fun (e, _) -> refresh_waiters t e) held);
   Log.debug (fun m -> m "[%d] T%d committed" eng.tick id);
-  t.commit_ticks.(id) <- eng.tick;
-  t.ops_committed <-
-    t.ops_committed + Program.length (Txn_state.program (txn_state t id))
+  t.commit_ticks.(id) <- eng.tick
 
 let exec_one t id =
   let ts = txn_state t id in
@@ -608,7 +584,7 @@ let handle_timer t id =
   let since = eng.blocked_since.(id) in
   if since >= 0 && Waits_for.is_blocked eng.wfg id then
     if since + n <= eng.tick then begin
-      t.timeout_events <- t.timeout_events + 1;
+      eng.timeouts <- eng.timeouts + 1;
       (Log.info (fun m ->
            m "[%d] T%d timed out; restarting" eng.tick id)
        [@lint.allow
@@ -626,14 +602,16 @@ let[@lint.allow
   (* the sweep chain: run (or miss, during an outage) a full pass and
      reschedule — self-perpetuating so deadlocked configurations always
      have a pending wake source *)
-  let events = t.eng.events and now = t.eng.tick in
+  let eng = t.eng in
+  let events = eng.events and now = eng.tick in
   match t.cfg.detection with
   | Detection_policy.Periodic n ->
-      if in_detector_outage t then t.missed_passes <- t.missed_passes + 1
+      if in_detector_outage t then eng.missed_passes <- eng.missed_passes + 1
       else ignore (run_sweep t);
       Pqueue.push events ~priority:(now + n) ~tag:ev_detect_tick ~a:0 ~b:0
   | Detection_policy.Adaptive ->
-      (if in_detector_outage t then t.missed_passes <- t.missed_passes + 1
+      (if in_detector_outage t then
+         eng.missed_passes <- eng.missed_passes + 1
        else Detection_policy.adapt t.cadence ~found:(run_sweep t));
       Pqueue.push events
         ~priority:(now + t.cadence.Detection_policy.interval)
@@ -710,31 +688,7 @@ let run t =
     ()
   done
 
-type stats = {
-  ticks : int;
-  commits : int;
-  deadlocks : int;
-  cycles_broken : int;
-  rollbacks : int;
-  requeues : int;
-  ops_lost : int;
-  overshoot_ops : int;
-  ops_committed : int;
-  ops_executed : int;
-  blocks : int;
-  peak_copies : int;
-  optimal_resolutions : int;
-  timeouts : int;
-  preventions : int;
-  txn_crashes : int;
-  detection_passes : int;
-  watchdog_fires : int;
-  starvation_fallbacks : int;
-  missed_passes : int;
-  max_blocked_ticks : int;
-  total_blocked_ticks : int;
-  max_txn_rollbacks : int;
-}
+include Run_stats
 
 let set_deadlock_hook t hook = t.eng.hook <- Some hook
 
@@ -754,41 +708,11 @@ let latency t id =
   | _ -> None
 
 let stats t =
-  let e = t.eng in
-  (* One ascending pass accumulating all three per-transaction
-     aggregates. *)
-  let ops_lost, ops_executed, peak_copies =
-    Engine.fold_txns e
-      (fun (lost, executed, peak) ts ->
-        ( lost + Txn_state.ops_lost ts,
-          executed + Txn_state.total_executed ts,
-          max peak (Txn_state.peak_copies ts) ))
-      (0, 0, 0)
-  in
   {
-    ticks = e.tick;
-    commits = e.commits;
-    deadlocks = e.deadlocks;
-    cycles_broken = e.cycles_broken;
-    rollbacks = e.rollback_events;
-    requeues = e.requeue_events;
-    overshoot_ops = e.overshoot_ops;
-    ops_lost;
-    ops_committed = t.ops_committed;
-    ops_executed;
-    blocks = Lock_table.n_blocks e.locks;
-    peak_copies;
-    optimal_resolutions = e.optimal_resolutions;
-    timeouts = t.timeout_events;
-    preventions = t.prevention_events;
+    (Engine.stats t.eng) with
     txn_crashes = t.txn_crash_events;
-    detection_passes = t.detection_passes;
     watchdog_fires = t.watchdog_fires;
-    starvation_fallbacks = e.starvation_fallbacks;
-    missed_passes = t.missed_passes;
-    max_blocked_ticks = e.max_blocked_ticks;
-    total_blocked_ticks = e.total_blocked_ticks;
-    max_txn_rollbacks = Engine.max_txn_rollbacks e;
+    deferred_detection = not (Detection_policy.is_eager t.cfg.detection);
   }
 
 let pp_stats ppf s =

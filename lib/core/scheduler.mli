@@ -58,10 +58,6 @@ type config = {
   seed : int;  (** drives only the [Random_victim] policy *)
   max_ticks : int;  (** hard stop against livelock (paper Figure 2) *)
   cycle_limit : int;  (** bound on cycle enumeration per deadlock *)
-  restart_delay : int;
-      (** extra ticks before a rollback victim resumes; 0 reproduces the
-          paper's model faithfully, small values break the lock-step
-          re-collision pattern deterministic execution invites *)
   fair_locking : bool;
       (** [true] (default): queue-respecting grants — required for
           liveness with shared locks (see {!Prb_lock.Lock_table});
@@ -90,9 +86,12 @@ type config = {
 val default_config : config
 (** [Sdg] strategy, [Detect] intervention, [Eager] detection (no
     starvation limit), [Ordered_min_cost] policy, seed 1, 1_000_000
-    ticks, 256 cycles, restart delay 0, fair locking, no faults. *)
+    ticks, {!Engine.default_cycle_limit} cycles, fair locking, no
+    faults. *)
 
 val create : ?config:config -> Prb_storage.Store.t -> t
+(** @raise Invalid_argument on a [Periodic n] detection policy with
+    [n < 1] ({!Detection_policy.check}). *)
 
 val config : t -> config
 val store : t -> Prb_storage.Store.t
@@ -167,44 +166,12 @@ val n_blocked_tracked : t -> int
     transaction, whatever the intervention) — exposed so tests can assert
     it does not leak across commits. *)
 
-(** Aggregate statistics over a (partial or finished) run. *)
-type stats = {
-  ticks : int;
-  commits : int;
-  deadlocks : int;  (** resolution rounds (>= 1 cycle each) *)
-  cycles_broken : int;
-  rollbacks : int;  (** victim rollbacks performed *)
-  requeues : int;
-      (** fair-queueing victims whose arc was broken by cancelling a
-          pending request (no progress lost) *)
-  ops_lost : int;  (** Σ progress destroyed by rollbacks *)
-  overshoot_ops : int;
-      (** the part of [ops_lost] beyond the minimal release point — 0
-          under [Mcs], the whole prefix under [Total], the cost of
-          non-well-defined states under [Sdg] *)
-  ops_committed : int;  (** Σ program lengths of committed txns *)
-  ops_executed : int;  (** Σ operations executed, re-execution included *)
-  blocks : int;
-  peak_copies : int;  (** max over transactions of peak local copies *)
-  optimal_resolutions : int;  (** decisions from the exact cut solver *)
-  timeouts : int;  (** [Timeout_abort] self-restarts *)
-  preventions : int;  (** wounds ([Wound_wait_c]) or deaths ([Wait_die_c]) *)
-  txn_crashes : int;  (** fault-plan transaction crashes that hit a victim *)
-  detection_passes : int;
-      (** scheduled sweeps run (0 under [Eager], whose checks count only
-          in {!check_calls}) *)
-  watchdog_fires : int;  (** full sweeps forced by the stall watchdog *)
-  starvation_fallbacks : int;
-      (** resolutions where a cycle offered no non-immune victim and the
-          starvation guard was overridden *)
-  missed_passes : int;  (** sweeps suppressed by detector outages *)
-  max_blocked_ticks : int;  (** longest completed blocking episode *)
-  total_blocked_ticks : int;  (** Σ durations of completed episodes *)
-  max_txn_rollbacks : int;
-      (** rollbacks suffered by the worst-hit transaction — the quantity
-          the starvation guard bounds by [starvation_limit] whenever
-          [starvation_fallbacks] is 0 *)
-}
+(** The statistics record both engines report ({!Run_stats.stats}).
+    This engine supplies [txn_crashes] and [watchdog_fires]; the site and
+    message counters and the local/global deadlock split read 0. *)
+include module type of struct
+  include Run_stats
+end
 
 val stats : t -> stats
 

@@ -10,6 +10,7 @@ module Pqueue = Prb_util.Dense.Pqueue
 module Txn_id = Prb_txn.Txn_id
 module Policy = Prb_core.Policy
 module Engine = Prb_core.Engine
+module Run_stats = Prb_core.Run_stats
 module Detection_policy = Prb_core.Detection_policy
 module Fault = Prb_fault.Fault
 
@@ -24,8 +25,6 @@ type config = {
   policy : Policy.t;
   seed : int;
   max_ticks : int;
-  cycle_limit : int;
-  restart_delay : int;
   faults : Fault.plan option;
   clock : (unit -> float) option;
 }
@@ -48,8 +47,6 @@ let default_config =
     policy = Policy.Youngest;
     seed = 1;
     max_ticks = 1_000_000;
-    cycle_limit = 256;
-    restart_delay = 0;
     faults = None;
     clock = None;
   }
@@ -103,18 +100,14 @@ type t = {
           phantom rows *)
   mutable local_deadlocks : int;
   mutable global_deadlocks : int;
-  mutable wounds : int;
   mutable messages : int;
   mutable shipped_copies : int;
-  mutable detection_rounds : int;
   mutable site_crashes : int;
   mutable site_recoveries : int;
   mutable purged_locks : int;
   mutable msgs_lost : int;
   mutable msgs_duplicated : int;
   mutable retransmissions : int;
-  mutable timeout_aborts : int;
-  mutable missed_rounds : int;
   cadence : Detection_policy.cadence;  (** the [Adaptive] service cadence *)
 }
 
@@ -182,6 +175,7 @@ let default_site_of n_sites e =
 
 let create ?site_of config store =
   if config.n_sites < 1 then invalid_arg "Dist_scheduler: n_sites < 1";
+  Detection_policy.check config.detection_policy;
   let site_fn =
     match site_of with
     | Some f -> f
@@ -195,8 +189,8 @@ let create ?site_of config store =
   let eng =
     Engine.create ~strategy:config.strategy ~policy:config.policy
       ~starvation_limit:config.starvation_limit
-      ~cycle_limit:config.cycle_limit ~restart_delay:config.restart_delay
-      ~clock:config.clock ~seed:config.seed ~fair:true store
+      ~cycle_limit:Engine.default_cycle_limit ~clock:config.clock
+      ~seed:config.seed ~fair:true store
   in
   let t =
     {
@@ -211,18 +205,14 @@ let create ?site_of config store =
       inflight_releases = 0;
       local_deadlocks = 0;
       global_deadlocks = 0;
-      wounds = 0;
       messages = 0;
       shipped_copies = 0;
-      detection_rounds = 0;
       site_crashes = 0;
       site_recoveries = 0;
       purged_locks = 0;
       msgs_lost = 0;
       msgs_duplicated = 0;
       retransmissions = 0;
-      timeout_aborts = 0;
-      missed_rounds = 0;
       cadence =
         Detection_policy.cadence
           (Detection_policy.initial_interval config.detection_policy);
@@ -260,7 +250,6 @@ let quiescent t =
   && not (Array.exists Fun.id t.down)
 
 let history t = t.eng.hist
-let site_up t s = not t.down.(s)
 let txn_state t id = Engine.txn_state t.eng id
 
 let meta t id =
@@ -521,7 +510,7 @@ let blocked_txns t =
    first one with visible cycles is the one a scan of every blocked
    transaction would find. *)
 let run_global_detection t =
-  t.detection_rounds <- t.detection_rounds + 1;
+  t.eng.detection_passes <- t.eng.detection_passes + 1;
   let visible =
     match t.faults with
     | None ->
@@ -571,8 +560,8 @@ let degrade t =
       let now = t.eng.tick in
       let since = t.eng.blocked_since.(b) in
       if since >= 0 && now - since >= to_.Fault.degraded_timeout then begin
-        t.timeout_aborts <- t.timeout_aborts + 1;
-        restart t b ~resume_at:(now + 1 + t.cfg.restart_delay)
+        t.eng.timeouts <- t.eng.timeouts + 1;
+        restart t b ~resume_at:(now + 1)
       end)
     (List.sort Txn_id.compare (blocked_txns t))
 
@@ -587,7 +576,7 @@ let detector_round t ~period =
   | Some f when Fault.in_outage (Fault.plan f) t.eng.tick ->
       (* detector service down, whatever the policy: degrade gracefully
          (timeout-abort long-blocked transactions) and keep the cadence *)
-      t.missed_rounds <- t.missed_rounds + 1;
+      t.eng.missed_passes <- t.eng.missed_passes + 1;
       degrade t
   | _ -> (
       let before = t.eng.deadlocks in
@@ -601,25 +590,13 @@ let detector_round t ~period =
   | Detection_policy.Periodic n -> n
   | Detection_policy.Adaptive -> c.Detection_policy.interval
 
-(* Wound-wait: an older requester wounds every younger blocker — holders
-   roll back to release the entity, younger queued requests requeue
-   behind. Shrinking transactions are immune (Section 2's no-rollback-
-   after-unlock rule) and exempt: they issue no more lock requests, so
-   they can never sit on a cycle, and they will release on their own.
-   Afterwards every wait edge points to an older or shrinking
-   transaction, and no cycle can ever close. *)
+(* Wound-wait: a wounded holder rolls back to release the entity, a
+   wounded queued request requeues behind; a wound to a remote holder
+   costs a message. *)
 let wound_wait t requester e blockers =
-  List.iter
-    (fun b ->
-      if
-        b > requester
-        && Txn_state.phase (txn_state t b) = Txn_state.Growing
-      then begin
-        t.wounds <- t.wounds + 1;
-        if site_of t e <> (meta t b).home then t.messages <- t.messages + 1;
-        roll_back_victim t ~deferred:false ~stagger:0 b [ e ]
-      end)
-    blockers
+  Engine.wound_younger t.eng requester blockers ~wound:(fun b ->
+      if site_of t e <> (meta t b).home then t.messages <- t.messages + 1;
+      roll_back_victim t ~deferred:false ~stagger:0 b [ e ])
 
 (* --- Site crash and recovery ----------------------------------------- *)
 
@@ -651,7 +628,7 @@ let crash_site t s downtime =
       (fun id ->
         let ts = txn_state t id in
         if Txn_state.phase ts = Txn_state.Growing && (meta t id).home = s then
-          restart t id ~resume_at:(t.up_at.(s) + 1 + t.cfg.restart_delay))
+          restart t id ~resume_at:(t.up_at.(s) + 1))
       ids;
     List.iter
       (fun id ->
@@ -932,72 +909,22 @@ let run t =
     ()
   done
 
-type stats = {
-  ticks : int;
-  commits : int;
-  deadlocks : int;
-  local_deadlocks : int;
-  global_deadlocks : int;
-  wounds : int;
-  rollbacks : int;
-  ops_lost : int;
-  messages : int;
-  shipped_copies : int;
-  detection_rounds : int;
-  site_crashes : int;
-  site_recoveries : int;
-  purged_locks : int;
-  msgs_lost : int;
-  msgs_duplicated : int;
-  retransmissions : int;
-  timeout_aborts : int;
-  missed_rounds : int;
-  deferred_detection : bool;
-  starvation_fallbacks : int;
-  max_blocked_ticks : int;
-  total_blocked_ticks : int;
-  max_txn_rollbacks : int;
-  check_seconds : float;
-  check_calls : int;
-  enumerate_seconds : float;
-  enumerate_calls : int;
-  requeues : int;
-  overshoot_ops : int;
-}
+include Run_stats
 
 let stats t =
-  let e = t.eng in
   {
-    ticks = e.tick;
-    commits = e.commits;
-    deadlocks = e.deadlocks;
+    (Engine.stats t.eng) with
     local_deadlocks = t.local_deadlocks;
     global_deadlocks = t.global_deadlocks;
-    wounds = t.wounds;
-    rollbacks = e.rollback_events;
-    ops_lost = Engine.fold_txns e (fun acc ts -> acc + Txn_state.ops_lost ts) 0;
     messages = t.messages;
     shipped_copies = t.shipped_copies;
-    detection_rounds = t.detection_rounds;
     site_crashes = t.site_crashes;
     site_recoveries = t.site_recoveries;
     purged_locks = t.purged_locks;
     msgs_lost = t.msgs_lost;
     msgs_duplicated = t.msgs_duplicated;
     retransmissions = t.retransmissions;
-    timeout_aborts = t.timeout_aborts;
-    missed_rounds = t.missed_rounds;
     deferred_detection = deferred t;
-    starvation_fallbacks = e.starvation_fallbacks;
-    max_blocked_ticks = e.max_blocked_ticks;
-    total_blocked_ticks = e.total_blocked_ticks;
-    max_txn_rollbacks = Engine.max_txn_rollbacks e;
-    check_seconds = e.check_seconds;
-    check_calls = e.check_calls;
-    enumerate_seconds = e.enumerate_seconds;
-    enumerate_calls = e.enumerate_calls;
-    requeues = e.requeue_events;
-    overshoot_ops = e.overshoot_ops;
   }
 
 let pp_stats ppf s =
@@ -1009,10 +936,10 @@ let pp_stats ppf s =
      msgs lost: %d, duplicated: %d, retransmissions: %d@,\
      timeout aborts: %d, missed detector rounds: %d"
     s.ticks s.commits s.deadlocks s.local_deadlocks s.global_deadlocks
-    s.wounds s.rollbacks s.ops_lost s.messages s.shipped_copies
-    s.detection_rounds s.site_crashes s.site_recoveries s.purged_locks
-    s.msgs_lost s.msgs_duplicated s.retransmissions s.timeout_aborts
-    s.missed_rounds;
+    s.preventions s.rollbacks s.ops_lost s.messages s.shipped_copies
+    s.detection_passes s.site_crashes s.site_recoveries s.purged_locks
+    s.msgs_lost s.msgs_duplicated s.retransmissions s.timeouts
+    s.missed_passes;
   if s.deferred_detection then
     Fmt.pf ppf
       "@,starvation fallbacks: %d@,\

@@ -81,21 +81,21 @@ type config = {
   policy : Prb_core.Policy.t;
   seed : int;
   max_ticks : int;
-  cycle_limit : int;
-  restart_delay : int;
   faults : Prb_fault.Fault.plan option;
       (** [None] (default) is the failure-free world; [Some plan] enables
           site crashes, message faults and detector outages *)
   clock : (unit -> float) option;
       (** wall-clock source for the detection-cost accounting
-          ({!stats.check_seconds}/{!stats.enumerate_seconds}); [None]
+          ([check_seconds]/[enumerate_seconds] in {!stats}); [None]
           (default) records zero. Orthogonal to determinism: the clock
           only feeds the cost counters, never control flow *)
 }
 
 val default_config : config
 (** 4 sites, [Local_then_global 50], [Eager] detection policy (no
-    starvation limit), [Sdg], no faults, and — unlike the centralised
+    starvation limit), [Sdg], no faults,
+    {!Prb_core.Engine.default_cycle_limit} cycles per deadlock, and —
+    unlike the centralised
     engine — the [Youngest] victim policy: periodic global detection
     works from stale snapshots without a meaningful requester, and the
     cost-optimising policies then re-victimise the same cheap transaction
@@ -114,7 +114,9 @@ val create :
   Prb_storage.Store.t ->
   t
 (** [site_of] defaults to a deterministic hash of the entity name modulo
-    [n_sites]. *)
+    [n_sites]. @raise Invalid_argument when [n_sites < 1], on a
+    [Local_then_global] period below 1, or on a [Periodic n] detection
+    policy with [n < 1] ({!Prb_core.Detection_policy.check}). *)
 
 val submit : t -> home:int -> Prb_txn.Program.t -> int
 (** Timestamps for wound-wait are admission order (smaller id = older). *)
@@ -129,66 +131,21 @@ val txn_state : t -> int -> Prb_rollback.Txn_state.t
 val history : t -> Prb_history.History.t
 val site_of : t -> Prb_storage.Store.entity -> int
 
-val site_up : t -> int -> bool
-(** False while the site is crashed (always true without a fault plan). *)
-
 val waits_for : t -> Prb_wfg.Waits_for.t
 (** Live view — do not mutate. *)
 
 val lock_table : t -> Prb_lock.Lock_table.t
 (** Live view — do not mutate. *)
 
-type stats = {
-  ticks : int;
-  commits : int;
-  deadlocks : int;
-  local_deadlocks : int;  (** resolved instantly by one site *)
-  global_deadlocks : int;  (** found only by the periodic detector *)
-  wounds : int;
-  rollbacks : int;
-  ops_lost : int;
-  messages : int;
-  shipped_copies : int;
-      (** version-bookkeeping volume that chased moving transactions —
-          zero under [Total] *)
-  detection_rounds : int;
-  (* failure-regime counters; all zero without a fault plan *)
-  site_crashes : int;
-  site_recoveries : int;
-  purged_locks : int;  (** stale rows dropped by lock-table rebuilds *)
-  msgs_lost : int;
-  msgs_duplicated : int;
-  retransmissions : int;
-  timeout_aborts : int;  (** degraded-mode aborts while the detector was out *)
-  missed_rounds : int;  (** detection rounds skipped by detector outages *)
-  deferred_detection : bool;
-      (** the run used a non-[Eager] detection policy; drives which stat
-          lines {!pp_stats} prints, keeping eager output byte-identical *)
-  starvation_fallbacks : int;
-      (** resolutions where a cycle offered no non-immune victim and the
-          starvation guard was overridden *)
-  max_blocked_ticks : int;  (** longest completed blocking episode *)
-  total_blocked_ticks : int;  (** Σ durations of completed episodes *)
-  max_txn_rollbacks : int;
-      (** rollbacks suffered by the worst-hit transaction — bounded by
-          [starvation_limit] plus degraded-mode forced restarts whenever
-          [starvation_fallbacks] is 0 *)
-  check_seconds : float;
-      (** wall time inside the block-time would-deadlock probes; 0 unless
-          the config supplies a {!config.clock} *)
-  check_calls : int;  (** would-deadlock probes run at block time *)
-  enumerate_seconds : float;
-      (** wall time enumerating cycles for the resolver, block-time local
-          checks and global rounds alike; 0 unless the config supplies a
-          clock *)
-  enumerate_calls : int;  (** cycle enumerations run *)
-  requeues : int;
-      (** victims whose arcs were all queue arcs, broken by cancelling the
-          pending request (no progress lost) *)
-  overshoot_ops : int;
-      (** progress rollbacks destroyed beyond the minimal release point —
-          0 under [Mcs]; not printed by {!pp_stats} *)
-}
+(** The statistics record both engines report
+    ({!Prb_core.Run_stats.stats}). This engine supplies the site, message
+    and message-fault counters and the local/global deadlock split;
+    [timeouts] counts degraded-mode aborts while the detector was out,
+    [detection_passes] global rounds and [missed_passes] rounds skipped by
+    detector outages. [txn_crashes] and [watchdog_fires] read 0. *)
+include module type of struct
+  include Prb_core.Run_stats
+end
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

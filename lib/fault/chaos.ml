@@ -7,6 +7,8 @@ module Rng = Prb_util.Rng
 module Lock_table = Prb_lock.Lock_table
 module History = Prb_history.History
 module Scheduler = Prb_core.Scheduler
+module Engine = Prb_core.Engine
+module Run_stats = Prb_core.Run_stats
 module Detection_policy = Prb_core.Detection_policy
 module D = Prb_distrib.Dist_scheduler
 
@@ -110,6 +112,37 @@ let residual_locks locks =
       | n -> Some (e, n))
     accounts
 
+(* The one fingerprint of a finished run, over the record both engines
+   report. [faults_seen] is the documented sum; each engine leaves the
+   counters it has no use for at 0. *)
+let execution ~stuck ~all_committed history locks store (s : Run_stats.stats) =
+  let serializable = History.serializable history in
+  {
+    x_commits = s.commits;
+    x_ticks = s.ticks;
+    x_faults =
+      s.msgs_lost + s.msgs_duplicated + s.site_crashes + s.txn_crashes
+      + s.missed_passes;
+    x_all_committed = all_committed;
+    x_serializable = serializable;
+    x_witness_ok =
+      (not serializable)
+      || Option.is_some (History.equivalent_serial_order history);
+    x_residual_locks = residual_locks locks;
+    x_store = Store.snapshot store;
+    x_sum_ok = Store.Constraint.holds conserved store;
+    x_stuck = stuck;
+    x_max_rollbacks = s.max_txn_rollbacks;
+    x_starved_fallbacks = s.starvation_fallbacks;
+    x_forced_restarts = s.timeouts;
+  }
+
+let stuck_of run =
+  try
+    run ();
+    None
+  with Engine.Stuck msg -> Some msg
+
 let exec_centralized ?(detection = Detection_policy.Eager) ?starvation_limit
     ~seed plan =
   let store = fresh_store () in
@@ -126,32 +159,11 @@ let exec_centralized ?(detection = Detection_policy.Eager) ?starvation_limit
   let sched = Scheduler.create ~config store in
   List.iter (fun p -> ignore (Scheduler.submit sched p))
     (transfer_programs ~seed);
-  let stuck =
-    try
-      Scheduler.run sched;
-      None
-    with Scheduler.Stuck msg -> Some msg
-  in
-  let s = Scheduler.stats sched in
-  let history = Scheduler.history sched in
-  let serializable = History.serializable history in
-  {
-    x_commits = s.Scheduler.commits;
-    x_ticks = s.Scheduler.ticks;
-    x_faults = s.Scheduler.txn_crashes;
-    x_all_committed = Scheduler.all_committed sched;
-    x_serializable = serializable;
-    x_witness_ok =
-      (not serializable)
-      || Option.is_some (History.equivalent_serial_order history);
-    x_residual_locks = residual_locks (Scheduler.lock_table sched);
-    x_store = Store.snapshot store;
-    x_sum_ok = Store.Constraint.holds conserved store;
-    x_stuck = stuck;
-    x_max_rollbacks = s.Scheduler.max_txn_rollbacks;
-    x_starved_fallbacks = s.Scheduler.starvation_fallbacks;
-    x_forced_restarts = s.Scheduler.timeouts;
-  }
+  let stuck = stuck_of (fun () -> Scheduler.run sched) in
+  execution ~stuck
+    ~all_committed:(Scheduler.all_committed sched)
+    (Scheduler.history sched) (Scheduler.lock_table sched) store
+    (Scheduler.stats sched)
 
 let exec_distributed ?(detection = Detection_policy.Eager) ?starvation_limit
     ~seed plan =
@@ -171,34 +183,9 @@ let exec_distributed ?(detection = Detection_policy.Eager) ?starvation_limit
   List.iteri
     (fun k p -> ignore (D.submit sched ~home:(k mod n_sites) p))
     (transfer_programs ~seed);
-  let stuck =
-    try
-      D.run sched;
-      None
-    with D.Stuck msg -> Some msg
-  in
-  let s = D.stats sched in
-  let history = D.history sched in
-  let serializable = History.serializable history in
-  {
-    x_commits = s.D.commits;
-    x_ticks = s.D.ticks;
-    x_faults =
-      s.D.msgs_lost + s.D.msgs_duplicated + s.D.site_crashes
-      + s.D.missed_rounds;
-    x_all_committed = D.all_committed sched;
-    x_serializable = serializable;
-    x_witness_ok =
-      (not serializable)
-      || Option.is_some (History.equivalent_serial_order history);
-    x_residual_locks = residual_locks (D.lock_table sched);
-    x_store = Store.snapshot store;
-    x_sum_ok = Store.Constraint.holds conserved store;
-    x_stuck = stuck;
-    x_max_rollbacks = s.D.max_txn_rollbacks;
-    x_starved_fallbacks = s.D.starvation_fallbacks;
-    x_forced_restarts = s.D.timeout_aborts;
-  }
+  let stuck = stuck_of (fun () -> D.run sched) in
+  execution ~stuck ~all_committed:(D.all_committed sched) (D.history sched)
+    (D.lock_table sched) store (D.stats sched)
 
 let execute ?detection ?starvation_limit engine ~seed plan =
   match engine with

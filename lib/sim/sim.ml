@@ -22,6 +22,27 @@ type result = {
   enumerate_calls : int;
 }
 
+let result sched ~store programs =
+  let stats = Scheduler.stats sched in
+  let fl = float_of_int in
+  let per x y = if y = 0 then nan else fl x /. fl y in
+  {
+    stats;
+    n_txns = List.length programs;
+    throughput = per (1000 * stats.commits) stats.ticks;
+    deadlock_rate = per stats.deadlocks stats.commits;
+    mean_rollback_cost = per stats.ops_lost stats.rollbacks;
+    wasted_fraction =
+      per (stats.ops_executed - stats.ops_committed) stats.ops_executed;
+    serializable = History.serializable (Scheduler.history sched);
+    peak_copies = stats.peak_copies;
+    store_installs = Store.install_count store;
+    check_seconds = stats.check_seconds;
+    check_calls = stats.check_calls;
+    enumerate_seconds = stats.enumerate_seconds;
+    enumerate_calls = stats.enumerate_calls;
+  }
+
 let run ?(config = default_config) ~store programs =
   if config.mpl < 1 then invalid_arg "Sim.run: mpl must be >= 1";
   let sched = Scheduler.create ~config:config.scheduler store in
@@ -49,34 +70,7 @@ let run ?(config = default_config) ~store programs =
   while Scheduler.step sched do
     refill ()
   done;
-  let stats = Scheduler.stats sched in
-  let n_txns = List.length programs in
-  let fl = float_of_int in
-  {
-    stats;
-    n_txns;
-    throughput =
-      (if stats.Scheduler.ticks = 0 then nan
-       else 1000.0 *. fl stats.Scheduler.commits /. fl stats.Scheduler.ticks);
-    deadlock_rate =
-      (if stats.Scheduler.commits = 0 then nan
-       else fl stats.Scheduler.deadlocks /. fl stats.Scheduler.commits);
-    mean_rollback_cost =
-      (if stats.Scheduler.rollbacks = 0 then nan
-       else fl stats.Scheduler.ops_lost /. fl stats.Scheduler.rollbacks);
-    wasted_fraction =
-      (if stats.Scheduler.ops_executed = 0 then nan
-       else
-         fl (stats.Scheduler.ops_executed - stats.Scheduler.ops_committed)
-         /. fl stats.Scheduler.ops_executed);
-    serializable = History.serializable (Scheduler.history sched);
-    peak_copies = stats.Scheduler.peak_copies;
-    store_installs = Store.install_count store;
-    check_seconds = Scheduler.check_seconds sched;
-    check_calls = Scheduler.check_calls sched;
-    enumerate_seconds = Scheduler.enumerate_seconds sched;
-    enumerate_calls = Scheduler.enumerate_calls sched;
-  }
+  result sched ~store programs
 
 let run_generated ?config ~params ~seed ~n_txns () =
   let store = Prb_workload.Generator.populate params in
@@ -113,42 +107,13 @@ module Open = struct
     while Scheduler.step sched do
       ()
     done;
-    let stats = Scheduler.stats sched in
     let latencies =
       List.filter_map
         (fun id -> Option.map float_of_int (Scheduler.latency sched id))
         ids
       |> Array.of_list
     in
-    let n_txns = List.length programs in
-    let fl = float_of_int in
-    let closed =
-      {
-        stats;
-        n_txns;
-        throughput =
-          (if stats.Scheduler.ticks = 0 then nan
-           else 1000.0 *. fl stats.Scheduler.commits /. fl stats.Scheduler.ticks);
-        deadlock_rate =
-          (if stats.Scheduler.commits = 0 then nan
-           else fl stats.Scheduler.deadlocks /. fl stats.Scheduler.commits);
-        mean_rollback_cost =
-          (if stats.Scheduler.rollbacks = 0 then nan
-           else fl stats.Scheduler.ops_lost /. fl stats.Scheduler.rollbacks);
-        wasted_fraction =
-          (if stats.Scheduler.ops_executed = 0 then nan
-           else
-             fl (stats.Scheduler.ops_executed - stats.Scheduler.ops_committed)
-             /. fl stats.Scheduler.ops_executed);
-        serializable = History.serializable (Scheduler.history sched);
-        peak_copies = stats.Scheduler.peak_copies;
-        store_installs = Store.install_count store;
-        check_seconds = Scheduler.check_seconds sched;
-        check_calls = Scheduler.check_calls sched;
-        enumerate_seconds = Scheduler.enumerate_seconds sched;
-        enumerate_calls = Scheduler.enumerate_calls sched;
-      }
-    in
+    let closed = result sched ~store programs in
     let pct p =
       if Array.length latencies = 0 then nan
       else Prb_util.Stats.percentile latencies p
@@ -158,7 +123,9 @@ module Open = struct
       offered_rate = arrivals_per_ktick;
       mean_latency =
         (if Array.length latencies = 0 then nan
-         else Array.fold_left ( +. ) 0.0 latencies /. fl (Array.length latencies));
+         else
+           Array.fold_left ( +. ) 0.0 latencies
+           /. float_of_int (Array.length latencies));
       p50_latency = pct 50.0;
       p95_latency = pct 95.0;
       max_latency = pct 100.0;

@@ -12,6 +12,8 @@ module Expr = Prb_txn.Expr
 module History = Prb_history.History
 module Scheduler = Prb_core.Scheduler
 module Policy = Prb_core.Policy
+module Run_stats = Prb_core.Run_stats
+module DP = Prb_core.Detection_policy
 module Sim = Prb_sim.Sim
 
 let checkb = Alcotest.(check bool)
@@ -53,7 +55,7 @@ let test_wound_wait_completes_deadlock_free () =
       let r = run_workload D.Wound_wait strategy in
       checki "all commit" 60 r.Dist_sim.stats.D.commits;
       checki "zero deadlocks" 0 r.Dist_sim.stats.D.deadlocks;
-      checkb "wounds happened" true (r.Dist_sim.stats.D.wounds > 0);
+      checkb "wounds happened" true (r.Dist_sim.stats.D.preventions > 0);
       checkb "serializable" true r.Dist_sim.serializable)
     Strategy.all_basic
 
@@ -69,7 +71,7 @@ let test_partial_ships_bookkeeping () =
 let test_messages_accounted () =
   let r = run_workload (D.Local_then_global 40) Strategy.Sdg in
   checkb "remote traffic exists" true (r.Dist_sim.stats.D.messages > 0);
-  checkb "detector ran" true (r.Dist_sim.stats.D.detection_rounds > 0)
+  checkb "detector ran" true (r.Dist_sim.stats.D.detection_passes > 0)
 
 let test_single_site_degenerates () =
   (* one site: everything local, no messages, local detection only *)
@@ -91,7 +93,7 @@ let test_single_site_degenerates () =
   checki "commits" 40 r.Dist_sim.stats.D.commits;
   checki "no global deadlocks" 0 r.Dist_sim.stats.D.global_deadlocks;
   checki "no remote messages" 0
-    (r.Dist_sim.stats.D.messages - r.Dist_sim.stats.D.detection_rounds)
+    (r.Dist_sim.stats.D.messages - r.Dist_sim.stats.D.detection_passes)
 
 let test_cross_site_deadlock_needs_global_detector () =
   (* a two-site deadlock: the contested entities live on different sites,
@@ -119,7 +121,7 @@ let test_cross_site_deadlock_needs_global_detector () =
   checki "both commit" 2 s.D.commits;
   checki "no local deadlock seen" 0 s.D.local_deadlocks;
   checkb "global detector resolved it" true (s.D.global_deadlocks >= 1);
-  checkb "stalled until a detection round" true (s.D.detection_rounds >= 1);
+  checkb "stalled until a detection round" true (s.D.detection_passes >= 1);
   checkb "serializable" true (History.serializable (D.history d))
 
 let test_same_site_deadlock_resolved_locally () =
@@ -177,7 +179,7 @@ let test_wound_wait_orders_by_age () =
   D.run d;
   let s = D.stats d in
   checki "both commit" 2 s.D.commits;
-  checkb "the younger holder was wounded" true (s.D.wounds >= 1);
+  checkb "the younger holder was wounded" true (s.D.preventions >= 1);
   checkb "serializable" true (History.serializable (D.history d))
 
 let test_deterministic () =
@@ -226,7 +228,6 @@ let qcheck_distrib_serializable =
    and escalation, this run re-picked one local victim 11,412 times and
    stopped at 396 of 500 commits. *)
 let test_deferred_policies_complete () =
-  let module DP = Prb_core.Detection_policy in
   let completes ~params ~seed ~n ~mpl scheduler =
     let programs = Generator.generate params ~seed ~n in
     let r =
@@ -318,6 +319,36 @@ let test_requeues_and_overshoot_counted () =
       end)
     Strategy.all_basic
 
+(* Both engines report one record; a test that reads it through one
+   function also pins that [Scheduler.stats] and [D.stats] are that type.
+   Check and enumerate call counts are left out: the engines detect
+   differently. *)
+let check_same_counters name (c : Run_stats.stats) (d : Run_stats.stats) =
+  List.iter
+    (fun (what, get) -> checki (name ^ ": " ^ what) (get c) (get d))
+    Run_stats.
+      [
+        ("commits", fun s -> s.commits);
+        ("ticks", fun s -> s.ticks);
+        ("deadlocks", fun s -> s.deadlocks);
+        ("cycles broken", fun s -> s.cycles_broken);
+        ("rollbacks", fun s -> s.rollbacks);
+        ("requeues", fun s -> s.requeues);
+        ("ops lost", fun s -> s.ops_lost);
+        ("overshoot", fun s -> s.overshoot_ops);
+        ("ops committed", fun s -> s.ops_committed);
+        ("ops executed", fun s -> s.ops_executed);
+        ("blocks", fun s -> s.blocks);
+        ("peak copies", fun s -> s.peak_copies);
+        ("optimal resolutions", fun s -> s.optimal_resolutions);
+        ("max txn rollbacks", fun s -> s.max_txn_rollbacks);
+        ("max blocked ticks", fun s -> s.max_blocked_ticks);
+        ("total blocked ticks", fun s -> s.total_blocked_ticks);
+        ("starvation fallbacks", fun s -> s.starvation_fallbacks);
+        ("preventions", fun s -> s.preventions);
+        ("timeouts", fun s -> s.timeouts);
+      ]
+
 (* A fault-free single-site distributed run sees every cycle locally at
    block time, so with the central engine's victim policy it reproduces
    the central run exactly (DESIGN.md Section 15). *)
@@ -327,14 +358,30 @@ let test_single_site_matches_central () =
       let c, d = run_both ~n_sites:1 ~policy:Policy.Ordered_min_cost strategy in
       let name = Strategy.to_string strategy in
       checki (name ^ ": global deadlocks") 0 d.D.global_deadlocks;
-      checki (name ^ ": commits") c.Scheduler.commits d.D.commits;
-      checki (name ^ ": ticks") c.Scheduler.ticks d.D.ticks;
-      checki (name ^ ": deadlocks") c.Scheduler.deadlocks d.D.deadlocks;
-      checki (name ^ ": rollbacks") c.Scheduler.rollbacks d.D.rollbacks;
-      checki (name ^ ": requeues") c.Scheduler.requeues d.D.requeues;
-      checki (name ^ ": ops lost") c.Scheduler.ops_lost d.D.ops_lost;
-      checki (name ^ ": overshoot") c.Scheduler.overshoot_ops d.D.overshoot_ops)
+      check_same_counters name c d)
     Strategy.all_basic
+
+(* A [Periodic n] policy with [n < 1] would re-arm its pass at the current
+   tick forever; both engines refuse it at creation. *)
+let test_periodic_below_one_rejected () =
+  List.iter
+    (fun n ->
+      let detection = DP.Periodic n in
+      let err =
+        Invalid_argument
+          (Printf.sprintf "Detection_policy: periodic:%d (period < 1)" n)
+      in
+      Alcotest.check_raises "central" err (fun () ->
+          ignore
+            (Scheduler.create
+               ~config:{ Scheduler.default_config with detection }
+               (Store.of_list [])));
+      Alcotest.check_raises "distributed" err (fun () ->
+          ignore
+            (D.create
+               { D.default_config with detection_policy = detection }
+               (Store.of_list []))))
+    [ 0; -1 ]
 
 let () =
   Alcotest.run "prb_distrib"
@@ -368,5 +415,7 @@ let () =
             test_requeues_and_overshoot_counted;
           Alcotest.test_case "single site matches central" `Quick
             test_single_site_matches_central;
+          Alcotest.test_case "periodic below one rejected" `Quick
+            test_periodic_below_one_rejected;
         ] );
     ]

@@ -205,8 +205,8 @@ let test_detector_outage_degrades () =
   D.run sched;
   let s = D.stats sched in
   checkb "all committed" true (D.all_committed sched);
-  checkb "detector rounds were missed" true (s.D.missed_rounds >= 1);
-  checkb "degraded mode aborted blocked txns" true (s.D.timeout_aborts >= 1);
+  checkb "detector rounds were missed" true (s.D.missed_passes >= 1);
+  checkb "degraded mode aborted blocked txns" true (s.D.timeouts >= 1);
   checkb "serializable" true (History.serializable (D.history sched));
   checkb "no residual locks" true (residual_rows (D.lock_table sched) = [])
 
@@ -399,7 +399,18 @@ let test_chaos_policy_matrix () =
   List.iter (fun r -> Fmt.epr "chaos failure: %a@." Chaos.pp_report r) bad;
   checkb "all policy-matrix runs clean" true (bad = []);
   checkb "outage plans actually injected faults" true
-    (List.exists (fun r -> r.Chaos.faults_seen > 0) reports)
+    (List.exists (fun r -> r.Chaos.faults_seen > 0) reports);
+  (* a central run's missed detector passes are faults it saw *)
+  let central_outage =
+    List.filter
+      (fun r ->
+        r.Chaos.engine = Chaos.Centralized
+        && String.equal r.Chaos.label "adaptive/outage")
+      reports
+  in
+  checki "central adaptive/outage cells" 2 (List.length central_outage);
+  checkb "central outage cells count their missed passes" true
+    (List.for_all (fun r -> r.Chaos.faults_seen >= 1) central_outage)
 
 let () =
   Alcotest.run "prb_fault"
