@@ -1,7 +1,8 @@
 (* The experiment harness: regenerates every figure of the paper and the
    quantitative sweeps behind its claims (experiment ids E1-E12, see
    DESIGN.md Section 5 and EXPERIMENTS.md), then reports micro-benchmark
-   costs of the hot paths.
+   costs of the hot paths. The scaling and detection-policy sweeps (E13,
+   E14) are `prb bench [--quick] [--policies] --json PATH`.
 
    Usage:
      dune exec bench/main.exe            full sweeps (a few minutes)
@@ -17,8 +18,6 @@ let sections =
     ("E9", "three-phase structure", Exp_structure.run);
     ("E10", "distributed systems", Exp_distrib.run);
     ("E12", "fault injection and recovery", Exp_faults.run);
-    ("E13", "scaling sweep (writes BENCH_scale.json)", Exp_scale.run);
-    ("E14", "detection-policy sweep (deferral vs eager)", Exp_policies.run);
     ("MICRO", "hot-path micro-benchmarks", Micro.run);
   ]
 

@@ -36,9 +36,8 @@ let bench_would_deadlock =
   Test.make ~name:"would_deadlock (40-txn chain)"
     (Staged.stage (fun () -> Waits_for.would_deadlock g ~waiter:40 ~holders:[ 0 ]))
 
-(* Multi-holder deadlock check on a long chain: one multi-source DFS with
-   a shared visited set, where the naive form paid one full reachability
-   pass per holder. *)
+(* A multi-holder probe by the head of a 1k chain. Nobody waits on the
+   head, so the in-degree exit answers before any search. *)
 let bench_would_deadlock_multi =
   let g = Waits_for.create () in
   for i = 0 to 1000 do
@@ -52,13 +51,11 @@ let bench_would_deadlock_multi =
          Waits_for.would_deadlock g ~waiter:0
            ~holders:[ 100; 200; 300; 400; 500; 600; 700; 800 ]))
 
-(* Adversarial shapes for the dynamic topological order behind
-   [would_deadlock] (DESIGN §14): each stresses a different part of the
-   bounded affected-region search. *)
+(* Shapes that decide [would_deadlock] in different ways: the in-degree
+   exit, a full walk, and a hit on the first edge searched. *)
 
-(* A long chain probed "downhill": the probe edge agrees with the
-   maintained order, so the affected region is empty and the check
-   answers without walking the chain at all. *)
+(* A long chain probed by its head, which nobody waits on: the in-degree
+   exit answers without walking the chain at all. *)
 let bench_wd_chain_acyclic =
   let n = 4000 in
   let g = Waits_for.create () in
@@ -68,13 +65,12 @@ let bench_wd_chain_acyclic =
   for i = 0 to n - 1 do
     Waits_for.set_wait g ~waiter:i ~holders:[ i + 1 ] "e"
   done;
-  Test.make ~name:"would_deadlock order-pruned (4k chain, acyclic)"
+  Test.make ~name:"would_deadlock in-degree exit (4k chain)"
     (Staged.stage (fun () -> Waits_for.would_deadlock g ~waiter:0 ~holders:[ n ]))
 
-(* The same chain probed "uphill" from tail to head: the one probe that
-   genuinely closes the cycle, so the search must traverse the whole
-   affected region before saying yes — the worst case the prune cannot
-   shrink. *)
+(* The same chain probed by its tail waiting on the head: the probe
+   closes the cycle, and the search walks the whole chain before saying
+   yes. *)
 let bench_wd_chain_cycle =
   let n = 4000 in
   let g = Waits_for.create () in
@@ -84,12 +80,13 @@ let bench_wd_chain_cycle =
   for i = 0 to n - 1 do
     Waits_for.set_wait g ~waiter:i ~holders:[ i + 1 ] "e"
   done;
-  Test.make ~name:"would_deadlock cycle-confirming (4k chain)"
+  Test.make ~name:"would_deadlock chain walk (4k chain, cycle)"
     (Staged.stage (fun () -> Waits_for.would_deadlock g ~waiter:n ~holders:[ 0 ]))
 
 (* A convoy star: every spoke waits on the hub, and the probe asks
    whether the hub may wait back on a handful of them — the shape an
-   exclusive hot entity produces under high contention. *)
+   exclusive hot entity produces under high contention. The first
+   holder's only edge reaches the hub, so the search stops there. *)
 let bench_wd_star =
   let spokes = 256 in
   let g = Waits_for.create () in
@@ -98,15 +95,13 @@ let bench_wd_star =
     Waits_for.add_txn g i;
     Waits_for.set_wait g ~waiter:i ~holders:[ 0 ] "h"
   done;
-  Test.make ~name:"would_deadlock star (256 spokes, 5 holders)"
+  Test.make ~name:"would_deadlock first-edge hit (256-spoke star)"
     (Staged.stage (fun () ->
          Waits_for.would_deadlock g ~waiter:0 ~holders:[ 1; 64; 128; 192; 256 ]))
 
-(* Near-cycle churn: close the chain's back edge (freezing the order
-   while the violation is live), probe under the frozen order, then
-   reopen it. Exercises the insert/freeze/unfreeze maintenance path that
-   deferred detection hits every time a real cycle forms and is then
-   resolved. *)
+(* Edge churn: close the chain's back edge with [set_wait], probe a
+   waiter on it (a first-edge hit), then reopen it with [clear_wait] —
+   the edge traffic of a cycle that forms and is then resolved. *)
 let bench_wd_churn =
   let n = 512 in
   let g = Waits_for.create () in
@@ -116,7 +111,7 @@ let bench_wd_churn =
   for i = 0 to n - 1 do
     Waits_for.set_wait g ~waiter:i ~holders:[ i + 1 ] "e"
   done;
-  Test.make ~name:"near-cycle churn (512 chain close/probe/reopen)"
+  Test.make ~name:"set_wait/clear_wait churn (512 chain)"
     (Staged.stage (fun () ->
          Waits_for.set_wait g ~waiter:n ~holders:[ 0 ] "c";
          ignore (Waits_for.would_deadlock g ~waiter:1 ~holders:[ 0 ]);
@@ -137,8 +132,9 @@ let bench_held_by =
   Test.make ~name:"held_by (3 held, 10k-entry table)"
     (Staged.stage (fun () -> Prb_lock.Lock_table.held_by t 3))
 
-(* The dirty-set resolution fixpoint end to end: a small high-contention
-   run whose deadlock resolutions dominate the tick loop. *)
+(* The resolution fixpoint ([Engine.resolve]) end to end: a small
+   high-contention run whose deadlock resolutions dominate the tick
+   loop. *)
 let bench_fixpoint =
   let params =
     {

@@ -600,9 +600,10 @@ let bench_json_arg =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:
-          "Also write the sweep as machine-readable JSON to $(docv) \
-           (conventionally $(b,BENCH_scale.json) at the repo root, the \
-           file the CI perf gate uploads).")
+          "Also write the sweep as machine-readable JSON to $(docv). \
+           The committed $(b,BENCH_scale.json) is the $(b,--compare) \
+           baseline: writing over it replaces the baseline with this \
+           machine's numbers.")
 
 let bench_compare_arg =
   Arg.(

@@ -3,10 +3,10 @@
     blocked request) and that "On Optimal Deadlock Detection Scheduling"
     (Ling, Chen & Chiang) optimises explicitly.
 
-    Eager detection is correct but taxes every blocked request with a
-    reachability check; under high contention that check is 76–82% of
-    engine wall time (experiment E13). The deferred policies below detect
-    {e less often}, trading prompt resolution for a cheaper request path.
+    Eager detection runs a reachability check on every blocked request.
+    The deferred policies below detect {e less often}, trading prompt
+    resolution for a request path with no check and fewer, batched
+    resolution rounds (experiment E14 measures what that buys).
     Deferral admits {e multi-cycle} deadlocks (several cycles alive at
     once, not all through one requester), which is exactly the regime the
     paper's Section 3.2 minimum-cost vertex cut was built for — the
@@ -61,7 +61,8 @@ val adaptive_min : int
 val adaptive_max : int
 val adaptive_start : int
 
-(** The [Adaptive] cadence, shared by both engines' detection services. *)
+(** The [Adaptive] cadence. The engine core holds one per run and adapts
+    it after each scheduled pass ([Engine.scheduled_pass]). *)
 type cadence = {
   mutable interval : int;  (** ticks until the next pass *)
   mutable quiet : int;  (** consecutive passes that found nothing *)

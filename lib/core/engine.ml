@@ -18,6 +18,8 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type t = {
   strategy : Strategy.t;
   policy : Policy.t;
+  detection : Detection_policy.t;
+  cadence : Detection_policy.cadence;
   starvation_limit : int option;
   cycle_limit : int;
   clock : (unit -> float) option;
@@ -64,11 +66,15 @@ type t = {
 let initial_txn_cap = 64
 let default_cycle_limit = 256
 
-let create ~strategy ~policy ~starvation_limit ~cycle_limit ~clock ~seed ~fair
-    store =
+let create ~strategy ~policy ~detection ~starvation_limit ~cycle_limit ~clock
+    ~seed ~fair store =
+  Detection_policy.check detection;
   {
     strategy;
     policy;
+    detection;
+    cadence =
+      Detection_policy.cadence (Detection_policy.initial_interval detection);
     starvation_limit;
     cycle_limit;
     clock;
@@ -249,7 +255,6 @@ let would_deadlock e ~waiter ~holders =
   clocked e Check deadlock_probe waiter holders
 
 let census wfg seeds () = Waits_for.on_cycle_from wfg seeds
-let on_cycle_from e seeds = clocked e Check census seeds ()
 let enumerate wfg limit requester = Waits_for.enumerate ~limit wfg requester
 
 (* A deferred round's cycle-enumeration budget. An eager round enumerates
@@ -297,11 +302,27 @@ let release_cost e v entities =
      optimiser does not see it as a universally-winning move. *)
   rollback_part + if queued = [] then 0 else 1
 
-let cancel_pending_request e ~grant ~refresh v =
+(* After the holder set of [x] changed without a grant, blocked waiters'
+   waits-for edges must track the new holders. O(1) exit when nothing
+   queues on [x]. *)
+let[@lint.allow
+     "A1: runs only when a contended entity's holder set changed; \
+      re-pointing consumes the waiter/blocker lists the lock-table API \
+      returns, and the uncontended path exits at the has_waiters \
+      check"] refresh_waiters e x =
+  if Lock_table.has_waiters e.locks x then
+    List.iter
+      (fun (w, _) ->
+        match Lock_table.blockers e.locks w with
+        | [] -> () (* about to be granted by the caller's grant pass *)
+        | holders -> Waits_for.set_wait e.wfg ~waiter:w ~holders x)
+      (Lock_table.waiters e.locks x)
+
+let cancel_pending_request e ~grant v =
   match Lock_table.cancel_wait e.locks v with
   | Some (x, grants) ->
       List.iter (fun (w, mode) -> grant w mode x) grants;
-      refresh x
+      refresh_waiters e x
   | None -> ()
 
 (* Roll the transaction back to [target] and hand what it gave up to the
@@ -456,6 +477,73 @@ let resolve_round e ~deferred ~apply requester (cycles : Waits_for.cycles) =
     (fun i (v, entities) -> apply ~deferred ~stagger:i v entities)
     decision.Resolver.victims
 
+(* The first candidate that still has cycles once [keep] has filtered
+   them, with its cycle record. *)
+let rec first_cycles e ~deferred keep = function
+  | [] -> None
+  | b :: rest -> (
+      let cycles = resolver_cycles e ~deferred b in
+      (match keep with
+      | Some keep -> Waits_for.keep_cycles cycles (keep cycles)
+      | None -> ());
+      match cycles.Waits_for.n_cycles with
+      | 0 -> first_cycles e ~deferred keep rest
+      | _ -> Some (b, cycles))
+
+(* One round of the fixpoint over the census's cycle members: [primary]
+   first when it is one of them, then the rest in id order. Returns
+   whether a round was applied. *)
+let[@lint.allow
+     "A1: runs only when the census reported a cycle — cycle enumeration \
+      and victim selection allocate their reports by design"] resolve_one e
+    ~deferred ~keep ~apply primary on_cycle =
+  let candidates =
+    match primary with
+    | Some p when List.exists (Int.equal p) on_cycle ->
+        p :: List.filter (fun v -> not (Int.equal v p)) on_cycle
+    | Some _ | None -> on_cycle
+  in
+  match first_cycles e ~deferred keep candidates with
+  | None ->
+      (* enumeration hit its budget everywhere, or [keep] hid every cycle:
+         the changed set stays, so the next resolution looks again *)
+      false
+  | Some (requester, cycles) ->
+      resolve_round e ~deferred ~apply requester cycles;
+      true
+
+(* Every cycle passes through a changed waiter (Waits_for.changed), so a
+   census seeded there sees them all, and an empty one proves the graph
+   acyclic. A round's requeues, grants and re-pointed edges can leave or
+   close cycles away from the requester, hence the fixpoint. *)
+let rec fixpoint e ~deferred ~keep ~apply primary round =
+  if round > 1000 then raise (Stuck "deadlock resolution did not converge");
+  match Waits_for.changed e.wfg with
+  | [] -> Waits_for.settle e.wfg
+  | seeds -> (
+      match clocked e Check census seeds () with
+      | [] -> Waits_for.settle e.wfg
+      | on_cycle ->
+          if resolve_one e ~deferred ~keep ~apply primary on_cycle then
+            fixpoint e ~deferred ~keep ~apply primary (round + 1))
+
+let[@hot] resolve e ~deferred ?keep ~apply primary =
+  fixpoint e ~deferred ~keep ~apply primary 1
+
+let scheduled_pass e ~outage ~period pass =
+  (if outage then e.missed_passes <- e.missed_passes + 1
+   else
+     let before = e.deadlocks in
+     pass ();
+     match e.detection with
+     | Detection_policy.Adaptive ->
+         Detection_policy.adapt e.cadence ~found:(e.deadlocks > before)
+     | Detection_policy.Eager | Detection_policy.Periodic _ -> ());
+  match e.detection with
+  | Detection_policy.Eager -> period
+  | Detection_policy.Periodic n -> n
+  | Detection_policy.Adaptive -> e.cadence.Detection_policy.interval
+
 (* --- Statistics ---------------------------------------------------- *)
 
 let stats e =
@@ -503,7 +591,7 @@ let stats e =
     msgs_lost = 0;
     msgs_duplicated = 0;
     retransmissions = 0;
-    deferred_detection = false;
+    deferred_detection = not (Detection_policy.is_eager e.detection);
     check_seconds = e.check_seconds;
     check_calls = e.check_calls;
     enumerate_seconds = e.enumerate_seconds;

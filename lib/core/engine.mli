@@ -4,14 +4,15 @@
     distribution changes only what the detector sees and what a rollback
     costs in messages. So the dense per-transaction state, the shared
     counters, the starvation guard, clocked detection calls, victim
-    costing, rollback application and the resolution round live here
-    once, with one resolution rule: a round's [deferred] flag alone
-    decides its cycle budget, its cut-solver routing and its victims'
-    backoff and escalation. Engine-specific steps are plain labelled
-    arguments: [drop_wait v] abandons [v]'s pending request and clears
-    its wait; [release v released] releases what a rollback gave up;
-    [restart v ~resume_at] is the engine's full restart. The core also
-    fills the one {!Run_stats.stats} record both engines report. *)
+    costing, rollback application, the resolution fixpoint and the
+    scheduled detection pass live here once, with one resolution rule: a
+    round's [deferred] flag alone decides its cycle budget, its
+    cut-solver routing and its victims' backoff and escalation.
+    Engine-specific steps are plain labelled arguments: [drop_wait v]
+    abandons [v]'s pending request and clears its wait; [release v
+    released] releases what a rollback gave up; [restart v ~resume_at] is
+    the engine's full restart. The core also fills the one
+    {!Run_stats.stats} record both engines report. *)
 
 module Store = Prb_storage.Store
 module Txn_state = Prb_rollback.Txn_state
@@ -26,6 +27,8 @@ val log_src : Logs.src
 type t = {
   strategy : Prb_rollback.Strategy.t;
   policy : Policy.t;
+  detection : Detection_policy.t;
+  cadence : Detection_policy.cadence;  (** the [Adaptive] pass cadence *)
   starvation_limit : int option;
   cycle_limit : int;
   clock : (unit -> float) option;
@@ -79,6 +82,7 @@ val default_cycle_limit : int
 val create :
   strategy:Prb_rollback.Strategy.t ->
   policy:Policy.t ->
+  detection:Detection_policy.t ->
   starvation_limit:int option ->
   cycle_limit:int ->
   clock:(unit -> float) option ->
@@ -86,6 +90,8 @@ val create :
   fair:bool ->
   Store.t ->
   t
+(** @raise Invalid_argument on a [Periodic n] detection policy with
+    [n < 1] ({!Detection_policy.check}). *)
 
 (** {2 Transactions} *)
 
@@ -133,9 +139,6 @@ val commit :
 val would_deadlock : t -> waiter:int -> holders:int list -> bool
 (** A check. *)
 
-val on_cycle_from : t -> int list -> int list
-(** A check: blocked transactions on a cycle reachable from the seeds. *)
-
 val resolver_cycles : t -> deferred:bool -> int -> Prb_wfg.Waits_for.cycles
 (** An enumeration: at most [cycle_limit] cycles through the requester —
     at most 8 in a [deferred] round — as a flat record of (member, entity
@@ -144,14 +147,14 @@ val resolver_cycles : t -> deferred:bool -> int -> Prb_wfg.Waits_for.cycles
 
 (** {2 Rollback} *)
 
+val refresh_waiters : t -> Store.entity -> unit
+(** The entity's holder set changed without a grant: re-point its blocked
+    waiters' waits-for edges at the new holders. *)
+
 val cancel_pending_request :
-  t ->
-  grant:(int -> Prb_txn.Lock_mode.t -> Store.entity -> unit) ->
-  refresh:(Store.entity -> unit) ->
-  int ->
-  unit
+  t -> grant:(int -> Prb_txn.Lock_mode.t -> Store.entity -> unit) -> int -> unit
 (** Withdraw a queued request, [grant]ing the waiters it unblocks and
-    [refresh]ing the entity's remaining waiters. *)
+    refreshing the entity's remaining waiters. *)
 
 val restart :
   t ->
@@ -210,10 +213,36 @@ val resolve_round :
     @raise Stuck if the waits-for graph has lost an edge since the
     record was enumerated ({!Prb_wfg.Waits_for.intact}). *)
 
+val resolve :
+  t ->
+  deferred:bool ->
+  ?keep:(Prb_wfg.Waits_for.cycles -> int -> bool) ->
+  apply:(deferred:bool -> stagger:int -> int -> Store.entity list -> unit) ->
+  int option ->
+  unit
+(** The resolution fixpoint: until no blocked transaction lies on a
+    cycle, take a census seeded at {!Prb_wfg.Waits_for.changed} (a
+    check), enumerate the cycles through its members — [primary] first
+    when it is one, then ascending — and {!resolve_round} the first with
+    cycles left after [keep] (cycle [k] of a record survives when
+    [keep cycles k]). An empty census {!Prb_wfg.Waits_for.settle}s the
+    graph; when no member has cycles left, it returns unsettled. Both
+    engines' detection passes and the central eager check end here.
+    @raise Stuck after 1000 rounds. *)
+
+val scheduled_pass :
+  t -> outage:bool -> period:int -> (unit -> unit) -> int
+(** One firing of the scheduled detection service: during an [outage] a
+    missed pass, otherwise the pass, whose outcome (did [deadlocks]
+    grow?) adapts the [Adaptive] cadence. Returns the delay until the
+    next firing: the cadence's interval, [n] under [Periodic n], and
+    [period] under [Eager], whose only scheduled passes are the
+    distributed engine's global rounds. *)
+
 (** {2 Statistics} *)
 
 val stats : t -> Run_stats.stats
-(** Every counter the core keeps; the engine-specific ones
-    ([txn_crashes], [watchdog_fires], the site and message counters, the
-    local/global deadlock split) and [deferred_detection] read 0 or
-    [false], for the embedder to supply. *)
+(** Every counter the core keeps, and [deferred_detection]; the
+    engine-specific ones ([txn_crashes], [watchdog_fires], the site and
+    message counters, the local/global deadlock split) read 0, for the
+    embedder to supply. *)

@@ -6,7 +6,6 @@ module Strategy = Prb_rollback.Strategy
 module Txn_state = Prb_rollback.Txn_state
 module History = Prb_history.History
 module Pqueue = Prb_util.Dense.Pqueue
-module Txn_id = Prb_txn.Txn_id
 module Fault = Prb_fault.Fault
 
 type intervention =
@@ -81,27 +80,16 @@ type t = {
   mutable txn_crash_events : int;
   mutable crash_counts : int array;
       (** crashes suffered per transaction, driving re-admission backoff *)
-  mutable wait_dirty : bool array;
-      (** flags transactions whose waits-for out-edges were (re)installed
-          since the graph was last known acyclic; every cycle passes
-          through one of them, so deadlock resolution seeds its search
-          here instead of rescanning all blocked transactions each round.
-          [dirty_ids.(0 .. n_dirty)] lists the flagged ids (unsorted,
-          duplicate-free). *)
-  mutable dirty_ids : int array;
-  mutable n_dirty : int;
   mutable last_detect_tick : int;  (** tick of the last detection sweep *)
-  cadence : Detection_policy.cadence;  (** the [Adaptive] sweep cadence *)
   mutable watchdog_fires : int;
   mutable submit_ticks : int array;  (** [-1] when never submitted *)
   mutable commit_ticks : int array;  (** [-1] when uncommitted *)
 }
 
 let create ?(config = default_config) store =
-  Detection_policy.check config.detection;
   let eng =
     Engine.create ~strategy:config.strategy ~policy:config.policy
-      ~starvation_limit:config.starvation_limit
+      ~detection:config.detection ~starvation_limit:config.starvation_limit
       ~cycle_limit:config.cycle_limit ~clock:config.clock ~seed:config.seed
       ~fair:config.fair_locking store
   in
@@ -112,13 +100,7 @@ let create ?(config = default_config) store =
       eng;
       txn_crash_events = 0;
       crash_counts = Array.make cap 0;
-      wait_dirty = Array.make cap false;
-      dirty_ids = Array.make 16 0;
-      n_dirty = 0;
       last_detect_tick = 0;
-      cadence =
-        Detection_policy.cadence
-          (Detection_policy.initial_interval config.detection);
       watchdog_fires = 0;
       submit_ticks = Array.make cap (-1);
       commit_ticks = Array.make cap (-1);
@@ -158,7 +140,6 @@ let submit_at ?copy_allocation t ~at program =
   let cap = Array.length e.txns in
   if cap > Array.length t.crash_counts then begin
     t.crash_counts <- Engine.grown t.crash_counts cap 0;
-    t.wait_dirty <- Engine.grown t.wait_dirty cap false;
     t.submit_ticks <- Engine.grown t.submit_ticks cap (-1);
     t.commit_ticks <- Engine.grown t.commit_ticks cap (-1)
   end;
@@ -186,42 +167,6 @@ let n_blocked_tracked t = t.eng.n_blocked
 let schedule t id =
   Pqueue.push t.eng.events ~priority:(t.eng.tick + 1) ~tag:ev_exec ~a:id ~b:0
 
-(* Every (re)installation of wait edges goes through here so the dirty
-   set stays a sound overapproximation of "out-edges changed since the
-   graph was last acyclic" — the invariant resolve_deadlocks leans on.
-   The flag array keeps [dirty_ids] duplicate-free. *)
-let[@lint.allow
-     "A1: amortized dirty-set doubling; steady-state marking writes in \
-      place"] set_wait t ~waiter ~holders e =
-  Waits_for.set_wait t.eng.wfg ~waiter ~holders e;
-  if not t.wait_dirty.(waiter) then begin
-    t.wait_dirty.(waiter) <- true;
-    (if t.n_dirty = Array.length t.dirty_ids then begin
-       let b = Array.make (2 * t.n_dirty) 0 in
-       Array.blit t.dirty_ids 0 b 0 t.n_dirty;
-       t.dirty_ids <- b
-     end);
-    t.dirty_ids.(t.n_dirty) <- waiter;
-    t.n_dirty <- t.n_dirty + 1
-  end
-
-(* After the holder set of [e] changed without a grant, blocked waiters'
-   waits-for edges must track the new holders. O(1) exit when nothing
-   queues on [e]. *)
-let[@lint.allow
-     "A1: runs only when a contended entity's holder set changed; \
-      re-pointing consumes the waiter/blocker lists the lock-table API \
-      returns, and the uncontended path exits at the has_waiters \
-      check"] refresh_waiters t e =
-  let locks = t.eng.locks in
-  if Lock_table.has_waiters locks e then
-    List.iter
-      (fun (w, _) ->
-        match Lock_table.blockers locks w with
-        | [] -> () (* about to be granted by the caller's grant pass *)
-        | holders -> set_wait t ~waiter:w ~holders e)
-      (Lock_table.waiters locks e)
-
 let process_one_grant t w mode e =
   let eng = t.eng in
   (Log.debug (fun m ->
@@ -248,13 +193,12 @@ let rec process_grants_on t e = function
    survivors re-point their edges. *)
 let release_lock t id e =
   process_grants_on t e (Lock_table.release t.eng.locks id e);
-  refresh_waiters t e
+  Engine.refresh_waiters t.eng e
 
 (* --- Rollback: this engine's steps for the shared core ------------- *)
 
 let drop_wait t v =
-  Engine.cancel_pending_request t.eng ~grant:(process_one_grant t)
-    ~refresh:(refresh_waiters t) v;
+  Engine.cancel_pending_request t.eng ~grant:(process_one_grant t) v;
   Waits_for.clear_wait t.eng.wfg v;
   Engine.note_unblocked t.eng v
 
@@ -282,116 +226,14 @@ let roll_back_victim t ~deferred ~stagger v entities =
 
 (* --- Deadlock resolution ------------------------------------------- *)
 
-(* Resolve until no blocked transaction lies on a cycle. New requests can
-   only close cycles through the requester, but a resolution round's side
-   effects (requeues, grants, edge re-pointing) can leave or create cycles
-   elsewhere.
-
-   The fixpoint is incremental: the graph was acyclic the last time the
-   dirty set was cleared, and every edge (re)installation since marks its
-   waiter dirty, so any cycle now alive passes through a dirty blocked
-   transaction. Each round therefore seeds one SCC pass at the dirty
-   transactions instead of running full cycle analyses over every blocked
-   transaction; a round with no blocked dirty transaction, or whose seeded
-   SCC pass finds no cycle, proves the whole graph acyclic and clears the
-   set. The requester examined first is chosen exactly as the full rescan
-   did — [primary] when it lies on a cycle, else the smallest blocked id
-   on one — so victim choices (and hence all statistics) are unchanged.
-
-   [primary = None] is a full sweep (deferred policies, watchdog): same
-   fixpoint, no preferred requester. *)
-let rd_converged t =
-  for i = 0 to t.n_dirty - 1 do
-    t.wait_dirty.(t.dirty_ids.(i)) <- false
-  done;
-  t.n_dirty <- 0
-
-(* Ascending-id seed order is part of the replayable contract (it was
-   [Util.sorted_keys] over the dirty table); a round's resolutions can
-   append new dirty ids, so the prefix is re-sorted every round. The
-   insertion-shift is a top-level int-annotated helper so the sort
-   neither builds a closure nor falls back to polymorphic compare. *)
-let rec rd_shift (a : int array) j x =
-  if j >= 0 && a.(j) > x then begin
-    a.(j + 1) <- a.(j);
-    rd_shift a (j - 1) x
-  end
-  else a.(j + 1) <- x
-
-let rd_sort_dirty t =
-  let a = t.dirty_ids in
-  for i = 1 to t.n_dirty - 1 do
-    rd_shift a (i - 1) a.(i)
-  done
-
-let[@lint.allow
-     "A1: builds the SCC seed list only while dirty blocked transactions \
-      exist; the clean-graph fixpoint round allocates \
-      nothing"] rec rd_seeds t i acc =
-  if i < 0 then acc
-  else
-    let id = t.dirty_ids.(i) in
-    rd_seeds t (i - 1)
-      (if Waits_for.is_blocked t.eng.wfg id then id :: acc else acc)
-
-(* One cycle-handling step of the fixpoint: victim selection over the
-   cycles through the first candidate that yields any within budget.
-   Returns whether a round was applied (and the fixpoint must rerun). *)
-let[@lint.allow
-     "A1: runs only when the seeded SCC pass reported a cycle — cycle \
-      enumeration and victim selection allocate their reports by \
-      design"] rd_round t ~deferred primary on_cycle =
-  let candidates =
-    match primary with
-    | Some p when List.exists (Txn_id.equal p) on_cycle ->
-        p :: List.filter (fun v -> not (Txn_id.equal v p)) on_cycle
-    | Some _ | None -> on_cycle
-  in
-  let cycle_site =
-    List.find_map
-      (fun b ->
-        let cycles = Engine.resolver_cycles t.eng ~deferred b in
-        if cycles.Waits_for.n_cycles = 0 then None else Some (b, cycles))
-      candidates
-  in
-  match cycle_site with
-  | None ->
-      (* Cycle enumeration hit its budget everywhere it looked: leave the
-         dirty set in place so the next resolution revisits these
-         transactions. *)
-      false
-  | Some (requester, cycles) ->
-      Engine.resolve_round t.eng ~deferred ~apply:(roll_back_victim t)
-        requester cycles;
-      true
-
-let rec rd_fixpoint t ~deferred primary round =
-  if round > 1000 then raise (Stuck "deadlock resolution did not converge");
-  rd_sort_dirty t;
-  match rd_seeds t (t.n_dirty - 1) [] with
-  | [] -> rd_converged t
-  | seeds -> (
-      match Engine.on_cycle_from t.eng seeds with
-      | [] -> rd_converged t
-      | on_cycle ->
-          if rd_round t ~deferred primary on_cycle then
-            rd_fixpoint t ~deferred primary (round + 1))
-
-let[@hot] resolve_deadlocks t ~deferred primary =
-  rd_fixpoint t ~deferred primary 1
-
 (* A full detection sweep (periodic/adaptive tick or watchdog): one run
-   of the global fixpoint, whose check/enumerate cost bills itself at the
-   waits-for call sites. Returns whether it found any deadlock, which
-   drives the adaptive cadence. *)
+   of the engine's fixpoint with no preferred requester. *)
 let[@lint.allow
      "A1: a full detection sweep is scheduled work off the request \
       path"] run_sweep t =
   t.eng.detection_passes <- t.eng.detection_passes + 1;
-  let before = t.eng.deadlocks in
-  resolve_deadlocks t ~deferred:true None;
-  t.last_detect_tick <- t.eng.tick;
-  t.eng.deadlocks > before
+  Engine.resolve t.eng ~deferred:true ~apply:(roll_back_victim t) None;
+  t.last_detect_tick <- t.eng.tick
 
 (* Detector outages model the asynchronous detector service being down:
    scheduled passes are suppressed (counted as missed) while the current
@@ -489,7 +331,7 @@ let handle_lock_request t id mode e =
          (a shared request joining shared holders past a queued exclusive
          one): their waits-for edges must follow, or cycles through the
          new holder are invisible to later deadlock checks. *)
-      refresh_waiters t e;
+      Engine.refresh_waiters eng e;
       schedule t id
   | Lock_table.Blocked holders -> (
       (Log.debug (fun m ->
@@ -498,7 +340,7 @@ let handle_lock_request t id mode e =
              (String.concat "," (List.map (Printf.sprintf "T%d") holders)))
        [@lint.allow
          "A1: log msgf closure renders only when a reporter is armed"]);
-      set_wait t ~waiter:id ~holders e;
+      Waits_for.set_wait eng.wfg ~waiter:id ~holders e;
       (* Every block is tracked, whatever the intervention: the duration
          feeds the blocked-time statistics and the stall watchdog;
          [Timeout_abort] timers read it as before. *)
@@ -513,7 +355,8 @@ let handle_lock_request t id mode e =
                  bills its enumeration to the enumerate counters and its
                  rollback work to nobody. *)
               if Engine.would_deadlock eng ~waiter:id ~holders then
-                (resolve_deadlocks t ~deferred:false (Some id)
+                (Engine.resolve eng ~deferred:false
+                   ~apply:(roll_back_victim t) (Some id)
                  [@lint.allow
                    "A1: a detected deadlock hands the requester to \
                     resolution, which allocates by design"])
@@ -550,7 +393,7 @@ let[@lint.allow
         (Lock_table.release_all eng.locks id);
       (* every entity whose holder set changed needs its waiters
          re-pointed *)
-      List.iter (fun (e, _) -> refresh_waiters t e) held);
+      List.iter (fun (e, _) -> Engine.refresh_waiters eng e) held);
   Log.debug (fun m -> m "[%d] T%d committed" eng.tick id);
   t.commit_ticks.(id) <- eng.tick
 
@@ -601,22 +444,15 @@ let[@lint.allow
       are off the request path"] handle_detect_tick t =
   (* the sweep chain: run (or miss, during an outage) a full pass and
      reschedule — self-perpetuating so deadlocked configurations always
-     have a pending wake source *)
+     have a pending wake source. Only a deferred policy arms it, so the
+     [Eager] period is never read. *)
   let eng = t.eng in
-  let events = eng.events and now = eng.tick in
-  match t.cfg.detection with
-  | Detection_policy.Periodic n ->
-      if in_detector_outage t then eng.missed_passes <- eng.missed_passes + 1
-      else ignore (run_sweep t);
-      Pqueue.push events ~priority:(now + n) ~tag:ev_detect_tick ~a:0 ~b:0
-  | Detection_policy.Adaptive ->
-      (if in_detector_outage t then
-         eng.missed_passes <- eng.missed_passes + 1
-       else Detection_policy.adapt t.cadence ~found:(run_sweep t));
-      Pqueue.push events
-        ~priority:(now + t.cadence.Detection_policy.interval)
-        ~tag:ev_detect_tick ~a:0 ~b:0
-  | Detection_policy.Eager -> ()
+  let delay =
+    Engine.scheduled_pass eng ~outage:(in_detector_outage t) ~period:0
+      (fun () -> run_sweep t)
+  in
+  Pqueue.push eng.events ~priority:(eng.tick + delay) ~tag:ev_detect_tick ~a:0
+    ~b:0
 
 (* Ascending-id scan over tracked blocks, stopping at the first stalled
    transaction — the short-circuit the sorted fold had. Top-level and
@@ -650,7 +486,7 @@ let handle_watchdog t =
            m "[%d] stall watchdog: forcing a full sweep" eng.tick)
        [@lint.allow
          "A1: log msgf closure renders only when a reporter is armed"]);
-      ignore (run_sweep t)
+      run_sweep t
     end;
     Pqueue.push eng.events
       ~priority:(eng.tick + max (bound / 2) 1)
@@ -712,7 +548,6 @@ let stats t =
     (Engine.stats t.eng) with
     txn_crashes = t.txn_crash_events;
     watchdog_fires = t.watchdog_fires;
-    deferred_detection = not (Detection_policy.is_eager t.cfg.detection);
   }
 
 let pp_stats ppf s =

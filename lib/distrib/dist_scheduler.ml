@@ -108,7 +108,6 @@ type t = {
   mutable msgs_lost : int;
   mutable msgs_duplicated : int;
   mutable retransmissions : int;
-  cadence : Detection_policy.cadence;  (** the [Adaptive] service cadence *)
 }
 
 (* --- Events ---------------------------------------------------------- *)
@@ -175,7 +174,6 @@ let default_site_of n_sites e =
 
 let create ?site_of config store =
   if config.n_sites < 1 then invalid_arg "Dist_scheduler: n_sites < 1";
-  Detection_policy.check config.detection_policy;
   let site_fn =
     match site_of with
     | Some f -> f
@@ -188,6 +186,7 @@ let create ?site_of config store =
   in
   let eng =
     Engine.create ~strategy:config.strategy ~policy:config.policy
+      ~detection:config.detection_policy
       ~starvation_limit:config.starvation_limit
       ~cycle_limit:Engine.default_cycle_limit ~clock:config.clock
       ~seed:config.seed ~fair:true store
@@ -213,9 +212,6 @@ let create ?site_of config store =
       msgs_lost = 0;
       msgs_duplicated = 0;
       retransmissions = 0;
-      cadence =
-        Detection_policy.cadence
-          (Detection_policy.initial_interval config.detection_policy);
     }
   in
   (match config.detection with
@@ -234,7 +230,16 @@ let create ?site_of config store =
   | None -> ());
   t
 
-let site_of t e = t.site_fn e
+(* A caller's map may name a site that does not exist; every site-indexed
+   array read goes through here, so it fails here, naming the entity. *)
+let site_of t e =
+  let s = t.site_fn e in
+  if s < 0 || s >= t.cfg.n_sites then
+    invalid_arg
+      (Printf.sprintf
+         "Dist_scheduler.site_of: entity %S maps to site %d (n_sites = %d)" e
+         s t.cfg.n_sites);
+  s
 let waits_for t = t.eng.wfg
 let lock_table t = t.eng.locks
 let now t = t.eng.tick
@@ -275,15 +280,6 @@ let submit t ~home program =
   id
 
 let schedule t id = Engine.schedule_at t.eng id ~at:(t.eng.tick + 1)
-
-let refresh_waiters t e =
-  let locks = t.eng.locks in
-  List.iter
-    (fun (w, _) ->
-      match Lock_table.blockers locks w with
-      | [] -> ()
-      | holders -> Waits_for.set_wait t.eng.wfg ~waiter:w ~holders e)
-    (Lock_table.waiters locks e)
 
 (* --- Messaging ------------------------------------------------------- *)
 
@@ -351,7 +347,7 @@ let grants_on t e grants =
 (* Table-side release plus propagation; no message accounting. *)
 let do_release t id e =
   grants_on t e (Lock_table.release t.eng.locks id e);
-  refresh_waiters t e
+  Engine.refresh_waiters t.eng e
 
 let release_lock t id e =
   if site_of t e <> (meta t id).home then t.messages <- t.messages + 1;
@@ -406,8 +402,7 @@ let release_rolled_back t v released =
     released
 
 let forget_wait t v =
-  Engine.cancel_pending_request t.eng ~grant:(grant_one t)
-    ~refresh:(refresh_waiters t) v;
+  Engine.cancel_pending_request t.eng ~grant:(grant_one t) v;
   let m = meta t v in
   (match m.pending with
   | Some (_, e)
@@ -467,23 +462,20 @@ let is_local_cycle t (c : Waits_for.cycles) k =
    (DESIGN.md Section 11). *)
 let deferred t = not (Detection_policy.is_eager t.cfg.detection_policy)
 
-let cycles_through t requester =
-  Engine.resolver_cycles t.eng ~deferred:(deferred t) requester
-
-let resolve_cycles t requester cycles =
-  Engine.resolve_round t.eng ~deferred:(deferred t)
-    ~apply:(roll_back_victim t) requester cycles
-
 (* Local detection at block time: a site resolves instantly any cycle
-   whose contested entities all live on it. *)
+   whose contested entities all live on it. It looks only through the
+   requester; cycles elsewhere wait for the global round. *)
 let rec resolve_local t requester round =
   if round > 1000 then raise (Stuck "local resolution did not converge");
   if Waits_for.is_blocked t.eng.wfg requester then begin
-    let cycles = cycles_through t requester in
+    let cycles =
+      Engine.resolver_cycles t.eng ~deferred:(deferred t) requester
+    in
     Waits_for.keep_cycles cycles (is_local_cycle t cycles);
     if cycles.n_cycles > 0 then begin
       t.local_deadlocks <- t.local_deadlocks + 1;
-      resolve_cycles t requester cycles;
+      Engine.resolve_round t.eng ~deferred:(deferred t)
+        ~apply:(roll_back_victim t) requester cycles;
       resolve_local t requester (round + 1)
     end
   end
@@ -499,56 +491,34 @@ let blocked_txns t =
   List.filter (fun id -> Waits_for.is_blocked wfg id) (Waits_for.txns wfg)
 
 (* Global detector: every site ships its waits-for edges to a coordinator
-   which resolves everything it sees, local or not. Under a fault plan a
-   site's shipment can be lost (and down sites ship nothing), so the
-   coordinator only acts on cycles all of whose arcs it can see; missed
-   cycles survive to the next round.
-
-   Each fixpoint round takes one cycle census over the blocked
-   transactions and enumerates only those on a cycle, in id order: a
-   blocked transaction on no cycle has no cycles through it, so the
-   first one with visible cycles is the one a scan of every blocked
-   transaction would find. *)
+   which resolves everything it sees, local or not, through the engine's
+   fixpoint. Under a fault plan a site's shipment can be lost (and down
+   sites ship nothing), so the coordinator only acts on cycles all of
+   whose arcs it can see; missed cycles survive to the next round. Each
+   resolution round counts one deadlock, so the global ones are the
+   difference. *)
 let run_global_detection t =
   t.eng.detection_passes <- t.eng.detection_passes + 1;
-  let visible =
+  let keep =
     match t.faults with
     | None ->
         t.messages <- t.messages + t.cfg.n_sites;
         None
     | Some f ->
-        Some
-          (Array.init t.cfg.n_sites (fun s ->
-               if t.down.(s) then false
-               else begin
-                 t.messages <- t.messages + 1;
-                 Fault.shipment_arrives f ~tick:t.eng.tick
-               end))
+        let visible =
+          Array.init t.cfg.n_sites (fun s ->
+              if t.down.(s) then false
+              else begin
+                t.messages <- t.messages + 1;
+                Fault.shipment_arrives f ~tick:t.eng.tick
+              end)
+        in
+        Some (fun cycles k -> all_sites t cycles k (Array.get visible))
   in
-  let round = ref 0 in
-  let rec fixpoint () =
-    incr round;
-    if !round > 1000 then raise (Stuck "global detection did not converge");
-    let site =
-      List.find_map
-        (fun b ->
-          let cycles = cycles_through t b in
-          (match visible with
-          | None -> ()
-          | Some vis ->
-              Waits_for.keep_cycles cycles (fun k ->
-                  all_sites t cycles k (Array.get vis)));
-          if cycles.n_cycles = 0 then None else Some (b, cycles))
-        (Engine.on_cycle_from t.eng (blocked_txns t))
-    in
-    match site with
-    | None -> ()
-    | Some (requester, cycles) ->
-        t.global_deadlocks <- t.global_deadlocks + 1;
-        resolve_cycles t requester cycles;
-        fixpoint ()
-  in
-  fixpoint ()
+  let before = t.eng.deadlocks in
+  Engine.resolve t.eng ~deferred:(deferred t) ?keep
+    ~apply:(roll_back_victim t) None;
+  t.global_deadlocks <- t.global_deadlocks + t.eng.deadlocks - before
 
 (* Detector outage: no global rounds run; long-blocked transactions are
    timeout-aborted instead (graceful degradation — cross-site cycles
@@ -566,29 +536,20 @@ let degrade t =
     (List.sort Txn_id.compare (blocked_txns t))
 
 (* One firing of the global-detector service: run a round — or, while
-   the detector is out, degrade — and return the delay until the next
-   firing. The firing chain itself is policy-independent and
+   the detector is out, degrade gracefully (timeout-abort long-blocked
+   transactions) and keep the cadence — and return the delay until the
+   next firing. The firing chain itself is policy-independent and
    self-perpetuating, so deferral can never leave deadlocked
    configurations without a pending wake source. *)
 let detector_round t ~period =
-  let c = t.cadence in
-  (match t.faults with
-  | Some f when Fault.in_outage (Fault.plan f) t.eng.tick ->
-      (* detector service down, whatever the policy: degrade gracefully
-         (timeout-abort long-blocked transactions) and keep the cadence *)
-      t.eng.missed_passes <- t.eng.missed_passes + 1;
-      degrade t
-  | _ -> (
-      let before = t.eng.deadlocks in
-      run_global_detection t;
-      match t.cfg.detection_policy with
-      | Detection_policy.Adaptive ->
-          Detection_policy.adapt c ~found:(t.eng.deadlocks > before)
-      | Detection_policy.Eager | Detection_policy.Periodic _ -> ()));
-  match t.cfg.detection_policy with
-  | Detection_policy.Eager -> period
-  | Detection_policy.Periodic n -> n
-  | Detection_policy.Adaptive -> c.Detection_policy.interval
+  let outage =
+    match t.faults with
+    | Some f -> Fault.in_outage (Fault.plan f) t.eng.tick
+    | None -> false
+  in
+  if outage then degrade t;
+  Engine.scheduled_pass t.eng ~outage ~period (fun () ->
+      run_global_detection t)
 
 (* Wound-wait: a wounded holder rolls back to release the entity, a
    wounded queued request requeues behind; a wound to a remote holder
@@ -653,8 +614,7 @@ let rebuild_site_locks t s =
         (* tail-first, so removing one waiter never grants another *)
         List.iter
           (fun (w, _) ->
-            Engine.cancel_pending_request t.eng ~grant:(grant_one t)
-              ~refresh:(refresh_waiters t) w;
+            Engine.cancel_pending_request t.eng ~grant:(grant_one t) w;
             Waits_for.clear_wait t.eng.wfg w;
             Engine.note_unblocked t.eng w)
           (List.rev (Lock_table.waiters locks e));
@@ -673,7 +633,7 @@ let rebuild_site_locks t s =
               grants_on t e (Lock_table.release locks h e)
             end)
           (Lock_table.holders locks e);
-        refresh_waiters t e
+        Engine.refresh_waiters t.eng e
       end)
     (Store.entities t.eng.store)
 
@@ -718,7 +678,7 @@ let req_arrive t id mode e =
               match Lock_table.request locks id mode e with
               | Lock_table.Granted ->
                   History.note_grant t.eng.hist ~tick:t.eng.tick id e mode;
-                  refresh_waiters t e;
+                  Engine.refresh_waiters t.eng e;
                   send_grant t f id e
               | Lock_table.Blocked holders -> blocked t id e holders))
     | Some _ | None -> () (* the transaction moved on; stale request *)
@@ -824,7 +784,7 @@ let handle_lock_request t id mode e =
       match Lock_table.request t.eng.locks id mode e with
       | Lock_table.Granted ->
           History.note_grant t.eng.hist ~tick:t.eng.tick id e mode;
-          refresh_waiters t e;
+          Engine.refresh_waiters t.eng e;
           notify_grant t id e
       | Lock_table.Blocked holders -> blocked t id e holders)
 
@@ -843,7 +803,7 @@ let handle_commit t id =
               if site_of t e <> home then t.messages <- t.messages + 1)
             held;
           List.iter (fun (w, mode, e) -> grant_one t w mode e) grants;
-          List.iter (fun (e, _) -> refresh_waiters t e) held
+          List.iter (fun (e, _) -> Engine.refresh_waiters t.eng e) held
       | Some f ->
           (* each remaining lock is released by its own (retried) message *)
           List.iter
@@ -924,7 +884,6 @@ let stats t =
     msgs_lost = t.msgs_lost;
     msgs_duplicated = t.msgs_duplicated;
     retransmissions = t.retransmissions;
-    deferred_detection = deferred t;
   }
 
 let pp_stats ppf s =

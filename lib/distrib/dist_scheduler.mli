@@ -116,7 +116,10 @@ val create :
 (** [site_of] defaults to a deterministic hash of the entity name modulo
     [n_sites]. @raise Invalid_argument when [n_sites < 1], on a
     [Local_then_global] period below 1, or on a [Periodic n] detection
-    policy with [n < 1] ({!Prb_core.Detection_policy.check}). *)
+    policy with [n < 1] ({!Prb_core.Detection_policy.check}). A [site_of]
+    that maps an entity outside [0 .. n_sites-1] raises
+    [Invalid_argument] naming the entity, the site and [n_sites] from the
+    first {!step} or {!val-site_of} that asks for that entity. *)
 
 val submit : t -> home:int -> Prb_txn.Program.t -> int
 (** Timestamps for wound-wait are admission order (smaller id = older). *)

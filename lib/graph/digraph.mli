@@ -111,8 +111,8 @@ val cyclic_vertices_from : t -> int list -> int list
 (** Ascending list of vertices that lie on some cycle reachable from the
     roots: members of non-trivial SCCs, plus self-loops. Used by the
     incremental deadlock fixpoint — every new cycle must pass through a
-    vertex whose out-edges changed, so seeding here with the dirty set
-    finds every cycle. *)
+    vertex whose out-edges changed, so seeding here with the changed
+    waiters finds every cycle. *)
 
 val topological_sort : t -> int list option
 (** [None] when cyclic. *)

@@ -49,25 +49,13 @@ type t = {
   mutable idx : int array; (* valid when seen_mark.(v) = stamp *)
   mutable low : int array;
   mutable on_stack : bool array;
-  (* Pearce–Kelly dynamic topological order (DESIGN §14). While [n_viol]
-     is 0, [ord] is a valid topological position for every present vertex
-     that has ever touched an edge: each edge waiter -> holder satisfies
-     ord(waiter) < ord(holder), so the graph is provably acyclic and
-     [would_deadlock] runs as an order-bounded search instead of a full
-     DFS. Edge insertions that break the order are repaired by reordering
-     the affected region ([pk_repair]); an insertion that closes a cycle
-     (or arrives while a cycle is live) cannot be repaired and is merely
-     counted, and every query falls back to the unbounded DFS until the
-     violating edges are deleted again. [ord] values are never mutated
-     while [n_viol] > 0, so the count stays exact under deletion. *)
-  mutable ord : int array;
-  mutable orded : bool array; (* ord.(v) assigned (vertex touched an edge) *)
-  mutable n_viol : int; (* edges with ord(waiter) > ord(holder) *)
-  mutable next_lo : int; (* fresh-waiter positions, strictly decreasing *)
-  mutable next_hi : int; (* fresh-holder positions, strictly increasing *)
-  mutable pk_f : int array; (* repair scratch: forward affected set *)
-  mutable pk_b : int array; (* repair scratch: backward affected set *)
-  mutable pk_pool : int array; (* repair scratch: pooled positions *)
+  (* The changed waiters: every waiter [set_wait] has (re)installed edges
+     for since the last [settle], each once, in [chg_ids.(0 .. n_chg-1)].
+     [chg_mark.(v) = settles] <=> v is recorded. *)
+  mutable chg_mark : int array;
+  mutable chg_ids : int array;
+  mutable n_chg : int;
+  mutable settles : int;
   cyc : cycles; (* the last enumeration's record, overwritten by the next *)
   mutable removals : int; (* calls that deleted edges, ever *)
 }
@@ -101,14 +89,10 @@ let create () =
     idx = [||];
     low = [||];
     on_stack = [||];
-    ord = [||];
-    orded = [||];
-    n_viol = 0;
-    next_lo = -1;
-    next_hi = 1;
-    pk_f = [||];
-    pk_b = [||];
-    pk_pool = [||];
+    chg_mark = [||];
+    chg_ids = [||];
+    n_chg = 0;
+    settles = 1;
     cyc = empty_cycles ();
     removals = 0;
   }
@@ -151,10 +135,7 @@ let[@lint.allow
     let nb = Array.make cap false in
     Array.blit t.on_stack 0 nb 0 t.cap;
     t.on_stack <- nb;
-    t.ord <- grow_int cap 0 t.ord;
-    let nb = Array.make cap false in
-    Array.blit t.orded 0 nb 0 t.cap;
-    t.orded <- nb;
+    t.chg_mark <- grow_int cap 0 t.chg_mark;
     t.cap <- cap
   end
 
@@ -165,8 +146,8 @@ let rec scan_pos (buf : int array) n v p =
   if p < n && buf.(p) < v then scan_pos buf n v (p + 1) else p
 
 (* Insert [v] into the ascending buffer at [i]; no-op when present.
-   Returns whether the buffer changed, so edge bookkeeping (the violation
-   count) only fires on a genuinely new edge. *)
+   Returns whether the buffer changed, so a holder listed twice links one
+   edge. *)
 let[@lint.allow
      "A1: amortized per-vertex adjacency doubling; the steady-state \
       insert shifts in place"] sorted_insert (bufs : int array array) lens
@@ -208,159 +189,12 @@ let next_stamp t =
   t.stamp <- t.stamp + 1;
   t.stamp
 
-(* --- Pearce–Kelly dynamic topological order ------------------------- *)
-
-(* A vertex gets its position the first time it touches an edge, by role:
-   fresh waiters go below every assigned position, fresh holders above.
-   A newly blocked transaction waiting on established holders and a
-   newly contended holder are both in order immediately, so the common
-   lock-conflict shapes never trigger a reorder. (Both counters are
-   strictly monotone, so "below/above everything so far" stays true no
-   matter how repair later permutes the assigned positions.) *)
-let ord_as_waiter t v =
-  if not t.orded.(v) then begin
-    t.orded.(v) <- true;
-    t.ord.(v) <- t.next_lo;
-    t.next_lo <- t.next_lo - 1
-  end
-
-let ord_as_holder t v =
-  if not t.orded.(v) then begin
-    t.orded.(v) <- true;
-    t.ord.(v) <- t.next_hi;
-    t.next_hi <- t.next_hi + 1
-  end
-
-let[@lint.allow
-     "A1: amortized geometric growth of the repair scratch buffers; a \
-      steady-state push writes in place"] pk_push (buf : int array) n v =
-  let buf =
-    if n >= Array.length buf then begin
-      let nbuf = Array.make (max 64 (2 * Array.length buf)) 0 in
-      Array.blit buf 0 nbuf 0 n;
-      nbuf
-    end
-    else buf
-  in
-  buf.(n) <- v;
-  buf
-
-exception Found
-
-(* Forward DFS from the new edge's head, restricted to positions below
-   the tail's: collects the affected descendants into [pk_f] and raises
-   [Found] on reaching the tail (the insertion closes a cycle). A path
-   ascends in [ord], so the bound loses nothing. *)
-let rec pk_fwd t stamp ub (target : int) v i nf =
-  if i >= t.out_len.(v) then nf
-  else begin
-    let w = t.out_buf.(v).(i) in
-    if w = target then raise Found
-    else if t.ord.(w) < ub && t.fwd_mark.(w) <> stamp then begin
-      t.fwd_mark.(w) <- stamp;
-      t.pk_f <- pk_push t.pk_f nf w;
-      let nf = pk_fwd t stamp ub target w 0 (nf + 1) in
-      pk_fwd t stamp ub target v (i + 1) nf
-    end
-    else pk_fwd t stamp ub target v (i + 1) nf
-  end
-
-(* Backward DFS from the new edge's tail, restricted to positions above
-   the head's: collects the affected ancestors into [pk_b]. *)
-let rec pk_bwd t stamp lb v i nb =
-  if i >= t.in_len.(v) then nb
-  else begin
-    let u = t.in_buf.(v).(i) in
-    if t.ord.(u) > lb && t.bwd_mark.(u) <> stamp then begin
-      t.bwd_mark.(u) <- stamp;
-      t.pk_b <- pk_push t.pk_b nb u;
-      let nb = pk_bwd t stamp lb u 0 (nb + 1) in
-      pk_bwd t stamp lb v (i + 1) nb
-    end
-    else pk_bwd t stamp lb v (i + 1) nb
-  end
-
-(* Insertion sort of the vertex prefix [a.(0..n-1)] ascending by current
-   position: affected regions are small, and the helpers stay int-typed
-   and closure-free. *)
-let rec pk_shift (a : int array) (ord : int array) j v =
-  if j >= 0 && ord.(a.(j)) > ord.(v) then begin
-    a.(j + 1) <- a.(j);
-    pk_shift a ord (j - 1) v
-  end
-  else a.(j + 1) <- v
-
-let pk_sort (a : int array) (ord : int array) n =
-  for i = 1 to n - 1 do
-    pk_shift a ord (i - 1) a.(i)
-  done
-
-(* Merge the two position-sorted runs' positions ascending into [pool]. *)
-let rec pk_merge (b : int array) nb (f : int array) nf (pool : int array)
-    (ord : int array) i j =
-  if i < nb && (j >= nf || ord.(b.(i)) < ord.(f.(j))) then begin
-    pool.(i + j) <- ord.(b.(i));
-    pk_merge b nb f nf pool ord (i + 1) j
-  end
-  else if j < nf then begin
-    pool.(i + j) <- ord.(f.(j));
-    pk_merge b nb f nf pool ord i (j + 1)
-  end
-
-let[@lint.allow
-     "A1: amortized geometric growth of the pooled-position \
-      buffer"] pk_room t n =
-  if n > Array.length t.pk_pool then
-    t.pk_pool <- Array.make (max 64 (max n (2 * Array.length t.pk_pool))) 0
-
-(* Repair the order for a new edge [w -> h] with ord(w) > ord(h), given a
-   currently valid order (n_viol = 0) and the edge already in the
-   adjacency. Classic Pearce–Kelly: the affected region is the ord
-   interval [ord(h), ord(w)]; the ancestors of [w] inside it must all end
-   up before the descendants of [h] inside it, so both sets keep their
-   relative order and share out the sorted pool of their old positions,
-   ancestors first. Everything outside the region is untouched. Returns
-   [false] — with no reorder applied — when the forward pass reaches [w],
-   i.e. the insertion closed a cycle and no topological order exists. *)
-let pk_repair t w h =
-  let ub = t.ord.(w) and lb = t.ord.(h) in
-  let stamp = next_stamp t in
-  t.fwd_mark.(h) <- stamp;
-  t.pk_f <- pk_push t.pk_f 0 h;
-  match pk_fwd t stamp ub w h 0 1 with
-  | exception Found -> false
-  | nf ->
-      t.bwd_mark.(w) <- stamp;
-      t.pk_b <- pk_push t.pk_b 0 w;
-      let nb = pk_bwd t stamp lb w 0 1 in
-      pk_sort t.pk_f t.ord nf;
-      pk_sort t.pk_b t.ord nb;
-      pk_room t (nb + nf);
-      pk_merge t.pk_b nb t.pk_f nf t.pk_pool t.ord 0 0;
-      for i = 0 to nb - 1 do
-        t.ord.(t.pk_b.(i)) <- t.pk_pool.(i)
-      done;
-      for j = 0 to nf - 1 do
-        t.ord.(t.pk_f.(j)) <- t.pk_pool.(nb + j)
-      done;
-      true
-
-(* A new edge [waiter -> holder] that breaks the order: repairable only
-   from a valid order; a cycle-closing edge — or any violation arriving
-   while one is live — is counted instead, and the count is exact because
-   [ord] is frozen until it returns to zero. *)
-let note_new_edge t waiter holder =
-  if t.ord.(waiter) > t.ord.(holder) then
-    if t.n_viol > 0 || not (pk_repair t waiter holder) then
-      t.n_viol <- t.n_viol + 1
-
 let[@hot] clear_wait t v =
   if v >= 0 && v < t.cap then begin
     if t.out_len.(v) > 0 then t.removals <- t.removals + 1;
     for i = 0 to t.out_len.(v) - 1 do
       let h = t.out_buf.(v).(i) in
-      sorted_remove t.in_buf t.in_len h v;
-      if t.ord.(v) > t.ord.(h) then t.n_viol <- t.n_viol - 1
+      sorted_remove t.in_buf t.in_len h v
     done;
     t.out_len.(v) <- 0
   end
@@ -371,12 +205,10 @@ let remove_txn t v =
     if t.in_len.(v) > 0 then t.removals <- t.removals + 1;
     for i = 0 to t.in_len.(v) - 1 do
       let u = t.in_buf.(v).(i) in
-      sorted_remove t.out_buf t.out_len u v;
-      if t.ord.(u) > t.ord.(v) then t.n_viol <- t.n_viol - 1
+      sorted_remove t.out_buf t.out_len u v
     done;
     t.in_len.(v) <- 0;
-    t.present.(v) <- false;
-    t.orded.(v) <- false
+    t.present.(v) <- false
   end
 
 (* Closure-free [List.mem] over transaction ids for the hot queries. *)
@@ -389,12 +221,20 @@ let rec link_holders t waiter = function
   | h :: rest ->
       ensure t h;
       t.present.(h) <- true;
-      if sorted_insert t.out_buf t.out_len waiter h then begin
+      if sorted_insert t.out_buf t.out_len waiter h then
         ignore (sorted_insert t.in_buf t.in_len h waiter : bool);
-        ord_as_holder t h;
-        note_new_edge t waiter h
-      end;
       link_holders t waiter rest
+
+(* Any cycle formed since the last [settle] contains an edge installed
+   since, so it passes through a recorded waiter. *)
+let record_changed t v =
+  if t.chg_mark.(v) <> t.settles then begin
+    t.chg_mark.(v) <- t.settles;
+    if t.n_chg >= Array.length t.chg_ids then
+      t.chg_ids <- grow_int (max 16 (2 * t.n_chg)) 0 t.chg_ids;
+    t.chg_ids.(t.n_chg) <- v;
+    t.n_chg <- t.n_chg + 1
+  end
 
 let[@hot] set_wait t ~waiter ~holders entity =
   if mem_txn waiter holders then
@@ -402,9 +242,29 @@ let[@hot] set_wait t ~waiter ~holders entity =
   ensure t waiter;
   clear_wait t waiter;
   t.present.(waiter) <- true;
-  (match holders with [] -> () | _ :: _ -> ord_as_waiter t waiter);
   link_holders t waiter holders;
-  t.label.(waiter) <- entity
+  t.label.(waiter) <- entity;
+  record_changed t waiter
+
+(* A recorded waiter with no out-edge is on no cycle. It stays recorded,
+   so it seeds the census again once it waits again. *)
+let rec collect_changed t i acc =
+  if i < 0 then acc
+  else
+    let v = t.chg_ids.(i) in
+    collect_changed t (i - 1)
+      (if t.out_len.(v) > 0 then
+         (v :: acc)
+         [@lint.allow
+           "A1: the seed list holds only still-blocked changed waiters; \
+            with none it stays empty"]
+       else acc)
+
+let changed t = collect_changed t (t.n_chg - 1) []
+
+let settle t =
+  t.settles <- t.settles + 1;
+  t.n_chg <- 0
 
 let waits t v =
   if v < 0 || v >= t.cap then []
@@ -449,41 +309,36 @@ let stack_push t n v =
   t.stack.(n) <- v;
   n + 1
 
+exception Found
+
 (* multi-source early-exit DFS from the holders along waits-for edges;
    only set membership matters, so the stamped scratch serves as the
    visited set and nothing is allocated. The stack top is threaded
    through top-level helpers instead of a [ref]/closure pair so the
-   whole query stays allocation-free.
-
-   [ub] bounds the search by topological position: while the dynamic
-   order is valid, any path into [waiter] ascends in [ord] and so stays
-   strictly below [ord waiter] — vertices above it can be pruned without
-   changing the answer. Callers with no valid order pass [max_int],
-   which restores the unbounded search. *)
-let rec dd_succ t stamp waiter ub v i top =
+   whole query stays allocation-free. *)
+let rec dd_succ t stamp waiter v i top =
   if i >= t.out_len.(v) then top
   else begin
     let w = t.out_buf.(v).(i) in
     if w = waiter then raise Found
-    else if t.ord.(w) < ub && t.seen_mark.(w) <> stamp then begin
+    else if t.seen_mark.(w) <> stamp then begin
       t.seen_mark.(w) <- stamp;
-      dd_succ t stamp waiter ub v (i + 1) (stack_push t top w)
+      dd_succ t stamp waiter v (i + 1) (stack_push t top w)
     end
-    else dd_succ t stamp waiter ub v (i + 1) top
+    else dd_succ t stamp waiter v (i + 1) top
   end
 
-let dd_expand t stamp waiter ub v top =
-  if v >= 0 && v < t.cap then dd_succ t stamp waiter ub v 0 top else top
+let dd_expand t stamp waiter v top =
+  if v >= 0 && v < t.cap then dd_succ t stamp waiter v 0 top else top
 
-let rec dd_seed t stamp waiter ub top = function
+let rec dd_seed t stamp waiter top = function
   | [] -> top
-  | h :: rest ->
-      dd_seed t stamp waiter ub (dd_expand t stamp waiter ub h top) rest
+  | h :: rest -> dd_seed t stamp waiter (dd_expand t stamp waiter h top) rest
 
-let rec dd_drain t stamp waiter ub top =
+let rec dd_drain t stamp waiter top =
   top > 0
-  && dd_drain t stamp waiter ub
-       (dd_expand t stamp waiter ub t.stack.(top - 1) (top - 1))
+  && dd_drain t stamp waiter
+       (dd_expand t stamp waiter t.stack.(top - 1) (top - 1))
 
 let[@hot] would_deadlock t ~waiter ~holders =
   mem_txn waiter holders
@@ -492,16 +347,10 @@ let[@hot] would_deadlock t ~waiter ~holders =
       &&
       (* Any path from a holder back to the waiter ends in one of the
          waiter's in-edges, so a waiter nobody waits on is unreachable
-         and the search is skipped outright. When the dynamic order is
-         valid the search is further bounded by the waiter's position —
-         after [set_wait] has installed (and repaired) the new edges,
-         every holder sits above the waiter and the query touches only
-         the holders' out-buffers. A live violation means a cycle may be
-         present and the order proves nothing: fall back to the
-         unbounded DFS. *)
-      let ub = if t.n_viol = 0 then t.ord.(waiter) else max_int in
+         and the search is skipped outright — the answer to every probe
+         by a transaction that is not itself waited on. *)
       let stamp = next_stamp t in
-      match dd_drain t stamp waiter ub (dd_seed t stamp waiter ub 0 holders) with
+      match dd_drain t stamp waiter (dd_seed t stamp waiter 0 holders) with
       | _ -> false
       | exception Found -> true)
 

@@ -26,8 +26,8 @@ val remove_txn : t -> txn -> unit
 
 val set_wait : t -> waiter:txn -> holders:txn list -> entity -> unit
 (** Replace the waiter's out-edges: it now waits for each holder, on the
-    given entity. @raise Invalid_argument if [holders] contains the
-    waiter. *)
+    given entity, and record the waiter as changed. @raise
+    Invalid_argument if [holders] contains the waiter. *)
 
 val clear_wait : t -> txn -> unit
 (** The waiter is no longer blocked (granted or rolled back). *)
@@ -48,14 +48,28 @@ val would_deadlock : t -> waiter:txn -> holders:txn list -> bool
 (** Would blocking [waiter] on [holders] close a cycle? True iff some
     holder already reaches the waiter — the descendant check of
     Section 3.1 (on the transposed orientation). The graph is not
-    modified. One multi-source early-exit DFS over all holders (shared
+    modified. A waiter with no in-edge answers [false] at once;
+    otherwise one multi-source early-exit DFS over all holders (shared
     visited set), not a full reachability pass per holder. *)
 
 val on_cycle_from : t -> txn list -> txn list
 (** Transactions lying on some waits-for cycle reachable from the seeds,
-    ascending. Sound as a full cycle census whenever every cycle is known
-    to pass through a seed — the scheduler seeds it with the transactions
-    whose wait edges changed since the graph was last acyclic. *)
+    ascending, whatever the seeds' order. Seeded with {!changed}, it is a
+    full cycle census. *)
+
+(** {2 Changed waiters}
+
+    Every cycle formed since the graph was last acyclic contains an edge
+    installed since, so it passes through a waiter {!set_wait} recorded
+    since. A resolution fixpoint seeds its census there and calls
+    {!settle} once the census is empty. *)
+
+val changed : t -> txn list
+(** The waiters recorded since the last {!settle} that are still blocked,
+    each once. Allocates nothing when there are none. *)
+
+val settle : t -> unit
+(** Forget the recorded waiters. Sound only when the graph is acyclic. *)
 
 (** {2 Cycle enumeration}
 

@@ -383,6 +383,27 @@ let test_periodic_below_one_rejected () =
                (Store.of_list []))))
     [ 0; -1 ]
 
+(* A caller's [site_of] that names a site past [n_sites - 1] is refused
+   with the entity and the site, not by an array bound part-way through
+   the run. *)
+let test_site_of_out_of_range () =
+  let params =
+    { Generator.default_params with n_entities = 16; zipf_theta = 0.8 }
+  in
+  let store = Generator.populate params in
+  let site_of e =
+    if e.[String.length e - 1] = '7' then 4
+    else Value.as_int (Value.text e) mod 4
+  in
+  let d = D.create ~site_of { D.default_config with n_sites = 4 } store in
+  List.iteri
+    (fun i p -> ignore (D.submit d ~home:(i mod 4) p))
+    (Generator.generate params ~seed:1 ~n:40);
+  Alcotest.check_raises "site 4 of 4 sites"
+    (Invalid_argument
+       "Dist_scheduler.site_of: entity \"e0007\" maps to site 4 (n_sites = 4)")
+    (fun () -> D.run d)
+
 let () =
   Alcotest.run "prb_distrib"
     [
@@ -417,5 +438,7 @@ let () =
             test_single_site_matches_central;
           Alcotest.test_case "periodic below one rejected" `Quick
             test_periodic_below_one_rejected;
+          Alcotest.test_case "site_of out of range rejected" `Quick
+            test_site_of_out_of_range;
         ] );
     ]

@@ -331,7 +331,8 @@ let test_wound_wait_spares_elders () =
     (Txn_state.n_rollbacks (Scheduler.txn_state sched oldest))
 
 let test_dirty_set_fixpoint_contended () =
-  (* Regression for the dirty-set resolution fixpoint: a hot workload that
+  (* Regression for the resolution fixpoint seeded at the changed
+     waiters: a hot workload that
      forces many multi-round resolutions (rollback regrants re-blocking
      transactions mid-fixpoint) must still clear every deadlock, and the
      optional detection clock must observe the work without perturbing

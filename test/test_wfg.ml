@@ -186,21 +186,17 @@ let qcheck_dense_vs_reference =
           && agree ())
         script)
 
-(* qcheck: the Pearce–Kelly dynamic order under adversarial churn. The
-   script allows everything the schedulers do and more: re-blocking an
-   already blocked waiter (edge replacement), closing cycles and leaving
-   them live across steps (the order freezes and queries must fall back),
-   dissolving them again by clears/removes (the violation count must
-   return to zero and the bounded fast path must be exact again). Every
-   observable is compared against the Digraph-backed reference after
-   every step, including the cycle enumerations the resolver consumes and
-   a full-census acyclicity probe that would catch a violation counter
-   stuck at zero (fast path answering from a stale order) or above it
-   (needless fallback is invisible here, but a corrupted order is not
-   once the count drops back). *)
-let qcheck_dynamic_order_vs_reference =
+(* qcheck: edge churn with live cycles, against the Digraph-backed
+   reference. The script allows everything the schedulers do and more:
+   re-blocking an already blocked waiter (edge replacement), closing
+   cycles and leaving them live across steps, and dissolving them again
+   by clears and removes. Every observable is compared after every step:
+   the edges, the full cycle census, the cycle enumerations the resolver
+   consumes, and a [would_deadlock] probe for every id as hypothetical
+   waiter on the step's operand set. *)
+let qcheck_churn_vs_reference =
   let module R = Waits_for_ref in
-  QCheck.Test.make ~name:"dynamic topological order matches reference"
+  QCheck.Test.make ~name:"live-cycle edge churn vs reference"
     ~count:200
     QCheck.(
       list_of_size Gen.(0 -- 25)
@@ -255,6 +251,44 @@ let qcheck_dynamic_order_vs_reference =
           agree others)
         script)
 
+(* qcheck: the changed-waiter rule the resolution fixpoint stands on.
+   Random set/clear/remove scripts on ids 0-9; as in the engine, the
+   graph is settled only after a census seeded at [changed] comes back
+   empty. After every step that census must equal the reference's census
+   over every id, which fails once a cycle closes through a waiter that
+   [set_wait] did not record. *)
+let qcheck_changed_seeds_census =
+  let module R = Waits_for_ref in
+  QCheck.Test.make ~name:"changed waiters seed a full census" ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 30)
+        (triple (int_bound 2) (int_range 0 9)
+           (list_of_size Gen.(0 -- 2) (int_range 0 9))))
+    (fun script ->
+      let g = W.create () and r = R.create () in
+      let ids = List.init 10 Fun.id in
+      List.for_all
+        (fun (op, id, others) ->
+          (match op with
+          | 0 ->
+              let holders =
+                List.sort_uniq compare (List.filter (fun h -> h <> id) others)
+              in
+              if holders <> [] then begin
+                W.set_wait g ~waiter:id ~holders "e";
+                R.set_wait r ~waiter:id ~holders "e"
+              end
+          | 1 ->
+              W.clear_wait g id;
+              R.clear_wait r id
+          | _ ->
+              W.remove_txn g id;
+              R.remove_txn r id);
+          let census = W.on_cycle_from g (W.changed g) in
+          if census = [] then W.settle g;
+          census = R.on_cycle_from r ids)
+        script)
+
 let () =
   Alcotest.run "prb_wfg"
     [
@@ -273,6 +307,7 @@ let () =
           Alcotest.test_case "pp / dot" `Quick test_pp_and_dot;
           QCheck_alcotest.to_alcotest qcheck_would_deadlock_oracle;
           QCheck_alcotest.to_alcotest qcheck_dense_vs_reference;
-          QCheck_alcotest.to_alcotest qcheck_dynamic_order_vs_reference;
+          QCheck_alcotest.to_alcotest qcheck_churn_vs_reference;
+          QCheck_alcotest.to_alcotest qcheck_changed_seeds_census;
         ] );
     ]
