@@ -1,7 +1,7 @@
 (* Micro-benchmarks of the hot paths (bechamel): deadlock detection,
-   cycle enumeration, victim choice, history-stack writes, rollback
-   execution, SDG analysis. One Test.make per mechanism; estimated ns/op printed as a
-   table. *)
+   site routing, cycle enumeration, victim choice, history-stack writes,
+   rollback execution, SDG analysis. One Test.make per mechanism;
+   estimated ns/op printed as a table. *)
 
 open Bechamel
 open Toolkit
@@ -19,6 +19,7 @@ module Sdg_view = Prb_rollback.Sdg_view
 module Strategy = Prb_rollback.Strategy
 module Resolver = Prb_core.Resolver
 module Policy = Prb_core.Policy
+module D = Prb_distrib.Dist_scheduler
 
 (* A 40-txn waits-for chain with a cycle at the end. *)
 let chain_wfg () =
@@ -116,6 +117,38 @@ let bench_wd_churn =
          Waits_for.set_wait g ~waiter:n ~holders:[ 0 ] "c";
          ignore (Waits_for.would_deadlock g ~waiter:1 ~holders:[ 0 ]);
          Waits_for.clear_wait g n))
+
+(* The distributed engine's default entity-to-site map on a generated
+   entity name: an FNV-1a fold over five bytes, then a modulus. Every lock
+   request, grant and release asks it, and so does the block-time probe's
+   label filter, once per waiter it searches through. *)
+let site_map = D.create D.default_config (Store.of_list [])
+
+let bench_site_map =
+  Test.make ~name:"default site map (5-char entity)"
+    (Staged.stage (fun () -> D.site_of site_map "e0017"))
+
+(* The distributed block-time probe on a 16-transaction ring through the
+   requester (0), which has just blocked on 1. Waiters 1-15 wait on
+   entities of site 0 except waiter 12, whose entity lives on site 1, so
+   the cycle is cross-site. Filtered to site 0 the search stops at
+   waiter 12: no local cycle, so no enumeration follows. *)
+let bench_site_probe =
+  let names = List.init 64 (Printf.sprintf "e%04d") in
+  let on s =
+    Array.of_list (List.filter (fun e -> D.site_of site_map e = s) names)
+  in
+  let site0 = on 0 and site1 = on 1 in
+  let g = Waits_for.create () in
+  for i = 0 to 15 do
+    Waits_for.set_wait g ~waiter:i
+      ~holders:[ (i + 1) mod 16 ]
+      (if i = 12 then site1.(0) else site0.(i))
+  done;
+  let label_ok = Some (fun e -> D.site_of site_map e = 0) in
+  Test.make ~name:"site-filtered probe (cross-site ring, no local cycle)"
+    (Staged.stage (fun () ->
+         Waits_for.would_deadlock ?label_ok g ~waiter:0 ~holders:[ 1 ]))
 
 (* Commit-path held-locks lookup: O(locks held) via the per-transaction
    index, independent of how many entries the table has accumulated. *)
@@ -339,6 +372,8 @@ let run () =
       bench_wd_chain_cycle;
       bench_wd_star;
       bench_wd_churn;
+      bench_site_map;
+      bench_site_probe;
       bench_held_by;
       bench_fixpoint;
       bench_cycles_through;

@@ -57,14 +57,28 @@ let txns_arg =
     value & opt int 200
     & info [ "txns"; "n" ] ~docv:"N" ~doc:"Transactions to run.")
 
+(* [conv] narrowed to the values [ok] accepts, [what] naming them: sizes
+   are checked where they are parsed, so a bad one is a usage error (exit
+   124) instead of an exception from inside a run. *)
+let checked conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive = checked Arg.int (fun n -> n > 0) "a positive integer"
+
 let mpl_arg =
   Arg.(
-    value & opt int 8
+    value & opt positive 8
     & info [ "mpl" ] ~docv:"K" ~doc:"Multiprogramming level (concurrency).")
 
 let entities_arg =
   Arg.(
-    value & opt int 64
+    value & opt positive 64
     & info [ "entities" ] ~docv:"N" ~doc:"Database size (entities).")
 
 let theta_arg =
@@ -74,13 +88,23 @@ let theta_arg =
 
 let read_frac_arg =
   Arg.(
-    value & opt float 0.3
+    value
+    & opt
+        (checked float (fun f -> 0.0 <= f && f <= 1.0) "a fraction in [0, 1]")
+        0.3
     & info [ "reads" ] ~docv:"F" ~doc:"Fraction of locks that are shared.")
 
 let locks_arg =
   Arg.(
-    value & opt (pair ~sep:':' int int) (3, 6)
-    & info [ "locks" ] ~docv:"MIN:MAX" ~doc:"Locks per transaction.")
+    value
+    & opt
+        (checked
+           (pair ~sep:':' int int)
+           (fun (lo, hi) -> 1 <= lo && lo <= hi)
+           "MIN:MAX with 1 <= MIN <= MAX")
+        (3, 6)
+    & info [ "locks" ] ~docv:"MIN:MAX"
+        ~doc:"Locks per transaction, at most $(b,--entities).")
 
 let clustering_arg =
   Arg.(
@@ -163,26 +187,40 @@ let starvation_arg =
            becomes immune to victim selection (overridden only when a \
            cycle offers nobody else). Off by default.")
 
-let params_of ~entities ~theta ~reads ~locks ~clustering ~three_phase =
-  let min_locks, max_locks = locks in
-  {
-    Generator.default_params with
-    n_entities = entities;
-    zipf_theta = theta;
-    read_fraction = reads;
-    min_locks;
-    max_locks;
-    clustering;
-    three_phase;
-  }
+(* The generated workload. A transaction locks distinct entities, so
+   MAX above --entities is a usage error naming both flags. *)
+let params_arg ~clustering ~three_phase =
+  let make entities theta reads (min_locks, max_locks) clustering three_phase
+      =
+    if max_locks > entities then
+      `Error
+        ( true,
+          Printf.sprintf
+            "--locks MAX (%d) exceeds --entities (%d): a transaction locks \
+             distinct entities"
+            max_locks entities )
+    else
+      `Ok
+        {
+          Generator.default_params with
+          n_entities = entities;
+          zipf_theta = theta;
+          read_fraction = reads;
+          min_locks;
+          max_locks;
+          clustering;
+          three_phase;
+        }
+  in
+  Term.(
+    ret
+      (const make $ entities_arg $ theta_arg $ read_frac_arg $ locks_arg
+     $ clustering $ three_phase))
 
 (* --- prb sim ---------------------------------------------------------- *)
 
 let run_sim strategy policy intervention detection starvation_limit seed txns
-    mpl entities theta reads locks clustering three_phase max_ticks =
-  let params =
-    params_of ~entities ~theta ~reads ~locks ~clustering ~three_phase
-  in
+    mpl params max_ticks =
   let config =
     {
       Sim.scheduler =
@@ -214,23 +252,19 @@ let sim_cmd =
     Term.(
       const run_sim $ strategy_arg $ policy_arg $ intervention_arg
       $ detection_policy_arg ~names:[ "detection" ]
-      $ starvation_arg $ seed_arg $ txns_arg $ mpl_arg $ entities_arg
-      $ theta_arg $ read_frac_arg $ locks_arg $ clustering_arg
-      $ three_phase_arg $ max_ticks_arg)
+      $ starvation_arg $ seed_arg $ txns_arg $ mpl_arg
+      $ params_arg ~clustering:clustering_arg ~three_phase:three_phase_arg
+      $ max_ticks_arg)
 
 (* --- prb sweep -------------------------------------------------------- *)
 
-let run_sweep policy seed txns mpl entities theta reads locks clustering
-    three_phase max_ticks =
-  let params =
-    params_of ~entities ~theta ~reads ~locks ~clustering ~three_phase
-  in
+let run_sweep policy seed txns mpl params max_ticks =
   let table =
     Table.create
       ~title:
         (Printf.sprintf
            "strategy sweep (policy=%s, mpl=%d, txns=%d, theta=%.2f)"
-           (Policy.to_string policy) mpl txns theta)
+           (Policy.to_string policy) mpl txns params.Generator.zipf_theta)
       [
         ("strategy", Table.Left);
         ("commits", Table.Right);
@@ -276,13 +310,14 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc)
     Term.(
       const run_sweep $ policy_arg $ seed_arg $ txns_arg $ mpl_arg
-      $ entities_arg $ theta_arg $ read_frac_arg $ locks_arg $ clustering_arg
-      $ three_phase_arg $ max_ticks_arg)
+      $ params_arg ~clustering:clustering_arg ~three_phase:three_phase_arg
+      $ max_ticks_arg)
 
 (* --- prb distrib ------------------------------------------------------ *)
 
 let sites_arg =
-  Arg.(value & opt int 4 & info [ "sites" ] ~docv:"N" ~doc:"Number of sites.")
+  Arg.(
+    value & opt positive 4 & info [ "sites" ] ~docv:"N" ~doc:"Number of sites.")
 
 let detection_arg =
   let parse s =
@@ -307,11 +342,7 @@ let detection_arg =
            $(b,wound-wait).")
 
 let run_distrib strategy policy seed txns mpl sites detection detection_policy
-    starvation_limit entities theta reads locks max_ticks =
-  let params =
-    params_of ~entities ~theta ~reads ~locks ~clustering:0.5
-      ~three_phase:false
-  in
+    starvation_limit params max_ticks =
   let store = Generator.populate params in
   let programs = Generator.generate params ~seed ~n:txns in
   let config =
@@ -343,7 +374,9 @@ let distrib_cmd =
       const run_distrib $ strategy_arg $ policy_arg $ seed_arg $ txns_arg
       $ mpl_arg $ sites_arg $ detection_arg
       $ detection_policy_arg ~names:[ "detection-policy" ]
-      $ starvation_arg $ entities_arg $ theta_arg $ read_frac_arg $ locks_arg
+      $ starvation_arg
+      $ params_arg ~clustering:(Term.const 0.5)
+          ~three_phase:(Term.const false)
       $ max_ticks_arg)
 
 (* --- prb run: execute transactions from a file ------------------------ *)

@@ -69,10 +69,14 @@ let params_of ~contention ~txns =
 let contention_name = function `Low -> "low" | `High -> "high"
 
 (* Allocation across minor and major heaps, in words, ignoring what was
-   merely promoted (counted once in minor). *)
+   merely promoted (counted once in minor). The minor term comes from
+   [Gc.minor_words], which counts up to the current allocation pointer:
+   [quick_stat]'s [minor_words] advances only at minor collections, which
+   would put a short run's reading up to one minor heap (256k words)
+   off. *)
 let allocated_words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 let measure f =
   let w0 = allocated_words () in

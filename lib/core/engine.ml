@@ -226,20 +226,21 @@ let commit e ~release id =
    from the cycle enumeration the resolver consumes. Every detection call
    goes through [clocked], which counts it and, only when the config
    supplies a clock, times it; the wrapped calls are top-level functions
-   over the waits-for graph so the unclocked path builds no closure. *)
+   over the waits-for graph and three arguments (unit where unused), so
+   the unclocked path builds no closure. *)
 type meter = Check | Enumerate
 
 let[@lint.allow
      "A1: detection wall-clock accounting boxes floats only when a clock \
-      is configured"] clocked e meter f x y =
+      is configured"] clocked e meter f x y z =
   (match meter with
   | Check -> e.check_calls <- e.check_calls + 1
   | Enumerate -> e.enumerate_calls <- e.enumerate_calls + 1);
   match e.clock with
-  | None -> f e.wfg x y
+  | None -> f e.wfg x y z
   | Some clk -> (
       let t0 = clk () in
-      let r = f e.wfg x y in
+      let r = f e.wfg x y z in
       match meter with
       | Check ->
           e.check_seconds <- e.check_seconds +. (clk () -. t0);
@@ -248,14 +249,16 @@ let[@lint.allow
           e.enumerate_seconds <- e.enumerate_seconds +. (clk () -. t0);
           r)
 
-let deadlock_probe wfg waiter holders =
-  Waits_for.would_deadlock wfg ~waiter ~holders
+let deadlock_probe wfg label_ok waiter holders =
+  Waits_for.would_deadlock ?label_ok wfg ~waiter ~holders
 
-let would_deadlock e ~waiter ~holders =
-  clocked e Check deadlock_probe waiter holders
+let would_deadlock ?label_ok e ~waiter ~holders =
+  clocked e Check deadlock_probe label_ok waiter holders
 
-let census wfg seeds () = Waits_for.on_cycle_from wfg seeds
-let enumerate wfg limit requester = Waits_for.enumerate ~limit wfg requester
+let census wfg seeds () () = Waits_for.on_cycle_from wfg seeds
+
+let enumerate wfg limit requester () =
+  Waits_for.enumerate ~limit wfg requester
 
 (* A deferred round's cycle-enumeration budget. An eager round enumerates
    up to [cycle_limit] cycles through the requester because its victim
@@ -277,7 +280,7 @@ let resolver_cycles e ~deferred requester =
     if deferred then min deferred_cycle_budget e.cycle_limit
     else e.cycle_limit
   in
-  clocked e Enumerate enumerate limit requester
+  clocked e Enumerate enumerate limit requester ()
 
 (* --- Rollback ------------------------------------------------------ *)
 
@@ -521,7 +524,7 @@ let rec fixpoint e ~deferred ~keep ~apply primary round =
   match Waits_for.changed e.wfg with
   | [] -> Waits_for.settle e.wfg
   | seeds -> (
-      match clocked e Check census seeds () with
+      match clocked e Check census seeds () () with
       | [] -> Waits_for.settle e.wfg
       | on_cycle ->
           if resolve_one e ~deferred ~keep ~apply primary on_cycle then

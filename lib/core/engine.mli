@@ -136,8 +136,10 @@ val commit :
 
 (** {2 Detection}, counted and (with a clock) timed *)
 
-val would_deadlock : t -> waiter:int -> holders:int list -> bool
-(** A check. *)
+val would_deadlock :
+  ?label_ok:(Store.entity -> bool) -> t -> waiter:int -> holders:int list -> bool
+(** A check: {!Prb_wfg.Waits_for.would_deadlock}, with its wait-label
+    filter when given. *)
 
 val resolver_cycles : t -> deferred:bool -> int -> Prb_wfg.Waits_for.cycles
 (** An enumeration: at most [cycle_limit] cycles through the requester —

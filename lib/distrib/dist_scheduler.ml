@@ -89,6 +89,9 @@ type t = {
       (** per-transaction state, lock table, waits-for graph, history,
           event queue and the shared counters *)
   site_fn : Store.entity -> int;
+  at_site : (Store.entity -> bool) option array;
+      (** per site, the label filter of its block-time probe: the entity
+          lives at that site. Built once, so a probe allocates nothing *)
   entities : Interner.t;  (** entity slots for event payloads *)
   mutable metas : meta option array;  (** indexed by transaction id *)
   faults : Fault.t option;
@@ -169,15 +172,24 @@ let push t ~at ev =
   let tag, a, b = encode t ev in
   Pqueue.push t.eng.events ~priority:at ~tag ~a ~b
 
-let default_site_of n_sites e =
-  (Prb_storage.Value.as_int (Prb_storage.Value.text e)) mod n_sites
+let default_site_of n_sites e = Prb_storage.Value.string_hash e mod n_sites
+
+(* A caller's map may name a site that does not exist; every site-indexed
+   array read goes through here, so it fails here, naming the entity. *)
+let checked_site f n_sites e =
+  let s = f e in
+  if s < 0 || s >= n_sites then
+    invalid_arg
+      (Printf.sprintf
+         "Dist_scheduler.site_of: entity %S maps to site %d (n_sites = %d)" e
+         s n_sites);
+  s
 
 let create ?site_of config store =
   if config.n_sites < 1 then invalid_arg "Dist_scheduler: n_sites < 1";
+  let n_sites = config.n_sites in
   let site_fn =
-    match site_of with
-    | Some f -> f
-    | None -> default_site_of config.n_sites
+    match site_of with Some f -> f | None -> default_site_of n_sites
   in
   let faults =
     match config.faults with
@@ -196,6 +208,9 @@ let create ?site_of config store =
       cfg = config;
       eng;
       site_fn;
+      at_site =
+        Array.init n_sites (fun s ->
+            Some (fun e -> Site_id.equal (checked_site site_fn n_sites e) s));
       entities = Interner.create ();
       metas = Array.make (Array.length eng.txns) None;
       faults;
@@ -230,16 +245,7 @@ let create ?site_of config store =
   | None -> ());
   t
 
-(* A caller's map may name a site that does not exist; every site-indexed
-   array read goes through here, so it fails here, naming the entity. *)
-let site_of t e =
-  let s = t.site_fn e in
-  if s < 0 || s >= t.cfg.n_sites then
-    invalid_arg
-      (Printf.sprintf
-         "Dist_scheduler.site_of: entity %S maps to site %d (n_sites = %d)" e
-         s t.cfg.n_sites);
-  s
+let site_of t e = checked_site t.site_fn t.cfg.n_sites e
 let waits_for t = t.eng.wfg
 let lock_table t = t.eng.locks
 let now t = t.eng.tick
@@ -452,9 +458,6 @@ let all_sites t (c : Waits_for.cycles) k ok =
   in
   go c.first.(k)
 
-let is_local_cycle t (c : Waits_for.cycles) k =
-  all_sites t c k (Site_id.equal (site_of t c.release.(c.first.(k))))
-
 (* Under a deferred detection policy every resolution round is a deferred
    one, the site-local block-time rounds included. A local round's victims
    then get the same stagger, backoff and escalation as a global round's;
@@ -462,29 +465,39 @@ let is_local_cycle t (c : Waits_for.cycles) k =
    (DESIGN.md Section 11). *)
 let deferred t = not (Detection_policy.is_eager t.cfg.detection_policy)
 
-(* Local detection at block time: a site resolves instantly any cycle
-   whose contested entities all live on it. It looks only through the
-   requester; cycles elsewhere wait for the global round. *)
-let rec resolve_local t requester round =
+(* Local detection at block time: site [s], where the requester waits,
+   resolves instantly any cycle through the requester whose contested
+   entities all live on it; cycles elsewhere wait for the global round. *)
+let rec resolve_local t requester s round =
   if round > 1000 then raise (Stuck "local resolution did not converge");
   if Waits_for.is_blocked t.eng.wfg requester then begin
     let cycles =
       Engine.resolver_cycles t.eng ~deferred:(deferred t) requester
     in
-    Waits_for.keep_cycles cycles (is_local_cycle t cycles);
+    let at_s = Site_id.equal s in
+    Waits_for.keep_cycles cycles (fun k -> all_sites t cycles k at_s);
     if cycles.n_cycles > 0 then begin
       t.local_deadlocks <- t.local_deadlocks + 1;
       Engine.resolve_round t.eng ~deferred:(deferred t)
         ~apply:(roll_back_victim t) requester cycles;
-      resolve_local t requester (round + 1)
+      resolve_local t requester s (round + 1)
     end
   end
 
-(* Block-time detection: only the boolean would-deadlock probe is a
-   "check"; a local resolution it triggers bills its cycle enumeration to
-   the enumerate counters. *)
-let local_check t id ~holders =
-  if Engine.would_deadlock t.eng ~waiter:id ~holders then resolve_local t id 0
+(* The block-time check, counted as one: would the requester close a
+   cycle whose arcs all wait on entities at site [s]? The probe searches
+   only through waiters whose label lives there, so a cross-site cycle
+   costs no enumeration here; the global round finds it. *)
+let[@hot] local_probe t id s ~holders =
+  Engine.would_deadlock t.eng ?label_ok:t.at_site.(s) ~waiter:id ~holders
+
+(* The filtered probe says yes exactly when some cycle through the
+   requester lies on its site, so it skips only the enumerations whose
+   site filter would keep nothing — with or without the cycle limit
+   binding — and every decision is the unfiltered probe's. *)
+let local_check t id e ~holders =
+  let s = site_of t e in
+  if local_probe t id s ~holders then resolve_local t id s 0
 
 let blocked_txns t =
   let wfg = t.eng.wfg in
@@ -653,7 +666,7 @@ let blocked t id e holders =
   Engine.note_blocked t.eng id;
   match t.cfg.detection with
   | Wound_wait -> wound_wait t id e holders
-  | Local_then_global _ -> local_check t id ~holders
+  | Local_then_global _ -> local_check t id e ~holders
 
 let req_arrive t id mode e =
   if t.down.(site_of t e) then ()

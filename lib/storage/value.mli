@@ -18,7 +18,16 @@ val bool : bool -> t
 
 val as_int : t -> int
 (** Numeric view used by arithmetic in the expression language: [Int n] is
-    [n], [Bool b] is 0/1, [Text s] is a deterministic hash of [s]. *)
+    [n], [Bool b] is 0/1, [Text s] is [string_hash s]. *)
+
+val string_hash : string -> int
+(** FNV-1a over the bytes of the string, kept to its low 62 bits (so
+    non-negative): deterministic across runs and platforms with 63-bit
+    ints, and allocation-free. The values are those of the 64-bit fold
+    over boxed [Int64]s ([string_hash "abc" = 2819150120103270219]); the
+    distributed engine's default entity-to-site map is this hash modulo
+    the number of sites, so a changed value moves entities between
+    sites. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t

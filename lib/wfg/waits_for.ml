@@ -328,19 +328,30 @@ let rec dd_succ t stamp waiter v i top =
     else dd_succ t stamp waiter v (i + 1) top
   end
 
-let dd_expand t stamp waiter v top =
-  if v >= 0 && v < t.cap then dd_succ t stamp waiter v 0 top else top
+(* The search goes on through [v] only if [v] waits and, under a label
+   filter, its wait label passes. A label outlives [clear_wait], so the
+   out-degree is tested before the filter sees it. *)
+let dd_expand t stamp waiter label_ok v top =
+  if
+    v >= 0 && v < t.cap
+    && t.out_len.(v) > 0
+    && match label_ok with None -> true | Some ok -> ok t.label.(v)
+  then dd_succ t stamp waiter v 0 top
+  else top
 
-let rec dd_seed t stamp waiter top = function
+let rec dd_seed t stamp waiter label_ok top = function
   | [] -> top
-  | h :: rest -> dd_seed t stamp waiter (dd_expand t stamp waiter h top) rest
+  | h :: rest ->
+      dd_seed t stamp waiter label_ok
+        (dd_expand t stamp waiter label_ok h top)
+        rest
 
-let rec dd_drain t stamp waiter top =
+let rec dd_drain t stamp waiter label_ok top =
   top > 0
-  && dd_drain t stamp waiter
-       (dd_expand t stamp waiter t.stack.(top - 1) (top - 1))
+  && dd_drain t stamp waiter label_ok
+       (dd_expand t stamp waiter label_ok t.stack.(top - 1) (top - 1))
 
-let[@hot] would_deadlock t ~waiter ~holders =
+let[@hot] would_deadlock ?label_ok t ~waiter ~holders =
   mem_txn waiter holders
   || (waiter >= 0 && waiter < t.cap
       && t.in_len.(waiter) > 0
@@ -350,7 +361,10 @@ let[@hot] would_deadlock t ~waiter ~holders =
          and the search is skipped outright — the answer to every probe
          by a transaction that is not itself waited on. *)
       let stamp = next_stamp t in
-      match dd_drain t stamp waiter (dd_seed t stamp waiter 0 holders) with
+      match
+        dd_drain t stamp waiter label_ok
+          (dd_seed t stamp waiter label_ok 0 holders)
+      with
       | _ -> false
       | exception Found -> true)
 

@@ -44,13 +44,22 @@ val txns : t -> txn list
 val edges : t -> (txn * txn * entity) list
 (** (waiter, holder, entity), lexicographic. *)
 
-val would_deadlock : t -> waiter:txn -> holders:txn list -> bool
+val would_deadlock :
+  ?label_ok:(entity -> bool) -> t -> waiter:txn -> holders:txn list -> bool
 (** Would blocking [waiter] on [holders] close a cycle? True iff some
     holder already reaches the waiter — the descendant check of
     Section 3.1 (on the transposed orientation). The graph is not
     modified. A waiter with no in-edge answers [false] at once;
     otherwise one multi-source early-exit DFS over all holders (shared
-    visited set), not a full reachability pass per holder. *)
+    visited set), not a full reachability pass per holder.
+
+    With [label_ok], the search goes on only through transactions that
+    wait and whose wait label passes it, so the answer is true iff some
+    cycle through the waiter has every arc after the waiter's own
+    labelled by an entity that passes (the filter is never asked about
+    the waiter's label). The filter runs once per transaction the search
+    reaches, never on a transaction with no out-edge — whose label is
+    stale — and is the caller's to keep allocation-free. *)
 
 val on_cycle_from : t -> txn list -> txn list
 (** Transactions lying on some waits-for cycle reachable from the seeds,

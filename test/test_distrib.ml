@@ -121,6 +121,10 @@ let test_cross_site_deadlock_needs_global_detector () =
   checki "both commit" 2 s.D.commits;
   checki "no local deadlock seen" 0 s.D.local_deadlocks;
   checkb "global detector resolved it" true (s.D.global_deadlocks >= 1);
+  (* the block that closes the cross-site cycle enumerates nothing: its
+     site-filtered probe sees no cycle on the requester's site *)
+  checki "only global rounds enumerate" s.D.global_deadlocks
+    s.D.enumerate_calls;
   checkb "stalled until a detection round" true (s.D.detection_passes >= 1);
   checkb "serializable" true (History.serializable (D.history d))
 
@@ -404,6 +408,24 @@ let test_site_of_out_of_range () =
        "Dist_scheduler.site_of: entity \"e0007\" maps to site 4 (n_sites = 4)")
     (fun () -> D.run d)
 
+(* The default site map is the entity name's FNV-1a hash modulo the
+   site count. Pinned for the generator's first 64 names at 4 sites, so a
+   changed fold fails here by name, not only through a golden. *)
+let test_default_site_map () =
+  let d = D.create { D.default_config with n_sites = 4 } (Store.of_list []) in
+  let sites = List.init 64 (fun i -> D.site_of d (Printf.sprintf "e%04d" i)) in
+  Alcotest.(check string)
+    "sites of e0000-e0063"
+    "0321032103123012301221032103213012301230032103210312301230122103"
+    (String.concat "" (List.map string_of_int sites));
+  List.iter
+    (fun s ->
+      checki
+        (Printf.sprintf "entities on site %d" s)
+        16
+        (List.length (List.filter (Int.equal s) sites)))
+    [ 0; 1; 2; 3 ]
+
 let () =
   Alcotest.run "prb_distrib"
     [
@@ -440,5 +462,6 @@ let () =
             test_periodic_below_one_rejected;
           Alcotest.test_case "site_of out of range rejected" `Quick
             test_site_of_out_of_range;
+          Alcotest.test_case "default site map" `Quick test_default_site_map;
         ] );
     ]

@@ -42,10 +42,20 @@ let test_value_as_int () =
   checki "int" 42 (Value.as_int (Value.int 42));
   checki "bool true" 1 (Value.as_int (Value.bool true));
   checki "bool false" 0 (Value.as_int (Value.bool false));
-  checki "text deterministic" (Value.as_int (Value.text "abc"))
-    (Value.as_int (Value.text "abc"));
+  (* fixed FNV-1a vectors: the distributed engine's default site map is
+     this hash modulo the site count, so a changed value moves entities *)
+  checki "text abc" 2819150120103270219 (Value.as_int (Value.text "abc"));
+  checki "text e0017" 329657658576731836 (Value.as_int (Value.text "e0017"));
+  checki "text empty" 860922984064492325 (Value.as_int (Value.text ""));
   checkb "text spread" true
     (Value.as_int (Value.text "abc") <> Value.as_int (Value.text "abd"))
+
+(* qcheck: the native-int fold equals the boxed Int64 fold it replaced,
+   on strings of length 0-24 over every byte value. *)
+let qcheck_string_hash_oracle =
+  QCheck.Test.make ~name:"string_hash = Int64 fold" ~count:1000
+    QCheck.(string_gen_of_size Gen.(0 -- 24) Gen.char)
+    (fun s -> Value.string_hash s = Fnv_ref.string_hash s)
 
 let test_value_mix_deterministic () =
   checkb "mix deterministic" true
@@ -148,6 +158,7 @@ let () =
           Alcotest.test_case "compare total" `Quick test_value_compare_total;
           Alcotest.test_case "arithmetic" `Quick test_value_arithmetic;
           Alcotest.test_case "as_int" `Quick test_value_as_int;
+          QCheck_alcotest.to_alcotest qcheck_string_hash_oracle;
           Alcotest.test_case "mix" `Quick test_value_mix_deterministic;
           Alcotest.test_case "to_string" `Quick test_value_to_string;
         ] );

@@ -289,6 +289,83 @@ let qcheck_changed_seeds_census =
           census = R.on_cycle_from r ids)
         script)
 
+(* The label filter never sees the stale label a cleared waiter keeps:
+   the out-degree is tested first. *)
+let test_filter_skips_stale_labels () =
+  let g = W.create () in
+  W.set_wait g ~waiter:1 ~holders:[ 3 ] "stale";
+  W.clear_wait g 1;
+  W.set_wait g ~waiter:4 ~holders:[ 3 ] "b";
+  let label_ok l =
+    if String.equal l "stale" then Alcotest.fail "filter saw a stale label";
+    true
+  in
+  checkb "no cycle" false (W.would_deadlock ~label_ok g ~waiter:3 ~holders:[ 1 ])
+
+(* qcheck: the site-filtered probe of the distributed block-time check.
+   Random set/clear/remove scripts over ids 0-9 with wait labels from a
+   four-letter alphabet and a random label -> site map. After every step,
+   for every blocked waiter, the probe filtered to the waiter's own site
+   (the site of its label) answers true exactly when the reference has a
+   cycle through the waiter whose labels all map to that site; the
+   unfiltered probe still answers whether any cycle passes through it. *)
+let qcheck_site_filtered_probe =
+  let module R = Waits_for_ref in
+  let labels = [| "a"; "b"; "c"; "d" |] in
+  QCheck.Test.make ~name:"site-filtered probe = local cycles of reference"
+    ~count:300
+    QCheck.(
+      pair
+        (array_of_size (Gen.return 4) (int_bound 2))
+        (list_of_size Gen.(0 -- 30)
+           (quad (int_bound 3) (int_range 0 9)
+              (list_of_size Gen.(0 -- 2) (int_range 0 9))
+              (int_bound 3))))
+    (fun (site_of_label, script) ->
+      let site l =
+        let rec find i = if String.equal labels.(i) l then i else find (i + 1) in
+        site_of_label.(find 0)
+      in
+      let g = W.create () and r = R.create () in
+      let label v = snd (List.hd (R.waits r v)) in
+      let agree w =
+        (not (W.is_blocked g w))
+        ||
+        let holders = List.map fst (W.waits g w) in
+        let s = site (label w) in
+        let cycles = R.cycles_through r w in
+        let local =
+          List.exists
+            (List.for_all (fun v -> Int.equal (site (label v)) s))
+            cycles
+        in
+        W.would_deadlock
+          ~label_ok:(fun l -> Int.equal (site l) s)
+          g ~waiter:w ~holders
+        = local
+        && W.would_deadlock g ~waiter:w ~holders = (cycles <> [])
+        && R.would_deadlock r ~waiter:w ~holders = (cycles <> [])
+      in
+      List.for_all
+        (fun (op, id, others, l) ->
+          (match op with
+          | 0 | 1 ->
+              let holders =
+                List.sort_uniq compare (List.filter (fun h -> h <> id) others)
+              in
+              if holders <> [] then begin
+                W.set_wait g ~waiter:id ~holders labels.(l);
+                R.set_wait r ~waiter:id ~holders labels.(l)
+              end
+          | 2 ->
+              W.clear_wait g id;
+              R.clear_wait r id
+          | _ ->
+              W.remove_txn g id;
+              R.remove_txn r id);
+          List.for_all agree (List.init 10 Fun.id))
+        script)
+
 let () =
   Alcotest.run "prb_wfg"
     [
@@ -309,5 +386,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_dense_vs_reference;
           QCheck_alcotest.to_alcotest qcheck_churn_vs_reference;
           QCheck_alcotest.to_alcotest qcheck_changed_seeds_census;
+          Alcotest.test_case "label filter skips stale labels" `Quick
+            test_filter_skips_stale_labels;
+          QCheck_alcotest.to_alcotest qcheck_site_filtered_probe;
         ] );
     ]
