@@ -11,7 +11,7 @@ type t
 
 val make : n:int -> theta:float -> t
 (** [make ~n ~theta] prepares a sampler over ranks [0 .. n-1].
-    @raise Invalid_argument if [n <= 0] or [theta < 0]. *)
+    @raise Invalid_argument if [n <= 0], or [theta] is negative or NaN. *)
 
 val n : t -> int
 (** Population size. *)

@@ -150,7 +150,13 @@ let test_zipf_empirical_matches_theory () =
 
 let test_zipf_invalid () =
   Alcotest.check_raises "n=0" (Invalid_argument "Zipf.make: n must be positive")
-    (fun () -> ignore (Zipf.make ~n:0 ~theta:1.0))
+    (fun () -> ignore (Zipf.make ~n:0 ~theta:1.0));
+  List.iter
+    (fun theta ->
+      Alcotest.check_raises (Printf.sprintf "theta=%g" theta)
+        (Invalid_argument "Zipf.make: theta must be non-negative")
+        (fun () -> ignore (Zipf.make ~n:4 ~theta)))
+    [ -1.0; Float.nan ]
 
 (* --- Stats --- *)
 
