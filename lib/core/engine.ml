@@ -1,5 +1,6 @@
 module Store = Prb_storage.Store
 module Program = Prb_txn.Program
+module Lock_mode = Prb_txn.Lock_mode
 module Lock_table = Prb_lock.Lock_table
 module Waits_for = Prb_wfg.Waits_for
 module Strategy = Prb_rollback.Strategy
@@ -148,13 +149,6 @@ let txn_state e id =
   if id < 0 || id >= e.next_id then raise Not_found
   else match e.txns.(id) with Some ts -> ts | None -> raise Not_found
 
-let fold_txns e f init =
-  let acc = ref init in
-  for id = 0 to e.next_id - 1 do
-    match e.txns.(id) with Some ts -> acc := f !acc ts | None -> ()
-  done;
-  !acc
-
 let max_txn_rollbacks e =
   let m = ref 0 in
   for id = 0 to e.next_id - 1 do
@@ -197,19 +191,19 @@ let unlock e id =
   x
 
 (* Commit: install the final values, close the intervals of the locks
-   still held and hand them to the caller's [release], then retire the
+   still held and hand each to the embedder's [release], then retire the
    transaction. A committer was never blocked at this point, but a stale
    [blocked_since] entry may still linger (set on a block, cleared on
    grant paths only) — drop it without folding it into the duration stats
    (the wait it describes ended long ago). The retired transaction's
    history buffers go back to the pool for the next admission; the
    accounting the stats fold reads survives disposal. *)
-let commit e ~release id =
+let commit e s ~release id =
   let ts = txn_state e id in
   List.iter (fun (x, v) -> Store.install e.store x v) (Txn_state.commit ts);
   let held = Lock_table.held_by e.locks id in
   List.iter (fun (x, _) -> History.note_release e.hist ~tick:e.tick id x) held;
-  release held;
+  List.iter (fun (x, _) -> release s id x) held;
   Waits_for.remove_txn e.wfg id;
   History.commit_txn e.hist id;
   if e.blocked_since.(id) >= 0 then begin
@@ -305,6 +299,35 @@ let release_cost e v entities =
      optimiser does not see it as a universally-winning move. *)
   rollback_part + if queued = [] then 0 else 1
 
+(* --- The request path ------------------------------------------------ *)
+
+(* Every lock-table transition happens here, once for both engines. The
+   central engine delivers a grant at once; the distributed one at once,
+   by a reply message, or not at all from a down site. *)
+
+(* The request path's two debug lines, a grant from the queue and a
+   block. Their messages are built only at the debug level, so a run
+   without a debug reporter allocates nothing for them. *)
+let[@lint.allow
+     "A1: the message closures are built only at the debug level"] debug_line
+    e ~queued id mode x holders =
+  match Logs.Src.level log_src with
+  | Some Logs.Debug ->
+      if queued then
+        Log.debug (fun m ->
+            m "[%d] grant %a(%s) to T%d (from queue)" e.tick Lock_mode.pp mode
+              x id)
+      else
+        Log.debug (fun m ->
+            m "[%d] T%d blocked on %a(%s) behind %s" e.tick id Lock_mode.pp
+              mode x
+              (String.concat "," (List.map (Printf.sprintf "T%d") holders)))
+  | Some _ | None -> ()
+
+let end_wait e id =
+  Waits_for.clear_wait e.wfg id;
+  note_unblocked e id
+
 (* After the holder set of [x] changed without a grant, blocked waiters'
    waits-for edges must track the new holders. O(1) exit when nothing
    queues on [x]. *)
@@ -321,29 +344,70 @@ let[@lint.allow
         | holders -> Waits_for.set_wait e.wfg ~waiter:w ~holders x)
       (Lock_table.waiters e.locks x)
 
-let cancel_pending_request e ~grant v =
-  match Lock_table.cancel_wait e.locks v with
+(* A queued request granted: its wait ends and its interval opens. *)
+let grant e s ~granted w mode x =
+  debug_line e ~queued:true w mode x [];
+  end_wait e w;
+  History.note_grant e.hist ~tick:e.tick w x mode;
+  granted s w x
+
+let rec grant_all e s ~granted x = function
+  | [] -> ()
+  | (w, mode) :: rest ->
+      grant e s ~granted w mode x;
+      grant_all e s ~granted x rest
+
+let request e s ~granted ~blocked id mode x =
+  match Lock_table.request e.locks id mode x with
+  | Lock_table.Granted ->
+      History.note_grant e.hist ~tick:e.tick id x mode;
+      (* A direct grant can change the holder set under queued waiters
+         (a shared request joining shared holders past a queued exclusive
+         one): their waits-for edges must follow, or cycles through the
+         new holder are invisible to later deadlock checks. *)
+      refresh_waiters e x;
+      granted s id x
+  | Lock_table.Blocked holders ->
+      debug_line e ~queued:false id mode x holders;
+      Waits_for.set_wait e.wfg ~waiter:id ~holders x;
+      (* Every block is tracked, whatever follows it: the duration feeds
+         the blocked-time statistics, the stall watchdog and the timeout
+         interventions. *)
+      note_blocked e id;
+      blocked s id x holders
+
+(* Release one lock and propagate: grants wake waiters, survivors
+   re-point their edges. *)
+let release e s ~granted id x =
+  grant_all e s ~granted x (Lock_table.release e.locks id x);
+  refresh_waiters e x
+
+(* Withdraw [v]'s queued request, if any, granting the waiters that
+   shrinking the queue unblocks, and end its wait. *)
+let withdraw e s ~granted v =
+  (match Lock_table.cancel_wait e.locks v with
   | Some (x, grants) ->
-      List.iter (fun (w, mode) -> grant w mode x) grants;
+      grant_all e s ~granted x grants;
       refresh_waiters e x
-  | None -> ()
+  | None -> ());
+  end_wait e v
 
 (* Roll the transaction back to [target] and hand what it gave up to the
    engine's [release]. *)
-let roll_back e ~release v ts target =
+let roll_back e s ~release v ts target =
   let released = Txn_state.rollback_to ts target in
   e.rollback_events <- e.rollback_events + 1;
   note_rollback e v;
-  release v released
+  release s v released
 
 (* Self-restart: the transaction abandons its pending request, rolls back
    to state 0 releasing everything, and starts over (keeping its id, which
    is its timestamp). Timeouts, prevention, crashes and deferred
    escalation all end here. *)
-let restart e ~drop_wait ~release ~resume_at v =
+let restart e s ~drop_wait ~release ~resume_at v =
   let ts = txn_state e v in
-  drop_wait v;
-  roll_back e ~release v ts Txn_state.restart_target;
+  drop_wait s v;
+  roll_back e s ~release v ts Txn_state.restart_target;
   schedule_at e v ~at:resume_at
 
 (* How many rollbacks a transaction may suffer before a deferred round
@@ -359,7 +423,7 @@ let restart e ~drop_wait ~release ~resume_at v =
    behind it. *)
 let deferred_escalation = 4
 
-let apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v
+let apply_partial_rollback e s ~drop_wait ~release ~deferred ~stagger v
     entities =
   let ts = txn_state e v in
   let held, _queued = split_arcs ts entities in
@@ -368,7 +432,7 @@ let apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v
      When every arc is a queue arc this cancel-and-retry (the transaction
      re-issues the request and lands at the queue tail) is the whole
      remedy. *)
-  drop_wait v;
+  drop_wait s v;
   (match held with
   | [] -> e.requeue_events <- e.requeue_events + 1
   | xs ->
@@ -393,7 +457,7 @@ let apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v
             (if target = Txn_state.restart_target then "restart"
              else Printf.sprintf "lock state %d" target)
             (String.concat "," xs));
-      roll_back e ~release v ts target);
+      roll_back e s ~release v ts target);
   (* A deferred pass can roll back many victims in one round; restarted in
      lockstep at [t+1] they re-request the same hot entities in the same
      order and the next pass faces the same cycles. Stagger the herd by
@@ -411,25 +475,27 @@ let apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v
   in
   schedule_at e v ~at:(e.tick + 1 + backoff)
 
-let apply_rollback e ~drop_wait ~release ~restart ~deferred ~stagger v
+let apply_rollback e s ~drop_wait ~release ~restart ~deferred ~stagger v
     entities =
   let prior = e.rollback_counts.(v) in
   if deferred && prior >= deferred_escalation then
-    restart v ~resume_at:(e.tick + 1 + stagger + min 4096 (prior * prior))
-  else apply_partial_rollback e ~drop_wait ~release ~deferred ~stagger v entities
+    restart s v ~resume_at:(e.tick + 1 + stagger + min 4096 (prior * prior))
+  else
+    apply_partial_rollback e s ~drop_wait ~release ~deferred ~stagger v
+      entities
 
 (* Wound-wait: an older requester wounds every younger blocker. Shrinking
    blockers are immune (Section 2's no-rollback-after-unlock rule) and
    exempt: they issue no more lock requests, so they can never sit on a
    cycle, and they will release on their own. Afterwards every wait edge
    points to an older or shrinking transaction, and no cycle can close. *)
-let wound_younger e ~wound requester blockers =
+let wound_younger e s ~wound requester x blockers =
   List.iter
     (fun b ->
       if b > requester && Txn_state.phase (txn_state e b) = Txn_state.Growing
       then begin
         e.preventions <- e.preventions + 1;
-        wound b
+        wound s requester x b
       end)
     blockers
 
@@ -453,7 +519,7 @@ let resolution_policy e ~deferred n_cycles =
   then Policy.Ordered_min_cost
   else e.policy
 
-let resolve_round e ~deferred ~apply requester (cycles : Waits_for.cycles) =
+let resolve_round e s ~deferred ~apply requester (cycles : Waits_for.cycles) =
   if not (Waits_for.intact e.wfg cycles) then
     raise (Stuck "waits-for edge vanished during resolution");
   let n = cycles.Waits_for.n_cycles in
@@ -477,7 +543,7 @@ let resolve_round e ~deferred ~apply requester (cycles : Waits_for.cycles) =
   | Some h -> h ~requester ~cycles:(Waits_for.arcs cycles) ~decision
   | None -> ());
   List.iteri
-    (fun i (v, entities) -> apply ~deferred ~stagger:i v entities)
+    (fun i (v, entities) -> apply s ~deferred ~stagger:i v entities)
     decision.Resolver.victims
 
 (* The first candidate that still has cycles once [keep] has filtered
@@ -498,7 +564,7 @@ let rec first_cycles e ~deferred keep = function
    whether a round was applied. *)
 let[@lint.allow
      "A1: runs only when the census reported a cycle — cycle enumeration \
-      and victim selection allocate their reports by design"] resolve_one e
+      and victim selection allocate their reports by design"] resolve_one e s
     ~deferred ~keep ~apply primary on_cycle =
   let candidates =
     match primary with
@@ -512,14 +578,14 @@ let[@lint.allow
          the changed set stays, so the next resolution looks again *)
       false
   | Some (requester, cycles) ->
-      resolve_round e ~deferred ~apply requester cycles;
+      resolve_round e s ~deferred ~apply requester cycles;
       true
 
 (* Every cycle passes through a changed waiter (Waits_for.changed), so a
    census seeded there sees them all, and an empty one proves the graph
    acyclic. A round's requeues, grants and re-pointed edges can leave or
    close cycles away from the requester, hence the fixpoint. *)
-let rec fixpoint e ~deferred ~keep ~apply primary round =
+let rec fixpoint e s ~deferred ~keep ~apply primary round =
   if round > 1000 then raise (Stuck "deadlock resolution did not converge");
   match Waits_for.changed e.wfg with
   | [] -> Waits_for.settle e.wfg
@@ -527,11 +593,11 @@ let rec fixpoint e ~deferred ~keep ~apply primary round =
       match clocked e Check census seeds () () with
       | [] -> Waits_for.settle e.wfg
       | on_cycle ->
-          if resolve_one e ~deferred ~keep ~apply primary on_cycle then
-            fixpoint e ~deferred ~keep ~apply primary (round + 1))
+          if resolve_one e s ~deferred ~keep ~apply primary on_cycle then
+            fixpoint e s ~deferred ~keep ~apply primary (round + 1))
 
-let[@hot] resolve e ~deferred ?keep ~apply primary =
-  fixpoint e ~deferred ~keep ~apply primary 1
+let[@hot] resolve e s ~deferred ?keep ~apply primary =
+  fixpoint e s ~deferred ~keep ~apply primary 1
 
 let scheduled_pass e ~outage ~period pass =
   (if outage then e.missed_passes <- e.missed_passes + 1
@@ -550,16 +616,16 @@ let scheduled_pass e ~outage ~period pass =
 (* --- Statistics ---------------------------------------------------- *)
 
 let stats e =
-  (* One ascending pass accumulating all three per-transaction
-     aggregates. *)
-  let ops_lost, ops_executed, peak_copies =
-    fold_txns e
-      (fun (lost, executed, peak) ts ->
-        ( lost + Txn_state.ops_lost ts,
-          executed + Txn_state.total_executed ts,
-          max peak (Txn_state.peak_copies ts) ))
-      (0, 0, 0)
-  in
+  (* One pass accumulating all three per-transaction aggregates. *)
+  let ops_lost = ref 0 and ops_executed = ref 0 and peak_copies = ref 0 in
+  Array.iter
+    (function
+      | Some ts ->
+          ops_lost := !ops_lost + Txn_state.ops_lost ts;
+          ops_executed := !ops_executed + Txn_state.total_executed ts;
+          peak_copies := max !peak_copies (Txn_state.peak_copies ts)
+      | None -> ())
+    e.txns;
   {
     Run_stats.ticks = e.tick;
     commits = e.commits;
@@ -567,12 +633,12 @@ let stats e =
     cycles_broken = e.cycles_broken;
     rollbacks = e.rollback_events;
     requeues = e.requeue_events;
-    ops_lost;
+    ops_lost = !ops_lost;
     overshoot_ops = e.overshoot_ops;
     ops_committed = e.ops_committed;
-    ops_executed;
+    ops_executed = !ops_executed;
     blocks = Lock_table.n_blocks e.locks;
-    peak_copies;
+    peak_copies = !peak_copies;
     optimal_resolutions = e.optimal_resolutions;
     timeouts = e.timeouts;
     preventions = e.preventions;

@@ -4,15 +4,17 @@
     distribution changes only what the detector sees and what a rollback
     costs in messages. So the dense per-transaction state, the shared
     counters, the starvation guard, clocked detection calls, victim
-    costing, rollback application, the resolution fixpoint and the
-    scheduled detection pass live here once, with one resolution rule: a
-    round's [deferred] flag alone decides its cycle budget, its
-    cut-solver routing and its victims' backoff and escalation.
-    Engine-specific steps are plain labelled arguments: [drop_wait v]
-    abandons [v]'s pending request and clears its wait; [release v
-    released] releases what a rollback gave up; [restart v ~resume_at] is
-    the engine's full restart. The core also fills the one
-    {!Run_stats.stats} record both engines report. *)
+    costing, every lock-table transition, rollback application, the
+    resolution fixpoint and the scheduled detection pass live here once,
+    with one resolution rule: a round's [deferred] flag alone decides its
+    cycle budget, its cut-solver routing and its victims' backoff and
+    escalation. Engine-specific steps are top-level functions of the
+    embedder's state ['s], passed as labelled arguments so no call builds
+    a closure: [granted s w x] tells [w] it was granted [x]; [blocked s id
+    x holders] is what a block triggers; [drop_wait s v] abandons [v]'s
+    pending request; [release s v released] releases what a rollback gave
+    up; [restart s v ~resume_at] is the engine's full restart. The core
+    also fills the one {!Run_stats.stats} record both engines report. *)
 
 module Store = Prb_storage.Store
 module Txn_state = Prb_rollback.Txn_state
@@ -110,14 +112,7 @@ val grown : 'a array -> int -> 'a -> 'a array
 val txn_state : t -> int -> Txn_state.t
 (** @raise Not_found for unknown ids. *)
 
-val fold_txns : t -> ('a -> Txn_state.t -> 'a) -> 'a -> 'a
-(** Ascending id. *)
-
 val max_txn_rollbacks : t -> int
-val note_blocked : t -> int -> unit
-
-val note_unblocked : t -> int -> unit
-(** A wait ended: fold its duration into the blocked-time statistics. *)
 
 val unlock : t -> int -> Store.entity
 (** Perform the pending unlock: install the final value and close the
@@ -125,14 +120,41 @@ val unlock : t -> int -> Store.entity
     releases. *)
 
 val commit :
-  t ->
-  release:((Store.entity * Prb_txn.Lock_mode.t) list -> unit) ->
-  int ->
-  unit
+  t -> 's -> release:('s -> int -> Store.entity -> unit) -> int -> unit
 (** Commit: install the final values, close the intervals of the locks
-    still held and [release] them, count the program's length in
+    still held and [release] each, count the program's length in
     [ops_committed], then retire the transaction (its history buffers go
     back to the pool). *)
+
+(** {2 The request path} *)
+
+val request :
+  t ->
+  's ->
+  granted:('s -> int -> Store.entity -> unit) ->
+  blocked:('s -> int -> Store.entity -> int list -> unit) ->
+  int ->
+  Prb_txn.Lock_mode.t ->
+  Store.entity ->
+  unit
+(** A grant opens the request's history interval and re-points the
+    entity's waiters; a block installs its waits-for edges and starts its
+    wait clock. *)
+
+val release :
+  t -> 's -> granted:('s -> int -> Store.entity -> unit) -> int ->
+  Store.entity -> unit
+(** Release one lock: grant the waiters it unblocks (their waits end,
+    their intervals open) and re-point the rest. *)
+
+val withdraw :
+  t -> 's -> granted:('s -> int -> Store.entity -> unit) -> int -> unit
+(** Withdraw the transaction's queued request, if any, granting as
+    {!release}, and end its wait. *)
+
+val end_wait : t -> int -> unit
+(** Clear the waiter's edges and fold its wait into the blocked-time
+    statistics. *)
 
 (** {2 Detection}, counted and (with a clock) timed *)
 
@@ -149,19 +171,11 @@ val resolver_cycles : t -> deferred:bool -> int -> Prb_wfg.Waits_for.cycles
 
 (** {2 Rollback} *)
 
-val refresh_waiters : t -> Store.entity -> unit
-(** The entity's holder set changed without a grant: re-point its blocked
-    waiters' waits-for edges at the new holders. *)
-
-val cancel_pending_request :
-  t -> grant:(int -> Prb_txn.Lock_mode.t -> Store.entity -> unit) -> int -> unit
-(** Withdraw a queued request, [grant]ing the waiters it unblocks and
-    refreshing the entity's remaining waiters. *)
-
 val restart :
   t ->
-  drop_wait:(int -> unit) ->
-  release:(int -> Store.entity list -> unit) ->
+  's ->
+  drop_wait:('s -> int -> unit) ->
+  release:('s -> int -> Store.entity list -> unit) ->
   resume_at:int ->
   int ->
   unit
@@ -169,8 +183,9 @@ val restart :
 
 val apply_partial_rollback :
   t ->
-  drop_wait:(int -> unit) ->
-  release:(int -> Store.entity list -> unit) ->
+  's ->
+  drop_wait:('s -> int -> unit) ->
+  release:('s -> int -> Store.entity list -> unit) ->
   deferred:bool ->
   stagger:int ->
   int ->
@@ -182,9 +197,10 @@ val apply_partial_rollback :
 
 val apply_rollback :
   t ->
-  drop_wait:(int -> unit) ->
-  release:(int -> Store.entity list -> unit) ->
-  restart:(int -> resume_at:int -> unit) ->
+  's ->
+  drop_wait:('s -> int -> unit) ->
+  release:('s -> int -> Store.entity list -> unit) ->
+  restart:('s -> int -> resume_at:int -> unit) ->
   deferred:bool ->
   stagger:int ->
   int ->
@@ -193,18 +209,27 @@ val apply_rollback :
 (** {!apply_partial_rollback}, or [restart] after a quadratic delay for a
     deferred round's member already rolled back four times. *)
 
-val wound_younger : t -> wound:(int -> unit) -> int -> int list -> unit
-(** [wound_younger t ~wound requester blockers]: wound-wait prevention.
-    Each growing blocker younger than [requester] (a larger id) is counted
-    in [preventions] and handed to [wound], which rolls it back far enough
-    to release the contested entity. Shrinking blockers are immune. *)
+val wound_younger :
+  t ->
+  's ->
+  wound:('s -> int -> Store.entity -> int -> unit) ->
+  int ->
+  Store.entity ->
+  int list ->
+  unit
+(** [wound_younger t s ~wound requester x blockers]: wound-wait
+    prevention. Each growing blocker [b] younger than [requester] (a
+    larger id) is counted in [preventions] and handed to [wound s
+    requester x b], which rolls it back far enough to release [x].
+    Shrinking blockers are immune. *)
 
 (** {2 Resolution} *)
 
 val resolve_round :
   t ->
+  's ->
   deferred:bool ->
-  apply:(deferred:bool -> stagger:int -> int -> Store.entity list -> unit) ->
+  apply:('s -> deferred:bool -> stagger:int -> int -> Store.entity list -> unit) ->
   int ->
   Prb_wfg.Waits_for.cycles ->
   unit
@@ -217,9 +242,10 @@ val resolve_round :
 
 val resolve :
   t ->
+  's ->
   deferred:bool ->
   ?keep:(Prb_wfg.Waits_for.cycles -> int -> bool) ->
-  apply:(deferred:bool -> stagger:int -> int -> Store.entity list -> unit) ->
+  apply:('s -> deferred:bool -> stagger:int -> int -> Store.entity list -> unit) ->
   int option ->
   unit
 (** The resolution fixpoint: until no blocked transaction lies on a

@@ -1,6 +1,4 @@
 module Store = Prb_storage.Store
-module Lock_mode = Prb_txn.Lock_mode
-module Lock_table = Prb_lock.Lock_table
 module Waits_for = Prb_wfg.Waits_for
 module Strategy = Prb_rollback.Strategy
 module Txn_state = Prb_rollback.Txn_state
@@ -167,40 +165,18 @@ let n_blocked_tracked t = t.eng.n_blocked
 let schedule t id =
   Pqueue.push t.eng.events ~priority:(t.eng.tick + 1) ~tag:ev_exec ~a:id ~b:0
 
-let process_one_grant t w mode e =
-  let eng = t.eng in
-  (Log.debug (fun m ->
-       m "[%d] grant %a(%s) to T%d (from queue)" eng.tick Lock_mode.pp
-         mode e w)
-   [@lint.allow "A1: log msgf closure renders only when a reporter is armed"]);
-  Waits_for.clear_wait eng.wfg w;
-  Engine.note_unblocked eng w;
-  let ts = txn_state t w in
-  History.note_grant eng.hist ~tick:eng.tick w e mode;
-  Txn_state.lock_granted ts;
+(* How a grant reaches its waiter: at once. A1 follows calls, not the
+   functions handed to the engine, so this and [blocked] are hot roots of
+   their own. *)
+let[@hot] granted t w _ =
+  Txn_state.lock_granted (txn_state t w);
   schedule t w
 
-(* [Lock_table.release] reports (waiter, mode) pairs for one known
-   entity: processing them directly keeps the steady release path free of
-   the triple-list rebuild. *)
-let rec process_grants_on t e = function
-  | [] -> ()
-  | (w, mode) :: rest ->
-      process_one_grant t w mode e;
-      process_grants_on t e rest
-
-(* Release one lock of [id] on [e] and propagate: grants wake waiters,
-   survivors re-point their edges. *)
-let release_lock t id e =
-  process_grants_on t e (Lock_table.release t.eng.locks id e);
-  Engine.refresh_waiters t.eng e
+let release_lock t id e = Engine.release t.eng t ~granted id e
 
 (* --- Rollback: this engine's steps for the shared core ------------- *)
 
-let drop_wait t v =
-  Engine.cancel_pending_request t.eng ~grant:(process_one_grant t) v;
-  Waits_for.clear_wait t.eng.wfg v;
-  Engine.note_unblocked t.eng v
+let drop_wait t v = Engine.withdraw t.eng t ~granted v
 
 let release_rolled_back t v released =
   List.iter
@@ -213,16 +189,14 @@ let[@lint.allow
      "A1: a restart abandons the pending request and rolls the victim \
       back to state 0 — restart machinery allocates by design, off the \
       grant fast path"] restart t v ~resume_at =
-  Engine.restart t.eng ~drop_wait:(drop_wait t)
-    ~release:(release_rolled_back t) ~resume_at v
+  Engine.restart t.eng t ~drop_wait ~release:release_rolled_back ~resume_at v
 
 (* The prevention/timeout baselines restart a transaction directly. *)
 let self_restart t id = restart t id ~resume_at:(t.eng.tick + 1)
 
 let roll_back_victim t ~deferred ~stagger v entities =
-  Engine.apply_rollback t.eng ~drop_wait:(drop_wait t)
-    ~release:(release_rolled_back t) ~restart:(restart t) ~deferred ~stagger v
-    entities
+  Engine.apply_rollback t.eng t ~drop_wait ~release:release_rolled_back
+    ~restart ~deferred ~stagger v entities
 
 (* --- Deadlock resolution ------------------------------------------- *)
 
@@ -232,7 +206,7 @@ let[@lint.allow
      "A1: a full detection sweep is scheduled work off the request \
       path"] run_sweep t =
   t.eng.detection_passes <- t.eng.detection_passes + 1;
-  Engine.resolve t.eng ~deferred:true ~apply:(roll_back_victim t) None;
+  Engine.resolve t.eng t ~deferred:true ~apply:roll_back_victim None;
   t.last_detect_tick <- t.eng.tick
 
 (* Detector outages model the asynchronous detector service being down:
@@ -268,15 +242,9 @@ let[@lint.allow
 (* Wound-wait (centralised): each wounded blocker partially rolls back
    just far enough to release the entity (or requeues, if it was merely
    queued ahead). *)
-let[@lint.allow
-     "A1: a wound rolls the younger blocker back far enough to release \
-      the entity — the prevention baseline's rollback path allocates its \
-      restart machinery by design"] wound_younger_blockers t requester e
-    blockers =
-  Engine.wound_younger t.eng requester blockers ~wound:(fun b ->
-      Log.info (fun m ->
-          m "[%d] T%d wounds T%d over %s" t.eng.tick requester b e);
-      roll_back_victim t ~deferred:false ~stagger:0 b [ e ])
+let wound t requester e b =
+  Log.info (fun m -> m "[%d] T%d wounds T%d over %s" t.eng.tick requester b e);
+  roll_back_victim t ~deferred:false ~stagger:0 b [ e ]
 
 (* A transaction crash (fault plan): the victim loses its volatile state —
    rollback to state 0, releasing everything — and is re-admitted after a
@@ -320,63 +288,43 @@ let rec any_blocker_older (id : int) = function
   | [] -> false
   | b :: rest -> b < id || any_blocker_older id rest
 
-let handle_lock_request t id mode e =
+(* What a block triggers: the intervention, or an eager check. *)
+let[@hot] blocked t id e holders =
   let eng = t.eng in
-  let ts = txn_state t id in
-  match Lock_table.request eng.locks id mode e with
-  | Lock_table.Granted ->
-      History.note_grant eng.hist ~tick:eng.tick id e mode;
-      Txn_state.lock_granted ts;
-      (* A direct grant can change the holder set under queued waiters
-         (a shared request joining shared holders past a queued exclusive
-         one): their waits-for edges must follow, or cycles through the
-         new holder are invisible to later deadlock checks. *)
-      Engine.refresh_waiters eng e;
-      schedule t id
-  | Lock_table.Blocked holders -> (
-      (Log.debug (fun m ->
-           m "[%d] T%d blocked on %a(%s) behind %s" eng.tick id
-             Lock_mode.pp mode e
-             (String.concat "," (List.map (Printf.sprintf "T%d") holders)))
-       [@lint.allow
-         "A1: log msgf closure renders only when a reporter is armed"]);
-      Waits_for.set_wait eng.wfg ~waiter:id ~holders e;
-      (* Every block is tracked, whatever the intervention: the duration
-         feeds the blocked-time statistics and the stall watchdog;
-         [Timeout_abort] timers read it as before. *)
-      Engine.note_blocked eng id;
-      match t.cfg.intervention with
-      | Detect -> (
-          match t.cfg.detection with
-          | Detection_policy.Eager ->
-              (* Edges installed; a deadlock exists iff some blocker
-                 reaches the waiter (Section 3.1's descendant check).
-                 Only the boolean probe itself is a "check" — resolution
-                 bills its enumeration to the enumerate counters and its
-                 rollback work to nobody. *)
-              if Engine.would_deadlock eng ~waiter:id ~holders then
-                (Engine.resolve eng ~deferred:false
-                   ~apply:(roll_back_victim t) (Some id)
-                 [@lint.allow
-                   "A1: a detected deadlock hands the requester to \
-                    resolution, which allocates by design"])
-          | Detection_policy.Periodic _ | Detection_policy.Adaptive ->
-              (* the request path pays nothing; the sweep chain detects *)
-              ())
-      | Timeout_abort n ->
-          Pqueue.push eng.events ~priority:(eng.tick + n)
-            ~tag:ev_timer ~a:id ~b:0
-      | Wound_wait_c -> wound_younger_blockers t id e holders
-      | Wait_die_c ->
-          if any_blocker_older id holders then begin
-            (* younger than a blocker: die, keeping the timestamp *)
-            eng.preventions <- eng.preventions + 1;
-            (Log.info (fun m -> m "[%d] T%d dies over %s" eng.tick id e)
+  match t.cfg.intervention with
+  | Detect -> (
+      match t.cfg.detection with
+      | Detection_policy.Eager ->
+          (* Edges installed; a deadlock exists iff some blocker reaches
+             the waiter (Section 3.1's descendant check). Only the boolean
+             probe itself is a "check" — resolution bills its enumeration
+             to the enumerate counters and its rollback work to nobody. *)
+          if Engine.would_deadlock eng ~waiter:id ~holders then
+            (Engine.resolve eng t ~deferred:false ~apply:roll_back_victim
+               (Some id)
              [@lint.allow
-               "A1: log msgf closure renders only when a reporter is \
-                armed"]);
-            self_restart t id
-          end)
+               "A1: a detected deadlock hands the requester to resolution, \
+                which allocates by design"])
+      | Detection_policy.Periodic _ | Detection_policy.Adaptive ->
+          (* the request path pays nothing; the sweep chain detects *)
+          ())
+  | Timeout_abort n ->
+      Pqueue.push eng.events ~priority:(eng.tick + n) ~tag:ev_timer ~a:id ~b:0
+  | Wound_wait_c ->
+      (Engine.wound_younger eng t ~wound id e holders
+       [@lint.allow
+         "A1: a wound rolls the younger blocker back far enough to release \
+          the entity — the prevention baseline's rollback path allocates \
+          its restart machinery by design"])
+  | Wait_die_c ->
+      if any_blocker_older id holders then begin
+        (* younger than a blocker: die, keeping the timestamp *)
+        eng.preventions <- eng.preventions + 1;
+        (Log.info (fun m -> m "[%d] T%d dies over %s" eng.tick id e)
+         [@lint.allow
+           "A1: log msgf closure renders only when a reporter is armed"]);
+        self_restart t id
+      end
 
 let handle_unlock t id =
   release_lock t id (Engine.unlock t.eng id);
@@ -387,13 +335,7 @@ let[@lint.allow
       regrants, history certification and pool returns run once per \
       transaction, off the per-operation path"] handle_commit t id =
   let eng = t.eng in
-  Engine.commit eng id ~release:(fun held ->
-      List.iter
-        (fun (w, mode, e) -> process_one_grant t w mode e)
-        (Lock_table.release_all eng.locks id);
-      (* every entity whose holder set changed needs its waiters
-         re-pointed *)
-      List.iter (fun (e, _) -> Engine.refresh_waiters eng e) held);
+  Engine.commit eng t ~release:release_lock id;
   Log.debug (fun m -> m "[%d] T%d committed" eng.tick id);
   t.commit_ticks.(id) <- eng.tick
 
@@ -408,7 +350,8 @@ let exec_one t id =
         ()
       else
         match Txn_state.next_action ts with
-        | Txn_state.Need_lock (mode, e) -> handle_lock_request t id mode e
+        | Txn_state.Need_lock (mode, e) ->
+            Engine.request t.eng t ~granted ~blocked id mode e
         | Txn_state.Need_unlock _ -> handle_unlock t id
         | Txn_state.Data_step ->
             Txn_state.exec_data_op ts;

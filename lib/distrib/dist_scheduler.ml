@@ -335,10 +335,9 @@ let send_grant t f w e =
   t.messages <- t.messages + 1;
   ignore (deliver t f ~release:false (Grant_arrive (w, e)))
 
-let grant_one t w mode e =
-  Waits_for.clear_wait t.eng.wfg w;
-  Engine.note_unblocked t.eng w;
-  History.note_grant t.eng.hist ~tick:t.eng.tick w e mode;
+(* How a grant reaches its waiter: at once, by a reply message from a
+   remote site, or not at all from a down one. *)
+let granted t w e =
   match t.faults with
   | Some _ when t.down.(site_of t e) ->
       (* decided in memory that died with the site; the rebuild will
@@ -347,17 +346,15 @@ let grant_one t w mode e =
   | Some f when site_of t e <> (meta t w).home -> send_grant t f w e
   | _ -> notify_grant t w e
 
-let grants_on t e grants =
-  List.iter (fun (w, mode) -> grant_one t w mode e) grants
-
-(* Table-side release plus propagation; no message accounting. *)
-let do_release t id e =
-  grants_on t e (Lock_table.release t.eng.locks id e);
-  Engine.refresh_waiters t.eng e
+(* The requester accepts a grant its site already made, whose reply was
+   lost or is still in flight. *)
+let accept_grant t id e =
+  Engine.end_wait t.eng id;
+  notify_grant t id e
 
 let release_lock t id e =
   if site_of t e <> (meta t id).home then t.messages <- t.messages + 1;
-  do_release t id e
+  Engine.release t.eng t ~granted id e
 
 let transmit_release t f id e ~attempt =
   t.messages <- t.messages + 1;
@@ -407,8 +404,10 @@ let release_rolled_back t v released =
       if not t.down.(site_of t e) then release_lock t v e)
     released
 
+(* The wait ends before a lock granted table-side is handed back: a
+   granted request has no wait left to end. *)
 let forget_wait t v =
-  Engine.cancel_pending_request t.eng ~grant:(grant_one t) v;
+  Engine.withdraw t.eng t ~granted v;
   let m = meta t v in
   (match m.pending with
   | Some (_, e)
@@ -419,8 +418,6 @@ let forget_wait t v =
          hand it straight back. *)
       release_rolled_back t v [ e ]
   | Some _ | None -> ());
-  Waits_for.clear_wait t.eng.wfg v;
-  Engine.note_unblocked t.eng v;
   m.pending <- None;
   m.attempt <- 0
 
@@ -439,15 +436,14 @@ let release_victim t v released =
    abort while the global detector is out, or a deferred round's
    escalation. The transaction's lock stream starts over at home. *)
 let restart t id ~resume_at =
-  Engine.restart t.eng ~drop_wait:(forget_wait t)
-    ~release:(release_rolled_back t) ~resume_at id;
+  Engine.restart t.eng t ~drop_wait:forget_wait ~release:release_rolled_back
+    ~resume_at id;
   let m = meta t id in
   m.last_site <- m.home
 
 let roll_back_victim t ~deferred ~stagger v entities =
-  Engine.apply_rollback t.eng ~drop_wait:(forget_wait t)
-    ~release:(release_victim t) ~restart:(restart t) ~deferred ~stagger v
-    entities
+  Engine.apply_rollback t.eng t ~drop_wait:forget_wait ~release:release_victim
+    ~restart ~deferred ~stagger v entities
 
 (* --- Cycle detection ------------------------------------------------- *)
 
@@ -478,8 +474,8 @@ let rec resolve_local t requester s round =
     Waits_for.keep_cycles cycles (fun k -> all_sites t cycles k at_s);
     if cycles.n_cycles > 0 then begin
       t.local_deadlocks <- t.local_deadlocks + 1;
-      Engine.resolve_round t.eng ~deferred:(deferred t)
-        ~apply:(roll_back_victim t) requester cycles;
+      Engine.resolve_round t.eng t ~deferred:(deferred t)
+        ~apply:roll_back_victim requester cycles;
       resolve_local t requester s (round + 1)
     end
   end
@@ -529,8 +525,8 @@ let run_global_detection t =
         Some (fun cycles k -> all_sites t cycles k (Array.get visible))
   in
   let before = t.eng.deadlocks in
-  Engine.resolve t.eng ~deferred:(deferred t) ?keep
-    ~apply:(roll_back_victim t) None;
+  Engine.resolve t.eng t ~deferred:(deferred t) ?keep ~apply:roll_back_victim
+    None;
   t.global_deadlocks <- t.global_deadlocks + t.eng.deadlocks - before
 
 (* Detector outage: no global rounds run; long-blocked transactions are
@@ -567,10 +563,9 @@ let detector_round t ~period =
 (* Wound-wait: a wounded holder rolls back to release the entity, a
    wounded queued request requeues behind; a wound to a remote holder
    costs a message. *)
-let wound_wait t requester e blockers =
-  Engine.wound_younger t.eng requester blockers ~wound:(fun b ->
-      if site_of t e <> (meta t b).home then t.messages <- t.messages + 1;
-      roll_back_victim t ~deferred:false ~stagger:0 b [ e ])
+let wound t _requester e b =
+  if site_of t e <> (meta t b).home then t.messages <- t.messages + 1;
+  roll_back_victim t ~deferred:false ~stagger:0 b [ e ]
 
 (* --- Site crash and recovery ----------------------------------------- *)
 
@@ -583,8 +578,8 @@ let partial_crash_rollback t id ~site =
       (Txn_state.locks_held (txn_state t id))
   in
   if on_site <> [] then
-    Engine.apply_partial_rollback t.eng ~drop_wait:(forget_wait t)
-      ~release:(release_rolled_back t) ~deferred:false ~stagger:0 id on_site
+    Engine.apply_partial_rollback t.eng t ~drop_wait:forget_wait
+      ~release:release_rolled_back ~deferred:false ~stagger:0 id on_site
 
 let crash_site t s downtime =
   if not t.down.(s) then begin
@@ -626,10 +621,7 @@ let rebuild_site_locks t s =
       if site_of t e = s then begin
         (* tail-first, so removing one waiter never grants another *)
         List.iter
-          (fun (w, _) ->
-            Engine.cancel_pending_request t.eng ~grant:(grant_one t) w;
-            Waits_for.clear_wait t.eng.wfg w;
-            Engine.note_unblocked t.eng w)
+          (fun (w, _) -> Engine.withdraw t.eng t ~granted w)
           (List.rev (Lock_table.waiters locks e));
         List.iter
           (fun (h, _) ->
@@ -643,10 +635,9 @@ let rebuild_site_locks t s =
             if stale then begin
               t.purged_locks <- t.purged_locks + 1;
               History.discard t.eng.hist h e;
-              grants_on t e (Lock_table.release locks h e)
+              Engine.release t.eng t ~granted h e
             end)
-          (Lock_table.holders locks e);
-        Engine.refresh_waiters t.eng e
+          (Lock_table.holders locks e)
       end)
     (Store.entities t.eng.store)
 
@@ -659,13 +650,10 @@ let recover_site t s =
 
 (* --- Message handlers ------------------------------------------------- *)
 
-(* A request queued at its site: install the wait, then detect (or
-   wound) at block time. *)
+(* What a block triggers: a wound, or the site-local check. *)
 let blocked t id e holders =
-  Waits_for.set_wait t.eng.wfg ~waiter:id ~holders e;
-  Engine.note_blocked t.eng id;
   match t.cfg.detection with
-  | Wound_wait -> wound_wait t id e holders
+  | Wound_wait -> Engine.wound_younger t.eng t ~wound id e holders
   | Local_then_global _ -> local_check t id e ~holders
 
 let req_arrive t id mode e =
@@ -675,25 +663,15 @@ let req_arrive t id mode e =
     let locks = t.eng.locks in
     match m.pending with
     | Some (mode', e') when String.equal e' e && Lock_mode.equal mode' mode -> (
-        let f = match t.faults with Some f -> f | None -> assert false in
         match Lock_table.holds locks id e with
-        | Some held
-          when not
-                 (Lock_mode.equal held Lock_mode.Shared
-                 && Lock_mode.equal mode Lock_mode.Exclusive) ->
+        | Some held when Lock_mode.covers held mode ->
             (* a retransmission of a request already granted: the grant
                reply was lost — resend it (idempotent on arrival) *)
-            send_grant t f id e
+            granted t id e
         | _ ->
             if Lock_table.waiting_for locks id <> None then
               () (* already queued: duplicate arrival *)
-            else (
-              match Lock_table.request locks id mode e with
-              | Lock_table.Granted ->
-                  History.note_grant t.eng.hist ~tick:t.eng.tick id e mode;
-                  Engine.refresh_waiters t.eng e;
-                  send_grant t f id e
-              | Lock_table.Blocked holders -> blocked t id e holders))
+            else Engine.request t.eng t ~granted ~blocked id mode e)
     | Some _ | None -> () (* the transaction moved on; stale request *)
 
 let req_timeout t id e =
@@ -713,16 +691,12 @@ let req_timeout t id e =
           else
           let satisfied =
             match Lock_table.holds locks id e with
-            | Some Lock_mode.Exclusive -> true
-            | Some Lock_mode.Shared -> Lock_mode.equal mode Lock_mode.Shared
+            | Some held -> Lock_mode.covers held mode
             | None -> false
           in
-          if satisfied then begin
+          if satisfied then
             (* grant reply lost: the probe rediscovers the lock *)
-            Waits_for.clear_wait t.eng.wfg id;
-            Engine.note_unblocked t.eng id;
-            notify_grant t id e
-          end
+            accept_grant t id e
           else if Lock_table.waiting_for locks id <> None then
             (* queued at the site: stay parked, keep probing *)
             push t ~at:(now + to_.Fault.request_timeout) (Req_timeout (id, e))
@@ -748,16 +722,7 @@ let grant_arrive t id e =
       let ts = txn_state t id in
       match m.pending with
       | Some (mode, e') when String.equal e' e ->
-          let satisfies =
-            match held with
-            | Lock_mode.Exclusive -> true
-            | Lock_mode.Shared -> Lock_mode.equal mode Lock_mode.Shared
-          in
-          if satisfies then begin
-            Waits_for.clear_wait t.eng.wfg id;
-            Engine.note_unblocked t.eng id;
-            notify_grant t id e
-          end
+          if Lock_mode.covers held mode then accept_grant t id e
       | Some _ | None ->
           if Txn_state.holds ts e <> None then
             () (* duplicate of an accepted grant *)
@@ -774,7 +739,7 @@ let release_arrive t id e =
   else
     match Lock_table.holds t.eng.locks id e with
     | None -> () (* duplicate delivery, or the row was purged *)
-    | Some _ -> do_release t id e
+    | Some _ -> Engine.release t.eng t ~granted id e
 
 let release_retry t id e attempt =
   match t.faults with
@@ -792,38 +757,15 @@ let handle_lock_request t id mode e =
   let home = (meta t id).home in
   match t.faults with
   | Some f when site_of t e <> home -> send_request t f id mode e
-  | _ -> (
+  | _ ->
       if site_of t e <> home then t.messages <- t.messages + 2;
-      match Lock_table.request t.eng.locks id mode e with
-      | Lock_table.Granted ->
-          History.note_grant t.eng.hist ~tick:t.eng.tick id e mode;
-          Engine.refresh_waiters t.eng e;
-          notify_grant t id e
-      | Lock_table.Blocked holders -> blocked t id e holders)
+      Engine.request t.eng t ~granted ~blocked id mode e
 
 let handle_unlock t id =
   async_release t id (Engine.unlock t.eng id);
   schedule t id
 
-let handle_commit t id =
-  let home = (meta t id).home in
-  Engine.commit t.eng id ~release:(fun held ->
-      match t.faults with
-      | None ->
-          let grants = Lock_table.release_all t.eng.locks id in
-          List.iter
-            (fun (e, _) ->
-              if site_of t e <> home then t.messages <- t.messages + 1)
-            held;
-          List.iter (fun (w, mode, e) -> grant_one t w mode e) grants;
-          List.iter (fun (e, _) -> Engine.refresh_waiters t.eng e) held
-      | Some f ->
-          (* each remaining lock is released by its own (retried) message *)
-          List.iter
-            (fun (e, _) ->
-              if site_of t e <> home then transmit_release t f id e ~attempt:0
-              else do_release t id e)
-            held)
+let handle_commit t id = Engine.commit t.eng t ~release:async_release id
 
 let exec_one t id =
   let ts = txn_state t id in

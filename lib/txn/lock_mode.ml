@@ -10,6 +10,11 @@ let compatible held requested =
   | Shared, Shared -> true
   | Shared, Exclusive | Exclusive, Shared | Exclusive, Exclusive -> false
 
+let covers held requested =
+  match (held, requested) with
+  | Exclusive, (Shared | Exclusive) | Shared, Shared -> true
+  | Shared, Exclusive -> false
+
 let to_string = function Shared -> "S" | Exclusive -> "X"
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -9,6 +9,10 @@ val compatible : t -> t -> bool
 (** [compatible held requested] — can both be granted simultaneously to
     different transactions? Only [Shared]/[Shared] is. *)
 
+val covers : t -> t -> bool
+(** [covers held requested] — does holding [held] already grant what
+    [requested] asks? Only [Shared] does not cover [Exclusive]. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
