@@ -8,11 +8,11 @@
 module P = Parsetree
 module A = Ast_iterator
 
-type rule = D1 | D2 | D3 | L1 | L2 | A1 | P1 | H1
+type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | P1 | H1
 
-let all_rules = [ D1; D2; D3; L1; L2; A1; P1; H1 ]
+let all_rules = [ D1; D2; D3; L1; L2; L3; A1; P1; H1 ]
 
-let untyped_rules = [ D1; D2; D3; L1; L2 ]
+let untyped_rules = [ D1; D2; D3; L1; L2; L3 ]
 
 let deep_rules = [ A1; P1; H1 ]
 
@@ -22,6 +22,7 @@ let rule_id = function
   | D3 -> "D3"
   | L1 -> "L1"
   | L2 -> "L2"
+  | L3 -> "L3"
   | A1 -> "A1"
   | P1 -> "P1"
   | H1 -> "H1"
@@ -33,6 +34,7 @@ let rule_of_id s =
   | "D3" -> Some D3
   | "L1" -> Some L1
   | "L2" -> Some L2
+  | "L3" -> Some L3
   | "A1" -> Some A1
   | "P1" -> Some P1
   | "H1" -> Some H1
@@ -54,6 +56,10 @@ let rule_doc = function
   | L2 ->
       "no catch-all arm in matches over the distributed protocol message \
        type"
+  | L3 ->
+      "one request path: in lib/core and lib/distrib only engine.ml \
+       calls the lock table's request/release/release_all/cancel_wait, \
+       History.note_grant and Waits_for.set_wait/clear_wait"
   | A1 ->
       "[deep] functions marked [@hot] must not allocate, transitively \
        through repo-local calls"
@@ -244,6 +250,16 @@ let allow_ids attrs = List.concat_map fst (allow_specs attrs)
 
 (* --- The checker ------------------------------------------------------ *)
 
+(* The lock-table transitions, certifier grants and wait edges that only
+   the engine core's request path may perform (L3). *)
+let request_path_step lid =
+  match (lid_last_module lid, Longident.last lid) with
+  | Some "Lock_table", ("request" | "release" | "release_all" | "cancel_wait")
+  | Some "History", "note_grant"
+  | Some "Waits_for", ("set_wait" | "clear_wait") ->
+      true
+  | _ -> false
+
 let protocol_ctors =
   (* Dist_scheduler.event: the distributed protocol message type. Adding a
      variant there should extend this list — test_lint cross-checks. *)
@@ -339,6 +355,16 @@ let check_structure ?(rules = all_rules) ~(context : context) ~file str =
              "wall clock (%s) outside the opt-in detection clock; thread a \
               [clock] through the config instead"
              f)
+    | _ -> ());
+    (match context.lib with
+    | Some ("core" | "distrib")
+      when request_path_step lid
+           && not (String.equal (Filename.basename file) "engine.ml") ->
+        emit L3 loc
+          (Printf.sprintf
+             "%s outside the engine core: every lock-table transition goes \
+              through the one request path in lib/core/engine.ml"
+             (String.concat "." (Longident.flatten lid)))
     | _ -> ());
     match (context.lib, lid_head lid) with
     | Some (("core" | "lock") as l), (("Prb_sim" | "Prb_workload") as dep) ->

@@ -31,6 +31,11 @@
     - {b L2} — no unguarded catch-all arm ([_] or a variable) in a match
       over the distributed protocol message type ([Dist_scheduler.event]),
       so adding a message variant forces every handler site to decide.
+    - {b L3} — one request path: in [lib/core] and [lib/distrib] only
+      [engine.ml] may call [Lock_table.request], [release], [release_all]
+      or [cancel_wait], [History.note_grant], or [Waits_for.set_wait] or
+      [clear_wait], so every lock-table transition exists once, in the
+      engine core both schedulers embed.
 
     Three further rules — {b A1} (hot paths are allocation-free), {b P1}
     (static two-phase locking discipline) and {b H1} (slot handles do not
@@ -46,7 +51,7 @@
     [[@lint.allow "A1: amortized buffer growth"]] — and is {e required}
     by the deep rules. *)
 
-type rule = D1 | D2 | D3 | L1 | L2 | A1 | P1 | H1
+type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | P1 | H1
 
 val all_rules : rule list
 

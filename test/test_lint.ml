@@ -34,6 +34,7 @@ let test_fixture_rules () =
     ("sim__d3_wallclock.ml", [ "D3" ]);
     ("core__l1_layering.ml", [ "L1" ]);
     ("distrib__l2_catch_all.ml", [ "L2" ]);
+    ("core__l3_request_path.ml", [ "L3" ]);
     ("core__allow_suppression.ml", []);
     ("clean__ok.ml", []);
   ]
