@@ -10,7 +10,6 @@ module Value = Prb_storage.Value
 module Store = Prb_storage.Store
 module Program = Prb_txn.Program
 module Expr = Prb_txn.Expr
-module Digraph = Prb_graph.Digraph
 module Ugraph = Prb_graph.Ugraph
 module Waits_for = Prb_wfg.Waits_for
 module History_stack = Prb_rollback.History_stack
@@ -354,14 +353,6 @@ let bench_articulation =
   Test.make ~name:"articulation points (21 vertices)"
     (Staged.stage (fun () -> Ugraph.articulation_points g))
 
-let bench_scc =
-  let g = Digraph.create () in
-  for i = 0 to 49 do
-    Digraph.add_edge g i ((i + 1) mod 50)
-  done;
-  Test.make ~name:"tarjan scc (50-cycle)"
-    (Staged.stage (fun () -> Digraph.scc g))
-
 let run () =
   Common.header "MICRO" "hot-path costs (bechamel, ns/op)";
   let tests =
@@ -386,7 +377,6 @@ let run () =
       bench_interner;
       bench_pool_recycle;
       bench_articulation;
-      bench_scc;
     ]
   in
   let quota = if !Common.quick then 0.1 else 0.5 in

@@ -690,39 +690,12 @@ let point_of_json j =
     allocated_mwords = as_float (obj_field "allocated_mwords" j);
   }
 
-let as_bool = function
-  | J_bool b -> b
-  | _ -> raise (Parse_error "expected a boolean")
-
 (* Optional lookup: lets a new reader accept files written before a
    section existed (and vice versa), so --compare keeps working across
    schema growth. *)
 let obj_field_opt name = function
   | J_obj fields -> List.assoc_opt name fields
   | _ -> None
-
-let policy_point_of_json j =
-  {
-    p_policy = as_string (obj_field "policy" j);
-    p_contention = as_string (obj_field "contention" j);
-    p_txns = as_int (obj_field "txns" j);
-    p_outage = as_bool (obj_field "outage" j);
-    p_commits = as_int (obj_field "commits" j);
-    p_ticks = as_int (obj_field "ticks" j);
-    p_deadlocks = as_int (obj_field "deadlocks" j);
-    p_rollbacks = as_int (obj_field "rollbacks" j);
-    p_wall_seconds = as_float (obj_field "wall_seconds" j);
-    p_commits_per_sec = as_float (obj_field "commits_per_sec" j);
-    p_check_seconds = as_float (obj_field "check_seconds" j);
-    p_check_share = as_float (obj_field "check_share" j);
-    p_check_calls = as_int (obj_field "check_calls" j);
-    p_enumerate_seconds = as_float (obj_field "enumerate_seconds" j);
-    p_enumerate_share = as_float (obj_field "enumerate_share" j);
-    p_enumerate_calls = as_int (obj_field "enumerate_calls" j);
-    p_detection_passes = as_int (obj_field "detection_passes" j);
-    p_watchdog_fires = as_int (obj_field "watchdog_fires" j);
-    p_max_blocked_ticks = as_int (obj_field "max_blocked_ticks" j);
-  }
 
 let read_file path =
   let ic = open_in_bin path in
@@ -749,14 +722,6 @@ let load ~path =
   let j = parse_json (read_file path) in
   check_schema j;
   List.map point_of_json (as_list (obj_field "points" j))
-
-let load_policies ~path =
-  let j = parse_json (read_file path) in
-  match obj_field_opt "policy_points" j with
-  | None -> []
-  | Some l ->
-      check_schema j;
-      List.map policy_point_of_json (as_list l)
 
 let same_point a b =
   String.equal a.engine b.engine

@@ -109,11 +109,6 @@ val load : path:string -> point list
     (a versionless file is implicitly version 1), or [Sys_error] on an
     unreadable path. *)
 
-val load_policies : path:string -> policy_point list
-(** Read the E14 section back from a file written by {!write_json};
-    [[]] when the file predates the section. @raise Parse_error /
-    [Sys_error] as {!load}. *)
-
 val compare_against :
   tolerance:float -> baseline:point list -> point list -> string list * int
 (** Regression gate: match each baseline point to a current point by

@@ -1,5 +1,5 @@
-module Digraph = Prb_graph.Digraph
 module Lock_mode = Prb_txn.Lock_mode
+module Imap = Map.Make (Int)
 
 type txn = int
 type entity = Prb_storage.Store.entity
@@ -27,18 +27,21 @@ type live = {
   mutable first_granted : int;
 }
 
-(* A committed transaction still retained for conflict checking. *)
+(* A committed transaction still retained for conflict checking, with its
+   retained predecessors counted and its successors listed, one entry per
+   conflicting interval pair (so an id may repeat). *)
 type committed_info = {
   ci_intervals : interval list; (* chronological *)
   ci_max_released : int;
+  mutable n_preds : int;
+  mutable succs : txn list;
 }
 
 type t = {
   live : (txn, live) Hashtbl.t;
-  retained : (txn, committed_info) Hashtbl.t;
+  mutable retained : committed_info Imap.t; (* in id order *)
   by_entity : (entity, interval list ref) Hashtbl.t;
       (* retained committed intervals touching each entity *)
-  graph : Digraph.t; (* precedence over retained committed txns *)
   mutable folded_rev : txn list; (* serial-order prefix, newest first *)
   mutable n_folded : int;
   mutable violations : (interval * interval) list; (* newest first *)
@@ -49,9 +52,8 @@ type t = {
 let create () =
   {
     live = Hashtbl.create 64;
-    retained = Hashtbl.create 64;
+    retained = Imap.empty;
     by_entity = Hashtbl.create 64;
-    graph = Digraph.create ();
     folded_rev = [];
     n_folded = 0;
     violations = [];
@@ -148,41 +150,36 @@ let fold_one t txn ci =
           | [] -> Hashtbl.remove t.by_entity iv.entity
           | _ -> ()))
     ci.ci_intervals;
-  Digraph.remove_vertex t.graph txn;
-  Hashtbl.remove t.retained txn;
+  List.iter
+    (fun s ->
+      let si = Imap.find s t.retained in
+      si.n_preds <- si.n_preds - 1)
+    ci.succs;
+  t.retained <- Imap.remove txn t.retained;
   t.n_retained <- t.n_retained - List.length ci.ci_intervals;
   t.folded_rev <- txn :: t.folded_rev;
   t.n_folded <- t.n_folded + 1
 
-(* The retained ids are sorted once per call; each successful fold
-   restarts the scan from the front of the (shrinking) list, because
-   removing a vertex can zero the in-degree of a smaller retained id.
-   The fold sequence — always the smallest currently-foldable id — is
-   identical to re-sorting every round, without the per-round sort the
-   old loop paid on each commit. *)
-let fold_ready t =
-  let w = watermark t in
-  let foldable txn =
-    match Hashtbl.find_opt t.retained txn with
-    | None -> None
-    | Some ci ->
-        if ci.ci_max_released < w && Digraph.in_degree t.graph txn = 0 then
-          Some ci
-        else None
-  in
-  let ids = Prb_util.Util.sorted_keys Int.compare t.retained in
-  let rec scan = function
-    | [] -> ()
-    | txn :: rest -> (
-        match foldable txn with
-        | Some ci ->
-            fold_one t txn ci;
-            (* folded ids answer [None] from now on, so restarting on the
-               original list re-picks the smallest foldable survivor *)
-            scan ids
-        | None -> scan rest)
-  in
-  scan ids
+exception Ready of txn * committed_info
+
+(* Folds the smallest foldable id, then looks again from the smallest,
+   because a fold can free a smaller retained id of its last
+   predecessor. The retained map is in id order, so nothing is sorted. *)
+let rec fold_ready t w =
+  try
+    Imap.iter
+      (fun txn ci ->
+        if ci.ci_max_released < w && ci.n_preds = 0 then
+          raise_notrace (Ready (txn, ci)))
+      t.retained
+  with Ready (txn, ci) ->
+    fold_one t txn ci;
+    fold_ready t w
+
+(* [p] precedes the retained or committing transaction [s] *)
+let precede p s si =
+  p.succs <- s :: p.succs;
+  si.n_preds <- si.n_preds + 1
 
 let commit_txn t txn =
   match Hashtbl.find_opt t.live txn with
@@ -191,56 +188,53 @@ let commit_txn t txn =
       if Hashtbl.length l.open_ivs > 0 then
         invalid_arg "History.commit_txn: transaction still holds a lock";
       Hashtbl.remove t.live txn;
-      let intervals = List.rev l.pending in
-      (match intervals with
+      match List.rev l.pending with
       | [] -> () (* no committed interval: no vertex, like the naive graph *)
-      | _ ->
-          Digraph.add_vertex t.graph txn;
-          let max_released = ref min_int in
-          List.iter
-            (fun a ->
-              if a.released_at > !max_released then
-                max_released := a.released_at;
-              (match Hashtbl.find_opt t.by_entity a.entity with
-              | None -> ()
-              | Some peers ->
-                  List.iter
-                    (fun b ->
-                      if conflicting a b then begin
-                        if overlaps a b then
-                          t.violations <-
-                            (if a.txn < b.txn then (a, b) else (b, a))
-                            :: t.violations;
-                        if a.released_at <= b.granted_at then
-                          Digraph.add_edge t.graph a.txn b.txn;
-                        if b.released_at <= a.granted_at then
-                          Digraph.add_edge t.graph b.txn a.txn
-                      end)
-                    !peers);
-              (match Hashtbl.find_opt t.by_entity a.entity with
-              | Some peers -> peers := a :: !peers
-              | None -> Hashtbl.replace t.by_entity a.entity (ref [ a ])))
-            intervals;
-          Hashtbl.replace t.retained txn
+      | intervals ->
+          let ci =
             {
               ci_intervals = intervals;
-              ci_max_released = !max_released;
-            };
+              ci_max_released =
+                List.fold_left (fun m a -> Int.max m a.released_at) min_int
+                  intervals;
+              n_preds = 0;
+              succs = [];
+            }
+          in
+          List.iter
+            (fun a ->
+              let peers =
+                match Hashtbl.find_opt t.by_entity a.entity with
+                | Some peers -> peers
+                | None -> ref []
+              in
+              List.iter
+                (fun b ->
+                  if conflicting a b then begin
+                    if overlaps a b then
+                      t.violations <-
+                        (if a.txn < b.txn then (a, b) else (b, a))
+                        :: t.violations;
+                    let bi = Imap.find b.txn t.retained in
+                    if a.released_at <= b.granted_at then precede ci b.txn bi;
+                    if b.released_at <= a.granted_at then precede bi txn ci
+                  end)
+                !peers;
+              peers := a :: !peers;
+              Hashtbl.replace t.by_entity a.entity peers)
+            intervals;
+          t.retained <- Imap.add txn ci t.retained;
           t.n_retained <- t.n_retained + List.length intervals;
-          fold_ready t)
+          fold_ready t (watermark t)
 
 (* --- Queries ---------------------------------------------------------- *)
 
 let committed t =
-  let all =
-    Hashtbl.fold (fun _ ci acc -> ci.ci_intervals @ acc) t.retained []
-  in
+  let all = Imap.fold (fun _ ci acc -> ci.ci_intervals @ acc) t.retained [] in
   List.sort
     (fun a b ->
       compare (a.granted_at, a.txn, a.entity) (b.granted_at, b.txn, b.entity))
     all
-
-let precedence_graph t = Digraph.copy t.graph
 
 let overlapping_conflicts t =
   List.sort
@@ -250,15 +244,36 @@ let overlapping_conflicts t =
         (a2.granted_at, a2.txn, a2.entity, b2.txn, b2.entity))
     t.violations
 
-let serializable t = t.violations = [] && not (Digraph.has_cycle t.graph)
+exception Cyclic
+
+(* The retained residue in precedence order, or [None] on a cycle: one
+   depth-first walk from each id in ascending order, successors ascending
+   without repeats, post-order reversed. *)
+let residue_order t =
+  let finished = Hashtbl.create 64 (* false while on the walk's path *) in
+  let order = ref [] in
+  let rec visit txn =
+    match Hashtbl.find_opt finished txn with
+    | Some true -> ()
+    | Some false -> raise_notrace Cyclic
+    | None ->
+        Hashtbl.replace finished txn false;
+        List.iter visit
+          (List.sort_uniq Int.compare (Imap.find txn t.retained).succs);
+        Hashtbl.replace finished txn true;
+        order := txn :: !order
+  in
+  try
+    Imap.iter (fun txn _ -> visit txn) t.retained;
+    Some !order
+  with Cyclic -> None
+
+let serializable t = t.violations = [] && residue_order t <> None
 
 let equivalent_serial_order t =
   if t.violations <> [] then None
-  else
-    match Digraph.topological_sort t.graph with
-    | None -> None
-    | Some order -> Some (List.rev_append t.folded_rev order)
+  else Option.map (List.rev_append t.folded_rev) (residue_order t)
 
 let n_retained_intervals t = t.n_retained
-let n_retained_txns t = Hashtbl.length t.retained
+let n_retained_txns t = Imap.cardinal t.retained
 let n_folded t = t.n_folded

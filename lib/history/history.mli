@@ -15,17 +15,17 @@
     Serializability of the {e committed} transactions is then acyclicity
     of the precedence graph over conflicting intervals.
 
-    Unlike the naive construction (retained in the test suite as
-    [History_naive], the differential-testing oracle), the conflict graph is maintained online: when a
-    transaction commits, each of its intervals is checked only against the
-    retained committed intervals on the {e same entity} — O(conflicting
-    accessors), not O(all intervals ever). Once a committed transaction
-    has no retained predecessors and lies entirely before the truncation
-    watermark (the earliest grant tick any live transaction can still
-    commit), it is {e folded} into the serial-order prefix and its
-    intervals are dropped, so retained state is proportional to the active
-    window rather than the run length. DESIGN.md §10 gives the argument
-    that folding preserves the verdict exactly.
+    Unlike the naive construction (the test suite's [History_naive]),
+    precedence is kept online: a committing transaction's intervals are
+    checked only against retained intervals on the {e same entity}, and
+    each retained transaction counts its retained predecessors and lists
+    its successors. Once one has no retained predecessor and lies
+    entirely before the truncation watermark (the earliest grant tick any
+    live transaction can still commit), it is {e folded} into the
+    serial-order prefix, smallest id first, and its intervals are
+    dropped, so retained state follows the active window, not the run
+    length. The queries walk the retained residue. DESIGN.md §10 gives
+    the argument that folding preserves the verdict exactly.
 
     Precondition inherited from the engines: ticks passed to {!note_grant}
     and {!note_release} are non-decreasing over the lifetime of a history
@@ -80,13 +80,6 @@ val committed : t -> interval list
     transactions are still inside the active window see every committed
     interval here, matching the naive construction. *)
 
-val precedence_graph : t -> Prb_graph.Digraph.t
-(** A copy of the retained precedence graph. Vertices: retained committed
-    transactions. Edge [a -> b] when [a] and [b] hold conflicting locks on
-    an entity and [a]'s interval ends before [b]'s begins. Folded
-    transactions and their (prefix -> later) edges are not represented —
-    the witness prefix already orders them. *)
-
 val overlapping_conflicts : t -> (interval * interval) list
 (** Conflicting committed intervals that overlap in time — impossible
     under a correct lock manager; non-empty means the engine is broken.
@@ -100,10 +93,11 @@ val serializable : t -> bool
 
 val equivalent_serial_order : t -> txn list option
 (** A serial order witnessing serializability, when it holds: the folded
-    prefix followed by a topological order of the retained graph. Always a
-    valid linearisation of the full (naive) precedence graph, though not
-    necessarily the same witness the naive construction picks when
-    several are valid. *)
+    prefix followed by a topological order of the retained transactions
+    (depth-first from each id in ascending order, successors ascending,
+    post-order reversed). Always a valid linearisation of the full (naive)
+    precedence graph, though not necessarily the same witness the naive
+    construction picks when several are valid. *)
 
 val n_retained_intervals : t -> int
 (** Committed intervals currently retained for conflict checking — the

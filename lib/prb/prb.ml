@@ -55,6 +55,5 @@ module Rng = Prb_util.Rng
 module Zipf = Prb_util.Zipf
 module Stats = Prb_util.Stats
 module Table = Prb_util.Table
-module Digraph = Prb_graph.Digraph
 module Ugraph = Prb_graph.Ugraph
 module Cutset = Prb_graph.Cutset

@@ -19,8 +19,5 @@ let sorted_bindings cmp tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> cmp a b)
 
-let sorted_keys cmp tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort cmp
-
 let iter_sorted cmp f tbl =
   List.iter (fun (k, v) -> f k v) (sorted_bindings cmp tbl)

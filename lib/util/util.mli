@@ -14,9 +14,6 @@ val sorted_bindings :
   ('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** [sorted_bindings cmp tbl] is the bindings of [tbl] sorted by key. *)
 
-val sorted_keys : ('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** [sorted_keys cmp tbl] is the keys of [tbl] in ascending [cmp] order. *)
-
 val iter_sorted :
   ('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted cmp f tbl] applies [f] to each binding in ascending key

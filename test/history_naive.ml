@@ -1,4 +1,3 @@
-module Digraph = Prb_graph.Digraph
 module Lock_mode = Prb_txn.Lock_mode
 module History = Prb_history.History
 

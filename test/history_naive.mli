@@ -33,7 +33,7 @@ val commit_txn : t -> txn -> unit
 val committed : t -> interval list
 (** Every committed interval, sorted by grant tick then txn. *)
 
-val precedence_graph : t -> Prb_graph.Digraph.t
+val precedence_graph : t -> Digraph.t
 (** The full conflict graph, rebuilt by the quadratic pairwise scan. *)
 
 val overlapping_conflicts : t -> (interval * interval) list

@@ -1,7 +1,7 @@
-(* Tests for Prb_graph: digraph algorithms, articulation points, cut
-   sets — including qcheck properties against brute-force oracles. *)
+(* Tests for the graph code: the test-side [Digraph] under the reference
+   oracles, and Prb_graph's articulation points and cut sets — including
+   qcheck properties against brute-force oracles. *)
 
-module Digraph = Prb_graph.Digraph
 module Ugraph = Prb_graph.Ugraph
 module Cutset = Prb_graph.Cutset
 

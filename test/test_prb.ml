@@ -41,7 +41,6 @@ let test_umbrella_surface () =
     (Detection_policy.of_string "lazy:8" = None);
   checkb "zipf" true (Zipf.n (Zipf.make ~n:3 ~theta:0.5) = 3);
   checkb "rng" true (Rng.int (Rng.make 1) 10 < 10);
-  checkb "digraph" true (Digraph.n_vertices (Digraph.create ()) = 0);
   checkb "ugraph" true (Ugraph.n_vertices (Ugraph.create ()) = 0);
   checkb "cutset" true (Cutset.greedy { Cutset.cycles = []; cost = (fun _ -> 1.) } = []);
   checkb "stats" true (Stats.count (Stats.create ()) = 0);

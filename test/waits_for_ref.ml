@@ -3,7 +3,6 @@
    test_wfg can assert the dense adjacency-array rewrite is
    observationally identical. Not used by any engine. *)
 
-module Digraph = Prb_graph.Digraph
 module Txn_id = Prb_txn.Txn_id
 
 type txn = Txn_id.t
