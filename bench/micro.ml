@@ -1,7 +1,7 @@
 (* Micro-benchmarks of the hot paths (bechamel): deadlock detection,
-   site routing, cycle enumeration, victim choice, history-stack writes,
-   rollback execution, SDG analysis. One Test.make per mechanism;
-   estimated ns/op printed as a table. *)
+   site routing, cycle enumeration, victim choice and costing,
+   history-stack writes, rollback execution, SDG analysis. One Test.make
+   per mechanism; estimated ns/op printed as a table. *)
 
 open Bechamel
 open Toolkit
@@ -249,24 +249,25 @@ let growing_program =
 let bench_store () =
   Store.of_list (List.init 6 (fun i -> (Printf.sprintf "E%d" i, Value.int i)))
 
+(* Run a transaction through its growing phase: every lock granted, every
+   data op executed, up to its first unlock or its end. *)
+let rec grow ts =
+  match Txn_state.next_action ts with
+  | Txn_state.Need_lock _ ->
+      Txn_state.lock_granted ts;
+      grow ts
+  | Txn_state.Data_step ->
+      Txn_state.exec_data_op ts;
+      grow ts
+  | Txn_state.Need_unlock _ | Txn_state.At_end -> ()
+
 let bench_txn_execute =
   let store = bench_store () in
   Test.make ~name:"execute 6-lock transaction (sdg)"
     (Staged.stage (fun () ->
-         let ts =
-           Txn_state.create ~strategy:Strategy.Sdg ~id:0 ~store growing_program
-         in
-         let rec go () =
-           match Txn_state.next_action ts with
-           | Txn_state.Need_lock _ ->
-               Txn_state.lock_granted ts;
-               go ()
-           | Txn_state.Data_step ->
-               Txn_state.exec_data_op ts;
-               go ()
-           | Txn_state.Need_unlock _ | Txn_state.At_end -> ()
-         in
-         go ()))
+         grow
+           (Txn_state.create ~strategy:Strategy.Sdg ~id:0 ~store
+              growing_program)))
 
 let bench_rollback =
   let store = bench_store () in
@@ -275,18 +276,29 @@ let bench_rollback =
          let ts =
            Txn_state.create ~strategy:Strategy.Mcs ~id:0 ~store growing_program
          in
-         let rec go () =
-           match Txn_state.next_action ts with
-           | Txn_state.Need_lock _ ->
-               Txn_state.lock_granted ts;
-               go ()
-           | Txn_state.Data_step ->
-               Txn_state.exec_data_op ts;
-               go ()
-           | Txn_state.Need_unlock _ | Txn_state.At_end -> ()
-         in
-         go ();
+         grow ts;
          ignore (Txn_state.rollback_to ts 3)))
+
+(* The question victim choice asks of every cycle member: the progress
+   lost releasing an arc's entities. A grown SDG transaction holds six
+   locks, and its local's single copy damages the states in between, so
+   each target is found by a downward restorability scan. Asked for each
+   entity alone and for a three-entity set. *)
+let bench_victim_costing =
+  let ts =
+    Txn_state.create ~strategy:Strategy.Sdg ~id:0 ~store:(bench_store ())
+      growing_program
+  in
+  grow ts;
+  let entities = Array.init 6 (Printf.sprintf "E%d") in
+  let set = [ "E5"; "E3"; "E1" ] in
+  Test.make ~name:"victim costing (sdg, 6 locks)"
+    (Staged.stage (fun () ->
+         for i = 0 to Array.length entities - 1 do
+           ignore (Txn_state.cost_to_release ts entities.(i))
+         done;
+         ignore
+           (Txn_state.cost_of_target ts (Txn_state.rollback_target_all ts set))))
 
 let bench_sdg_analysis =
   Test.make ~name:"static SDG analysis (6 locks)"
@@ -372,6 +384,7 @@ let run () =
       bench_history_write;
       bench_txn_execute;
       bench_rollback;
+      bench_victim_costing;
       bench_sdg_analysis;
       bench_lock_grant_release;
       bench_interner;

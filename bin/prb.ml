@@ -55,11 +55,6 @@ let central_policy_arg = policy_arg Scheduler.default_config.Scheduler.policy
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let txns_arg =
-  Arg.(
-    value & opt int 200
-    & info [ "txns"; "n" ] ~docv:"N" ~doc:"Transactions to run.")
-
 (* [conv] narrowed to the values [ok] accepts, [what] naming them: sizes
    are checked where they are parsed, so a bad one is a usage error (exit
    124) instead of an exception from inside a run. *)
@@ -73,6 +68,11 @@ let checked conv ok what =
   Arg.conv (parse, Arg.conv_printer conv)
 
 let positive = checked Arg.int (fun n -> n > 0) "a positive integer"
+
+let txns_arg =
+  Arg.(
+    value & opt positive 200
+    & info [ "txns"; "n" ] ~docv:"N" ~doc:"Transactions to run.")
 
 let mpl_arg =
   Arg.(

@@ -283,21 +283,24 @@ let resolver_cycles e ~deferred requester =
    by rolling back far enough to release the entity (it holds it), or —
    under fair queueing, where waits-for edges also point at conflicting
    requests queued ahead — by cancelling its own pending request for that
-   entity and requeueing at the tail. *)
-let split_arcs ts entities =
-  List.partition (fun x -> Txn_state.holds ts x <> None) entities
+   entity and requeueing at the tail.
 
-let release_cost e v entities =
-  let ts = txn_state e v in
-  let held, queued = split_arcs ts entities in
-  let rollback_part =
-    match held with
-    | [] -> 0
-    | xs -> Txn_state.cost_of_target ts (Txn_state.rollback_target_all ts xs)
-  in
-  (* Requeueing loses no progress but is not free: charge one op so the
-     optimiser does not see it as a universally-winning move. *)
-  rollback_part + if queued = [] then 0 else 1
+   Releasing a set of held entities costs what releasing its lowest lock
+   state costs: targets never decrease as the lock state grows, and a
+   later target loses less. So one pass keeps the costliest single
+   release. Requeueing loses no progress but is not free: charge one op
+   so the optimiser does not see it as a universally-winning move. *)
+let rec arcs_cost ts cost queued = function
+  | [] -> if queued then cost + 1 else cost
+  | x :: rest -> (
+      match Txn_state.holds ts x with
+      | None -> arcs_cost ts cost true rest
+      | Some _ ->
+          let c = Txn_state.cost_to_release ts x in
+          arcs_cost ts (if c > cost then c else cost) queued rest)
+
+let[@hot] release_cost e v entities =
+  arcs_cost (txn_state e v) 0 false entities
 
 (* --- The request path ------------------------------------------------ *)
 
@@ -423,31 +426,32 @@ let restart e s ~drop_wait ~release ~resume_at v =
    behind it. *)
 let deferred_escalation = 4
 
+(* The held entity of an arc list with the lowest lock state, if any:
+   rolling back far enough to release it releases every other one. *)
+let rec lowest_held ts lowest lowest_k = function
+  | [] -> lowest
+  | x :: rest -> (
+      match Txn_state.lock_state_of ts x with
+      | Some k when k < lowest_k -> lowest_held ts (Some x) k rest
+      | Some _ | None -> lowest_held ts lowest lowest_k rest)
+
 let apply_partial_rollback e s ~drop_wait ~release ~deferred ~stagger v
     entities =
   let ts = txn_state e v in
-  let held, _queued = split_arcs ts entities in
   (* A blocked victim abandons its pending request; shrinking its queue
      may unblock waiters behind it, and survivors re-point their edges.
      When every arc is a queue arc this cancel-and-retry (the transaction
      re-issues the request and lands at the queue tail) is the whole
      remedy. *)
   drop_wait s v;
-  (match held with
-  | [] -> e.requeue_events <- e.requeue_events + 1
-  | xs ->
-      let target = Txn_state.rollback_target_all ts xs in
+  (match lowest_held ts None (Txn_state.lock_index ts) entities with
+  | None -> e.requeue_events <- e.requeue_events + 1
+  | Some x ->
+      let target = Txn_state.rollback_target ts x in
       (* Overshoot: progress destroyed beyond the minimal release point —
          zero under MCS, the whole prefix under Total, the price of
          non-well-defined states under SDG. *)
-      let minimal =
-        List.fold_left
-          (fun acc x ->
-            match Txn_state.lock_state_of ts x with
-            | Some k -> min acc k
-            | None -> acc)
-          (Txn_state.lock_index ts) xs
-      in
+      let minimal = Option.get (Txn_state.lock_state_of ts x) in
       e.overshoot_ops <-
         e.overshoot_ops
         + Txn_state.cost_of_target ts target
@@ -456,7 +460,8 @@ let apply_partial_rollback e s ~drop_wait ~release ~deferred ~stagger v
           m "[%d] partial rollback of T%d to %s (releasing %s)" e.tick v
             (if target = Txn_state.restart_target then "restart"
              else Printf.sprintf "lock state %d" target)
-            (String.concat "," xs));
+            (String.concat ","
+               (List.filter (fun x -> Txn_state.holds ts x <> None) entities)));
       roll_back e s ~release v ts target);
   (* A deferred pass can roll back many victims in one round; restarted in
      lockstep at [t+1] they re-request the same hot entities in the same

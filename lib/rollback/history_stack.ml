@@ -121,8 +121,13 @@ let[@hot] write t ~lock_index value =
 
 let damaged t = t.damaged
 
-let is_restorable t q =
-  not (List.exists (fun (lo, hi) -> lo <= q && q < hi) t.damaged)
+(* Top-level so a restorability probe builds no closure: the victim
+   costing path asks it once per history per lock state it scans. *)
+let rec undamaged (q : int) = function
+  | [] -> true
+  | (lo, hi) :: rest -> (q < lo || hi <= q) && undamaged q rest
+
+let is_restorable t q = undamaged q t.damaged
 
 let value_at t q =
   if not (is_restorable t q) then None
@@ -174,9 +179,12 @@ module Pool = struct
 
   let create_stack = create
 
-  type t = { mutable free : stack list; mutable pooled : int }
+  (* The free stacks sit in [free.(0 .. pooled - 1)], a stack in a
+     growable array, so a release conses nothing; slots at or above
+     [pooled] are stale and never read. *)
+  type t = { mutable free : stack array; mutable pooled : int }
 
-  let create () = { free = []; pooled = 0 }
+  let create () = { free = [||]; pooled = 0 }
 
   let reset s ~budget ~created_at ~initial =
     if budget < 1 then invalid_arg "History_stack.Pool.acquire: budget < 1";
@@ -194,15 +202,19 @@ module Pool = struct
     s
 
   let acquire t ~budget ~created_at ~initial =
-    match t.free with
-    | s :: rest ->
-        t.free <- rest;
-        t.pooled <- t.pooled - 1;
-        reset s ~budget ~created_at ~initial
-    | [] -> create_stack ~budget ~created_at ~initial
+    if t.pooled = 0 then create_stack ~budget ~created_at ~initial
+    else begin
+      t.pooled <- t.pooled - 1;
+      reset t.free.(t.pooled) ~budget ~created_at ~initial
+    end
 
   let release t s =
-    t.free <- s :: t.free;
+    if t.pooled = Array.length t.free then begin
+      let free = Array.make (max 8 (2 * t.pooled)) s in
+      Array.blit t.free 0 free 0 t.pooled;
+      t.free <- free
+    end;
+    t.free.(t.pooled) <- s;
     t.pooled <- t.pooled + 1
 
   let n_pooled t = t.pooled

@@ -1,7 +1,6 @@
 module Value = Prb_storage.Value
 module Store = Prb_storage.Store
 module Entity = Prb_storage.Store.Entity
-module Util = Prb_util.Util
 module Program = Prb_txn.Program
 module Expr = Prb_txn.Expr
 module Lock_mode = Prb_txn.Lock_mode
@@ -11,12 +10,17 @@ type var = Expr.var
 
 type phase = Growing | Shrinking | Committed
 
-type lock_record = {
-  lr_entity : entity;
-  lr_mode : Lock_mode.t;
-  lr_pc : int; (* position of the lock op = state index at this lock state *)
-}
-
+(* Dense per-transaction state. The locals' histories sit in [locals] in
+   declaration order. Lock state [k] (0 <= k < lock_idx) is the program's
+   k-th lock request: its entity, mode and pc (the position of the lock
+   op, which is the state index at that lock state) sit at index [k] of
+   [ls_entity], [ls_mode] and [ls_pc], and its shadow history at
+   [ls_shadow.(k)] while the entity is held exclusively — [no_history]
+   once it is unlocked, and for shared locks. A valid program locks an
+   entity at most once, so an entity has at most one lock state. Slots at
+   or above [lock_idx] are leftovers of a rollback and never read; a
+   rollback resets their shadows to [no_history]. [dispose] empties
+   [locals] and [ls_shadow]. *)
 type t = {
   id : int;
   program : Program.t;
@@ -28,13 +32,15 @@ type t = {
          common case; the keys only exist for non-uniform allocation *)
   pool : History_stack.Pool.t option;
   n_locks : int; (* Program.n_locks, cached off the per-write path *)
-  env_fun : var -> Value.t; (* one closure over [locals] for Expr.eval *)
+  env_fun : var -> Value.t; (* one closure over the state for Expr.eval *)
   mutable pc : int;
   mutable lock_idx : int;
   mutable phase : phase;
-  locals : (var, History_stack.t) Hashtbl.t;
-  shadows : (entity, History_stack.t) Hashtbl.t; (* X-held entities *)
-  mutable records : lock_record list; (* newest first; length = lock_idx *)
+  mutable locals : History_stack.t array;
+  ls_entity : entity array;
+  ls_mode : Lock_mode.t array;
+  ls_pc : int array;
+  mutable ls_shadow : History_stack.t array;
   mutable total_executed : int;
   mutable rollbacks : int;
   mutable ops_lost : int;
@@ -45,6 +51,11 @@ type t = {
          incrementally so the per-operation accounting is O(1) instead of
          re-summing every history on every step. *)
 }
+
+(* The empty slot of [locals] and [ls_shadow]. Never written, so it is
+   restorable at every state and never recycled. *)
+let no_history =
+  History_stack.create ~budget:1 ~created_at:0 ~initial:(Value.int 0)
 
 let object_budget budget copy_alloc prefix name =
   if budget = max_int then budget
@@ -61,6 +72,22 @@ let acquire_stack pool ~budget ~created_at ~initial =
 let recycle_stack pool h =
   match pool with Some p -> History_stack.Pool.release p h | None -> ()
 
+(* The slot of a declared local: its position in the declaration list. *)
+let rec local_slot v i = function
+  | [] -> raise Not_found
+  | (w, _) :: rest -> if String.equal v w then i else local_slot v (i + 1) rest
+
+let local_history t v = t.locals.(local_slot v 0 t.program.Program.locals)
+
+let rec fill_locals t i = function
+  | [] -> ()
+  | (v, init) :: rest ->
+      t.locals.(i) <-
+        acquire_stack t.pool
+          ~budget:(object_budget t.budget t.copy_alloc "L:" v)
+          ~created_at:0 ~initial:init;
+      fill_locals t (i + 1) rest
+
 let create ?copy_allocation ?pool ~strategy ~id ~store program =
   (match Program.validate program with
   | Ok () -> ()
@@ -69,43 +96,37 @@ let create ?copy_allocation ?pool ~strategy ~id ~store program =
         (Fmt.str "Txn_state.create: invalid program %s: op %d: %a"
            program.Program.name i Program.pp_violation v)
   | Error [] -> assert false);
-  let budget = Strategy.version_budget strategy in
-  let locals = Hashtbl.create 8 in
-  List.iter
-    (fun (v, init) ->
-      Hashtbl.replace locals v
-        (acquire_stack pool
-           ~budget:(object_budget budget copy_allocation "L:" v)
-           ~created_at:0 ~initial:init))
-    program.Program.locals;
-  let env_fun v =
-    match Hashtbl.find_opt locals v with
-    | Some h -> History_stack.current h
-    | None -> raise Not_found
+  let n_locks = Program.n_locks program in
+  let n_locals = List.length program.Program.locals in
+  let rec t =
+    {
+      id;
+      program;
+      strategy;
+      store;
+      budget = Strategy.version_budget strategy;
+      copy_alloc = copy_allocation;
+      pool;
+      n_locks;
+      env_fun = (fun v -> History_stack.current (local_history t v));
+      pc = 0;
+      lock_idx = 0;
+      phase = Growing;
+      locals = Array.make n_locals no_history;
+      ls_entity = Array.make n_locks "";
+      ls_mode = Array.make n_locks Lock_mode.Shared;
+      ls_pc = Array.make n_locks 0;
+      ls_shadow = Array.make n_locks no_history;
+      total_executed = 0;
+      rollbacks = 0;
+      ops_lost = 0;
+      monitored_writes = 0;
+      peak_copies = 0;
+      live_copies = n_locals;
+    }
   in
-  {
-    id;
-    program;
-    strategy;
-    store;
-    budget;
-    copy_alloc = copy_allocation;
-    pool;
-    n_locks = Program.n_locks program;
-    env_fun;
-    pc = 0;
-    lock_idx = 0;
-    phase = Growing;
-    locals;
-    shadows = Hashtbl.create 8;
-    records = [];
-    total_executed = 0;
-    rollbacks = 0;
-    ops_lost = 0;
-    monitored_writes = 0;
-    peak_copies = 0;
-    live_copies = List.length program.Program.locals;
-  }
+  fill_locals t 0 program.Program.locals;
+  t
 
 let id t = t.id
 let program t = t.program
@@ -138,39 +159,46 @@ let[@lint.allow
     | Program.Unlock e -> Need_unlock e
     | Program.Read _ | Program.Write _ | Program.Assign _ -> Data_step
 
-let all_histories t =
-  List.map snd (Util.sorted_bindings String.compare t.locals)
-  @ List.map snd (Util.sorted_bindings Entity.compare t.shadows)
-
 let current_copies t = t.live_copies
 
 let note_copies t =
   if t.live_copies > t.peak_copies then t.peak_copies <- t.live_copies
 
+(* The lock state of an entity, or -1 when it was never granted. An
+   unlocked entity keeps its lock state: [holds] and [lock_state_of] still
+   answer for it. *)
+let rec find_state entities e k =
+  if k < 0 then -1
+  else if String.equal entities.(k) e then k
+  else find_state entities e (k - 1)
+
+let state_of t e = find_state t.ls_entity e (t.lock_idx - 1)
+
 let[@lint.allow
-     "A1: a grant appends the lock record and, for exclusives, acquires \
-      the pooled shadow stack — the retained-copy machinery the paper \
-      charges per lock, not incidental allocation"] lock_granted t =
+     "A1: an exclusive grant takes the pooled shadow stack the paper \
+      charges per lock; it is built fresh only on a pool miss, and its \
+      copy_allocation key only under a non-uniform allocation"] shadow_stack
+    t e =
+  acquire_stack t.pool
+    ~budget:(object_budget t.budget t.copy_alloc "G:" e)
+    ~created_at:t.lock_idx ~initial:(Store.get t.store e)
+
+let lock_granted t =
   (if finished t then
      invalid_arg "Txn_state.lock_granted: current op is not a lock request"
    else
      match t.program.Program.ops.(t.pc) with
      | Program.Lock (mode, e) ->
-         t.records <-
-           { lr_entity = e; lr_mode = mode; lr_pc = t.pc } :: t.records;
-         if Lock_mode.equal mode Lock_mode.Exclusive then begin
-           let budget = object_budget t.budget t.copy_alloc "G:" e in
-           (match Hashtbl.find_opt t.shadows e with
-           | Some old ->
-               t.live_copies <- t.live_copies - History_stack.n_copies old;
-               recycle_stack t.pool old
-           | None -> ());
-           Hashtbl.replace t.shadows e
-             (acquire_stack t.pool ~budget ~created_at:t.lock_idx
-                ~initial:(Store.get t.store e));
-           t.live_copies <- t.live_copies + 1
-         end;
-         t.lock_idx <- t.lock_idx + 1;
+         let k = t.lock_idx in
+         t.ls_entity.(k) <- e;
+         t.ls_mode.(k) <- mode;
+         t.ls_pc.(k) <- t.pc;
+         (match mode with
+         | Lock_mode.Exclusive ->
+             t.ls_shadow.(k) <- shadow_stack t e;
+             t.live_copies <- t.live_copies + 1
+         | Lock_mode.Shared -> ());
+         t.lock_idx <- k + 1;
          t.pc <- t.pc + 1;
          t.total_executed <- t.total_executed + 1
      | Program.Unlock _ | Program.Read _ | Program.Write _ | Program.Assign _
@@ -178,26 +206,26 @@ let[@lint.allow
          invalid_arg "Txn_state.lock_granted: current op is not a lock request");
   note_copies t
 
-let local_history t v =
-  match Hashtbl.find_opt t.locals v with
-  | Some h -> h
-  | None -> raise Not_found
-
 let local_value t v = History_stack.current (local_history t v)
 
-let holds_record t e =
-  List.find_opt (fun r -> String.equal r.lr_entity e) t.records
-
-let holds t e = Option.map (fun r -> r.lr_mode) (holds_record t e)
+let holds t e =
+  let k = state_of t e in
+  if k < 0 then None
+  else
+    match t.ls_mode.(k) with
+    | Lock_mode.Shared -> Some Lock_mode.Shared
+    | Lock_mode.Exclusive -> Some Lock_mode.Exclusive
 
 let read_view t e =
-  match Hashtbl.find_opt t.shadows e with
-  | Some h -> History_stack.current h
-  | None -> (
-      match holds t e with
-      | Some Lock_mode.Shared -> Store.get t.store e
-      | Some Lock_mode.Exclusive -> assert false (* shadow must exist *)
-      | None -> raise Not_found)
+  let k = state_of t e in
+  if k < 0 then raise Not_found
+  else
+    let h = t.ls_shadow.(k) in
+    if h != no_history then History_stack.current h
+    else
+      match t.ls_mode.(k) with
+      | Lock_mode.Shared -> Store.get t.store e
+      | Lock_mode.Exclusive -> assert false (* shadow must exist *)
 
 (* A write may add a version, coalesce in place, or trade a new version
    against an eviction; charge whatever the history's copy count actually
@@ -212,12 +240,14 @@ let write_local t v value =
   if t.lock_idx < t.n_locks then t.monitored_writes <- t.monitored_writes + 1
 
 let write_entity t e value =
-  match Hashtbl.find_opt t.shadows e with
-  | Some h ->
-      counted_write t h value;
-      if t.lock_idx < t.n_locks then
-        t.monitored_writes <- t.monitored_writes + 1
-  | None -> invalid_arg "Txn_state: write to entity without exclusive shadow"
+  let k = state_of t e in
+  let h = if k < 0 then no_history else t.ls_shadow.(k) in
+  if h == no_history then
+    invalid_arg "Txn_state: write to entity without exclusive shadow"
+  else begin
+    counted_write t h value;
+    if t.lock_idx < t.n_locks then t.monitored_writes <- t.monitored_writes + 1
+  end
 
 let[@lint.allow
      "A1: data ops evaluate expressions and produce the values they \
@@ -236,6 +266,15 @@ let[@lint.allow
   t.total_executed <- t.total_executed + 1;
   note_copies t
 
+(* Retire lock state [k]'s shadow, if it has one, into the pool. *)
+let drop_shadow t k =
+  let h = t.ls_shadow.(k) in
+  if h != no_history then begin
+    t.live_copies <- t.live_copies - History_stack.n_copies h;
+    t.ls_shadow.(k) <- no_history;
+    recycle_stack t.pool h
+  end
+
 let[@lint.allow
      "A1: retiring the shadow returns the final value for installation; \
       the (entity, option) pair is the API's return shape, once per \
@@ -247,15 +286,14 @@ let[@lint.allow
   else
     match t.program.Program.ops.(t.pc) with
     | Program.Unlock e ->
+        let k = state_of t e in
         let final =
-          match Hashtbl.find_opt t.shadows e with
-          | Some h ->
-              Hashtbl.remove t.shadows e;
-              t.live_copies <- t.live_copies - History_stack.n_copies h;
-              let v = History_stack.current h in
-              recycle_stack t.pool h;
-              Some v
-          | None -> None
+          if k >= 0 && t.ls_shadow.(k) != no_history then begin
+            let v = History_stack.current t.ls_shadow.(k) in
+            drop_shadow t k;
+            Some v
+          end
+          else None
         in
         t.phase <- Shrinking;
         t.pc <- t.pc + 1;
@@ -264,43 +302,74 @@ let[@lint.allow
     | Program.Lock _ | Program.Read _ | Program.Write _ | Program.Assign _ ->
         fail ()
 
+(* The lock state of the live shadow with the greatest entity below lock
+   state [above]'s (any entity when [above] is -1), or -1 when there is
+   none. Called repeatedly it lists the shadows in descending entity
+   order, the reverse of the commit finals', without a sort. *)
+let rec greatest_shadow_below t above best k =
+  if k < 0 then best
+  else
+    let e = t.ls_entity.(k) in
+    let best =
+      if
+        t.ls_shadow.(k) != no_history
+        && (above < 0 || Entity.compare e t.ls_entity.(above) < 0)
+        && (best < 0 || Entity.compare e t.ls_entity.(best) > 0)
+      then k
+      else best
+    in
+    greatest_shadow_below t above best (k - 1)
+
+let rec finals_below t above acc =
+  let k = greatest_shadow_below t above (-1) (t.lock_idx - 1) in
+  if k < 0 then acc
+  else
+    finals_below t k
+      ((t.ls_entity.(k), History_stack.current t.ls_shadow.(k)) :: acc)
+
+(* Retire every shadow at lock states [lo, lock_idx), newest first. *)
+let drop_shadows_from t lo =
+  for k = t.lock_idx - 1 downto lo do
+    drop_shadow t k
+  done
+
 let commit t =
   if not (finished t) then invalid_arg "Txn_state.commit: program not finished";
-  let bindings = Util.sorted_bindings Entity.compare t.shadows in
-  let finals = List.map (fun (e, h) -> (e, History_stack.current h)) bindings in
-  List.iter
-    (fun (_, h) ->
-      t.live_copies <- t.live_copies - History_stack.n_copies h;
-      recycle_stack t.pool h)
-    bindings;
-  Hashtbl.reset t.shadows;
+  let finals = finals_below t (-1) [] in
+  drop_shadows_from t 0;
   t.phase <- Committed;
   finals
 
 let locks_held t =
-  List.mapi (fun k r -> (r.lr_entity, r.lr_mode, k)) (List.rev t.records)
+  let rec from k acc =
+    if k < 0 then acc
+    else from (k - 1) ((t.ls_entity.(k), t.ls_mode.(k), k) :: acc)
+  in
+  from (t.lock_idx - 1) []
 
 let lock_state_of t e =
-  let rec scan k = function
-    | [] -> None
-    | r :: rest ->
-        if String.equal r.lr_entity e then Some k else scan (k - 1) rest
-  in
-  scan (t.lock_idx - 1) t.records
+  let k = state_of t e in
+  if k < 0 then None else Some k
 
-(* Restorability sweeps probe many lock states against the same set of
-   histories; [all_histories] (a sort of every binding) is hoisted out of
-   the per-state loop. *)
-let restorable_all hists q =
-  List.for_all (fun h -> History_stack.is_restorable h q) hists
+(* Is every history in [hs.(0 .. i)] restorable at [q]? An empty slot
+   always is: [no_history] is never damaged. *)
+let rec restorable_upto hs q i =
+  i < 0
+  || (History_stack.is_restorable hs.(i) q && restorable_upto hs q (i - 1))
+
+let restorable_all t q =
+  restorable_upto t.locals q (Array.length t.locals - 1)
+  && restorable_upto t.ls_shadow q (t.lock_idx - 1)
 
 let well_defined t q =
-  if q < 0 || q > t.lock_idx then false
-  else restorable_all (all_histories t) q
+  if q < 0 || q > t.lock_idx then false else restorable_all t q
 
 let well_defined_states t =
-  let hists = all_histories t in
-  List.filter (restorable_all hists) (List.init (t.lock_idx + 1) Fun.id)
+  let rec from q acc =
+    if q < 0 then acc
+    else from (q - 1) (if restorable_all t q then q :: acc else acc)
+  in
+  from t.lock_idx []
 
 (* The pseudo-target [restart_target] (-1) is a full restart: reset to
    pc 0 with declared initial locals and re-execute everything, the
@@ -310,56 +379,59 @@ let well_defined_states t =
    Figure 1's state-index arithmetic). *)
 let restart_target = -1
 
+let rec nearest_restorable t q =
+  if q < 0 then restart_target
+  else if restorable_all t q then q
+  else nearest_restorable t (q - 1)
+
+let target_of_state t k =
+  match t.strategy with
+  | Strategy.Total -> restart_target
+  | Strategy.Mcs -> k
+  | Strategy.Sdg | Strategy.Sdg_k _ -> nearest_restorable t k
+
+let rec lowest_state t lowest = function
+  | [] -> lowest
+  | e :: rest ->
+      let k = state_of t e in
+      if k < 0 then invalid_arg "Txn_state.rollback_target: entity not held"
+      else lowest_state t (if k < lowest then k else lowest) rest
+
 (* The nearest restorable state at or below a lock state never decreases
    as the state grows, so the latest target releasing every entity of a
-   set is the target of its lowest lock state: one history sort and one
-   downward scan, however many entities. *)
-let rollback_target_all t es =
-  let lowest =
-    List.fold_left
-      (fun acc e ->
-        match lock_state_of t e with
-        | Some k -> if k < acc then k else acc
-        | None -> invalid_arg "Txn_state.rollback_target: entity not held")
-      t.lock_idx es
-  in
-  match (es, t.strategy) with
-  | [], _ -> lowest
-  | _ :: _, Strategy.Total -> restart_target
-  | _ :: _, Strategy.Mcs -> lowest
-  | _ :: _, (Strategy.Sdg | Strategy.Sdg_k _) ->
-      let hists = all_histories t in
-      let rec best q =
-        if q < 0 then restart_target
-        else if restorable_all hists q then q
-        else best (q - 1)
-      in
-      best lowest
+   set is the target of its lowest lock state: one pass over the set and
+   one downward scan of the histories, however many entities. *)
+let[@hot] rollback_target_all t es =
+  match es with
+  | [] -> t.lock_idx
+  | _ :: _ -> target_of_state t (lowest_state t t.lock_idx es)
 
-let rollback_target t e = rollback_target_all t [ e ]
+let rollback_target t e =
+  let k = state_of t e in
+  if k < 0 then invalid_arg "Txn_state.rollback_target: entity not held"
+  else target_of_state t k
 
-(* State index at a rollback target: the position of the q-th lock
-   request ([records] is newest-first, so offset [lock_idx - 1 - q]), or
+(* The state index at lock state [q] is the position of its lock request,
    0 for the restart pseudo-target, whose cost is the whole progress. *)
-let pc_at_lock_state t q =
-  if q = restart_target then 0
-  else (List.nth t.records (t.lock_idx - 1 - q)).lr_pc
-
-let cost_of_target t q = t.pc - pc_at_lock_state t q
+let[@hot] cost_of_target t q =
+  if q = restart_target then t.pc
+  else if q < 0 || q >= t.lock_idx then
+    invalid_arg "Txn_state.cost_of_target: target out of range"
+  else t.pc - t.ls_pc.(q)
 
 let cost_to_release t e = cost_of_target t (rollback_target t e)
 
-let reset_locals t =
-  Util.iter_sorted String.compare
-    (fun _ h -> recycle_stack t.pool h)
-    t.locals;
-  Hashtbl.reset t.locals;
-  List.iter
-    (fun (v, init) ->
-      let budget = object_budget t.budget t.copy_alloc "L:" v in
-      Hashtbl.replace t.locals v
-        (acquire_stack t.pool ~budget ~created_at:0 ~initial:init))
-    t.program.Program.locals
+(* Entities of lock states [lo, lock_idx), newest first. *)
+let entities_from t lo =
+  let rec up k acc =
+    if k >= t.lock_idx then acc else up (k + 1) (t.ls_entity.(k) :: acc)
+  in
+  up lo []
+
+let counted_truncate t q h =
+  let before = History_stack.n_copies h in
+  History_stack.truncate h q;
+  t.live_copies <- t.live_copies + History_stack.n_copies h - before
 
 let rollback_to t target =
   if t.phase <> Growing then
@@ -369,76 +441,43 @@ let rollback_to t target =
   if target >= 0 && not (well_defined t target) then
     invalid_arg "Txn_state.rollback_to: target state is not well-defined";
   let old_pc = t.pc in
-  let released = List.map (fun r -> r.lr_entity) t.records in
-  let released =
-    if target = restart_target then begin
-      (* Full restart: locals are rebuilt from declared initials and the
-         whole program, pre-lock prefix included, re-executes. *)
-      reset_locals t;
-      Util.iter_sorted Entity.compare
-        (fun _ h -> recycle_stack t.pool h)
-        t.shadows;
-      Hashtbl.reset t.shadows;
-      t.live_copies <- List.length t.program.Program.locals;
-      t.records <- [];
-      t.lock_idx <- 0;
-      t.pc <- 0;
-      released
-    end
-    else begin
-      (* Lock records for lock states >= target are undone. [records] is
-         newest-first: the first [lock_idx - target] entries. *)
-      let n_undone = t.lock_idx - target in
-      let rec split acc k records =
-        if k = 0 then (List.rev acc, records)
-        else
-          match records with
-          | [] -> assert false
-          | r :: rest -> split (r :: acc) (k - 1) rest
-      in
-      let undone, kept = split [] n_undone t.records in
-      List.iter
-        (fun r ->
-          match Hashtbl.find_opt t.shadows r.lr_entity with
-          | Some h ->
-              t.live_copies <- t.live_copies - History_stack.n_copies h;
-              Hashtbl.remove t.shadows r.lr_entity;
-              recycle_stack t.pool h
-          | None -> ())
-        undone;
-      let counted_truncate _ h =
-        let before = History_stack.n_copies h in
-        History_stack.truncate h target;
-        t.live_copies <- t.live_copies + History_stack.n_copies h - before
-      in
-      Util.iter_sorted String.compare counted_truncate t.locals;
-      Util.iter_sorted Entity.compare counted_truncate t.shadows;
-      t.records <- kept;
-      t.lock_idx <- target;
-      (* The oldest undone record is the lock request at state [target]:
-         execution resumes by re-issuing that request. *)
-      (match undone with
-      | [] -> () (* target = current lock state: nothing to undo *)
-      | _ -> t.pc <- (List.nth undone (n_undone - 1)).lr_pc);
-      List.map (fun r -> r.lr_entity) undone
-    end
-  in
+  (* Lock states >= target are undone (all of them for a restart). *)
+  let undone_from = max target 0 in
+  let released = entities_from t undone_from in
+  drop_shadows_from t undone_from;
+  if target = restart_target then begin
+    (* Full restart: locals are rebuilt from declared initials and the
+       whole program, pre-lock prefix included, re-executes. *)
+    Array.iter (recycle_stack t.pool) t.locals;
+    fill_locals t 0 t.program.Program.locals;
+    t.live_copies <- Array.length t.locals;
+    t.lock_idx <- 0;
+    t.pc <- 0
+  end
+  else begin
+    Array.iter (counted_truncate t target) t.locals;
+    for k = 0 to target - 1 do
+      let h = t.ls_shadow.(k) in
+      if h != no_history then counted_truncate t target h
+    done;
+    (* Execution resumes by re-issuing the lock request at state
+       [target] (nothing to undo when it is the current lock state). *)
+    if target < t.lock_idx then t.pc <- t.ls_pc.(target);
+    t.lock_idx <- target
+  end;
   t.rollbacks <- t.rollbacks + 1;
   t.ops_lost <- t.ops_lost + (old_pc - t.pc);
   released
 
 (* Hand every remaining history back to the pool when the scheduler
-   retires the transaction (after its accounting has been read). The
-   state must not be driven afterwards. *)
+   retires the transaction (after its accounting has been read), and drop
+   the arrays that held them: a retired state keeps only its lock states'
+   entity, mode and pc. The state must not be driven afterwards. *)
 let dispose t =
-  Util.iter_sorted String.compare
-    (fun _ h -> recycle_stack t.pool h)
-    t.locals;
-  Util.iter_sorted Entity.compare
-    (fun _ h -> recycle_stack t.pool h)
-    t.shadows;
-  Hashtbl.reset t.locals;
-  Hashtbl.reset t.shadows;
+  Array.iter (recycle_stack t.pool) t.locals;
+  drop_shadows_from t 0;
+  t.locals <- [||];
+  t.ls_shadow <- [||];
   t.live_copies <- 0
 
 let total_executed t = t.total_executed

@@ -39,7 +39,9 @@ let pp_violation ppf = function
       Fmt.pf ppf "write of %s without an exclusive lock" e
   | Undeclared_variable v -> Fmt.pf ppf "undeclared local variable %s" v
 
-let validate t =
+(* Every violation, in program order: the tables are built only once the
+   verdict pass below has found one. *)
+let violations t =
   let held : (entity, Lock_mode.t) Hashtbl.t = Hashtbl.create 8 in
   let declared = Hashtbl.create 8 in
   List.iter (fun (v, _) -> Hashtbl.replace declared v ()) t.locals;
@@ -78,6 +80,73 @@ let validate t =
           check_vars i expr)
     t.ops;
   match List.rev !errs with [] -> Ok () | errs -> Error errs
+
+(* The verdict alone, allocating nothing. Over a prefix that broke no
+   rule an entity is locked at most once and never after an unlock, so it
+   is held exactly when the latest lock-discipline op naming it is its
+   [Lock]: a backward scan answers what [violations] keeps a table for. *)
+let rec last_lock_op ops e i =
+  if i < 0 then -1
+  else
+    match ops.(i) with
+    | (Lock (_, e') | Unlock e') when String.equal e e' -> i
+    | Lock _ | Unlock _ | Read _ | Write _ | Assign _ ->
+        last_lock_op ops e (i - 1)
+
+let held_at ops e i =
+  let j = last_lock_op ops e (i - 1) in
+  j >= 0
+  &&
+  match ops.(j) with
+  | Lock _ -> true
+  | Unlock _ | Read _ | Write _ | Assign _ -> false
+
+let held_exclusive_at ops e i =
+  let j = last_lock_op ops e (i - 1) in
+  j >= 0
+  &&
+  match ops.(j) with
+  | Lock (Lock_mode.Exclusive, _) -> true
+  | Lock (Lock_mode.Shared, _) | Unlock _ | Read _ | Write _ | Assign _ ->
+      false
+
+let rec declared v = function
+  | [] -> false
+  | (w, _) :: rest -> String.equal v w || declared v rest
+
+let rec all_declared locals = function
+  | Expr.Const _ -> true
+  | Expr.Var v -> declared v locals
+  | Expr.Add (a, b)
+  | Expr.Sub (a, b)
+  | Expr.Mul (a, b)
+  | Expr.Min (a, b)
+  | Expr.Max (a, b) ->
+      all_declared locals a && all_declared locals b
+  | Expr.Neg a | Expr.Mix a -> all_declared locals a
+
+let rec valid_from t ~unlocked i =
+  i >= Array.length t.ops
+  ||
+  match t.ops.(i) with
+  | Lock (_, e) ->
+      (not unlocked)
+      && (not (held_at t.ops e i))
+      && valid_from t ~unlocked (i + 1)
+  | Unlock e -> held_at t.ops e i && valid_from t ~unlocked:true (i + 1)
+  | Read (e, v) ->
+      held_at t.ops e i && declared v t.locals
+      && valid_from t ~unlocked (i + 1)
+  | Write (e, x) ->
+      held_exclusive_at t.ops e i
+      && all_declared t.locals x
+      && valid_from t ~unlocked (i + 1)
+  | Assign (v, x) ->
+      declared v t.locals && all_declared t.locals x
+      && valid_from t ~unlocked (i + 1)
+
+let validate t =
+  if valid_from t ~unlocked:false 0 then Ok () else violations t
 
 let length t = Array.length t.ops
 

@@ -861,6 +861,254 @@ let qcheck_hs_dense_vs_reference via_pool =
       if via_pool then History_stack.Pool.release pool h;
       ok)
 
+(* --- qcheck: the dense transaction state vs the hashtable reference --- *)
+
+module Generator = Prb_workload.Generator
+
+(* What a call returned, or which exception it raised. The messages of
+   [Invalid_argument] are compared too, except where the reference raised
+   from inside [List.nth] (its [cost_of_target] past the last lock
+   state). *)
+type 'a outcome = Returned of 'a | Raised of string
+
+let outcome f =
+  match f () with
+  | v -> Returned v
+  | exception Not_found -> Raised "Not_found"
+  | exception Assert_failure _ -> Raised "Assert_failure"
+  | exception Invalid_argument m -> Raised ("Invalid_argument " ^ m)
+  | exception Failure m -> Raised ("Failure " ^ m)
+
+let cost_outcome f =
+  match outcome f with
+  | Raised m
+    when String.starts_with ~prefix:"Invalid_argument" m
+         || String.starts_with ~prefix:"Failure" m ->
+      Raised "out of range"
+  | o -> o
+
+let action_string = function
+  | Txn_state.Need_lock (m, e) ->
+      Fmt.str "lock %a %s" Prb_txn.Lock_mode.pp m e
+  | Txn_state.Need_unlock e -> "unlock " ^ e
+  | Txn_state.Data_step -> "data"
+  | Txn_state.At_end -> "end"
+
+let ref_action_string = function
+  | Txn_state_ref.Need_lock (m, e) ->
+      Fmt.str "lock %a %s" Prb_txn.Lock_mode.pp m e
+  | Txn_state_ref.Need_unlock e -> "unlock " ^ e
+  | Txn_state_ref.Data_step -> "data"
+  | Txn_state_ref.At_end -> "end"
+
+(* Every observable of the two states, compared. [es] is the entity
+   universe (the program's entities and one it never locks), [subsets]
+   the entity sets whose set target and its cost are asked. *)
+let agree ts r ~es ~vars ~subsets ~after_dispose =
+  let module R = Txn_state_ref in
+  let same name a b =
+    if a = b then true
+    else (
+      Printf.printf "mismatch: %s\n" name;
+      false)
+  in
+  same "pc" (Txn_state.pc ts) (R.pc r)
+  && same "lock_index" (Txn_state.lock_index ts) (R.lock_index r)
+  && same "phase"
+       (Fmt.str "%a" Txn_state.pp_phase (Txn_state.phase ts))
+       (Fmt.str "%a" R.pp_phase (R.phase r))
+  && same "finished" (Txn_state.finished ts) (R.finished r)
+  && same "locks_held" (Txn_state.locks_held ts) (R.locks_held r)
+  && List.for_all
+       (fun e ->
+         same ("holds " ^ e) (Txn_state.holds ts e) (R.holds r e)
+         && same ("lock_state_of " ^ e)
+              (Txn_state.lock_state_of ts e)
+              (R.lock_state_of r e))
+       es
+  && same "total_executed" (Txn_state.total_executed ts) (R.total_executed r)
+  && same "n_rollbacks" (Txn_state.n_rollbacks ts) (R.n_rollbacks r)
+  && same "ops_lost" (Txn_state.ops_lost ts) (R.ops_lost r)
+  && same "current_copies" (Txn_state.current_copies ts) (R.current_copies r)
+  && same "peak_copies" (Txn_state.peak_copies ts) (R.peak_copies r)
+  && same "monitored_writes"
+       (Txn_state.monitored_writes ts)
+       (R.monitored_writes r)
+  && (after_dispose
+     || same "next_action"
+          (outcome (fun () -> action_string (Txn_state.next_action ts)))
+          (outcome (fun () -> ref_action_string (R.next_action r)))
+        && same "pp" (Fmt.str "%a" Txn_state.pp ts) (Fmt.str "%a" R.pp r)
+        && List.for_all
+             (fun v ->
+               same ("local_value " ^ v)
+                 (outcome (fun () -> Txn_state.local_value ts v))
+                 (outcome (fun () -> R.local_value r v)))
+             vars
+        && List.for_all
+             (fun e ->
+               same ("read_view " ^ e)
+                 (outcome (fun () -> Txn_state.read_view ts e))
+                 (outcome (fun () -> R.read_view r e))
+               && same ("rollback_target " ^ e)
+                    (outcome (fun () -> Txn_state.rollback_target ts e))
+                    (outcome (fun () -> R.rollback_target r e))
+               && same ("cost_to_release " ^ e)
+                    (outcome (fun () -> Txn_state.cost_to_release ts e))
+                    (outcome (fun () -> R.cost_to_release r e)))
+             es
+        && List.for_all
+             (fun q ->
+               same
+                 (Printf.sprintf "well_defined %d" q)
+                 (Txn_state.well_defined ts q)
+                 (R.well_defined r q)
+               && same
+                    (Printf.sprintf "cost_of_target %d" q)
+                    (cost_outcome (fun () -> Txn_state.cost_of_target ts q))
+                    (cost_outcome (fun () -> R.cost_of_target r q)))
+             (List.init (Txn_state.lock_index ts + 4) (fun q -> q - 2))
+        && same "well_defined_states"
+             (Txn_state.well_defined_states ts)
+             (R.well_defined_states r)
+        && List.for_all
+             (fun sub ->
+               let target =
+                 outcome (fun () -> Txn_state.rollback_target_all ts sub)
+               in
+               same
+                 ("rollback_target_all " ^ String.concat "," sub)
+                 target
+                 (outcome (fun () -> R.rollback_target_all r sub))
+               &&
+               match target with
+               | Returned q ->
+                   same
+                     (Printf.sprintf "cost_of_target (set) %d" q)
+                     (cost_outcome (fun () -> Txn_state.cost_of_target ts q))
+                     (cost_outcome (fun () -> R.cost_of_target r q))
+               | Raised _ -> true)
+             subsets)
+
+(* Drive one generated program through both states with the same random
+   script — steps, partial rollbacks to engine-chosen, arbitrary and
+   restart targets, unlocks and the commit — comparing everything after
+   every step, then both disposals. *)
+let differential_run ~pool ~ref_pool ~strategy ~copy_allocation ~store
+    program rng =
+  let module R = Txn_state_ref in
+  let ts =
+    Txn_state.create ?copy_allocation ?pool ~strategy ~id:0 ~store program
+  in
+  let r =
+    R.create ?copy_allocation ?pool:ref_pool ~strategy ~id:0 ~store program
+  in
+  let es =
+    "nope"
+    :: List.sort_uniq String.compare
+         (List.filter_map
+            (function Program.Lock (_, e) -> Some e | _ -> None)
+            (Array.to_list program.Program.ops))
+  in
+  let vars = "ghost" :: List.map fst program.Program.locals in
+  let subset () = List.filter (fun _ -> Rng.bool rng) es in
+  let held_subset () =
+    List.filter
+      (fun e -> Txn_state.holds ts e <> None && Rng.bool rng)
+      es
+  in
+  let check ~after_dispose =
+    agree ts r ~es ~vars ~after_dispose
+      ~subsets:[ []; subset (); subset (); held_subset () ]
+  in
+  let rec go steps =
+    if steps = 0 then true
+    else
+      let ok =
+        if Txn_state.phase ts = Txn_state.Growing && Rng.int rng 6 = 0 then
+          let target =
+            match Rng.int rng 4 with
+            | 0 -> Txn_state.restart_target
+            | 1 -> Rng.int rng (Txn_state.lock_index ts + 2) - 1
+            | _ -> (
+                match held_subset () with
+                | [] -> Txn_state.lock_index ts
+                | sub -> Txn_state.rollback_target_all ts sub)
+          in
+          outcome (fun () -> Txn_state.rollback_to ts target)
+          = outcome (fun () -> R.rollback_to r target)
+        else
+          match (Txn_state.next_action ts, R.next_action r) with
+          | Txn_state.Need_lock _, R.Need_lock _ ->
+              Txn_state.lock_granted ts;
+              R.lock_granted r;
+              true
+          | Txn_state.Data_step, R.Data_step ->
+              Txn_state.exec_data_op ts;
+              R.exec_data_op r;
+              true
+          | Txn_state.Need_unlock _, R.Need_unlock _ ->
+              Txn_state.perform_unlock ts = R.perform_unlock r
+          | Txn_state.At_end, R.At_end ->
+              Txn_state.commit ts = R.commit r
+          | _ -> false
+      in
+      ok
+      && check ~after_dispose:false
+      &&
+      if Txn_state.phase ts = Txn_state.Committed then begin
+        Txn_state.dispose ts;
+        R.dispose r;
+        check ~after_dispose:true
+      end
+      else go (steps - 1)
+  in
+  check ~after_dispose:false && go 300
+
+let qcheck_txn_state_dense_vs_reference =
+  let pool = History_stack.Pool.create () in
+  let ref_pool = History_stack.Pool.create () in
+  QCheck.Test.make ~name:"dense txn state matches hashtable reference"
+    ~count:100
+    QCheck.(pair small_int (int_bound 3))
+    (fun (seed, variant) ->
+      let params =
+        {
+          Generator.default_params with
+          Generator.n_entities = 10;
+          min_locks = 1;
+          max_locks = 6;
+          read_fraction = 0.4;
+          max_writes = 3;
+          clustering = 0.3;
+          explicit_unlocks = variant land 1 = 0;
+        }
+      in
+      let rng = Rng.make seed in
+      let program = Generator.generate_one params rng ~name:"diff" in
+      let store = Generator.populate params in
+      let pooled = variant land 2 = 0 in
+      List.for_all
+        (fun strategy ->
+          let copy_allocation =
+            if seed mod 3 = 0 then
+              Some
+                (Prb_rollback.Allocation.lookup
+                   (Prb_rollback.Allocation.greedy program ~budget:2))
+            else None
+          in
+          differential_run
+            ~pool:(if pooled then Some pool else None)
+            ~ref_pool:(if pooled then Some ref_pool else None)
+            ~strategy ~copy_allocation ~store program (Rng.split rng))
+        [
+          Strategy.Total;
+          Strategy.Mcs;
+          Strategy.Sdg;
+          Strategy.Sdg_k 1;
+          Strategy.Sdg_k 2;
+        ])
+
 let () =
   Alcotest.run "prb_rollback"
     [
@@ -924,6 +1172,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_single_copy_space;
           QCheck_alcotest.to_alcotest qcheck_runtime_sdg_matches_static;
           QCheck_alcotest.to_alcotest qcheck_rollback_target_all;
+          QCheck_alcotest.to_alcotest qcheck_txn_state_dense_vs_reference;
         ] );
       ( "allocation",
         [

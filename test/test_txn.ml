@@ -364,6 +364,164 @@ let qcheck_hoist_preserves_semantics =
       Program.validate q = Ok ()
       && run_sequential p bindings = run_sequential q bindings)
 
+(* --- qcheck: the allocation-free verdict vs the full pass --- *)
+
+(* [Program.validate] decides validity without tables and builds the
+   error list only for a failing program. This is the full pass it
+   replaced, kept verbatim as the oracle: on any program both must give
+   the same verdict and the same violations in the same order. *)
+let full_pass (t : Program.t) =
+  let held : (string, Lock_mode.t) Hashtbl.t = Hashtbl.create 8 in
+  let declared = Hashtbl.create 8 in
+  List.iter (fun (v, _) -> Hashtbl.replace declared v ()) t.Program.locals;
+  let unlocked = ref false in
+  let errs = ref [] in
+  let report i v = errs := (i, v) :: !errs in
+  let check_vars i expr =
+    List.iter
+      (fun v ->
+        if not (Hashtbl.mem declared v) then
+          report i (Program.Undeclared_variable v))
+      (Expr.vars expr)
+  in
+  Array.iteri
+    (fun i op ->
+      match op with
+      | Program.Lock (mode, e) ->
+          if !unlocked then report i Program.Lock_after_unlock;
+          if Hashtbl.mem held e then report i (Program.Already_locked e)
+          else Hashtbl.replace held e mode
+      | Program.Unlock e ->
+          if Hashtbl.mem held e then begin
+            Hashtbl.remove held e;
+            unlocked := true
+          end
+          else report i (Program.Unlock_not_held e)
+      | Program.Read (e, v) ->
+          if not (Hashtbl.mem held e) then
+            report i (Program.Read_without_lock e);
+          if not (Hashtbl.mem declared v) then
+            report i (Program.Undeclared_variable v)
+      | Program.Write (e, expr) ->
+          (match Hashtbl.find_opt held e with
+          | Some Lock_mode.Exclusive -> ()
+          | Some Lock_mode.Shared | None ->
+              report i (Program.Write_without_exclusive e));
+          check_vars i expr
+      | Program.Assign (v, expr) ->
+          if not (Hashtbl.mem declared v) then
+            report i (Program.Undeclared_variable v);
+          check_vars i expr)
+    t.Program.ops;
+  match List.rev !errs with [] -> Ok () | errs -> Error errs
+
+module Rng = Prb_util.Rng
+module Generator = Prb_workload.Generator
+
+(* Ways a program breaks the discipline, each planted at a random place
+   in a valid generated program. An early unlock leaves the entity's
+   reads, writes and final unlock after it, and any later lock. *)
+type mutation =
+  | Drop_lock
+  | Lock_after_unlock
+  | Write_under_shared
+  | Ghost_var
+  | Early_unlock
+
+let is_lock = function Program.Lock _ -> true | _ -> false
+let is_unlock = function Program.Unlock _ -> true | _ -> false
+
+let mutate rng ops = function
+  | Drop_lock ->
+      let n = List.length (List.filter is_lock ops) in
+      if n = 0 then ops
+      else
+        let victim = Rng.int rng n and seen = ref 0 in
+        List.filter
+          (fun op ->
+            (not (is_lock op))
+            ||
+            let k = !seen in
+            incr seen;
+            k <> victim)
+          ops
+  | Lock_after_unlock ->
+      (* a fresh lock after some unlocks and at the end; a program without
+         unlocks first gets an unlock of its first lock *)
+      let late = Program.lock_x "late" in
+      let ops =
+        match List.find_opt is_lock ops with
+        | Some (Program.Lock (_, e)) when not (List.exists is_unlock ops) ->
+            ops @ [ Program.unlock e ]
+        | _ -> ops
+      in
+      List.concat_map
+        (fun op -> if is_unlock op && Rng.bool rng then [ op; late ] else [ op ])
+        ops
+      @ [ late ]
+  | Write_under_shared ->
+      (* a write after every shared lock, and some exclusive locks turned
+         shared under the writes that follow them *)
+      List.concat_map
+        (fun op ->
+          match op with
+          | Program.Lock (Lock_mode.Shared, e) ->
+              [ op; Program.write e (Expr.int 7) ]
+          | Program.Lock (Lock_mode.Exclusive, e) when Rng.bool rng ->
+              [ Program.lock_s e ]
+          | _ -> [ op ])
+        ops
+  | Early_unlock ->
+      List.concat_map
+        (fun op ->
+          match op with
+          | Program.Lock (_, e) when Rng.int rng 3 = 0 -> [ op; Program.unlock e ]
+          | _ -> [ op ])
+        ops
+  | Ghost_var ->
+      let ghost = Expr.(Mix (var "ghost")) in
+      List.concat_map
+        (fun op ->
+          if Rng.int rng 4 > 0 then [ op ]
+          else
+            match op with
+            | Program.Read (e, _) -> [ Program.read e "ghost" ]
+            | Program.Write (e, _) -> [ Program.write e ghost ]
+            | Program.Assign (v, _) -> [ Program.assign v ghost ]
+            | Program.Lock _ | Program.Unlock _ ->
+                [ op; Program.assign "ghost" (Expr.int 1) ])
+        ops
+
+let qcheck_validate_matches_full_pass =
+  QCheck.Test.make ~name:"validate = full pass (verdict and violations)"
+    ~count:500
+    QCheck.(triple small_int bool (small_list (int_bound 4)))
+    (fun (seed, explicit_unlocks, mutations) ->
+      let params =
+        {
+          Generator.default_params with
+          Generator.explicit_unlocks;
+          read_fraction = 0.5;
+        }
+      in
+      let rng = Rng.make seed in
+      let p = Generator.generate_one params rng ~name:"v" in
+      let ops =
+        List.fold_left
+          (fun ops m ->
+            mutate rng ops
+              (match m with
+              | 0 -> Drop_lock
+              | 1 -> Lock_after_unlock
+              | 2 -> Write_under_shared
+              | 3 -> Ghost_var
+              | _ -> Early_unlock))
+          (Array.to_list p.Program.ops)
+          mutations
+      in
+      let q = Program.make ~name:"v" ~locals:p.Program.locals ops in
+      Program.validate q = full_pass q)
+
 (* --- Parser --- *)
 
 module Parser = Prb_txn.Parser
@@ -479,6 +637,7 @@ let () =
           Alcotest.test_case "write without X" `Quick test_validate_write_without_x;
           Alcotest.test_case "undeclared variable" `Quick test_validate_undeclared_var;
           Alcotest.test_case "duplicate local" `Quick test_make_duplicate_local;
+          QCheck_alcotest.to_alcotest qcheck_validate_matches_full_pass;
         ] );
       ( "analysis",
         [
