@@ -957,8 +957,7 @@ let lint_cmd =
          [@hot] are transitively allocation-free), P1 (static \
          two-phase locking: no lock acquire after a release of the same \
          transaction, except through the rollback layer) and H1 \
-         (Dense.Slots handles stay confined to their arena owner; \
-         unsafe_* access stays in lib/util).";
+         (unsafe_* access stays in lib/util).";
       `P
         "Violations print as $(b,file:line:col: rule-id message). Suppress \
          a finding with $(b,[@lint.allow \"D1\"]) on the expression, \

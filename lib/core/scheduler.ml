@@ -270,13 +270,8 @@ let[@lint.allow
       t.txn_crash_events <- t.txn_crash_events + 1;
       Log.info (fun m ->
           m "[%d] T%d crashed (crash #%d)" t.eng.tick id n);
-      let to_ =
-        match t.cfg.faults with
-        | Some p -> p.Fault.timeouts
-        | None -> Fault.default_timeouts
-      in
       let delay =
-        to_.Fault.readmit_delay * (1 lsl min (n - 1) to_.Fault.backoff_cap)
+        Fault.readmit_delay * (1 lsl min (n - 1) Fault.backoff_cap)
       in
       restart t id ~resume_at:(t.eng.tick + 1 + delay)
 

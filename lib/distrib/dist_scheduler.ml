@@ -266,11 +266,6 @@ let txn_state t id = Engine.txn_state t.eng id
 let meta t id =
   match t.metas.(id) with Some m -> m | None -> raise Not_found
 
-let timeouts t =
-  match t.faults with
-  | Some f -> (Fault.plan f).Fault.timeouts
-  | None -> Fault.default_timeouts
-
 let push_release t ~at ev =
   t.inflight_releases <- t.inflight_releases + 1;
   push t ~at ev
@@ -362,9 +357,8 @@ let transmit_release t f id e ~attempt =
     (* swallowed by the dead site; the row dies in the rebuild *)
     t.msgs_lost <- t.msgs_lost + 1
   else if not (deliver t f ~release:true (Release_arrive (id, e))) then
-    let to_ = (Fault.plan f).Fault.timeouts in
     push_release t
-      ~at:(t.eng.tick + to_.Fault.request_timeout + Fault.backoff to_ ~attempt)
+      ~at:(t.eng.tick + Fault.request_timeout + Fault.backoff ~attempt)
       (Release_retry (id, e, attempt + 1))
 
 (* Unlock/commit releases travel as (retried, idempotent) messages under
@@ -390,7 +384,7 @@ let send_request t f id mode e =
   m.attempt <- 0;
   transmit_request t f id mode e;
   push t
-    ~at:(t.eng.tick + (timeouts t).Fault.request_timeout)
+    ~at:(t.eng.tick + Fault.request_timeout)
     (Req_timeout (id, e))
 
 (* --- Rollback: this engine's steps for the shared core --------------- *)
@@ -533,12 +527,11 @@ let run_global_detection t =
    timeout-aborted instead (graceful degradation — cross-site cycles
    cannot be seen, so break them blindly but fairly). *)
 let degrade t =
-  let to_ = timeouts t in
   List.iter
     (fun b ->
       let now = t.eng.tick in
       let since = t.eng.blocked_since.(b) in
-      if since >= 0 && now - since >= to_.Fault.degraded_timeout then begin
+      if since >= 0 && now - since >= Fault.degraded_timeout then begin
         t.eng.timeouts <- t.eng.timeouts + 1;
         restart t b ~resume_at:(now + 1)
       end)
@@ -683,11 +676,10 @@ let req_timeout t id e =
       let locks = t.eng.locks in
       match m.pending with
       | Some (mode, e') when String.equal e' e ->
-          let to_ = (Fault.plan f).Fault.timeouts in
           if t.down.(site_of t e) then
             (* the site cannot answer a probe; any table row we might see
                is dead memory — stay parked until after its rebuild *)
-            push t ~at:(now + to_.Fault.request_timeout) (Req_timeout (id, e))
+            push t ~at:(now + Fault.request_timeout) (Req_timeout (id, e))
           else
           let satisfied =
             match Lock_table.holds locks id e with
@@ -699,7 +691,7 @@ let req_timeout t id e =
             accept_grant t id e
           else if Lock_table.waiting_for locks id <> None then
             (* queued at the site: stay parked, keep probing *)
-            push t ~at:(now + to_.Fault.request_timeout) (Req_timeout (id, e))
+            push t ~at:(now + Fault.request_timeout) (Req_timeout (id, e))
           else begin
             (* the request (or our queue entry, if the site crashed)
                vanished: retransmit with bounded exponential backoff *)
@@ -708,8 +700,7 @@ let req_timeout t id e =
             transmit_request t f id mode e;
             push t
               ~at:
-                (now + to_.Fault.request_timeout
-                + Fault.backoff to_ ~attempt:m.attempt)
+                (now + Fault.request_timeout + Fault.backoff ~attempt:m.attempt)
               (Req_timeout (id, e))
           end
       | Some _ | None -> () (* stale probe *))

@@ -11,14 +11,6 @@ type msg_faults = {
   max_delay : int;
 }
 
-type timeouts = {
-  request_timeout : int;
-  backoff_base : int;
-  backoff_cap : int;
-  degraded_timeout : int;
-  readmit_delay : int;
-}
-
 type plan = {
   fault_seed : int;
   horizon : int;
@@ -26,18 +18,14 @@ type plan = {
   site_crashes : site_crash list;
   detector_outages : outage list;
   txn_crashes : txn_crash list;
-  timeouts : timeouts;
   rebuild_locks : bool;
 }
 
-let default_timeouts =
-  {
-    request_timeout = 40;
-    backoff_base = 10;
-    backoff_cap = 5;
-    degraded_timeout = 120;
-    readmit_delay = 20;
-  }
+let request_timeout = 40
+let backoff_base = 10
+let backoff_cap = 5
+let degraded_timeout = 120
+let readmit_delay = 20
 
 let no_msg_faults = { loss = 0.0; dup = 0.0; delay = 0.0; max_delay = 0 }
 
@@ -49,7 +37,6 @@ let none =
     site_crashes = [];
     detector_outages = [];
     txn_crashes = [];
-    timeouts = default_timeouts;
     rebuild_locks = true;
   }
 
@@ -95,7 +82,6 @@ let random ?(n_sites = 0) ~seed ~horizon () =
     site_crashes;
     detector_outages;
     txn_crashes;
-    timeouts = default_timeouts;
     rebuild_locks = true;
   }
 
@@ -108,9 +94,7 @@ let rec outage_covers (tick : int) = function
 
 let in_outage p tick = outage_covers tick p.detector_outages
 
-let backoff to_ ~attempt =
-  let n = min (max 0 attempt) to_.backoff_cap in
-  to_.backoff_base * (1 lsl n)
+let backoff ~attempt = backoff_base * (1 lsl min (max 0 attempt) backoff_cap)
 
 let pp_plan ppf p =
   Fmt.pf ppf

@@ -38,20 +38,6 @@ type msg_faults = {
   max_delay : int;  (** delay is uniform in [\[1, max_delay\]] ticks *)
 }
 
-type timeouts = {
-  request_timeout : int;
-      (** ticks a requester waits for evidence its remote request arrived
-          (a grant, or its presence in the queue) before retransmitting *)
-  backoff_base : int;  (** first retry backoff increment *)
-  backoff_cap : int;  (** maximum doublings of [backoff_base] *)
-  degraded_timeout : int;
-      (** while the global detector is out, a transaction blocked at least
-          this long is timeout-aborted (full restart) *)
-  readmit_delay : int;
-      (** re-admission delay after a transaction crash; doubles per crash
-          of the same transaction, capped by [backoff_cap] *)
-}
-
 type plan = {
   fault_seed : int;
   horizon : int;
@@ -59,15 +45,38 @@ type plan = {
   site_crashes : site_crash list;
   detector_outages : outage list;
   txn_crashes : txn_crash list;
-  timeouts : timeouts;
   rebuild_locks : bool;
       (** [false] deliberately skips the lock-table rebuild on site
           recovery — a broken recovery path the harness must catch *)
 }
 
-val default_timeouts : timeouts
-(** request_timeout 40, backoff_base 10, backoff_cap 5,
-    degraded_timeout 120, readmit_delay 20. *)
+(** {1 Timeouts and backoff}
+
+    Fixed for every plan, in ticks. *)
+
+val request_timeout : int
+(** 40: how long a requester waits for evidence its remote request arrived
+    (a grant, or its presence in the queue) before retransmitting. *)
+
+val backoff_base : int
+(** 10: the first retry's backoff increment. *)
+
+val backoff_cap : int
+(** 5: the most doublings of [backoff_base] (and of [readmit_delay]). *)
+
+val degraded_timeout : int
+(** 120: while the global detector is out, a transaction blocked at least
+    this long is timeout-aborted (full restart). *)
+
+val readmit_delay : int
+(** 20: re-admission delay after a transaction crash; doubles per crash of
+    the same transaction, capped by [backoff_cap]. *)
+
+val backoff : attempt:int -> int
+(** Bounded exponential backoff: [backoff_base * 2^min(attempt,
+    backoff_cap)], attempt 0 giving [backoff_base]. *)
+
+(** {1 Plans} *)
 
 val none : plan
 (** The empty plan: no faults ever. Engines treat [Some none] exactly like
@@ -84,10 +93,6 @@ val random : ?n_sites:int -> seed:int -> horizon:int -> unit -> plan
 
 val in_outage : plan -> int -> bool
 (** Is the global detector out at this tick? *)
-
-val backoff : timeouts -> attempt:int -> int
-(** Bounded exponential backoff: [backoff_base * 2^min(attempt,
-    backoff_cap)], attempt 0 giving [backoff_base]. *)
 
 val pp_plan : Format.formatter -> plan -> unit
 

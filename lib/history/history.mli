@@ -50,8 +50,7 @@ type t
 val create : unit -> t
 
 val note_grant : t -> tick:int -> txn -> entity -> mode -> unit
-(** A lock was granted (an upgrade re-grant replaces the open shared
-    interval with an exclusive one). *)
+(** A lock was granted. *)
 
 val note_release : t -> tick:int -> txn -> entity -> unit
 (** The lock was released at unlock/commit time: closes the open

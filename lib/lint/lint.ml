@@ -12,10 +12,6 @@ type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | P1 | H1
 
 let all_rules = [ D1; D2; D3; L1; L2; L3; A1; P1; H1 ]
 
-let untyped_rules = [ D1; D2; D3; L1; L2; L3 ]
-
-let deep_rules = [ A1; P1; H1 ]
-
 let rule_id = function
   | D1 -> "D1"
   | D2 -> "D2"
@@ -39,37 +35,6 @@ let rule_of_id s =
   | "P1" -> Some P1
   | "H1" -> Some H1
   | _ -> None
-
-let rule_doc = function
-  | D1 ->
-      "no Hashtbl.iter/fold in replay-critical libraries (hash-order \
-       traversal); use Util.sorted_bindings"
-  | D2 ->
-      "no polymorphic compare in replay-critical libraries; use the id \
-       module's equal/compare"
-  | D3 ->
-      "no ambient Random, and no wall clock outside the opt-in detection \
-       clock; use the seeded Rng"
-  | L1 ->
-      "layering: lib/core and lib/lock must not depend on lib/sim or \
-       lib/workload"
-  | L2 ->
-      "no catch-all arm in matches over the distributed protocol message \
-       type"
-  | L3 ->
-      "one request path: in lib/core and lib/distrib only engine.ml \
-       calls the lock table's request/release/release_all/cancel_wait, \
-       History.note_grant and Waits_for.set_wait/clear_wait"
-  | A1 ->
-      "[deep] functions marked [@hot] must not allocate, transitively \
-       through repo-local calls"
-  | P1 ->
-      "[deep] no lock acquire statically reachable after a same-\
-       transaction release outside the rollback layer (2PL growth-phase \
-       discipline)"
-  | H1 ->
-      "[deep] Dense.Slots handles stay inside their arena's module and \
-       Array.unsafe_* stays confined to lib/util"
 
 type context = {
   lib : string option;

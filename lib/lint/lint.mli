@@ -55,20 +55,11 @@ type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | P1 | H1
 
 val all_rules : rule list
 
-val untyped_rules : rule list
-(** The rules the syntactic pass implements. *)
-
-val deep_rules : rule list
-(** The rules that need the typed pass ({!Lint_deep}). *)
-
 val rule_id : rule -> string
 (** ["D1"], ["D2"], ... *)
 
 val rule_of_id : string -> rule option
 (** Case-insensitive inverse of {!rule_id}. *)
-
-val rule_doc : rule -> string
-(** One-line description, for [--help] and the README rule table. *)
 
 (** Which invariants apply to a compilation unit. Derived from the file's
     path ({!context_of_path}); fixtures override it via the

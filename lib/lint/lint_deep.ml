@@ -1,6 +1,7 @@
 (* The typed deep pass: A1 (allocation-free hot paths), P1 (static
-   two-phase locking discipline) and H1 (slot-handle confinement), applied
-   to the event streams Lint_graph distills from typed trees.
+   two-phase locking discipline) and H1 (unchecked access confined to
+   [lib/util]), applied to the event streams Lint_graph distills from
+   typed trees.
 
    A1 closes the call graph from every [[@hot]] root: an allocation
    anywhere in the reachable set is a violation, attributed back to its
@@ -16,10 +17,8 @@
    same variable — unless the call routes through the rollback layer,
    which is the partial-rollback exception of the source paper.
 
-   H1 confines the [Dense.Slots] API to [lib/util] and to the modules
-   that own an arena (those that call [Slots.create]), flags slot handles
-   stored into fields or ref cells, and keeps [Array.unsafe_*] inside
-   [lib/util]. *)
+   H1 keeps the [unsafe_*] primitives of [Array], [Bytes], [String] and
+   [Float] inside [lib/util]. *)
 
 module G = Lint_graph
 
@@ -103,8 +102,7 @@ let a1_check (g : G.graph) =
                     | Some (k, _, _) when not (Hashtbl.mem parents k) ->
                         Hashtbl.add parents k (Some key);
                         Queue.add k queue
-                    | _ -> ())
-              | G.Escape _ -> ())
+                    | _ -> ()))
             d.events
   done;
   List.rev !out
@@ -203,7 +201,7 @@ let p1_check (g : G.graph) =
                             (fun id -> Hashtbl.replace released id ())
                             !rels
                         end
-                    | G.Alloc _ | G.Escape _ -> ())
+                    | G.Alloc _ -> ())
                   d.events
               end)
             u.defs
@@ -217,58 +215,23 @@ let h1_check (g : G.graph) =
   let out = ref [] in
   List.iter
     (fun (u : G.unit_info) ->
-      let in_util = u.u_lib = Some "util" in
-      if not in_util then begin
-        let owns_arena =
-          List.exists
-            (fun (d : G.def) ->
-              List.exists
-                (function
-                  | G.Call c -> List.exists G.is_slots_create c.candidates
-                  | _ -> false)
-                d.events)
-            u.defs
-        in
+      if u.u_lib <> Some "util" then
         List.iter
           (fun (d : G.def) ->
             if not (allowed "H1" d.d_allowed) then
               List.iter
-                (fun ev ->
-                  match ev with
-                  | G.Call c when not (allowed "H1" c.c_allowed) ->
-                      if
-                        (not owns_arena)
-                        && List.exists G.is_slots_key c.candidates
-                      then
-                        out :=
-                          violation Lint.H1 c.c_loc
-                            (Printf.sprintf
-                               "Slots arena API used in %s, which owns no \
-                                arena (never calls Slots.create): \
-                                generational handles must stay inside \
-                                their arena's owner or lib/util"
-                               d.key)
-                          :: !out
-                      else if List.exists G.is_unsafe_key c.candidates then
-                        out :=
-                          violation Lint.H1 c.c_loc
-                            "unchecked access (unsafe_* primitive) outside \
-                             lib/util: bounds discipline is centralized in \
-                             the arena layer"
-                          :: !out
-                  | G.Escape e when not (allowed "H1" e.e_allowed) ->
+                (function
+                  | G.Call c
+                    when (not (allowed "H1" c.c_allowed))
+                         && List.exists G.is_unsafe_key c.candidates ->
                       out :=
-                        violation Lint.H1 e.e_loc
-                          (Printf.sprintf
-                             "%s (in %s): slot handles are transient \
-                              capabilities and must not be persisted \
-                              outside their arena owner"
-                             e.e_what d.key)
+                        violation Lint.H1 c.c_loc
+                          "unchecked access (unsafe_* primitive) outside \
+                           lib/util: bounds discipline is centralized there"
                         :: !out
                   | _ -> ())
                 d.events)
-          u.defs
-      end)
+          u.defs)
     g.units;
   List.rev !out
 

@@ -3,11 +3,11 @@
    One walk per compilation unit distills every top-level function into a
    flat [def]: its parameters, its [[@hot]] / [[@lint.allow]] markings,
    and an ordered stream of the events the deep rules care about —
-   allocation sites (A1), calls with their argument identifiers (A1
-   reachability, P1 sequencing, H1 confinement) and slot-handle escapes
-   (H1). The global phase (Lint_deep) never re-touches the typedtree: it
-   resolves call candidates against the definition table, closes the
-   graph, and applies the rules to the event streams.
+   allocation sites (A1) and calls with their argument identifiers (A1
+   reachability, P1 sequencing, H1 confinement). The global phase
+   (Lint_deep) never re-touches the typedtree: it resolves call
+   candidates against the definition table, closes the graph, and
+   applies the rules to the event streams.
 
    Reference resolution: paths print through dune's wrapper aliases
    ([Pqueue.push] with [module Pqueue = Prb_util.Dense.Pqueue] in scope),
@@ -31,9 +31,7 @@ type call = {
 
 type alloc = { a_loc : Location.t; a_what : string; a_allowed : string list }
 
-type escape = { e_loc : Location.t; e_what : string; e_allowed : string list }
-
-type event = Call of call | Alloc of alloc | Escape of escape
+type event = Call of call | Alloc of alloc
 
 type def = {
   key : string;
@@ -90,13 +88,6 @@ let lock_prim_of k =
 
 let lock_prim_txn_pos = 1
 
-let is_slots_key k = has_component k "Slots"
-let is_slots_create k = is_slots_key k && String.equal (last_component k) "create"
-
-let is_slots_handle_producer k =
-  is_slots_key k
-  && match last_component k with "alloc" | "handle" -> true | _ -> false
-
 let is_unsafe_key k =
   let l = last_component k in
   starts_with ~prefix:"unsafe_" l
@@ -147,6 +138,13 @@ let alloc_prims =
     ("Stdlib.Hashtbl.create", "Hashtbl.create");
     ("Stdlib.Hashtbl.add", "Hashtbl.add (bucket)");
     ("Stdlib.Hashtbl.replace", "Hashtbl.replace (bucket)");
+    (* lookups that box every hit in a fresh [Some] *)
+    ("Stdlib.Hashtbl.find_opt", "Hashtbl.find_opt (Some per hit)");
+    ("Stdlib.List.assoc_opt", "List.assoc_opt (Some per hit)");
+    ("Stdlib.List.find_opt", "List.find_opt (Some per hit)");
+    ("Stdlib.List.nth_opt", "List.nth_opt (Some per hit)");
+    ("Stdlib.Array.find_opt", "Array.find_opt (Some per hit)");
+    ("Stdlib.String.index_opt", "String.index_opt (Some per hit)");
     ("Stdlib.Buffer.create", "Buffer.create");
     ("Stdlib.Buffer.contents", "Buffer.contents");
     ("Stdlib.Queue.create", "Queue.create");
@@ -333,7 +331,6 @@ type ctx = {
   mutable events : event list;  (* reversed *)
   mutable scopes : string list list;
   mutable rec_bound : string list;
-  mutable taint : (string, unit) Hashtbl.t;
 }
 
 let active_allows ctx =
@@ -355,10 +352,6 @@ let push_event ctx ev = ctx.events <- ev :: ctx.events
 let record_alloc ctx loc what =
   push_event ctx
     (Alloc { a_loc = loc; a_what = what; a_allowed = active_allows ctx })
-
-let record_escape ctx loc what =
-  push_event ctx
-    (Escape { e_loc = loc; e_what = what; e_allowed = active_allows ctx })
 
 (* Candidate canonical keys for a reference, best first. *)
 let candidates ctx (p : Path.t) =
@@ -388,14 +381,6 @@ let arg_ident (a : T.expression option) =
       Some (Ident.unique_name id)
   | _ -> None
 
-let is_tainted ctx (e : T.expression) =
-  match e.exp_desc with
-  | T.Texp_ident (Path.Pident id, _, _) ->
-      Hashtbl.mem ctx.taint (Ident.unique_name id)
-  | T.Texp_apply ({ exp_desc = T.Texp_ident (p, _, _); _ }, _) ->
-      List.exists is_slots_handle_producer (candidates ctx p)
-  | _ -> false
-
 let record_apply ctx (p : Path.t) (fn : T.expression) (whole : T.expression)
     args =
   let loc = fn.exp_loc in
@@ -416,11 +401,6 @@ let record_apply ctx (p : Path.t) (fn : T.expression) (whole : T.expression)
                      (last_component c))
             | _ -> ()))
   | [] -> ());
-  (* a handle flowing into a ref cell escapes like a field store *)
-  (match (cands, args) with
-  | "Stdlib.ref" :: _, [ (_, Some a) ] when is_tainted ctx a ->
-      record_escape ctx loc "slot handle captured in a ref cell"
-  | _ -> ());
   (* partial application allocates the intermediate closure *)
   if List.exists (fun (_, a) -> a = None) args then
     record_alloc ctx loc "partial application (intermediate closure)"
@@ -496,23 +476,8 @@ let body_iterator ctx =
     | T.Texp_variant (_, Some _) when not (is_static_const e) ->
         record_alloc ctx e.exp_loc "polymorphic variant";
         TI.default_iterator.expr self e
-    | T.Texp_record { fields; _ } ->
+    | T.Texp_record _ ->
         record_alloc ctx e.exp_loc "record";
-        Array.iter
-          (fun (ld, rld) ->
-            match rld with
-            | T.Overridden (_, fe) when is_tainted ctx fe ->
-                record_escape ctx fe.T.exp_loc
-                  (Printf.sprintf "slot handle stored into field %s"
-                     ld.Types.lbl_name)
-            | _ -> ())
-          fields;
-        TI.default_iterator.expr self e
-    | T.Texp_setfield (_, _, ld, fe) ->
-        if is_tainted ctx fe then
-          record_escape ctx fe.T.exp_loc
-            (Printf.sprintf "slot handle stored into mutable field %s"
-               ld.Types.lbl_name);
         TI.default_iterator.expr self e
     | T.Texp_array _ ->
         record_alloc ctx e.exp_loc "array literal";
@@ -527,12 +492,6 @@ let body_iterator ctx =
   in
   let value_binding (self : TI.iterator) (vb : T.value_binding) =
     with_allows ctx vb.T.vb_attributes @@ fun () ->
-    (match (vb.T.vb_pat.T.pat_desc, vb.T.vb_expr.T.exp_desc) with
-    | ( T.Tpat_var (id, _),
-        T.Texp_apply ({ exp_desc = T.Texp_ident (p, _, _); _ }, _) )
-      when List.exists is_slots_handle_producer (candidates ctx p) ->
-        Hashtbl.replace ctx.taint (Ident.unique_name id) ()
-    | _ -> ());
     TI.default_iterator.value_binding self vb
   in
   { TI.default_iterator with expr; value_binding }
@@ -649,7 +608,6 @@ let extract (u : Lint_cmt.unit_source) =
       events = [];
       scopes = [];
       rec_bound = [];
-      taint = Hashtbl.create 8;
     }
   in
   let pending =
@@ -661,7 +619,6 @@ let extract (u : Lint_cmt.unit_source) =
         ctx.events <- [];
         ctx.scopes <- [];
         ctx.rec_bound <- [];
-        ctx.taint <- Hashtbl.create 8;
         let params, bodies = peel [] p.p_expr in
         let it = body_iterator ctx in
         List.iter (fun b -> it.expr it b) bodies;
@@ -819,7 +776,7 @@ let lock_summaries g =
                                   (arg_param_indices callee c)
                             | None -> ())
                         | _ -> ())
-                  | Alloc _ | Escape _ -> ())
+                  | Alloc _ -> ())
                 d.events)
           u.defs)
       g.units;

@@ -46,7 +46,6 @@ type t = {
   mutable entries : int;
   mutable requests : int;
   mutable blocks : int;
-  mutable upgrades : int;
 }
 
 let create ?(fair = true) () =
@@ -68,7 +67,6 @@ let create ?(fair = true) () =
     entries = 0;
     requests = 0;
     blocks = 0;
-    upgrades = 0;
   }
 
 let is_fair t = t.fair
@@ -135,11 +133,10 @@ let rec holder_index buf n who i =
 let find_holding t eid who =
   holder_index t.hold_buf.(eid) t.hold_len.(eid) who 0
 
-let is_upgrade t eid who = find_holding t eid who >= 0
-
-(* All holders are [who] itself (conversion admissible): holders are
-   pairwise distinct, so this is "sole holder". *)
-let sole_holder t eid who = t.hold_len.(eid) = 1 && is_upgrade t eid who
+(* Slot of [e] when the table has touched it, or -1. *)
+let slot t e =
+  let eid = Interner.find t.ids e in
+  if eid < Array.length t.live then eid else -1
 
 let rec conflicting_from buf n who mode_bit i =
   if i >= n then false
@@ -158,19 +155,20 @@ let scratch_push t n v =
   n + 1
 
 (* Whom would a request by [who] in [mode] wait for right now? Conflicting
-   holders, plus (fair discipline, non-upgrades only — a conversion waits
-   for the other holders alone) conflicting requests queued ahead of
-   [who]. Sorted, deduplicated. *)
-let rec scratch_holders t eid who mode_bit hbuf i stop n =
+   holders, plus (fair discipline) conflicting requests queued ahead of
+   [who], sorted. No transaction is counted twice: holders are distinct,
+   a transaction waits on one entity at a time, and none waits on an
+   entity it holds, since [request] rejects a re-request of a held
+   entity. *)
+let rec scratch_holders t mode_bit hbuf i stop n =
   if i >= stop then n
   else
     let p = hbuf.(i) in
     let n =
-      if p lsr 1 <> who && bits_conflict (p land 1) mode_bit then
-        scratch_push t n (p lsr 1)
+      if bits_conflict (p land 1) mode_bit then scratch_push t n (p lsr 1)
       else n
     in
-    scratch_holders t eid who mode_bit hbuf (i + 1) stop n
+    scratch_holders t mode_bit hbuf (i + 1) stop n
 
 (* Queued conflicts ahead of [who]; the scan stops at [who] itself. *)
 let rec scratch_queued t who mode_bit qbuf i stop n =
@@ -194,39 +192,24 @@ let rec insert_shift (a : int array) j v =
 
 let[@lint.allow
      "A1: builds the blocker list on the blocked path only; the granted \
-      fast path returns the static empty list"] build_blockers a n i prev acc
-    =
-  let rec build i prev acc =
-    if i < 0 then acc
-    else if i < n - 1 && a.(i) = prev then build (i - 1) prev acc
-    else build (i - 1) a.(i) (a.(i) :: acc)
-  in
-  build i prev acc
+      fast path returns the static empty list"] rec build_blockers
+    (a : int array) i acc =
+  if i < 0 then acc else build_blockers a (i - 1) (a.(i) :: acc)
 
 let current_blockers t eid who mode_bit =
+  let n = scratch_holders t mode_bit t.hold_buf.(eid) 0 t.hold_len.(eid) 0 in
   let n =
-    scratch_holders t eid who mode_bit t.hold_buf.(eid) 0 t.hold_len.(eid) 0
-  in
-  let n =
-    if t.fair && not (is_upgrade t eid who) then
+    if t.fair then
       let s = t.q_start.(eid) in
       scratch_queued t who mode_bit t.q_buf.(eid) s (s + t.q_len.(eid)) n
     else n
   in
-  (* insertion sort + dedup on the scratch prefix; blocker sets are tiny *)
+  (* insertion sort on the scratch prefix; blocker sets are tiny *)
   let a = t.scratch in
   for i = 1 to n - 1 do
     insert_shift a (i - 1) a.(i)
   done;
-  if n = 0 then [] else build_blockers a n (n - 1) min_int []
-
-let rec index_grant_from t buf n who eid mode_bit i =
-  if i >= n then buf_push t.held_buf t.held_len who ((eid lsl 1) lor mode_bit)
-  else if buf.(i) lsr 1 = eid then buf.(i) <- (eid lsl 1) lor mode_bit
-  else index_grant_from t buf n who eid mode_bit (i + 1)
-
-let index_grant t who eid mode_bit =
-  index_grant_from t t.held_buf.(who) t.held_len.(who) who eid mode_bit 0
+  build_blockers a (n - 1) []
 
 let rec index_release_from t buf n who eid i =
   if i >= n then ()
@@ -240,10 +223,8 @@ let index_release t who eid =
   index_release_from t t.held_buf.(who) t.held_len.(who) who eid 0
 
 let[@hot] grant t eid who mode_bit =
-  let i = find_holding t eid who in
-  if i >= 0 then t.hold_buf.(eid).(i) <- (who lsl 1) lor mode_bit
-  else buf_push t.hold_buf t.hold_len eid ((who lsl 1) lor mode_bit);
-  index_grant t who eid mode_bit
+  buf_push t.hold_buf t.hold_len eid ((who lsl 1) lor mode_bit);
+  buf_push t.held_buf t.held_len who ((eid lsl 1) lor mode_bit)
 
 (* Entries whose holder set and queue both drained are dropped from the
    live set, so [n_entries] tracks only contended-or-held entities. *)
@@ -296,14 +277,9 @@ let[@hot] request t who mode e =
     t.live.(eid) <- true;
     t.entries <- t.entries + 1
   end;
+  if find_holding t eid who >= 0 then
+    invalid_arg "Lock_table.request: lock already held";
   let mode_bit = bit_of_mode mode in
-  let hi = find_holding t eid who in
-  (if hi >= 0 then
-     (* held exclusively, or re-requesting the held shared mode: caller
-        bug; a shared holder asking exclusive is the upgrade case *)
-     if t.hold_buf.(eid).(hi) land 1 = 1 || mode_bit = 0 then
-       invalid_arg "Lock_table.request: lock already held"
-     else t.upgrades <- t.upgrades + 1);
   match current_blockers t eid who mode_bit with
   | [] ->
       grant t eid who mode_bit;
@@ -319,11 +295,10 @@ let[@hot] request t who mode e =
 
 (* Drain the queue after holders or the queue itself changed.
 
-   Upgrade waiters are served first, whenever they are the sole holder.
-   Then, under the fair discipline, grants proceed strictly from the head
-   and stop at the first waiter that still conflicts with the holders;
-   under the availability discipline, every waiter compatible with the
-   holders is granted regardless of position. *)
+   Under the fair discipline, grants proceed strictly from the head and
+   stop at the first waiter that still conflicts with the holders; under
+   the availability discipline, every waiter compatible with the holders
+   is granted regardless of position. *)
 let[@lint.allow "A1: runs only after a release or cancellation on a contended entity and returns the grant report the scheduler re-dispatches; the uncontended release path exits at the empty-queue check"] try_grants t eid =
   if t.q_len.(eid) = 0 then begin
     gc_entry t eid;
@@ -336,32 +311,12 @@ let[@lint.allow "A1: runs only after a release or cancellation on a contended en
       t.wait_eid.(who) <- -1;
       granted := (who, mode_of_bit mode_bit) :: !granted
     in
-    (* Pass 1: conversions. *)
-    let rec upgrades_pass () =
-      let s = t.q_start.(eid) in
-      let rec find p =
-        if p >= s + t.q_len.(eid) then -1
-        else if sole_holder t eid (t.q_buf.(eid).(p) lsr 1) then p
-        else find (p + 1)
-      in
-      let p = find s in
-      if p >= 0 then begin
-        let packed = t.q_buf.(eid).(p) in
-        queue_remove_at t eid p;
-        grant_waiter (packed lsr 1) (packed land 1);
-        upgrades_pass ()
-      end
-    in
-    upgrades_pass ();
     if t.fair then begin
       let continue = ref true in
       while !continue && t.q_len.(eid) > 0 do
         let packed = t.q_buf.(eid).(t.q_start.(eid)) in
         let w = packed lsr 1 in
-        if
-          (not (is_upgrade t eid w))
-          && not (has_conflicting_holder t eid w (packed land 1))
-        then begin
+        if not (has_conflicting_holder t eid w (packed land 1)) then begin
           queue_remove_at t eid t.q_start.(eid);
           grant_waiter w (packed land 1)
         end
@@ -378,11 +333,8 @@ let[@lint.allow "A1: runs only after a release or cancellation on a contended en
       for p = s to s + n - 1 do
         let packed = buf.(p) in
         let w = packed lsr 1 in
-        let ok =
-          if is_upgrade t eid w then sole_holder t eid w
-          else not (has_conflicting_holder t eid w (packed land 1))
-        in
-        if ok then grant_waiter w (packed land 1)
+        if not (has_conflicting_holder t eid w (packed land 1)) then
+          grant_waiter w (packed land 1)
         else begin
           buf.(!kept) <- packed;
           incr kept
@@ -397,18 +349,16 @@ let[@lint.allow "A1: runs only after a release or cancellation on a contended en
 
 let[@hot] release t who e =
   let fail () = invalid_arg "Lock_table.release: lock not held" in
-  match Interner.find_opt t.ids e with
-  | None -> fail ()
-  | Some eid ->
-      if eid >= Array.length t.live || not t.live.(eid) then fail ();
-      ensure_txn t who;
-      let i = find_holding t eid who in
-      if i < 0 then fail ();
-      let n = t.hold_len.(eid) in
-      t.hold_buf.(eid).(i) <- t.hold_buf.(eid).(n - 1);
-      t.hold_len.(eid) <- n - 1;
-      index_release t who eid;
-      try_grants t eid
+  let eid = slot t e in
+  if eid < 0 || not t.live.(eid) then fail ();
+  ensure_txn t who;
+  let i = find_holding t eid who in
+  if i < 0 then fail ();
+  let n = t.hold_len.(eid) in
+  t.hold_buf.(eid).(i) <- t.hold_buf.(eid).(n - 1);
+  t.hold_len.(eid) <- n - 1;
+  index_release t who eid;
+  try_grants t eid
 
 let[@lint.allow "A1: cancellation happens only on rollback/timeout, off the steady-state grant path; returns the regrant report"] cancel_wait t who =
   ensure_txn t who;
@@ -462,61 +412,54 @@ let release_all t txn =
       (held_by t txn)
 
 let holders t e =
-  match Interner.find_opt t.ids e with
-  | None -> []
-  | Some eid ->
-      if eid >= Array.length t.live then []
-      else begin
-        let buf = t.hold_buf.(eid) in
-        let rec collect i acc =
-          if i < 0 then acc
-          else
-            let p = buf.(i) in
-            collect (i - 1) ((p lsr 1, mode_of_bit (p land 1)) :: acc)
-        in
-        (* holders are pairwise distinct, so keying the sort on the id
-           alone is a total order *)
-        List.sort
-          (fun (a, _) (b, _) -> Txn_id.compare a b)
-          (collect (t.hold_len.(eid) - 1) [])
-      end
+  let eid = slot t e in
+  if eid < 0 then []
+  else begin
+    let buf = t.hold_buf.(eid) in
+    let rec collect i acc =
+      if i < 0 then acc
+      else
+        let p = buf.(i) in
+        collect (i - 1) ((p lsr 1, mode_of_bit (p land 1)) :: acc)
+    in
+    (* holders are pairwise distinct, so keying the sort on the id alone
+       is a total order *)
+    List.sort
+      (fun (a, _) (b, _) -> Txn_id.compare a b)
+      (collect (t.hold_len.(eid) - 1) [])
+  end
 
 let waiters t e =
-  match Interner.find_opt t.ids e with
-  | None -> []
-  | Some eid ->
-      if eid >= Array.length t.live then []
-      else begin
-        let buf = t.q_buf.(eid) in
-        let s = t.q_start.(eid) in
-        let rec collect i acc =
-          if i < s then acc
-          else
-            let p = buf.(i) in
-            collect (i - 1) ((p lsr 1, mode_of_bit (p land 1)) :: acc)
-        in
-        collect (s + t.q_len.(eid) - 1) []
-      end
+  let eid = slot t e in
+  if eid < 0 then []
+  else begin
+    let buf = t.q_buf.(eid) in
+    let s = t.q_start.(eid) in
+    let rec collect i acc =
+      if i < s then acc
+      else
+        let p = buf.(i) in
+        collect (i - 1) ((p lsr 1, mode_of_bit (p land 1)) :: acc)
+    in
+    collect (s + t.q_len.(eid) - 1) []
+  end
 
 let has_waiters t e =
-  match Interner.find_opt t.ids e with
-  | None -> false
-  | Some eid -> eid < Array.length t.live && t.q_len.(eid) > 0
+  let eid = slot t e in
+  eid >= 0 && t.q_len.(eid) > 0
 
 let holds t txn e =
-  if txn < 0 || txn >= t.txn_cap then None
+  let eid = Interner.find t.ids e in
+  if txn < 0 || txn >= t.txn_cap || eid < 0 then None
   else
-    match Interner.find_opt t.ids e with
-    | None -> None
-    | Some eid ->
-        let buf = t.held_buf.(txn) in
-        let n = t.held_len.(txn) in
-        let rec go i =
-          if i >= n then None
-          else if buf.(i) lsr 1 = eid then Some (mode_of_bit (buf.(i) land 1))
-          else go (i + 1)
-        in
-        go 0
+    let buf = t.held_buf.(txn) in
+    let n = t.held_len.(txn) in
+    let rec go i =
+      if i >= n then None
+      else if buf.(i) lsr 1 = eid then Some (mode_of_bit (buf.(i) land 1))
+      else go (i + 1)
+    in
+    go 0
 
 let waiting_for t txn =
   if txn < 0 || txn >= t.txn_cap || t.wait_eid.(txn) < 0 then None
@@ -530,19 +473,15 @@ let blockers t txn =
 type conflict_kind = No_conflict | Type1 | Type2
 
 let classify t txn mode e =
-  match Interner.find_opt t.ids e with
-  | None -> No_conflict
-  | Some eid ->
-      if
-        eid >= Array.length t.live
-        || not (has_conflicting_holder t eid txn (bit_of_mode mode))
-      then No_conflict
-      else
-        (match mode with
-        | Lock_mode.Shared -> Type1
-        | Lock_mode.Exclusive -> Type2)
+  let eid = slot t e in
+  if eid < 0 || not (has_conflicting_holder t eid txn (bit_of_mode mode)) then
+    No_conflict
+  else
+    match mode with Lock_mode.Shared -> Type1 | Lock_mode.Exclusive -> Type2
 
 let n_requests t = t.requests
 let n_blocks t = t.blocks
-let n_upgrades t = t.upgrades
+(* Always 0: a re-request of a held entity is rejected, so no lock is
+   ever converted. Kept only because the repository benchmark reports it. *)
+let n_upgrades _ = 0
 let n_entries t = t.entries

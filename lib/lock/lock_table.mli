@@ -21,11 +21,9 @@
       exclusive-only workloads, which is what the paper's Section 3.1
       figures use.
 
-    Lock upgrades (shared held, exclusive requested) are supported: the
-    holder converts in place when alone, otherwise waits for the other
-    holders (conversions take priority over queued requests and bypass
-    queue fairness — the usual discipline, since a conversion can never
-    sit behind a request that needs the converter to go away). *)
+    A transaction holds each entity in exactly one mode: a second request
+    for a held entity, in either mode, is rejected. {!Prb_txn.Program.validate}
+    already rejects a re-lock, so no run converts a lock. *)
 
 type txn = int
 type entity = Prb_storage.Store.entity
@@ -47,14 +45,12 @@ type outcome =
 
 val request : t -> txn -> mode -> entity -> outcome
 (** @raise Invalid_argument when the transaction already holds the entity
-    in this or a stronger mode (an upgrade S->X is the one legal
-    re-request), or when it is already waiting for something (a
+    (in any mode), or when it is already waiting for something (a
     transaction blocks on one request at a time). *)
 
 val release : t -> txn -> entity -> (txn * mode) list
 (** Release a held lock; returns the waiters granted as a consequence, in
-    grant order (an upgrade grant is reported with mode [Exclusive]).
-    @raise Invalid_argument if not held. *)
+    grant order. @raise Invalid_argument if not held. *)
 
 val cancel_wait : t -> txn -> (entity * (txn * mode) list) option
 (** Forget the transaction's pending request (used when a waiter is
@@ -107,7 +103,10 @@ val classify : t -> txn -> mode -> entity -> conflict_kind
 
 val n_requests : t -> int
 val n_blocks : t -> int
+
 val n_upgrades : t -> int
+(** Always 0: no lock is ever converted. Kept only because the repository
+    benchmark ([benchmark/loop.ml]) reads it. *)
 
 val n_entries : t -> int
 (** Live entries in the table. Entries are dropped as soon as both their

@@ -216,6 +216,4 @@ module Pool = struct
     end;
     t.free.(t.pooled) <- s;
     t.pooled <- t.pooled + 1
-
-  let n_pooled t = t.pooled
 end

@@ -92,6 +92,4 @@ module Pool : sig
 
   val release : t -> stack -> unit
   (** Return a stack to the pool. The caller must not use it afterwards. *)
-
-  val n_pooled : t -> int
 end

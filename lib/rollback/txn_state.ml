@@ -17,8 +17,8 @@ type phase = Growing | Shrinking | Committed
    [ls_entity], [ls_mode] and [ls_pc], and its shadow history at
    [ls_shadow.(k)] while the entity is held exclusively — [no_history]
    once it is unlocked, and for shared locks. A valid program locks an
-   entity at most once, so an entity has at most one lock state. Slots at
-   or above [lock_idx] are leftovers of a rollback and never read; a
+   entity at most once, so an entity has at most one lock state. Indices
+   at or above [lock_idx] are leftovers of a rollback and never read; a
    rollback resets their shadows to [no_history]. [dispose] empties
    [locals] and [ls_shadow]. *)
 type t = {

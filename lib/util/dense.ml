@@ -1,19 +1,8 @@
 (* Dense int-indexed building blocks for the flat hot paths (DESIGN.md
    Section 12): a string interner mapping entity names to contiguous slot
-   ids, a generational slot allocator for recyclable buffers, and an
-   int-payload priority queue whose steady-state push/pop allocates
-   nothing. All three are deterministic: behaviour depends only on the
-   call sequence, never on hashing or allocation addresses. *)
-
-let grow_int_array arr size fill =
-  let cap = Array.length arr in
-  if size < cap then arr
-  else begin
-    let ncap = max 16 (max (size + 1) (2 * cap)) in
-    let narr = Array.make ncap fill in
-    Array.blit arr 0 narr 0 cap;
-    narr
-  end
+   ids, and an int-payload priority queue whose steady-state push/pop
+   allocates nothing. Both are deterministic: behaviour depends only on
+   the call sequence, never on hashing or allocation addresses. *)
 
 module Interner = struct
   type t = {
@@ -26,86 +15,33 @@ module Interner = struct
     { fwd = Hashtbl.create size_hint; names = [||]; n = 0 }
 
   let[@lint.allow
-       "A1: allocates only when a fresh entity name is interned; repeat \
-        lookups on the hot lock path hit the table"] intern t name =
-    match Hashtbl.find_opt t.fwd name with
-    | Some id -> id
-    | None ->
-        let id = t.n in
-        if id >= Array.length t.names then begin
-          let ncap = max 16 (2 * Array.length t.names) in
-          let nn = Array.make ncap "" in
-          Array.blit t.names 0 nn 0 t.n;
-          t.names <- nn
-        end;
-        t.names.(id) <- name;
-        t.n <- id + 1;
-        Hashtbl.replace t.fwd name id;
-        id
+       "A1: runs once per fresh entity name; repeat lookups on the hot \
+        lock path hit the table through [find]"] add t name =
+    let id = t.n in
+    if id >= Array.length t.names then begin
+      let ncap = max 16 (2 * Array.length t.names) in
+      let nn = Array.make ncap "" in
+      Array.blit t.names 0 nn 0 t.n;
+      t.names <- nn
+    end;
+    t.names.(id) <- name;
+    t.n <- id + 1;
+    Hashtbl.replace t.fwd name id;
+    id
 
-  let find_opt t name = Hashtbl.find_opt t.fwd name
+  (* [Hashtbl.find] rather than [find_opt]: a hit returns the bare int
+     instead of boxing it in [Some]. *)
+  let find t name = try Hashtbl.find t.fwd name with Not_found -> -1
+
+  let intern t name =
+    let id = find t name in
+    if id >= 0 then id else add t name
 
   let name t id =
     if id < 0 || id >= t.n then invalid_arg "Interner.name: unknown id";
     t.names.(id)
 
   let count t = t.n
-end
-
-module Slots = struct
-  type t = {
-    mutable gens : int array;  (* generation per slot, bumped on release *)
-    mutable live : bool array;
-    mutable free : int array;  (* LIFO free list *)
-    mutable n_free : int;
-    mutable n : int;  (* slots ever created *)
-  }
-
-  let create () = { gens = [||]; live = [||]; free = [||]; n_free = 0; n = 0 }
-
-  let alloc t =
-    if t.n_free > 0 then begin
-      t.n_free <- t.n_free - 1;
-      let s = t.free.(t.n_free) in
-      t.live.(s) <- true;
-      s
-    end
-    else begin
-      let s = t.n in
-      t.gens <- grow_int_array t.gens s 0;
-      if s >= Array.length t.live then begin
-        let nl = Array.make (max 16 (2 * Array.length t.live)) false in
-        Array.blit t.live 0 nl 0 (Array.length t.live);
-        t.live <- nl
-      end;
-      t.live.(s) <- true;
-      t.n <- s + 1;
-      s
-    end
-
-  let release t s =
-    if s < 0 || s >= t.n || not t.live.(s) then
-      invalid_arg "Slots.release: slot not live";
-    t.live.(s) <- false;
-    t.gens.(s) <- t.gens.(s) + 1;
-    t.free <- grow_int_array t.free t.n_free 0;
-    t.free.(t.n_free) <- s;
-    t.n_free <- t.n_free + 1
-
-  let generation t s =
-    if s < 0 || s >= t.n then invalid_arg "Slots.generation: unknown slot";
-    t.gens.(s)
-
-  let in_use t s = s >= 0 && s < t.n && t.live.(s)
-  let capacity t = t.n
-  let n_live t = t.n - t.n_free
-
-  (* A handle packs (slot, generation) so a recycled slot id can never be
-     mistaken for the transaction/segment that used to own it. *)
-  let handle t s = (s * 1_000_003) + (t.gens.(s) mod 1_000_003)
-  let handle_valid t h =
-    let s = h / 1_000_003 in
-    in_use t s && h - (s * 1_000_003) = t.gens.(s) mod 1_000_003
 end
 
 module Pqueue = struct

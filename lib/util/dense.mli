@@ -1,7 +1,7 @@
 (** Dense int-indexed building blocks for the flat, allocation-free hot
     paths (DESIGN.md Section 12).
 
-    All three structures are deterministic: behaviour depends only on the
+    Both structures are deterministic: behaviour depends only on the
     call sequence, never on hashing, addresses or clocks, so replay
     discipline is preserved when replay-critical modules are rebuilt on
     top of them. *)
@@ -18,39 +18,13 @@ module Interner : sig
   val intern : t -> string -> int
   (** Existing id, or the next unused one for a fresh name. *)
 
-  val find_opt : t -> string -> int option
+  val find : t -> string -> int
+  (** The name's id, or -1 if it was never interned. Allocates nothing. *)
+
   val name : t -> int -> string
   (** @raise Invalid_argument on an id never returned by {!intern}. *)
 
   val count : t -> int
-end
-
-module Slots : sig
-  (** Generational slot allocator: free slots are recycled LIFO, and each
-      release bumps the slot's generation so stale references to a
-      recycled slot are detectable ({!handle}/{!handle_valid} — the
-      aliasing test in test_util leans on this). *)
-
-  type t
-
-  val create : unit -> t
-  val alloc : t -> int
-  val release : t -> int -> unit
-  (** @raise Invalid_argument if the slot is not live. *)
-
-  val generation : t -> int -> int
-  val in_use : t -> int -> bool
-  val capacity : t -> int
-  (** Slots ever created (live + free). *)
-
-  val n_live : t -> int
-
-  val handle : t -> int -> int
-  (** Pack (slot, current generation) into one int. *)
-
-  val handle_valid : t -> int -> bool
-  (** Does the handle still name the live incarnation of its slot? False
-      once the slot was released (and after any recycling). *)
 end
 
 module Pqueue : sig

@@ -30,7 +30,6 @@ let count t = t.count
 let total t = t.total
 let mean t = if t.count = 0 then nan else t.mean
 let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
-let stddev t = sqrt (variance t)
 let min_value t = t.min_v
 let max_value t = t.max_v
 

@@ -143,6 +143,3 @@ val is_exclusive_forest : t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Renders edges as ["T2 -b-> T3"] lines, matching the paper's figures. *)
-
-val to_dot : t -> string
-(** Graphviz rendering, for the examples. *)

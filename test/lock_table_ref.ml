@@ -27,7 +27,6 @@ type t = {
          every entry in the table *)
   mutable requests : int;
   mutable blocks : int;
-  mutable upgrades : int;
 }
 
 let create ?(fair = true) () =
@@ -38,7 +37,6 @@ let create ?(fair = true) () =
     held_of = Hashtbl.create 32;
     requests = 0;
     blocks = 0;
-    upgrades = 0;
   }
 
 let is_fair t = t.fair
@@ -95,23 +93,16 @@ let conflicting_queued_ahead entry who mode =
   in
   scan entry.queue
 
-let is_upgrade entry who = List.mem_assoc who entry.holding
-
-(* Whom would a request by [who] in [mode] wait for right now? Upgrades
-   bypass queue fairness (a conversion waits only for the other
-   holders). *)
+(* Whom would a request by [who] in [mode] wait for right now? *)
 let current_blockers t entry who mode =
   let holders = conflicting_holders entry who mode in
   let queued =
-    if t.fair && not (is_upgrade entry who) then
-      conflicting_queued_ahead entry who mode
-    else []
+    if t.fair then conflicting_queued_ahead entry who mode else []
   in
   List.sort_uniq Txn_id.compare (holders @ queued)
 
 let grant t entry e who mode =
-  entry.holding <-
-    (who, mode) :: List.filter (fun (h, _) -> h <> who) entry.holding;
+  entry.holding <- (who, mode) :: entry.holding;
   index_grant t who e mode
 
 let request t txn mode e =
@@ -119,12 +110,8 @@ let request t txn mode e =
     invalid_arg "Lock_table.request: transaction is already waiting";
   t.requests <- t.requests + 1;
   let entry = entry t e in
-  let held = List.assoc_opt txn entry.holding in
-  (match (held, mode) with
-  | Some Lock_mode.Exclusive, _ | Some Lock_mode.Shared, Lock_mode.Shared ->
-      invalid_arg "Lock_table.request: lock already held"
-  | Some Lock_mode.Shared, Lock_mode.Exclusive -> t.upgrades <- t.upgrades + 1
-  | None, _ -> ());
+  if List.mem_assoc txn entry.holding then
+    invalid_arg "Lock_table.request: lock already held";
   match current_blockers t entry txn mode with
   | [] -> begin
       grant t entry e txn mode;
@@ -138,11 +125,10 @@ let request t txn mode e =
 
 (* Drain the queue after holders or the queue itself changed.
 
-   Upgrade waiters are served first, whenever they are the sole holder.
-   Then, under the fair discipline, grants proceed strictly from the head
-   and stop at the first waiter that still conflicts with the holders;
-   under the availability discipline, every waiter compatible with the
-   holders is granted regardless of position. *)
+   Under the fair discipline, grants proceed strictly from the head and
+   stop at the first waiter that still conflicts with the holders; under
+   the availability discipline, every waiter compatible with the holders
+   is granted regardless of position. *)
 let try_grants t e entry =
   let granted = ref [] in
   let grant_waiter (w, m) =
@@ -150,32 +136,16 @@ let try_grants t e entry =
     Hashtbl.remove t.wait_of w;
     granted := (w, m) :: !granted
   in
-  (* Pass 1: conversions. *)
-  let rec upgrades_pass () =
-    let convertible =
-      List.find_opt
-        (fun (w, _) ->
-          is_upgrade entry w && List.for_all (fun (h, _) -> h = w) entry.holding)
-        entry.queue
-    in
-    match convertible with
-    | Some (w, m) ->
-        entry.queue <- List.filter (fun (x, _) -> x <> w) entry.queue;
-        grant_waiter (w, m);
-        upgrades_pass ()
-    | None -> ()
-  in
-  upgrades_pass ();
   if t.fair then begin
     let rec fifo () =
       match entry.queue with
-      | (w, m) :: rest when not (is_upgrade entry w) ->
+      | (w, m) :: rest ->
           if conflicting_holders entry w m = [] then begin
             entry.queue <- rest;
             grant_waiter (w, m);
             fifo ()
           end
-      | _ -> ()
+      | [] -> ()
     in
     fifo ()
   end
@@ -183,12 +153,8 @@ let try_grants t e entry =
     let still = ref [] in
     List.iter
       (fun (w, m) ->
-        let ok =
-          if is_upgrade entry w then
-            List.for_all (fun (h, _) -> h = w) entry.holding
-          else conflicting_holders entry w m = []
-        in
-        if ok then grant_waiter (w, m) else still := (w, m) :: !still)
+        if conflicting_holders entry w m = [] then grant_waiter (w, m)
+        else still := (w, m) :: !still)
       entry.queue;
     entry.queue <- List.rev !still
   end;
@@ -282,5 +248,4 @@ let classify t txn mode e =
 
 let n_requests t = t.requests
 let n_blocks t = t.blocks
-let n_upgrades t = t.upgrades
 let n_entries t = Hashtbl.length t.entries

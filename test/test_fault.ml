@@ -30,9 +30,9 @@ let test_plan_basics () =
          Fault.none with
          site_crashes = [ { Fault.site = 0; at = 5; downtime = 10 } ];
        });
-  checki "backoff attempt 0" 10 (Fault.backoff Fault.default_timeouts ~attempt:0);
-  checki "backoff attempt 3" 80 (Fault.backoff Fault.default_timeouts ~attempt:3);
-  checki "backoff capped" 320 (Fault.backoff Fault.default_timeouts ~attempt:99);
+  checki "backoff attempt 0" 10 (Fault.backoff ~attempt:0);
+  checki "backoff attempt 3" 80 (Fault.backoff ~attempt:3);
+  checki "backoff capped" 320 (Fault.backoff ~attempt:99);
   checkb "outage window" true
     (Fault.in_outage
        { Fault.none with detector_outages = [ { Fault.out_from = 10; out_until = 20 } ] }

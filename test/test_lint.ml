@@ -131,12 +131,12 @@ let test_deep_fixture_rules () =
     ("clean__hot_ok.ml", []);
     ("core__a1_tick_alloc.ml", [ "A1" ]);
     ("core__a1_two_calls_deep.ml", [ "A1" ]);
+    ("core__a1_find_opt.ml", [ "A1" ]);
     ("core__deep_allow_ok.ml", []);
     ("core__deep_allow_norationale.ml", [ "A1" ]);
     ("core__p1_acquire_after_release.ml", [ "P1"; "P1" ]);
     ("core__p1_rollback_ok.ml", []);
-    ("wfg__h1_handle_escape.ml", [ "H1"; "H1" ]);
-    ("wfg__h1_foreign_handle.ml", [ "H1" ]);
+    ("wfg__h1_unsafe_get.ml", [ "H1" ]);
   ]
   in
   List.iter

@@ -75,36 +75,16 @@ let test_release_not_held_rejected () =
     (Invalid_argument "Lock_table.release: lock not held") (fun () ->
       ignore (Lock_table.release t 1 "a"))
 
-(* --- Upgrades --- *)
-
-let test_upgrade_sole_holder () =
+(* A shared holder asking for exclusive is a re-request like any other:
+   locks are never converted. *)
+let test_rerequest_rejected () =
   let t = Lock_table.create () in
   ignore (Lock_table.request t 1 s "a");
-  checkb "converts in place" true (granted (Lock_table.request t 1 x "a"));
-  checkb "now exclusive" true (Lock_table.holds t 1 "a" = Some x);
-  checki "upgrade counted" 1 (Lock_table.n_upgrades t)
-
-let test_upgrade_waits_for_other_holders () =
-  let t = Lock_table.create () in
-  ignore (Lock_table.request t 1 s "a");
-  ignore (Lock_table.request t 2 s "a");
-  let outcome = Lock_table.request t 1 x "a" in
-  checkb "blocked on the other holder" true (blockers outcome = [ 2 ]);
-  checkb "keeps shared meanwhile" true (Lock_table.holds t 1 "a" = Some s);
-  let grants = Lock_table.release t 2 "a" in
-  checkb "conversion granted on release" true (grants = [ (1, x) ]);
-  checkb "exclusive now" true (Lock_table.holds t 1 "a" = Some x)
-
-let test_upgrade_priority_over_queue () =
-  let t = Lock_table.create () in
-  ignore (Lock_table.request t 1 s "a");
-  ignore (Lock_table.request t 2 s "a");
-  ignore (Lock_table.request t 3 x "a") |> ignore;
-  (* 3 queued first, then 1 asks to convert *)
-  let outcome = Lock_table.request t 1 x "a" in
-  checkb "conversion waits only for holders" true (blockers outcome = [ 2 ]);
-  let grants = Lock_table.release t 2 "a" in
-  checkb "conversion beats queued X" true (grants = [ (1, x) ])
+  Alcotest.check_raises "S held, X requested"
+    (Invalid_argument "Lock_table.request: lock already held") (fun () ->
+      ignore (Lock_table.request t 1 x "a"));
+  checkb "still shared" true (Lock_table.holds t 1 "a" = Some s);
+  checki "no conversion counted" 0 (Lock_table.n_upgrades t)
 
 (* --- Fair discipline --- *)
 
@@ -201,10 +181,7 @@ let qcheck_no_conflicting_grants fair =
           let e = entity ei in
           if is_req then begin
             match (Lock_table.holds t txn e, Lock_table.waiting_for t txn) with
-            | _, Some _ -> () (* already waiting: skip *)
-            | Some Lock_mode.Shared, _ ->
-                ignore (Lock_table.request t txn x e) (* upgrade *)
-            | Some Lock_mode.Exclusive, _ -> ()
+            | _, Some _ | Some _, _ -> () (* waiting or held: skip *)
             | None, None ->
                 let mode = if txn mod 2 = 0 then s else x in
                 ignore (Lock_table.request t txn mode e)
@@ -231,8 +208,8 @@ let qcheck_no_conflicting_grants fair =
 
 (* The table keeps a per-transaction held-locks index so that
    [held_by]/[holds]/[release_all] are O(locks held). This property drives
-   random request/release/cancel traffic — including upgrades and the fair
-   queue — against a naive flat-list model that is updated only from the
+   random request/release/cancel traffic — including the fair queue —
+   against a naive flat-list model that is updated only from the
    observable outcomes (grant results), then checks every read-side
    accessor against the model after each step. Any drift between the
    index, the per-entity entries, and the waiter bookkeeping fails here. *)
@@ -305,12 +282,8 @@ let qcheck_index_vs_reference fair =
           | 0 | 1 -> (
               let mode = if op = 0 then s else x in
               match (Lock_table.waiting_for t txn, Lock_table.holds t txn e) with
-              | Some _, _ -> () (* already waiting: a request would raise *)
-              | _, Some m
-                when m = Lock_mode.Exclusive || mode = Lock_mode.Shared ->
-                  () (* nothing to upgrade to *)
-              | None, _ -> (
-                  (* fresh request, or an S->X upgrade *)
+              | Some _, _ | _, Some _ -> () (* waiting or held: would raise *)
+              | None, None -> (
                   match Lock_table.request t txn mode e with
                   | Lock_table.Granted -> model_grant txn e mode
                   | Lock_table.Blocked _ ->
@@ -343,7 +316,7 @@ let qcheck_index_vs_reference fair =
 
 (* Lock_table_ref is the original representation kept verbatim for
    differential testing. Both tables receive the identical random script
-   — requests (including upgrades), releases, cancels, release_all — and
+   — requests, releases, cancels, release_all — and
    must agree on every outcome (grant/block with the same blocker set,
    waiters granted in the same order) and on every read-side accessor
    after every step. *)
@@ -391,7 +364,6 @@ let qcheck_dense_vs_reference fair =
         && Lock_table.n_entries t = Ref.n_entries r
         && Lock_table.n_requests t = Ref.n_requests r
         && Lock_table.n_blocks t = Ref.n_blocks r
-        && Lock_table.n_upgrades t = Ref.n_upgrades r
       in
       List.for_all
         (fun (txn, op, ei) ->
@@ -401,10 +373,8 @@ let qcheck_dense_vs_reference fair =
               let mode = if op = 0 then s else x in
               (* skip scripts steps both tables would reject identically *)
               match (Lock_table.waiting_for t txn, Lock_table.holds t txn e) with
-              | Some _, _ -> true
-              | _, Some m when m = Lock_mode.Exclusive || mode = Lock_mode.Shared
-                -> true
-              | None, _ ->
+              | Some _, _ | _, Some _ -> true
+              | None, None ->
                   outcomes_agree
                     (Lock_table.request t txn mode e)
                     (Ref.request r txn mode e))
@@ -432,13 +402,7 @@ let () =
           Alcotest.test_case "request while waiting" `Quick
             test_request_while_waiting_rejected;
           Alcotest.test_case "release not held" `Quick test_release_not_held_rejected;
-        ] );
-      ( "upgrades",
-        [
-          Alcotest.test_case "sole holder converts" `Quick test_upgrade_sole_holder;
-          Alcotest.test_case "waits for other holders" `Quick
-            test_upgrade_waits_for_other_holders;
-          Alcotest.test_case "priority over queue" `Quick test_upgrade_priority_over_queue;
+          Alcotest.test_case "re-request rejected" `Quick test_rerequest_rejected;
         ] );
       ( "disciplines",
         [

@@ -77,12 +77,14 @@ let test_validate_two_phase () =
   in
   expect_violation p Program.Lock_after_unlock
 
+(* The second input is the S->X conversion: no program may ask for it,
+   which is why the lock table never converts a lock. *)
 let test_validate_relock () =
-  let p =
-    Program.make ~name:"relock" ~locals:[]
-      [ Program.lock_x "a"; Program.lock_x "a" ]
+  let relock first =
+    Program.make ~name:"relock" ~locals:[] [ first "a"; Program.lock_x "a" ]
   in
-  expect_violation p (Program.Already_locked "a")
+  expect_violation (relock Program.lock_x) (Program.Already_locked "a");
+  expect_violation (relock Program.lock_s) (Program.Already_locked "a")
 
 let test_validate_unlock_not_held () =
   let p = Program.make ~name:"u" ~locals:[] [ Program.unlock "a" ] in

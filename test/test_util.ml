@@ -272,63 +272,8 @@ let test_interner_contiguous () =
   checki "third" 2 (Dense.Interner.intern it "c");
   checki "count" 3 (Dense.Interner.count it);
   check Alcotest.string "reverse" "b" (Dense.Interner.name it 1);
-  checkb "find existing" true (Dense.Interner.find_opt it "c" = Some 2);
-  checkb "find missing" true (Dense.Interner.find_opt it "z" = None)
-
-let test_slots_lifo_recycle () =
-  let s = Dense.Slots.create () in
-  let a = Dense.Slots.alloc s in
-  let b = Dense.Slots.alloc s in
-  Dense.Slots.release s a;
-  (* LIFO: the most recently released slot is reused first *)
-  checki "recycled" a (Dense.Slots.alloc s);
-  checkb "b still live" true (Dense.Slots.in_use s b);
-  checki "capacity" 2 (Dense.Slots.capacity s)
-
-let test_slots_stale_handle () =
-  let s = Dense.Slots.create () in
-  let a = Dense.Slots.alloc s in
-  let h = Dense.Slots.handle s a in
-  checkb "live handle valid" true (Dense.Slots.handle_valid s h);
-  Dense.Slots.release s a;
-  checkb "released handle invalid" false (Dense.Slots.handle_valid s h);
-  let a' = Dense.Slots.alloc s in
-  checki "slot recycled" a a';
-  (* the recycled incarnation gets a fresh handle; the old one stays dead *)
-  checkb "stale handle stays invalid" false (Dense.Slots.handle_valid s h);
-  checkb "new handle valid" true
-    (Dense.Slots.handle_valid s (Dense.Slots.handle s a'))
-
-(* qcheck: under random alloc/release traffic no two live slots alias,
-   counters stay consistent, and no stale handle ever validates — the
-   property the schedulers' dense id spaces rely on. *)
-let test_slots_qcheck_no_aliasing =
-  QCheck.Test.make ~name:"slots: live ids distinct, stale handles dead"
-    ~count:300
-    QCheck.(list (pair bool (int_bound 7)))
-    (fun script ->
-      let s = Dense.Slots.create () in
-      let live = ref [] (* slot ids, distinct *)
-      and dead_handles = ref [] in
-      List.iter
-        (fun (alloc, k) ->
-          if alloc || !live = [] then begin
-            let id = Dense.Slots.alloc s in
-            if List.mem id !live then failwith "alias: alloc returned live id";
-            live := id :: !live
-          end
-          else begin
-            let id = List.nth !live (k mod List.length !live) in
-            dead_handles := Dense.Slots.handle s id :: !dead_handles;
-            Dense.Slots.release s id;
-            live := List.filter (fun x -> x <> id) !live
-          end)
-        script;
-      List.for_all (fun id -> Dense.Slots.in_use s id) !live
-      && Dense.Slots.n_live s = List.length !live
-      && List.for_all
-           (fun h -> not (Dense.Slots.handle_valid s h))
-           !dead_handles)
+  checki "find existing" 2 (Dense.Interner.find it "c");
+  checki "find missing" (-1) (Dense.Interner.find it "z")
 
 (* qcheck: Pqueue pops in exactly Heap's order — same priorities, same
    tie-break by push sequence — so the scheduler's event loop is
@@ -448,9 +393,6 @@ let () =
       ( "dense",
         [
           Alcotest.test_case "interner contiguous" `Quick test_interner_contiguous;
-          Alcotest.test_case "slots lifo recycle" `Quick test_slots_lifo_recycle;
-          Alcotest.test_case "slots stale handle" `Quick test_slots_stale_handle;
-          QCheck_alcotest.to_alcotest test_slots_qcheck_no_aliasing;
           QCheck_alcotest.to_alcotest test_pqueue_qcheck_matches_heap;
         ] );
       ( "table",

@@ -80,16 +80,3 @@ let pp ppf t =
       Fmt.(
         list ~sep:cut (fun ppf (w, h, e) -> pf ppf "T%d -%s-> T%d" w e h))
       es
-
-let to_dot t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "digraph waits_for {\n";
-  List.iter
-    (fun v -> Buffer.add_string buf (Printf.sprintf "  T%d;\n" v))
-    (txns t);
-  List.iter
-    (fun (w, h, e) ->
-      Buffer.add_string buf (Printf.sprintf "  T%d -> T%d [label=%S];\n" w h e))
-    (edges t);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
