@@ -33,6 +33,13 @@ let program_with_locks ~name ~length locks =
          | Some e -> Program.lock_x e
          | None -> filler))
 
+(* The waits-for graph as the paper draws it, one arc per line. *)
+let show_graph title wfg =
+  note "%s (waiter -entity-> holder):" title;
+  List.iter
+    (fun (w, h, e) -> note "  T%d -%s-> T%d" w e h)
+    (Waits_for.edges wfg)
+
 (* --- E1: Figure 1 ------------------------------------------------------ *)
 
 let fig1 () =
@@ -49,6 +56,14 @@ let fig1 () =
   advance ts2 ~stop_pc:12;
   advance ts3 ~stop_pc:11;
   advance ts4 ~stop_pc:15;
+  (* T1 requests a, which T2 locked after b. *)
+  let wfg = Waits_for.create () in
+  List.iter (Waits_for.add_txn wfg) [ 1; 2; 3; 4 ];
+  Waits_for.set_wait wfg ~waiter:1 ~holders:[ 2 ] "a";
+  Waits_for.set_wait wfg ~waiter:2 ~holders:[ 4 ] "e";
+  Waits_for.set_wait wfg ~waiter:3 ~holders:[ 2 ] "b";
+  Waits_for.set_wait wfg ~waiter:4 ~holders:[ 3 ] "c";
+  show_graph "Figure 1(a) concurrency graph" wfg;
   let table =
     Table.create
       ~title:"cycle T2 -e-> T4 -c-> T3 -b-> T2 (waiter -entity-> holder)"
@@ -64,12 +79,6 @@ let fig1 () =
   let states = [ (2, ts2, "b"); (3, ts3, "c"); (4, ts4, "e") ] in
   List.iter
     (fun (id, ts, e) ->
-      let lock_pc =
-        match Txn_state.lock_state_of ts e with
-        | Some k -> Txn_state.pc ts - Txn_state.cost_of_target ts k
-        | None -> assert false
-      in
-      ignore lock_pc;
       Table.add_row table
         [
           Printf.sprintf "T%d" id;
@@ -93,9 +102,16 @@ let fig1 () =
   (match decision.Resolver.victims with
   | [ (v, es) ] ->
       note "victim: T%d releases %s (paper: T2 releases b)" v (String.concat "," es);
+      (* As the engine's rollback does: the victim first abandons its
+         pending request on e, then rolls back to before its lock on b. *)
+      Waits_for.clear_wait wfg 2;
       let released = Txn_state.rollback_to ts2 (Txn_state.rollback_target ts2 "b") in
       note "rollback of T2 also released %s -> T1 no longer waits (Figure 1b)"
-        (String.concat "," (List.sort compare released))
+        (String.concat "," (List.sort compare released));
+      (* b goes to T3 and a to T1. *)
+      Waits_for.clear_wait wfg 3;
+      Waits_for.clear_wait wfg 1;
+      show_graph "Figure 1(b) graph after the rollback" wfg
   | _ -> assert false)
 
 (* --- E2: Figure 2 ------------------------------------------------------ *)
@@ -189,6 +205,14 @@ let fig3 () =
   block 2 "a";
   block 3 "b";
   block 1 "f";
+  note "T1 requests X(f); conflicting holders: %s (Type %s conflict)"
+    (String.concat ", "
+       (List.map (Printf.sprintf "T%d") (Lock_table.blockers locks 1)))
+    (match Lock_table.classify locks 1 Lock_mode.Exclusive "f" with
+    | Lock_table.Type2 -> "2"
+    | Lock_table.Type1 -> "1"
+    | Lock_table.No_conflict -> "none");
+  show_graph "Figure 3(c) concurrency graph" wfg;
   let cycles = Waits_for.cycles_through wfg 1 in
   note "T1's X(f) request vs two shared holders: %d cycles close at once"
     (List.length cycles);
@@ -313,6 +337,14 @@ let fig4 () =
         paper;
       ]
   in
+  List.iter
+    (fun p ->
+      note "%s: SDG edges %s" p.Program.name
+        (String.concat ", "
+           (List.map
+              (fun (a, b) -> Printf.sprintf "%d-%d" a b)
+              (Prb_graph.Ugraph.edges (Sdg_view.of_program p)))))
+    [ fig4_txn ~with_ck:true; fig4_txn ~with_ck:false ];
   show (fig4_txn ~with_ck:true) "only the trivial 0 and 6";
   show (fig4_txn ~with_ck:false) "lock state 4 becomes well-defined";
   Table.print table;

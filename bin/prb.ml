@@ -949,7 +949,7 @@ let lint_cmd =
          simulation stack), L2 (no catch-all match arm on the \
          distributed protocol message type) and L3 (in lib/core and \
          lib/distrib only engine.ml performs lock-table transitions: \
-         Lock_table.request/release/release_all/cancel_wait, \
+         Lock_table.request/release/cancel_wait, \
          History.note_grant and Waits_for.set_wait/clear_wait).";
       `P
         "With $(b,--deep), additionally loads the typed trees (.cmt) of \

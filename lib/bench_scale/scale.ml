@@ -9,8 +9,20 @@ module Generator = Prb_workload.Generator
 module D = Prb_distrib.Dist_scheduler
 module Dist_sim = Prb_distrib.Dist_sim
 
+(* Declared before [point] so that an unannotated field access means a
+   point. *)
+type gate_point = {
+  engine : string;
+  txns : int;
+  contention : string;
+  commits_per_sec : float;
+  allocated_mwords : float;
+}
+
 type point = {
   engine : string;  (* "central" | "distrib" *)
+  policy : string;
+  outage : bool;
   txns : int;
   contention : string;  (* "low" | "high" *)
   entities : int;
@@ -28,6 +40,9 @@ type point = {
   enumerate_seconds : float;
   enumerate_share : float;
   enumerate_calls : int;
+  detection_passes : int;
+  watchdog_fires : int;
+  max_blocked_ticks : int;
   allocated_mwords : float;
 }
 
@@ -69,12 +84,13 @@ let params_of ~contention ~txns =
 let contention_name = function `Low -> "low" | `High -> "high"
 
 (* Allocation across minor and major heaps, in words, ignoring what was
-   merely promoted (counted once in minor). The minor term comes from
-   [Gc.minor_words], which counts up to the current allocation pointer:
-   [quick_stat]'s [minor_words] advances only at minor collections, which
-   would put a short run's reading up to one minor heap (256k words)
-   off. *)
+   merely promoted (counted once in minor). [Gc.minor_words] counts up to
+   the current allocation pointer, but [quick_stat]'s major and promoted
+   words advance only as collections run; the full major collection
+   brings them up to date, so a point's reading repeats exactly between
+   runs of one build. *)
 let allocated_words () =
+  Gc.full_major ();
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
@@ -87,11 +103,17 @@ let measure f =
   (r, t1 -. t0, (w1 -. w0) /. 1e6)
 
 (* One point per measured run, over the record both engines report. *)
-let point ~engine ~contention ~txns ((s : Run_stats.stats), wall, mwords) =
+let point ~engine ~contention ~txns ~detection ~faults
+    ((s : Run_stats.stats), wall, mwords) =
   let entities, theta, _ = params_of ~contention ~txns in
   let share x = if wall > 0.0 then x /. wall else nan in
   {
     engine;
+    policy = Detection_policy.to_string detection;
+    outage =
+      (match faults with
+      | Some plan -> plan.Fault.detector_outages <> []
+      | None -> false);
     txns;
     contention = contention_name contention;
     entities;
@@ -109,6 +131,9 @@ let point ~engine ~contention ~txns ((s : Run_stats.stats), wall, mwords) =
     enumerate_seconds = s.enumerate_seconds;
     enumerate_share = share s.enumerate_seconds;
     enumerate_calls = s.enumerate_calls;
+    detection_passes = s.detection_passes;
+    watchdog_fires = s.watchdog_fires;
+    max_blocked_ticks = s.max_blocked_ticks;
     allocated_mwords = mwords;
   }
 
@@ -128,27 +153,28 @@ let central_config =
     clock = Some Unix.gettimeofday;
   }
 
-let run_central ~contention ~txns scheduler =
+let run_central ~contention ~txns (scheduler : Scheduler.config) =
   let store, programs = workload ~contention ~txns in
   let config = { Sim.scheduler; mpl } in
-  measure (fun () -> (Sim.run ~config ~store programs).Sim.stats)
+  point ~engine:"central" ~contention ~txns ~detection:scheduler.detection
+    ~faults:scheduler.faults
+    (measure (fun () -> (Sim.run ~config ~store programs).Sim.stats))
 
 let run_distrib ~contention ~txns =
   let store, programs = workload ~contention ~txns in
-  let config =
+  let scheduler =
     {
-      Dist_sim.scheduler =
-        {
-          D.default_config with
-          n_sites = 4;
-          seed;
-          max_ticks;
-          clock = Some Unix.gettimeofday;
-        };
-      mpl;
+      D.default_config with
+      n_sites = 4;
+      seed;
+      max_ticks;
+      clock = Some Unix.gettimeofday;
     }
   in
-  measure (fun () -> (Dist_sim.run ~config ~store programs).Dist_sim.stats)
+  let config = { Dist_sim.scheduler; mpl } in
+  point ~engine:"distrib" ~contention ~txns
+    ~detection:scheduler.detection_policy ~faults:scheduler.faults
+    (measure (fun () -> (Dist_sim.run ~config ~store programs).Dist_sim.stats))
 
 (* The smallest points finish in single-digit milliseconds, where
    scheduler noise swamps a 20% regression gate; every point therefore
@@ -172,39 +198,11 @@ let sweep ?(quick = false) () =
       List.concat_map
         (fun txns ->
           [
-            best_of (fun () ->
-                point ~engine:"central" ~contention ~txns
-                  (run_central ~contention ~txns central_config));
-            best_of (fun () ->
-                point ~engine:"distrib" ~contention ~txns
-                  (run_distrib ~contention ~txns));
+            best_of (fun () -> run_central ~contention ~txns central_config);
+            best_of (fun () -> run_distrib ~contention ~txns);
           ])
         txn_counts)
     [ `Low; `High ]
-
-(* --- E14: the detection-policy sweep ---------------------------------- *)
-
-type policy_point = {
-  p_policy : string;
-  p_contention : string;
-  p_txns : int;
-  p_outage : bool;
-  p_commits : int;
-  p_ticks : int;
-  p_deadlocks : int;
-  p_rollbacks : int;
-  p_wall_seconds : float;
-  p_commits_per_sec : float;
-  p_check_seconds : float;
-  p_check_share : float;
-  p_check_calls : int;
-  p_enumerate_seconds : float;
-  p_enumerate_share : float;
-  p_enumerate_calls : int;
-  p_detection_passes : int;
-  p_watchdog_fires : int;
-  p_max_blocked_ticks : int;
-}
 
 (* The guard is armed on every E14 point so the sweep measures the
    production configuration of the deferred policies, not an
@@ -222,189 +220,130 @@ let policy_outage_plan =
     detector_outages = [ { Fault.out_from = 200; out_until = 1200 } ];
   }
 
-let run_policy ~detection ~contention ~txns ~outage =
-  let ((s, _, _) as run) =
-    run_central ~contention ~txns
-      {
-        central_config with
-        detection;
-        starvation_limit = Some policy_starvation_limit;
-        faults = (if outage then Some policy_outage_plan else None);
-      }
-  in
-  let p = point ~engine:"central" ~contention ~txns run in
-  {
-    p_policy = Detection_policy.to_string detection;
-    p_contention = p.contention;
-    p_txns = txns;
-    p_outage = outage;
-    p_commits = p.commits;
-    p_ticks = p.ticks;
-    p_deadlocks = p.deadlocks;
-    p_rollbacks = p.rollbacks;
-    p_wall_seconds = p.wall_seconds;
-    p_commits_per_sec = p.commits_per_sec;
-    p_check_seconds = p.check_seconds;
-    p_check_share = p.check_share;
-    p_check_calls = p.check_calls;
-    p_enumerate_seconds = p.enumerate_seconds;
-    p_enumerate_share = p.enumerate_share;
-    p_enumerate_calls = p.enumerate_calls;
-    p_detection_passes = s.detection_passes;
-    p_watchdog_fires = s.watchdog_fires;
-    p_max_blocked_ticks = s.max_blocked_ticks;
-  }
-
-let best_of_policy f =
-  let rec go best k =
-    if k = 0 then best
-    else
-      let p = f () in
-      go (if p.p_wall_seconds < best.p_wall_seconds then p else best) (k - 1)
-  in
-  go (f ()) (reps - 1)
-
 let sweep_policies ?(quick = false) () =
   let txns = if quick then 500 else 5000 in
   List.concat_map
     (fun contention ->
       List.concat_map
-        (fun outage ->
+        (fun faults ->
           List.map
             (fun detection ->
-              best_of_policy (fun () ->
-                  run_policy ~detection ~contention ~txns ~outage))
+              best_of (fun () ->
+                  run_central ~contention ~txns
+                    {
+                      central_config with
+                      detection;
+                      starvation_limit = Some policy_starvation_limit;
+                      faults;
+                    }))
             Detection_policy.all)
-        [ false; true ])
+        [ None; Some policy_outage_plan ])
     [ `Low; `High ]
 
-(* Speedups relative to the eager point of the same (contention, outage,
-   txns) cell — only claimed at equal commits, so a policy cannot "win"
-   by finishing fewer transactions. *)
-let policy_speedups pts =
-  List.filter_map
-    (fun p ->
-      if String.equal p.p_policy "eager" then None
-      else
-        match
-          List.find_opt
-            (fun e ->
-              String.equal e.p_policy "eager"
-              && String.equal e.p_contention p.p_contention
-              && e.p_outage = p.p_outage && e.p_txns = p.p_txns)
-            pts
-        with
-        | Some e when e.p_commits = p.p_commits && p.p_wall_seconds > 0.0 ->
-            Some (p, e.p_wall_seconds /. p.p_wall_seconds)
-        | _ -> None)
-    pts
+(* Wall-time speedup over the eager point of the same (contention,
+   outage, txns) cell — only claimed at equal commits, so a policy cannot
+   "win" by finishing fewer transactions. *)
+let speedup pts p =
+  match
+    List.find_opt
+      (fun e ->
+        String.equal e.policy "eager"
+        && String.equal e.contention p.contention
+        && e.outage = p.outage && e.txns = p.txns)
+      pts
+  with
+  | Some e when e.commits = p.commits && p.wall_seconds > 0.0 ->
+      Some (e.wall_seconds /. p.wall_seconds)
+  | _ -> None
 
 let best_central_speedup pts =
-  policy_speedups pts
-  |> List.filter (fun (p, _) ->
-         String.equal p.p_contention "high" && not p.p_outage)
-  |> List.fold_left
-       (fun acc (p, s) ->
-         match acc with
-         | Some (_, s0) when s0 >= s -> acc
-         | _ -> Some (p.p_policy, s))
-       None
+  List.fold_left
+    (fun acc p ->
+      if
+        String.equal p.policy "eager"
+        || (not (String.equal p.contention "high"))
+        || p.outage
+      then acc
+      else
+        match (speedup pts p, acc) with
+        | None, _ -> acc
+        | Some s, Some (_, s0) when s0 >= s -> acc
+        | Some s, _ -> Some (p.policy, s))
+    None pts
 
-let print_policy_table pts =
-  let speedups = policy_speedups pts in
-  let speedup_cell p =
-    if String.equal p.p_policy "eager" then "1.00x"
-    else
-      match
-        List.find_opt (fun (q, _) -> q == p) speedups
-      with
-      | Some (_, s) -> Printf.sprintf "%.2fx" s
-      | None -> "-" (* unequal commits: no comparable speedup *)
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "E14: detection-policy sweep (central, mpl %d, seed %d, \
-            starvation limit %d)"
-           mpl seed policy_starvation_limit)
-      [
-        ("policy", Table.Left);
-        ("contention", Table.Left);
-        ("outage", Table.Left);
-        ("commits", Table.Right);
-        ("deadlocks", Table.Right);
-        ("wall s", Table.Right);
-        ("speedup", Table.Right);
-        ("check share", Table.Right);
-        ("enum share", Table.Right);
-        ("passes", Table.Right);
-        ("watchdog", Table.Right);
-        ("max blocked", Table.Right);
-      ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row table
-        [
-          p.p_policy;
-          p.p_contention;
-          (if p.p_outage then "yes" else "no");
-          Table.cell_int p.p_commits;
-          Table.cell_int p.p_deadlocks;
-          Table.cell_float ~decimals:3 p.p_wall_seconds;
-          speedup_cell p;
-          (if Float.is_nan p.p_check_share then "-"
-           else Table.cell_pct p.p_check_share);
-          (if Float.is_nan p.p_enumerate_share then "-"
-           else Table.cell_pct p.p_enumerate_share);
-          Table.cell_int p.p_detection_passes;
-          Table.cell_int p.p_watchdog_fires;
-          Table.cell_int p.p_max_blocked_ticks;
-        ])
-    pts;
+(* --- Tables ------------------------------------------------------------ *)
+
+(* One table row per point, one column per (header, alignment, cell). *)
+let print_points ~title columns points =
+  let header = List.map (fun (name, align, _) -> (name, align)) columns in
+  let table = Table.create ~title header in
+  let row p = List.map (fun (_, _, cell) -> cell p) columns in
+  List.iter (fun p -> Table.add_row table (row p)) points;
   Table.print table
+
+let left name cell = (name, Table.Left, cell)
+let right name cell = (name, Table.Right, cell)
+let share_cell x = if Float.is_nan x then "-" else Table.cell_pct x
+let contention_col = left "contention" (fun p -> p.contention)
+let commits_col = right "commits" (fun p -> Table.cell_int p.commits)
+let deadlocks_col = right "deadlocks" (fun p -> Table.cell_int p.deadlocks)
+
+let wall_col =
+  right "wall s" (fun p -> Table.cell_float ~decimals:3 p.wall_seconds)
+
+let check_col = right "check share" (fun p -> share_cell p.check_share)
+let enum_col = right "enum share" (fun p -> share_cell p.enumerate_share)
 
 let print_table points =
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf "E13: scaling sweep (mpl %d, seed %d, sdg rollback)"
-           mpl seed)
-      [
-        ("engine", Table.Left);
-        ("contention", Table.Left);
-        ("txns", Table.Right);
-        ("entities", Table.Right);
-        ("commits", Table.Right);
-        ("deadlocks", Table.Right);
-        ("wall s", Table.Right);
-        ("commits/s", Table.Right);
-        ("check share", Table.Right);
-        ("enum share", Table.Right);
-        ("alloc Mw", Table.Right);
-      ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row table
-        [
-          p.engine;
-          p.contention;
-          Table.cell_int p.txns;
-          Table.cell_int p.entities;
-          Table.cell_int p.commits;
-          Table.cell_int p.deadlocks;
-          Table.cell_float ~decimals:3 p.wall_seconds;
-          Table.cell_float ~decimals:1 p.commits_per_sec;
-          (if Float.is_nan p.check_share then "-"
-           else Table.cell_pct p.check_share);
-          (if Float.is_nan p.enumerate_share then "-"
-           else Table.cell_pct p.enumerate_share);
-          Table.cell_float ~decimals:1 p.allocated_mwords;
-        ])
-    points;
-  Table.print table
+  print_points
+    ~title:
+      (Printf.sprintf "E13: scaling sweep (mpl %d, seed %d, sdg rollback)" mpl
+         seed)
+    [
+      left "engine" (fun p -> p.engine);
+      contention_col;
+      right "txns" (fun p -> Table.cell_int p.txns);
+      right "entities" (fun p -> Table.cell_int p.entities);
+      commits_col;
+      deadlocks_col;
+      wall_col;
+      right "commits/s" (fun p ->
+          Table.cell_float ~decimals:1 p.commits_per_sec);
+      check_col;
+      enum_col;
+      right "alloc Mw" (fun p ->
+          Table.cell_float ~decimals:1 p.allocated_mwords);
+    ]
+    points
+
+let print_policy_table pts =
+  print_points
+    ~title:
+      (Printf.sprintf
+         "E14: detection-policy sweep (central, mpl %d, seed %d, starvation \
+          limit %d)"
+         mpl seed policy_starvation_limit)
+    [
+      left "policy" (fun p -> p.policy);
+      contention_col;
+      left "outage" (fun p -> if p.outage then "yes" else "no");
+      commits_col;
+      deadlocks_col;
+      wall_col;
+      (* "-": unequal commits, no comparable speedup *)
+      right "speedup" (fun p ->
+          match speedup pts p with
+          | Some s -> Printf.sprintf "%.2fx" s
+          | None -> "-");
+      check_col;
+      enum_col;
+      right "passes" (fun p -> Table.cell_int p.detection_passes);
+      right "watchdog" (fun p -> Table.cell_int p.watchdog_fires);
+      right "max blocked" (fun p -> Table.cell_int p.max_blocked_ticks);
+    ]
+    pts
+
+(* --- Writing benchmark JSON --------------------------------------------- *)
 
 (* Hand-rolled JSON: the dependency footprint stays what the repo already
    has. Floats are printed with enough digits to round-trip. *)
@@ -414,87 +353,87 @@ let json_float f =
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.6g" f
 
-let point_to_json p =
-  String.concat ""
-    [
-      "    {";
-      Printf.sprintf "\"engine\": %S, " p.engine;
-      Printf.sprintf "\"txns\": %d, " p.txns;
-      Printf.sprintf "\"contention\": %S, " p.contention;
-      Printf.sprintf "\"entities\": %d, " p.entities;
-      Printf.sprintf "\"zipf_theta\": %s, " (json_float p.theta);
-      Printf.sprintf "\"mpl\": %d, " p.mpl;
-      Printf.sprintf "\"commits\": %d, " p.commits;
-      Printf.sprintf "\"ticks\": %d, " p.ticks;
-      Printf.sprintf "\"deadlocks\": %d, " p.deadlocks;
-      Printf.sprintf "\"rollbacks\": %d, " p.rollbacks;
-      Printf.sprintf "\"wall_seconds\": %s, " (json_float p.wall_seconds);
-      Printf.sprintf "\"commits_per_sec\": %s, " (json_float p.commits_per_sec);
-      Printf.sprintf "\"check_seconds\": %s, " (json_float p.check_seconds);
-      Printf.sprintf "\"check_share\": %s, " (json_float p.check_share);
-      Printf.sprintf "\"check_calls\": %d, " p.check_calls;
-      Printf.sprintf "\"enumerate_seconds\": %s, "
-        (json_float p.enumerate_seconds);
-      Printf.sprintf "\"enumerate_share\": %s, " (json_float p.enumerate_share);
-      Printf.sprintf "\"enumerate_calls\": %d, " p.enumerate_calls;
-      Printf.sprintf "\"allocated_mwords\": %s" (json_float p.allocated_mwords);
-      "}";
+let str_key k f = (k, fun p -> Printf.sprintf "%S" (f p))
+let int_key k f = (k, fun p -> string_of_int (f p))
+let num_key k f = (k, fun p -> json_float (f p))
+
+(* The run's outcome, shared by both sections. *)
+let outcome_keys =
+  [
+    int_key "commits" (fun p -> p.commits);
+    int_key "ticks" (fun p -> p.ticks);
+    int_key "deadlocks" (fun p -> p.deadlocks);
+    int_key "rollbacks" (fun p -> p.rollbacks);
+    num_key "wall_seconds" (fun p -> p.wall_seconds);
+    num_key "commits_per_sec" (fun p -> p.commits_per_sec);
+    num_key "check_seconds" (fun p -> p.check_seconds);
+    num_key "check_share" (fun p -> p.check_share);
+    int_key "check_calls" (fun p -> p.check_calls);
+    num_key "enumerate_seconds" (fun p -> p.enumerate_seconds);
+    num_key "enumerate_share" (fun p -> p.enumerate_share);
+    int_key "enumerate_calls" (fun p -> p.enumerate_calls);
+  ]
+
+let point_keys =
+  [
+    str_key "engine" (fun p -> p.engine);
+    int_key "txns" (fun p -> p.txns);
+    str_key "contention" (fun p -> p.contention);
+    int_key "entities" (fun p -> p.entities);
+    num_key "zipf_theta" (fun p -> p.theta);
+    int_key "mpl" (fun p -> p.mpl);
+  ]
+  @ outcome_keys
+  @ [ num_key "allocated_mwords" (fun p -> p.allocated_mwords) ]
+
+let policy_keys =
+  [
+    str_key "policy" (fun p -> p.policy);
+    str_key "contention" (fun p -> p.contention);
+    int_key "txns" (fun p -> p.txns);
+    ("outage", fun p -> string_of_bool p.outage);
+  ]
+  @ outcome_keys
+  @ [
+      int_key "detection_passes" (fun p -> p.detection_passes);
+      int_key "watchdog_fires" (fun p -> p.watchdog_fires);
+      int_key "max_blocked_ticks" (fun p -> p.max_blocked_ticks);
     ]
 
-let policy_point_to_json p =
-  String.concat ""
-    [
-      "    {";
-      Printf.sprintf "\"policy\": %S, " p.p_policy;
-      Printf.sprintf "\"contention\": %S, " p.p_contention;
-      Printf.sprintf "\"txns\": %d, " p.p_txns;
-      Printf.sprintf "\"outage\": %b, " p.p_outage;
-      Printf.sprintf "\"commits\": %d, " p.p_commits;
-      Printf.sprintf "\"ticks\": %d, " p.p_ticks;
-      Printf.sprintf "\"deadlocks\": %d, " p.p_deadlocks;
-      Printf.sprintf "\"rollbacks\": %d, " p.p_rollbacks;
-      Printf.sprintf "\"wall_seconds\": %s, " (json_float p.p_wall_seconds);
-      Printf.sprintf "\"commits_per_sec\": %s, "
-        (json_float p.p_commits_per_sec);
-      Printf.sprintf "\"check_seconds\": %s, " (json_float p.p_check_seconds);
-      Printf.sprintf "\"check_share\": %s, " (json_float p.p_check_share);
-      Printf.sprintf "\"check_calls\": %d, " p.p_check_calls;
-      Printf.sprintf "\"enumerate_seconds\": %s, "
-        (json_float p.p_enumerate_seconds);
-      Printf.sprintf "\"enumerate_share\": %s, "
-        (json_float p.p_enumerate_share);
-      Printf.sprintf "\"enumerate_calls\": %d, " p.p_enumerate_calls;
-      Printf.sprintf "\"detection_passes\": %d, " p.p_detection_passes;
-      Printf.sprintf "\"watchdog_fires\": %d, " p.p_watchdog_fires;
-      Printf.sprintf "\"max_blocked_ticks\": %d" p.p_max_blocked_ticks;
-      "}";
-    ]
-
-let to_json ?(quick = false) ?(policies = []) points =
-  String.concat "\n"
-    ([
-       "{";
-       "  \"experiment\": \"E13\",";
-       Printf.sprintf "  \"schema_version\": %d," schema_version;
-       "  \"description\": \"throughput scaling sweep: txns x contention, \
-        both engines\",";
-       Printf.sprintf "  \"quick\": %b," quick;
-       Printf.sprintf "  \"seed\": %d," seed;
-       Printf.sprintf "  \"mpl\": %d," mpl;
-       "  \"points\": [";
-     ]
-    @ [ String.concat ",\n" (List.map point_to_json points) ]
-    @ (match policies with
-      | [] -> [ "  ]" ]
-      | _ ->
-          [ "  ],"; "  \"policy_points\": [" ]
-          @ [ String.concat ",\n" (List.map policy_point_to_json policies) ]
-          @ [ "  ]" ])
-    @ [ "}"; "" ])
+let section keys points =
+  String.concat ",\n"
+    (List.map
+       (fun p ->
+         "    {"
+         ^ String.concat ", "
+             (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (v p)) keys)
+         ^ "}")
+       points)
 
 let write_json ~path ?(quick = false) ?(policies = []) points =
+  let json =
+    String.concat "\n"
+      ([
+         "{";
+         "  \"experiment\": \"E13\",";
+         Printf.sprintf "  \"schema_version\": %d," schema_version;
+         "  \"description\": \"throughput scaling sweep: txns x contention, \
+          both engines\",";
+         Printf.sprintf "  \"quick\": %b," quick;
+         Printf.sprintf "  \"seed\": %d," seed;
+         Printf.sprintf "  \"mpl\": %d," mpl;
+         "  \"points\": [";
+         section point_keys points;
+       ]
+      @ (match policies with
+        | [] -> [ "  ]" ]
+        | _ ->
+            [ "  ],"; "  \"policy_points\": ["; section policy_keys policies;
+              "  ]" ])
+      @ [ "}"; "" ])
+  in
   let oc = open_out path in
-  output_string oc (to_json ~quick ~policies points);
+  output_string oc json;
   close_out oc
 
 (* --- Reading benchmark JSON back (regression gate) -------------------- *)
@@ -667,35 +606,14 @@ let as_list = function
   | J_list l -> l
   | _ -> raise (Parse_error "expected an array")
 
-let point_of_json j =
+let gate_point_of_json j : gate_point =
   {
     engine = as_string (obj_field "engine" j);
     txns = as_int (obj_field "txns" j);
     contention = as_string (obj_field "contention" j);
-    entities = as_int (obj_field "entities" j);
-    theta = as_float (obj_field "zipf_theta" j);
-    mpl = as_int (obj_field "mpl" j);
-    commits = as_int (obj_field "commits" j);
-    ticks = as_int (obj_field "ticks" j);
-    deadlocks = as_int (obj_field "deadlocks" j);
-    rollbacks = as_int (obj_field "rollbacks" j);
-    wall_seconds = as_float (obj_field "wall_seconds" j);
     commits_per_sec = as_float (obj_field "commits_per_sec" j);
-    check_seconds = as_float (obj_field "check_seconds" j);
-    check_share = as_float (obj_field "check_share" j);
-    check_calls = as_int (obj_field "check_calls" j);
-    enumerate_seconds = as_float (obj_field "enumerate_seconds" j);
-    enumerate_share = as_float (obj_field "enumerate_share" j);
-    enumerate_calls = as_int (obj_field "enumerate_calls" j);
     allocated_mwords = as_float (obj_field "allocated_mwords" j);
   }
-
-(* Optional lookup: lets a new reader accept files written before a
-   section existed (and vice versa), so --compare keeps working across
-   schema growth. *)
-let obj_field_opt name = function
-  | J_obj fields -> List.assoc_opt name fields
-  | _ -> None
 
 let read_file path =
   let ic = open_in_bin path in
@@ -708,7 +626,12 @@ let read_file path =
    puzzling "missing field check_seconds" from the first point. *)
 let check_schema j =
   let v =
-    match obj_field_opt "schema_version" j with Some v -> as_int v | None -> 1
+    match j with
+    | J_obj fields -> (
+        match List.assoc_opt "schema_version" fields with
+        | Some v -> as_int v
+        | None -> 1)
+    | _ -> 1
   in
   if v <> schema_version then
     raise
@@ -721,60 +644,45 @@ let check_schema j =
 let load ~path =
   let j = parse_json (read_file path) in
   check_schema j;
-  List.map point_of_json (as_list (obj_field "points" j))
-
-let same_point a b =
-  String.equal a.engine b.engine
-  && a.txns = b.txns
-  && String.equal a.contention b.contention
+  List.map gate_point_of_json (as_list (obj_field "points" j))
 
 (* Each baseline point gates two regressions at the same tolerance: a
    throughput floor and an allocation ceiling (a perf win paid for with
    garbage shows up in tail latency and the collector, not the mean). *)
 let compare_against ~tolerance ~baseline points =
   let compared = ref 0 in
+  let regressed (b : gate_point) ~what ~higher_is_better base cur =
+    let worse =
+      if higher_is_better then 1.0 -. (cur /. base) else (cur /. base) -. 1.0
+    in
+    if base > 0.0 && worse > tolerance then
+      [
+        Printf.sprintf
+          "%s/%s/%d txns: %.1f %s, %.1f%% %s baseline %.1f (tolerance %.0f%%)"
+          b.engine b.contention b.txns cur what (100.0 *. worse)
+          (if higher_is_better then "below" else "above")
+          base (100.0 *. tolerance);
+      ]
+    else []
+  in
   let failures =
     List.concat_map
-      (fun b ->
-        match List.find_opt (same_point b) points with
+      (fun (b : gate_point) ->
+        match
+          List.find_opt
+            (fun p ->
+              String.equal b.engine p.engine
+              && b.txns = p.txns
+              && String.equal b.contention p.contention)
+            points
+        with
         | None -> []
         | Some p ->
             incr compared;
-            let throughput =
-              let floor = b.commits_per_sec *. (1.0 -. tolerance) in
-              if p.commits_per_sec < floor then
-                [
-                  Printf.sprintf
-                    "%s/%s/%d txns: %.1f commits/s, %.1f%% below baseline \
-                     %.1f (tolerance %.0f%%)"
-                    b.engine b.contention b.txns p.commits_per_sec
-                    (100.0
-                    *. (1.0 -. (p.commits_per_sec /. b.commits_per_sec)))
-                    b.commits_per_sec (100.0 *. tolerance);
-                ]
-              else []
-            in
-            let allocation =
-              if
-                Float.is_nan b.allocated_mwords
-                || b.allocated_mwords <= 0.0
-                || Float.is_nan p.allocated_mwords
-              then []
-              else
-                let ceiling = b.allocated_mwords *. (1.0 +. tolerance) in
-                if p.allocated_mwords > ceiling then
-                  [
-                    Printf.sprintf
-                      "%s/%s/%d txns: %.1f Mwords allocated, %.1f%% above \
-                       baseline %.1f (tolerance %.0f%%)"
-                      b.engine b.contention b.txns p.allocated_mwords
-                      (100.0
-                      *. ((p.allocated_mwords /. b.allocated_mwords) -. 1.0))
-                      b.allocated_mwords (100.0 *. tolerance);
-                  ]
-                else []
-            in
-            throughput @ allocation)
+            regressed b ~what:"commits/s" ~higher_is_better:true
+              b.commits_per_sec p.commits_per_sec
+            @ regressed b ~what:"Mwords allocated" ~higher_is_better:false
+                b.allocated_mwords p.allocated_mwords)
       baseline
   in
   (failures, !compared)

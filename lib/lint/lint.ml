@@ -219,7 +219,7 @@ let allow_ids attrs = List.concat_map fst (allow_specs attrs)
    the engine core's request path may perform (L3). *)
 let request_path_step lid =
   match (lid_last_module lid, Longident.last lid) with
-  | Some "Lock_table", ("request" | "release" | "release_all" | "cancel_wait")
+  | Some "Lock_table", ("request" | "release" | "cancel_wait")
   | Some "History", "note_grant"
   | Some "Waits_for", ("set_wait" | "clear_wait") ->
       true

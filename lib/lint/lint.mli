@@ -32,14 +32,14 @@
       over the distributed protocol message type ([Dist_scheduler.event]),
       so adding a message variant forces every handler site to decide.
     - {b L3} — one request path: in [lib/core] and [lib/distrib] only
-      [engine.ml] may call [Lock_table.request], [release], [release_all]
-      or [cancel_wait], [History.note_grant], or [Waits_for.set_wait] or
+      [engine.ml] may call [Lock_table.request], [release] or
+      [cancel_wait], [History.note_grant], or [Waits_for.set_wait] or
       [clear_wait], so every lock-table transition exists once, in the
       engine core both schedulers embed.
 
     Three further rules — {b A1} (hot paths are allocation-free), {b P1}
-    (static two-phase locking discipline) and {b H1} (slot handles do not
-    escape their arena) — need type and call-graph information and are
+    (static two-phase locking discipline) and {b H1} ([unsafe_*] access
+    stays in [lib/util]) — need type and call-graph information and are
     implemented by the typed deep pass ({!Lint_deep}, [prb lint --deep]).
     Their ids are declared here so rule filters, reports and suppression
     share one namespace.

@@ -83,7 +83,7 @@ let lock_prim_of k =
   else
     match last_component k with
     | "request" -> Lp_acquire
-    | "release" | "release_all" | "cancel_wait" -> Lp_release
+    | "release" | "cancel_wait" -> Lp_release
     | _ -> Lp_none
 
 let lock_prim_txn_pos = 1

@@ -400,17 +400,6 @@ let held_by t txn =
 
 let n_held t txn = if txn < 0 || txn >= t.txn_cap then 0 else t.held_len.(txn)
 
-let release_all t txn =
-  let cancel_grants =
-    match cancel_wait t txn with
-    | Some (e, grants) -> List.map (fun (w, m) -> (w, m, e)) grants
-    | None -> []
-  in
-  cancel_grants
-  @ List.concat_map
-      (fun (e, _) -> List.map (fun (w, m) -> (w, m, e)) (release t txn e))
-      (held_by t txn)
-
 let holders t e =
   let eid = slot t e in
   if eid < 0 then []

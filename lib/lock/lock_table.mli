@@ -58,10 +58,6 @@ val cancel_wait : t -> txn -> (entity * (txn * mode) list) option
     any waiters granted because the queue shrank. [None] if it was not
     waiting. *)
 
-val release_all : t -> txn -> (txn * mode * entity) list
-(** Release everything the transaction holds and cancel its pending wait,
-    if any. Returns all grants triggered, in release order. *)
-
 val holders : t -> entity -> (txn * mode) list
 (** Sorted by transaction id. *)
 

@@ -23,8 +23,8 @@ type t = {
   wait_of : (txn, entity * mode) Hashtbl.t;
   held_of : (txn, (entity, mode) Hashtbl.t) Hashtbl.t;
       (* txn -> its held locks; the per-transaction index that makes
-         [held_by]/[release_all] O(locks held) instead of a scan over
-         every entry in the table *)
+         [held_by] O(locks held) instead of a scan over every entry in
+         the table *)
   mutable requests : int;
   mutable blocks : int;
 }
@@ -192,17 +192,6 @@ let n_held t txn =
   match Hashtbl.find_opt t.held_of txn with
   | None -> 0
   | Some held -> Hashtbl.length held
-
-let release_all t txn =
-  let cancel_grants =
-    match cancel_wait t txn with
-    | Some (e, grants) -> List.map (fun (w, m) -> (w, m, e)) grants
-    | None -> []
-  in
-  cancel_grants
-  @ List.concat_map
-      (fun (e, _) -> List.map (fun (w, m) -> (w, m, e)) (release t txn e))
-      (held_by t txn)
 
 let holders t e =
   match Hashtbl.find_opt t.entries e with

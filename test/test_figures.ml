@@ -91,7 +91,12 @@ let test_fig1_rollback_frees_a () =
   let released = Txn_state.rollback_to ts2 target in
   checkb "a and b released" true (List.sort compare released = [ "a"; "b" ]);
   checki "T2 resumes at its 8th state" 8 (Txn_state.pc ts2);
-  checkb "e was never held" true (Txn_state.holds ts2 "e" = None)
+  checkb "e was never held" true (Txn_state.holds ts2 "e" = None);
+  (* Back before its first lock, T2 waits for nothing: Figure 1(b) has
+     no arc out of T2. *)
+  checkb "T2 next asks for b again" true
+    (Txn_state.next_action ts2
+    = Txn_state.Need_lock (Lock_mode.Exclusive, "b"))
 
 let test_fig1_graph_is_single_cycle () =
   let wfg = Waits_for.create () in

@@ -130,15 +130,6 @@ let test_cancel_wait_none () =
   let t = Lock_table.create () in
   checkb "not waiting" true (Lock_table.cancel_wait t 9 = None)
 
-let test_release_all () =
-  let t = Lock_table.create () in
-  ignore (Lock_table.request t 1 x "a");
-  ignore (Lock_table.request t 1 s "b");
-  ignore (Lock_table.request t 2 x "a") (* queued *);
-  let grants = Lock_table.release_all t 1 in
-  checkb "everything released, waiter granted" true (grants = [ (2, x, "a") ]);
-  checkb "nothing held" true (Lock_table.held_by t 1 = [])
-
 let test_blockers_evolve () =
   let t = Lock_table.create ~fair:true () in
   ignore (Lock_table.request t 1 s "a");
@@ -207,12 +198,12 @@ let qcheck_no_conflicting_grants fair =
 (* --- qcheck: the indexed table vs a naive reference model --- *)
 
 (* The table keeps a per-transaction held-locks index so that
-   [held_by]/[holds]/[release_all] are O(locks held). This property drives
-   random request/release/cancel traffic — including the fair queue —
-   against a naive flat-list model that is updated only from the
-   observable outcomes (grant results), then checks every read-side
-   accessor against the model after each step. Any drift between the
-   index, the per-entity entries, and the waiter bookkeeping fails here. *)
+   [held_by]/[holds] are O(locks held). This property drives random
+   request/release/cancel traffic — including the fair queue — against a
+   naive flat-list model that is updated only from the observable
+   outcomes (grant results), then checks every read-side accessor against
+   the model after each step. Any drift between the index, the per-entity
+   entries, and the waiter bookkeeping fails here. *)
 let qcheck_index_vs_reference fair =
   let name =
     Printf.sprintf "indexed table matches naive reference (%s)"
@@ -221,7 +212,7 @@ let qcheck_index_vs_reference fair =
   let n_txns = 5 and n_entities = 3 in
   QCheck.Test.make ~name ~count:200
     QCheck.(
-      list (triple (int_bound (n_txns - 1)) (int_bound 4) (int_bound (n_entities - 1))))
+      list (triple (int_bound (n_txns - 1)) (int_bound 3) (int_bound (n_entities - 1))))
     (fun script ->
       let t = Lock_table.create ~fair () in
       let entity i = Printf.sprintf "e%d" i in
@@ -297,17 +288,12 @@ let qcheck_index_vs_reference fair =
                 List.iter (fun (w, m) -> model_grant w e m)
                   (Lock_table.release t txn e)
               end
-          | 3 -> (
+          | _ -> (
               match Lock_table.cancel_wait t txn with
               | None -> ()
               | Some (e, grants) ->
                   waiting := List.filter (fun (x, _, _) -> x <> txn) !waiting;
-                  List.iter (fun (w, m) -> model_grant w e m) grants)
-          | _ ->
-              held := List.filter (fun (x, _, _) -> x <> txn) !held;
-              waiting := List.filter (fun (x, _, _) -> x <> txn) !waiting;
-              List.iter (fun (w, m, e) -> model_grant w e m)
-                (Lock_table.release_all t txn));
+                  List.iter (fun (w, m) -> model_grant w e m) grants));
           check_agreement ())
         script)
 
@@ -316,10 +302,9 @@ let qcheck_index_vs_reference fair =
 
 (* Lock_table_ref is the original representation kept verbatim for
    differential testing. Both tables receive the identical random script
-   — requests, releases, cancels, release_all — and
-   must agree on every outcome (grant/block with the same blocker set,
-   waiters granted in the same order) and on every read-side accessor
-   after every step. *)
+   — requests, releases, cancels — and must agree on every outcome
+   (grant/block with the same blocker set, waiters granted in the same
+   order) and on every read-side accessor after every step. *)
 let qcheck_dense_vs_reference fair =
   let module Ref = Lock_table_ref in
   let name =
@@ -330,7 +315,7 @@ let qcheck_dense_vs_reference fair =
   QCheck.Test.make ~name ~count:200
     QCheck.(
       list
-        (triple (int_bound (n_txns - 1)) (int_bound 4)
+        (triple (int_bound (n_txns - 1)) (int_bound 3)
            (int_bound (n_entities - 1))))
     (fun script ->
       let t = Lock_table.create ~fair () in
@@ -382,8 +367,7 @@ let qcheck_dense_vs_reference fair =
               Lock_table.holds t txn e = None
               || Lock_table.waiting_for t txn <> None
               || Lock_table.release t txn e = Ref.release r txn e
-          | 3 -> Lock_table.cancel_wait t txn = Ref.cancel_wait r txn
-          | _ -> Lock_table.release_all t txn = Ref.release_all r txn)
+          | _ -> Lock_table.cancel_wait t txn = Ref.cancel_wait r txn)
           && agree ())
         script)
 
@@ -411,7 +395,6 @@ let () =
           Alcotest.test_case "fair: compatible jump" `Quick test_fair_compatible_jump;
           Alcotest.test_case "cancel unblocks queue" `Quick test_cancel_wait_unblocks_queue;
           Alcotest.test_case "cancel nothing" `Quick test_cancel_wait_none;
-          Alcotest.test_case "release_all" `Quick test_release_all;
           Alcotest.test_case "blockers evolve" `Quick test_blockers_evolve;
           Alcotest.test_case "conflict taxonomy" `Quick test_classify;
           QCheck_alcotest.to_alcotest (qcheck_no_conflicting_grants true);
