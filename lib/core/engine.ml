@@ -32,9 +32,14 @@ type t = {
   events : Pqueue.t;
   pool : History_stack.Pool.t;
   mutable txns : Txn_state.t option array;
+  mutable programs : Program.t array;
   mutable rollback_counts : int array;
+  mutable executed : int array;
+  mutable peak_copies : int array;
+  mutable monitored_writes : int array;
   mutable blocked_since : int array;
   mutable n_blocked : int;
+  mutable oldest_live : int;
   mutable hook :
     (requester:int ->
     cycles:Resolver.cycle list ->
@@ -51,6 +56,8 @@ type t = {
   mutable overshoot_ops : int;
   mutable optimal_resolutions : int;
   mutable ops_committed : int;
+  mutable committed_executed : int;
+  mutable committed_peak_copies : int;
   mutable timeouts : int;
   mutable preventions : int;
   mutable detection_passes : int;
@@ -66,6 +73,9 @@ type t = {
 
 let initial_txn_cap = 64
 let default_cycle_limit = 256
+
+(* Fills [programs] past the admitted ids. *)
+let no_program = Program.make ~name:"" ~locals:[] []
 
 let create ~strategy ~policy ~detection ~starvation_limit ~cycle_limit ~clock
     ~seed ~fair store =
@@ -87,9 +97,14 @@ let create ~strategy ~policy ~detection ~starvation_limit ~cycle_limit ~clock
     events = Pqueue.create ();
     pool = History_stack.Pool.create ();
     txns = Array.make initial_txn_cap None;
+    programs = Array.make initial_txn_cap no_program;
     rollback_counts = Array.make initial_txn_cap 0;
+    executed = Array.make initial_txn_cap 0;
+    peak_copies = Array.make initial_txn_cap 0;
+    monitored_writes = Array.make initial_txn_cap 0;
     blocked_since = Array.make initial_txn_cap (-1);
     n_blocked = 0;
+    oldest_live = 0;
     hook = None;
     next_id = 0;
     tick = 0;
@@ -101,6 +116,8 @@ let create ~strategy ~policy ~detection ~starvation_limit ~cycle_limit ~clock
     overshoot_ops = 0;
     optimal_resolutions = 0;
     ops_committed = 0;
+    committed_executed = 0;
+    committed_peak_copies = 0;
     timeouts = 0;
     preventions = 0;
     detection_passes = 0;
@@ -135,19 +152,45 @@ let admit ?copy_allocation e program =
   if id >= old then begin
     let cap = max (id + 1) (2 * old) in
     e.txns <- grown e.txns cap None;
+    e.programs <- grown e.programs cap no_program;
     e.rollback_counts <- grown e.rollback_counts cap 0;
+    e.executed <- grown e.executed cap 0;
+    e.peak_copies <- grown e.peak_copies cap 0;
+    e.monitored_writes <- grown e.monitored_writes cap 0;
     e.blocked_since <- grown e.blocked_since cap (-1)
   end;
   e.txns.(id) <-
     Some
       (Txn_state.create ?copy_allocation ~pool:e.pool ~strategy:e.strategy ~id
          ~store:e.store program);
+  e.programs.(id) <- program;
   Waits_for.add_txn e.wfg id;
   id
 
-let txn_state e id =
+let live_state e id =
   if id < 0 || id >= e.next_id then raise Not_found
   else match e.txns.(id) with Some ts -> ts | None -> raise Not_found
+
+(* A committed id answers with its disposed state, rebuilt. *)
+let txn_state e id =
+  if id < 0 || id >= e.next_id then raise Not_found
+  else
+    match e.txns.(id) with
+    | Some ts -> ts
+    | None ->
+        Txn_state.committed ~strategy:e.strategy ~id ~store:e.store
+          ~total_executed:e.executed.(id)
+          ~n_rollbacks:e.rollback_counts.(id)
+          ~peak_copies:e.peak_copies.(id)
+          ~monitored_writes:e.monitored_writes.(id) e.programs.(id)
+
+let live_ids e =
+  let rec down id acc =
+    if id < e.oldest_live then acc
+    else
+      down (id - 1) (match e.txns.(id) with Some _ -> id :: acc | None -> acc)
+  in
+  down (e.next_id - 1) []
 
 let max_txn_rollbacks e =
   let m = ref 0 in
@@ -185,21 +228,44 @@ let immune e v =
 (* An unlock step: install the entity's final value and close its history
    interval; the caller releases the lock. *)
 let unlock e id =
-  let x, final = Txn_state.perform_unlock (txn_state e id) in
+  let x, final = Txn_state.perform_unlock (live_state e id) in
   (match final with Some v -> Store.install e.store x v | None -> ());
   History.note_release e.hist ~tick:e.tick id x;
   x
+
+let rec advance_oldest_live e =
+  let id = e.oldest_live in
+  if id < e.next_id then
+    match e.txns.(id) with
+    | Some _ -> ()
+    | None ->
+        e.oldest_live <- id + 1;
+        advance_oldest_live e
+
+(* Retirement: the committed transaction's accounting moves into the
+   counters [stats] sums and the id-indexed arrays [txn_state] rebuilds
+   it from, and its state is dropped, so no per-transaction block
+   survives the commit (DESIGN.md §12). *)
+let retire e id ts =
+  let executed = Txn_state.total_executed ts
+  and peak = Txn_state.peak_copies ts in
+  e.committed_executed <- e.committed_executed + executed;
+  if peak > e.committed_peak_copies then e.committed_peak_copies <- peak;
+  e.executed.(id) <- executed;
+  e.peak_copies.(id) <- peak;
+  e.monitored_writes.(id) <- Txn_state.monitored_writes ts;
+  e.txns.(id) <- None;
+  advance_oldest_live e
 
 (* Commit: install the final values, close the intervals of the locks
    still held and hand each to the embedder's [release], then retire the
    transaction. A committer was never blocked at this point, but a stale
    [blocked_since] entry may still linger (set on a block, cleared on
    grant paths only) — drop it without folding it into the duration stats
-   (the wait it describes ended long ago). The retired transaction's
-   history buffers go back to the pool for the next admission; the
-   accounting the stats fold reads survives disposal. *)
+   (the wait it describes ended long ago). The transaction's history
+   buffers go back to the pool for the next admission. *)
 let commit e s ~release id =
-  let ts = txn_state e id in
+  let ts = live_state e id in
   List.iter (fun (x, v) -> Store.install e.store x v) (Txn_state.commit ts);
   let held = Lock_table.held_by e.locks id in
   List.iter (fun (x, _) -> History.note_release e.hist ~tick:e.tick id x) held;
@@ -212,7 +278,8 @@ let commit e s ~release id =
   end;
   e.commits <- e.commits + 1;
   e.ops_committed <- e.ops_committed + Program.length (Txn_state.program ts);
-  Txn_state.dispose ts
+  Txn_state.dispose ts;
+  retire e id ts
 
 (* --- Detection ----------------------------------------------------- *)
 
@@ -300,7 +367,7 @@ let rec arcs_cost ts cost queued = function
           arcs_cost ts (if c > cost then c else cost) queued rest)
 
 let[@hot] release_cost e v entities =
-  arcs_cost (txn_state e v) 0 false entities
+  arcs_cost (live_state e v) 0 false entities
 
 (* --- The request path ------------------------------------------------ *)
 
@@ -408,7 +475,7 @@ let roll_back e s ~release v ts target =
    is its timestamp). Timeouts, prevention, crashes and deferred
    escalation all end here. *)
 let restart e s ~drop_wait ~release ~resume_at v =
-  let ts = txn_state e v in
+  let ts = live_state e v in
   drop_wait s v;
   roll_back e s ~release v ts Txn_state.restart_target;
   schedule_at e v ~at:resume_at
@@ -437,7 +504,7 @@ let rec lowest_held ts lowest lowest_k = function
 
 let apply_partial_rollback e s ~drop_wait ~release ~deferred ~stagger v
     entities =
-  let ts = txn_state e v in
+  let ts = live_state e v in
   (* A blocked victim abandons its pending request; shrinking its queue
      may unblock waiters behind it, and survivors re-point their edges.
      When every arc is a queue arc this cancel-and-retry (the transaction
@@ -456,12 +523,16 @@ let apply_partial_rollback e s ~drop_wait ~release ~deferred ~stagger v
         e.overshoot_ops
         + Txn_state.cost_of_target ts target
         - Txn_state.cost_of_target ts minimal;
-      Log.info (fun m ->
-          m "[%d] partial rollback of T%d to %s (releasing %s)" e.tick v
-            (if target = Txn_state.restart_target then "restart"
-             else Printf.sprintf "lock state %d" target)
-            (String.concat ","
-               (List.filter (fun x -> Txn_state.holds ts x <> None) entities)));
+      (match Logs.Src.level log_src with
+      | Some (Logs.Info | Logs.Debug) ->
+          Log.info (fun m ->
+              m "[%d] partial rollback of T%d to %s (releasing %s)" e.tick v
+                (if target = Txn_state.restart_target then "restart"
+                 else Printf.sprintf "lock state %d" target)
+                (String.concat ","
+                   (List.filter (fun x -> Txn_state.holds ts x <> None)
+                      entities)))
+      | Some (Logs.App | Logs.Error | Logs.Warning) | None -> ());
       roll_back e s ~release v ts target);
   (* A deferred pass can roll back many victims in one round; restarted in
      lockstep at [t+1] they re-request the same hot entities in the same
@@ -497,8 +568,12 @@ let apply_rollback e s ~drop_wait ~release ~restart ~deferred ~stagger v
 let wound_younger e s ~wound requester x blockers =
   List.iter
     (fun b ->
-      if b > requester && Txn_state.phase (txn_state e b) = Txn_state.Growing
-      then begin
+      let growing =
+        match e.txns.(b) with
+        | Some ts -> Txn_state.phase ts = Txn_state.Growing
+        | None -> false (* committed, its release still in flight *)
+      in
+      if b > requester && growing then begin
         e.preventions <- e.preventions + 1;
         wound s requester x b
       end)
@@ -528,15 +603,18 @@ let resolve_round e s ~deferred ~apply requester (cycles : Waits_for.cycles) =
   if not (Waits_for.intact e.wfg cycles) then
     raise (Stuck "waits-for edge vanished during resolution");
   let n = cycles.Waits_for.n_cycles in
-  Log.info (fun m ->
-      m "[%d] deadlock: %d cycle(s) through T%d" e.tick n requester);
+  (match Logs.Src.level log_src with
+  | Some (Logs.Info | Logs.Debug) ->
+      Log.info (fun m ->
+          m "[%d] deadlock: %d cycle(s) through T%d" e.tick n requester)
+  | Some (Logs.App | Logs.Error | Logs.Warning) | None -> ());
   e.deadlocks <- e.deadlocks + 1;
   e.cycles_broken <- e.cycles_broken + n;
   let decision =
     Resolver.choose_cycles ~immune:(immune e)
       ~policy:(resolution_policy e ~deferred n)
       ~requester
-      ~entry_order:(fun v -> Txn_state.entry_order (txn_state e v))
+      ~entry_order:(fun v -> Txn_state.entry_order (live_state e v))
       ~release_cost:(release_cost e) ~rng:e.rng cycles
   in
   if decision.Resolver.optimal then
@@ -621,16 +699,19 @@ let scheduled_pass e ~outage ~period pass =
 (* --- Statistics ---------------------------------------------------- *)
 
 let stats e =
-  (* One pass accumulating all three per-transaction aggregates. *)
-  let ops_lost = ref 0 and ops_executed = ref 0 and peak_copies = ref 0 in
-  Array.iter
-    (function
-      | Some ts ->
-          ops_lost := !ops_lost + Txn_state.ops_lost ts;
-          ops_executed := !ops_executed + Txn_state.total_executed ts;
-          peak_copies := max !peak_copies (Txn_state.peak_copies ts)
-      | None -> ())
-    e.txns;
+  (* The committed transactions' aggregates are counters; only the live
+     ones are read. A committed transaction lost what it executed beyond
+     its program's length. *)
+  let ops_lost = ref (e.committed_executed - e.ops_committed)
+  and ops_executed = ref e.committed_executed
+  and peak_copies = ref e.committed_peak_copies in
+  List.iter
+    (fun id ->
+      let ts = live_state e id in
+      ops_lost := !ops_lost + Txn_state.ops_lost ts;
+      ops_executed := !ops_executed + Txn_state.total_executed ts;
+      peak_copies := max !peak_copies (Txn_state.peak_copies ts))
+    (live_ids e);
   {
     Run_stats.ticks = e.tick;
     commits = e.commits;

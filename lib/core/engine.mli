@@ -43,10 +43,16 @@ type t = {
       (** tag {!ev_exec} is shared; other tags belong to the embedder *)
   pool : Prb_rollback.History_stack.Pool.t;
   mutable txns : Txn_state.t option array;
-      (** by dense id, [Some] from admission on, committed ones included *)
+      (** by dense id, [Some] from admission until commit retires it *)
+  mutable programs : Prb_txn.Program.t array;  (** by id, from admission *)
   mutable rollback_counts : int array;
+  mutable executed : int array;
+      (** by id, set at commit: {!Txn_state.total_executed} *)
+  mutable peak_copies : int array;  (** by id, set at commit *)
+  mutable monitored_writes : int array;  (** by id, set at commit *)
   mutable blocked_since : int array;  (** [-1] when not blocked *)
   mutable n_blocked : int;
+  mutable oldest_live : int;  (** every smaller id is committed *)
   mutable hook :
     (requester:int ->
     cycles:Resolver.cycle list ->
@@ -64,6 +70,9 @@ type t = {
   mutable overshoot_ops : int;
   mutable optimal_resolutions : int;
   mutable ops_committed : int;  (** counted by {!commit} *)
+  mutable committed_executed : int;
+  mutable committed_peak_copies : int;
+      (** the committed transactions' share of {!stats}' aggregates *)
   mutable timeouts : int;
   mutable preventions : int;  (** {!wound_younger} counts its wounds *)
   mutable detection_passes : int;
@@ -109,8 +118,18 @@ val grown : 'a array -> int -> 'a -> 'a array
 (** [grown a cap fill]: [a] padded to length [cap] — for an embedder's
     own per-transaction arrays, kept at [Array.length t.txns]. *)
 
+val live_state : t -> int -> Txn_state.t
+(** The state of an admitted, uncommitted transaction.
+    @raise Not_found for any other id. *)
+
 val txn_state : t -> int -> Txn_state.t
-(** @raise Not_found for unknown ids. *)
+(** The live state, or for a committed id its disposed state rebuilt by
+    {!Txn_state.committed} (a fresh value on every call).
+    @raise Not_found for unknown ids. *)
+
+val live_ids : t -> int list
+(** Admitted, uncommitted ids in ascending order, found between
+    [oldest_live] and [next_id]. *)
 
 val max_txn_rollbacks : t -> int
 
@@ -123,8 +142,9 @@ val commit :
   t -> 's -> release:('s -> int -> Store.entity -> unit) -> int -> unit
 (** Commit: install the final values, close the intervals of the locks
     still held and [release] each, count the program's length in
-    [ops_committed], then retire the transaction (its history buffers go
-    back to the pool). *)
+    [ops_committed], then retire the transaction: its history buffers go
+    back to the pool, its accounting into the [committed_*] counters and
+    the id-indexed arrays, and its state is dropped. *)
 
 (** {2 The request path} *)
 

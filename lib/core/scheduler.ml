@@ -169,7 +169,7 @@ let schedule t id =
    functions handed to the engine, so this and [blocked] are hot roots of
    their own. *)
 let[@hot] granted t w _ =
-  Txn_state.lock_granted (txn_state t w);
+  Txn_state.lock_granted (Engine.live_state t.eng w);
   schedule t w
 
 let release_lock t id e = Engine.release t.eng t ~granted id e
@@ -258,8 +258,9 @@ let[@lint.allow
       design"] crash_transaction t selector =
   let live =
     List.filter
-      (fun id -> Txn_state.phase (txn_state t id) = Txn_state.Growing)
-      (all_txns t)
+      (fun id ->
+        Txn_state.phase (Engine.live_state t.eng id) = Txn_state.Growing)
+      (Engine.live_ids t.eng)
   in
   match live with
   | [] -> ()
@@ -331,14 +332,16 @@ let[@lint.allow
       transaction, off the per-operation path"] handle_commit t id =
   let eng = t.eng in
   Engine.commit eng t ~release:release_lock id;
-  Log.debug (fun m -> m "[%d] T%d committed" eng.tick id);
+  (match Logs.Src.level Engine.log_src with
+  | Some Logs.Debug -> Log.debug (fun m -> m "[%d] T%d committed" eng.tick id)
+  | Some (Logs.App | Logs.Error | Logs.Warning | Logs.Info) | None -> ());
   t.commit_ticks.(id) <- eng.tick
 
+(* A committed transaction is retired: its slot reads [None]. *)
 let exec_one t id =
-  let ts = txn_state t id in
-  match Txn_state.phase ts with
-  | Txn_state.Committed -> ()
-  | Txn_state.Growing | Txn_state.Shrinking -> (
+  match t.eng.txns.(id) with
+  | None -> ()
+  | Some ts -> (
       if Waits_for.is_blocked t.eng.wfg id then
         (* Stale wakeup for a transaction that re-blocked; it will be
            rescheduled on grant. *)

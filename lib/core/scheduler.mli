@@ -123,7 +123,8 @@ val run : t -> unit
 val now : t -> int
 
 val txn_state : t -> int -> Prb_rollback.Txn_state.t
-(** @raise Not_found for unknown ids. *)
+(** {!Engine.txn_state}: a committed id's state is rebuilt on each call.
+    @raise Not_found for unknown ids. *)
 
 val all_txns : t -> int list
 (** Submitted ids, ascending. *)

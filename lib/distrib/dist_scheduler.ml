@@ -287,7 +287,7 @@ let schedule t id = Engine.schedule_at t.eng id ~at:(t.eng.tick + 1)
 (* The requester learns its lock was granted (synchronously, via a grant
    reply, or via a probe that rediscovers a grant whose reply was lost). *)
 let notify_grant t w e =
-  let ts = txn_state t w in
+  let ts = Engine.live_state t.eng w in
   let m = meta t w in
   m.pending <- None;
   m.attempt <- 0;
@@ -581,7 +581,7 @@ let crash_site t s downtime =
     t.down.(s) <- true;
     t.up_at.(s) <- now + downtime;
     push t ~at:(now + downtime) (Recover s);
-    let ids = List.init t.eng.next_id Fun.id in
+    let ids = Engine.live_ids t.eng in
     (* Coordinators at the site die with it: every growing transaction
        homed there restarts from scratch once the site is back. Shrinking
        transactions are past their commit point and immune — their state
@@ -758,11 +758,11 @@ let handle_unlock t id =
 
 let handle_commit t id = Engine.commit t.eng t ~release:async_release id
 
+(* A committed transaction is retired: its slot reads [None]. *)
 let exec_one t id =
-  let ts = txn_state t id in
-  match Txn_state.phase ts with
-  | Txn_state.Committed -> ()
-  | Txn_state.Growing | Txn_state.Shrinking -> (
+  match t.eng.txns.(id) with
+  | None -> ()
+  | Some ts -> (
       let m = meta t id in
       if Waits_for.is_blocked t.eng.wfg id then ()
       else if m.pending <> None then () (* awaiting a remote reply *)

@@ -135,6 +135,9 @@ val now : t -> int
 val n_committed : t -> int
 val all_committed : t -> bool
 val txn_state : t -> int -> Prb_rollback.Txn_state.t
+(** {!Prb_core.Engine.txn_state}: a committed id's state is rebuilt on each
+    call. *)
+
 val history : t -> Prb_history.History.t
 val site_of : t -> Prb_storage.Store.entity -> int
 

@@ -27,11 +27,12 @@
     length. The queries walk the retained residue. DESIGN.md §10 gives
     the argument that folding preserves the verdict exactly.
 
-    Precondition inherited from the engines: ticks passed to {!note_grant}
+    Preconditions inherited from the engines: ticks passed to {!note_grant}
     and {!note_release} are non-decreasing over the lifetime of a history
-    (both schedulers' clocks are monotone). The truncation watermark —
+    (both schedulers' clocks are monotone), and transaction ids are
+    non-negative (they index a dense array). The truncation watermark —
     and therefore verdict equivalence with the naive construction — relies
-    on it. *)
+    on the first. *)
 
 type txn = int
 type entity = Prb_storage.Store.entity
@@ -62,8 +63,8 @@ val discard : t -> txn -> entity -> unit
 
 val discard_txn : t -> txn -> unit
 (** Total removal of a transaction: erase its open intervals and any
-    closed-but-uncommitted ones. O(1) — live state is indexed per
-    transaction, not scanned from a global table. *)
+    closed-but-uncommitted ones, in O(own intervals) — live state is
+    indexed per transaction, not scanned from a global table. *)
 
 val commit_txn : t -> txn -> unit
 (** Transaction finished; its closed intervals join the committed history:
@@ -106,3 +107,8 @@ val n_retained_txns : t -> int
 
 val n_folded : t -> int
 (** Committed transactions already folded into the witness prefix. *)
+
+val pool_sizes : t -> int * int * int
+(** Transaction slots, interval cells and successor cells ever allocated.
+    Folding recycles all three, so they follow the active window, not the
+    run length. *)

@@ -471,7 +471,7 @@ let rollback_to t target =
 
 (* Hand every remaining history back to the pool when the scheduler
    retires the transaction (after its accounting has been read), and drop
-   the arrays that held them: a retired state keeps only its lock states'
+   the arrays that held them: a disposed state keeps only its lock states'
    entity, mode and pc. The state must not be driven afterwards. *)
 let dispose t =
   Array.iter (recycle_stack t.pool) t.locals;
@@ -479,6 +479,59 @@ let dispose t =
   t.locals <- [||];
   t.ls_shadow <- [||];
   t.live_copies <- 0
+
+let no_locals _ = raise Not_found
+
+(* Lock state [k] of a finished program is its [k]-th lock op. *)
+let rec fill_lock_states t i k =
+  if i < Array.length t.program.Program.ops then
+    match t.program.Program.ops.(i) with
+    | Program.Lock (mode, e) ->
+        t.ls_entity.(k) <- e;
+        t.ls_mode.(k) <- mode;
+        t.ls_pc.(k) <- i;
+        fill_lock_states t (i + 1) (k + 1)
+    | Program.Unlock _ | Program.Read _ | Program.Write _ | Program.Assign _
+      ->
+        fill_lock_states t (i + 1) k
+
+(* A committed transaction ran every op and holds every lock state, so
+   its disposed state follows from the program and four counters; pc is
+   the program's length, so the progress lost is what was executed
+   beyond it. *)
+let committed ~strategy ~id ~store ~total_executed ~n_rollbacks ~peak_copies
+    ~monitored_writes program =
+  let n_locks = Program.n_locks program in
+  let length = Program.length program in
+  let t =
+    {
+      id;
+      program;
+      strategy;
+      store;
+      budget = Strategy.version_budget strategy;
+      copy_alloc = None;
+      pool = None;
+      n_locks;
+      env_fun = no_locals;
+      pc = length;
+      lock_idx = n_locks;
+      phase = Committed;
+      locals = [||];
+      ls_entity = Array.make n_locks "";
+      ls_mode = Array.make n_locks Lock_mode.Shared;
+      ls_pc = Array.make n_locks 0;
+      ls_shadow = [||];
+      total_executed;
+      rollbacks = n_rollbacks;
+      ops_lost = total_executed - length;
+      monitored_writes;
+      peak_copies;
+      live_copies = 0;
+    }
+  in
+  fill_lock_states t 0 0;
+  t
 
 let total_executed t = t.total_executed
 let n_rollbacks t = t.rollbacks

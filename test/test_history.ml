@@ -192,6 +192,51 @@ let test_bounded_retention_long_run () =
   checkb "witness is the full serial order" true
     (History.equivalent_serial_order h = Some (List.init n (fun i -> i + 1)))
 
+(* Transaction [i]'s whole life in the certifier, in a strictly serial
+   run: an exclusive and a shared grant, both releases and the commit,
+   which folds transaction [i - 1]. *)
+let serial_cycle h i =
+  let tick = 2 * i in
+  History.note_grant h ~tick i "a" x;
+  History.note_grant h ~tick i "b" s;
+  History.note_release h ~tick:(tick + 1) i "a";
+  History.note_release h ~tick:(tick + 1) i "b";
+  History.commit_txn h i
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Once the pools, the entity names and the id-indexed arrays are warm
+   (past 256 words, so any further doubling goes to the major heap), the
+   certifier's per-commit work allocates nothing. *)
+let test_warm_cycle_allocates_nothing () =
+  let h = History.create () in
+  for i = 0 to 999 do
+    serial_cycle h i
+  done;
+  let baseline = minor_words_of ignore in
+  let words =
+    minor_words_of (fun () ->
+        for i = 1000 to 1099 do
+          serial_cycle h i
+        done)
+  in
+  checki "minor words over 100 cycles" 0 (int_of_float (words -. baseline));
+  checki "each cycle folded its predecessor" 1099 (History.n_folded h)
+
+let test_pools_follow_window () =
+  let h = History.create () in
+  for i = 0 to 9_999 do
+    serial_cycle h i
+  done;
+  let slots, intervals, succs = History.pool_sizes h in
+  checki "slots: the committing and the retained transaction" 2 slots;
+  checki "interval cells: two each" 4 intervals;
+  checki "successor cells: one edge" 1 succs;
+  checki "everything else folded" 9_999 (History.n_folded h)
+
 (* --- Pinned witness ------------------------------------------------------ *)
 
 (* One contended workload through each engine in a closed loop: 64
@@ -517,6 +562,10 @@ let () =
           Alcotest.test_case "bounded retention" `Quick
             test_bounded_retention_long_run;
           QCheck_alcotest.to_alcotest qcheck_streaming_vs_naive;
+          Alcotest.test_case "warm cycle allocates nothing" `Quick
+            test_warm_cycle_allocates_nothing;
+          Alcotest.test_case "pools follow the window" `Quick
+            test_pools_follow_window;
         ] );
       ( "pinned witness",
         [

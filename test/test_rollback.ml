@@ -993,7 +993,8 @@ let agree ts r ~es ~vars ~subsets ~after_dispose =
 (* Drive one generated program through both states with the same random
    script — steps, partial rollbacks to engine-chosen, arbitrary and
    restart targets, unlocks and the commit — comparing everything after
-   every step, then both disposals. *)
+   every step, then both disposals, and then the committed state rebuilt
+   from the program and the four counters an engine keeps. *)
 let differential_run ~pool ~ref_pool ~strategy ~copy_allocation ~store
     program rng =
   let module R = Txn_state_ref in
@@ -1059,7 +1060,16 @@ let differential_run ~pool ~ref_pool ~strategy ~copy_allocation ~store
       if Txn_state.phase ts = Txn_state.Committed then begin
         Txn_state.dispose ts;
         R.dispose r;
+        let rebuilt =
+          Txn_state.committed ~strategy ~id:0 ~store
+            ~total_executed:(Txn_state.total_executed ts)
+            ~n_rollbacks:(Txn_state.n_rollbacks ts)
+            ~peak_copies:(Txn_state.peak_copies ts)
+            ~monitored_writes:(Txn_state.monitored_writes ts) program
+        in
         check ~after_dispose:true
+        && agree rebuilt r ~es ~vars ~after_dispose:true ~subsets:[]
+        && Fmt.str "%a" Txn_state.pp rebuilt = Fmt.str "%a" Txn_state.pp ts
       end
       else go (steps - 1)
   in

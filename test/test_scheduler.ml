@@ -15,6 +15,15 @@ module Generator = Prb_workload.Generator
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* The workload-driving cases below run on a tick budget about ten times
+   what they need, so a livelock fails at once on [all committed] instead
+   of spinning to the default million ticks. *)
+let budget max_ticks = { Scheduler.default_config with max_ticks }
+
+let check_all_committed sched =
+  checkb "all committed within the tick budget" true
+    (Scheduler.all_committed sched)
+
 let transfer ~name ~src ~dst ~amount =
   Program.make ~name
     ~locals:[ ("sb", Value.int 0); ("db", Value.int 0) ]
@@ -31,11 +40,12 @@ let transfer ~name ~src ~dst ~amount =
 
 let two_txn_deadlock strategy =
   let store = Store.of_list [ ("a", Value.int 100); ("b", Value.int 100) ] in
-  let config = { Scheduler.default_config with strategy } in
+  let config = { (budget 160) with strategy } in
   let sched = Scheduler.create ~config store in
   let _ = Scheduler.submit sched (transfer ~name:"ab" ~src:"a" ~dst:"b" ~amount:10) in
   let _ = Scheduler.submit sched (transfer ~name:"ba" ~src:"b" ~dst:"a" ~amount:20) in
   Scheduler.run sched;
+  check_all_committed sched;
   (store, sched)
 
 let test_deadlock_resolved_all_strategies () =
@@ -53,7 +63,7 @@ let test_deadlock_resolved_all_strategies () =
 
 let test_no_conflict_no_deadlock () =
   let store = Store.of_list [ ("a", Value.int 0); ("b", Value.int 0) ] in
-  let sched = Scheduler.create store in
+  let sched = Scheduler.create ~config:(budget 50) store in
   let p name e =
     Program.make ~name ~locals:[ ("v", Value.int 0) ]
       [ Program.lock_x e; Program.read e "v";
@@ -62,6 +72,7 @@ let test_no_conflict_no_deadlock () =
   let _ = Scheduler.submit sched (p "t0" "a") in
   let _ = Scheduler.submit sched (p "t1" "b") in
   Scheduler.run sched;
+  check_all_committed sched;
   let stats = Scheduler.stats sched in
   checki "commits" 2 stats.Scheduler.commits;
   checki "no deadlocks" 0 stats.Scheduler.deadlocks;
@@ -70,7 +81,7 @@ let test_no_conflict_no_deadlock () =
 let test_blocking_without_deadlock () =
   (* same entity, same order: pure waiting, FIFO grants *)
   let store = Store.of_list [ ("a", Value.int 0) ] in
-  let sched = Scheduler.create store in
+  let sched = Scheduler.create ~config:(budget 110) store in
   let p name =
     Program.make ~name ~locals:[ ("v", Value.int 0) ]
       [ Program.lock_x "a"; Program.read "a" "v";
@@ -80,6 +91,7 @@ let test_blocking_without_deadlock () =
       [ 0; 1; 2 ] in
   ignore ids;
   Scheduler.run sched;
+  check_all_committed sched;
   let stats = Scheduler.stats sched in
   checki "commits" 3 stats.Scheduler.commits;
   checki "no deadlocks" 0 stats.Scheduler.deadlocks;
@@ -110,13 +122,12 @@ let test_partial_beats_total_on_cost () =
           Program.assign "v" (Expr.int 5); Program.assign "v" (Expr.int 6);
           Program.lock_x "x" ]
     in
-    let config =
-      { Scheduler.default_config with strategy; policy = Policy.Min_cost }
-    in
+    let config = { (budget 200) with strategy; policy = Policy.Min_cost } in
     let sched = Scheduler.create ~config store in
     let _ = Scheduler.submit sched long in
     let _ = Scheduler.submit sched short in
     Scheduler.run sched;
+    check_all_committed sched;
     Scheduler.stats sched
   in
   let total = mk Strategy.Total and mcs = mk Strategy.Mcs in
@@ -132,9 +143,10 @@ let test_determinism () =
     in
     let store = Generator.populate params in
     let programs = Generator.generate params ~seed:5 ~n:40 in
-    let sched = Scheduler.create store in
+    let sched = Scheduler.create ~config:(budget 9_000) store in
     List.iter (fun p -> ignore (Scheduler.submit sched p)) programs;
     Scheduler.run sched;
+    check_all_committed sched;
     (Scheduler.stats sched, Store.snapshot store)
   in
   let s1, snap1 = run () and s2, snap2 = run () in
@@ -147,7 +159,7 @@ let test_determinism () =
 let test_deadlock_hook_fires () =
   let fired = ref 0 in
   let store = Store.of_list [ ("a", Value.int 0); ("b", Value.int 0) ] in
-  let sched = Scheduler.create store in
+  let sched = Scheduler.create ~config:(budget 160) store in
   Scheduler.set_deadlock_hook sched (fun ~requester:_ ~cycles ~decision ->
       incr fired;
       checkb "at least one cycle" true (cycles <> []);
@@ -155,6 +167,7 @@ let test_deadlock_hook_fires () =
   let _ = Scheduler.submit sched (transfer ~name:"ab" ~src:"a" ~dst:"b" ~amount:1) in
   let _ = Scheduler.submit sched (transfer ~name:"ba" ~src:"b" ~dst:"a" ~amount:1) in
   Scheduler.run sched;
+  check_all_committed sched;
   checkb "hook fired" true (!fired >= 1)
 
 let test_exclusive_only_single_cycle () =
@@ -174,13 +187,13 @@ let test_exclusive_only_single_cycle () =
   (* availability-rule locking: waits point at holders only, which is the
      paper's model and the premise of Theorem 1 (under fair queueing a
      waiter also waits for queued-ahead requests, adding edges). *)
-  let config = { Scheduler.default_config with fair_locking = false } in
+  let config = { (budget 55_000) with fair_locking = false } in
   let sched = Scheduler.create ~config store in
   Scheduler.set_deadlock_hook sched (fun ~requester:_ ~cycles ~decision:_ ->
       checki "exactly one cycle (Theorem 1)" 1 (List.length cycles));
   List.iter (fun p -> ignore (Scheduler.submit sched p)) programs;
   Scheduler.run sched;
-  checkb "all committed" true (Scheduler.all_committed sched)
+  check_all_committed sched
 
 let test_shared_multi_cycles_happen () =
   (* With shared locks, some resolution should see several cycles at once
@@ -196,22 +209,24 @@ let test_shared_multi_cycles_happen () =
   in
   let store = Generator.populate params in
   let programs = Generator.generate params ~seed:3 ~n:80 in
-  let sched = Scheduler.create store in
+  let sched = Scheduler.create ~config:(budget 25_000) store in
   let multi = ref false in
   Scheduler.set_deadlock_hook sched (fun ~requester:_ ~cycles ~decision:_ ->
       if List.length cycles > 1 then multi := true);
   List.iter (fun p -> ignore (Scheduler.submit sched p)) programs;
   Scheduler.run sched;
+  check_all_committed sched;
   checkb "multi-cycle deadlock observed" true !multi
 
 let test_store_untouched_by_rollbacks () =
   (* rollbacks must never write the store: install count = X-locked
      entities of committed transactions only *)
   let store = Store.of_list [ ("a", Value.int 0); ("b", Value.int 0) ] in
-  let sched = Scheduler.create store in
+  let sched = Scheduler.create ~config:(budget 160) store in
   let _ = Scheduler.submit sched (transfer ~name:"ab" ~src:"a" ~dst:"b" ~amount:1) in
   let _ = Scheduler.submit sched (transfer ~name:"ba" ~src:"b" ~dst:"a" ~amount:1) in
   Scheduler.run sched;
+  check_all_committed sched;
   checki "2 txns x 2 installs" 4 (Store.install_count store)
 
 let test_liveness_under_contention () =
@@ -260,7 +275,7 @@ let test_growing_victims_only () =
   in
   let store = Generator.populate params in
   let programs = Generator.generate params ~seed:8 ~n:60 in
-  let sched = Scheduler.create store in
+  let sched = Scheduler.create ~config:(budget 30_000) store in
   Scheduler.set_deadlock_hook sched (fun ~requester:_ ~cycles:_ ~decision ->
       List.iter
         (fun (v, _) ->
@@ -269,7 +284,7 @@ let test_growing_victims_only () =
         decision.Prb_core.Resolver.victims);
   List.iter (fun p -> ignore (Scheduler.submit sched p)) programs;
   Scheduler.run sched;
-  checkb "done" true (Scheduler.all_committed sched)
+  check_all_committed sched
 
 let test_timeout_intervention () =
   (* classic two-txn deadlock with no detection: only the timer saves it *)
@@ -349,7 +364,7 @@ let test_dirty_set_fixpoint_contended () =
   let run clock =
     let store = Generator.populate params in
     let programs = Generator.generate params ~seed:13 ~n:40 in
-    let config = { Scheduler.default_config with seed = 13; clock } in
+    let config = { (budget 14_000) with seed = 13; clock } in
     let sched = Scheduler.create ~config store in
     List.iter (fun p -> ignore (Scheduler.submit sched p)) programs;
     Scheduler.run sched;
@@ -357,7 +372,7 @@ let test_dirty_set_fixpoint_contended () =
   in
   let sched = run None in
   let s = Scheduler.stats sched in
-  checkb "all commit" true (Scheduler.all_committed sched);
+  check_all_committed sched;
   checkb "deadlocks actually happened" true (s.Scheduler.deadlocks > 0);
   checkb "serializable" true (History.serializable (Scheduler.history sched));
   checkb "every lock request was checked" true
@@ -392,13 +407,73 @@ let test_blocked_since_no_leak () =
       in
       let store = Generator.populate params in
       let programs = Generator.generate params ~seed:3 ~n:30 in
-      let config = { Scheduler.default_config with intervention; seed = 3 } in
+      let config = { (budget 21_000) with intervention; seed = 3 } in
       let sched = Scheduler.create ~config store in
       List.iter (fun p -> ignore (Scheduler.submit sched p)) programs;
       Scheduler.run sched;
-      checkb "all commit" true (Scheduler.all_committed sched);
+      check_all_committed sched;
       checki "blocked-since table drained" 0 (Scheduler.n_blocked_tracked sched))
     [ Scheduler.Detect; Scheduler.Timeout_abort 25 ]
+
+(* Commit retires a transaction: its state becomes garbage, and the
+   scheduler answers for the id from what it kept. Every live state is
+   observed through a weak pointer after every step, with the counters it
+   reports; none of them changes in the commit step itself. *)
+type counters = { executed : int; rollbacks : int; peak : int; monitored : int }
+
+let counters_of ts =
+  {
+    executed = Txn_state.total_executed ts;
+    rollbacks = Txn_state.n_rollbacks ts;
+    peak = Txn_state.peak_copies ts;
+    monitored = Txn_state.monitored_writes ts;
+  }
+
+(* Records the live states of [ids] without keeping them reachable. *)
+let observe_live sched weak last ids =
+  List.iter
+    (fun id ->
+      let ts = Scheduler.txn_state sched id in
+      match Txn_state.phase ts with
+      | Txn_state.Committed -> ()
+      | Txn_state.Growing | Txn_state.Shrinking ->
+          Weak.set weak id (Some ts);
+          last.(id) <- counters_of ts)
+    ids
+
+let test_commit_retires_state () =
+  let params =
+    { Generator.default_params with n_entities = 8; zipf_theta = 0.9 }
+  in
+  let store = Generator.populate params in
+  let programs = Generator.generate params ~seed:4 ~n:30 in
+  let sched =
+    Scheduler.create ~config:{ (budget 30_000) with seed = 4 } store
+  in
+  let ids = List.map (fun p -> Scheduler.submit sched p) programs in
+  let n = List.length ids in
+  let weak = Weak.create n in
+  let last = Array.make n { executed = 0; rollbacks = 0; peak = 0; monitored = 0 } in
+  observe_live sched weak last ids;
+  while Scheduler.step sched do
+    observe_live sched weak last ids
+  done;
+  check_all_committed sched;
+  Gc.full_major ();
+  List.iter
+    (fun id -> checkb "committed state collected" false (Weak.check weak id))
+    ids;
+  List.iter
+    (fun id ->
+      let ts = Scheduler.txn_state sched id in
+      checkb "reported committed" true
+        (Txn_state.phase ts = Txn_state.Committed);
+      checkb "counters as at commit" true (counters_of ts = last.(id)))
+    ids;
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 last in
+  checkb "some rollbacks" true (sum (fun c -> c.rollbacks) > 0);
+  checkb "some monitored writes" true (sum (fun c -> c.monitored) > 0);
+  checkb "some copies" true (sum (fun c -> c.peak) > 0)
 
 (* qcheck: any (seed, strategy, livelock-free policy) combination over a
    contended workload commits everything, stays serializable, and never
@@ -446,9 +521,7 @@ let test_deferred_sweep_batches_cycles () =
     Store.of_list
       (List.map (fun e -> (e, Value.int 100)) [ "a"; "b"; "c"; "d" ])
   in
-  let config =
-    { Scheduler.default_config with detection = DP.Periodic 16 }
-  in
+  let config = { (budget 280) with detection = DP.Periodic 16 } in
   let sched = Scheduler.create ~config store in
   let rounds = ref [] in
   Scheduler.set_deadlock_hook sched (fun ~requester:_ ~cycles ~decision:_ ->
@@ -460,7 +533,7 @@ let test_deferred_sweep_batches_cycles () =
   let _ = Scheduler.submit sched (transfer ~name:"dc" ~src:"d" ~dst:"c" ~amount:4) in
   Scheduler.run sched;
   let s = Scheduler.stats sched in
-  checkb "all commit" true (Scheduler.all_committed sched);
+  check_all_committed sched;
   checkb "both cycles resolved" true (s.Scheduler.deadlocks >= 2);
   checkb "a scheduled sweep ran" true (s.Scheduler.detection_passes >= 1);
   (* deferral: nothing resolved before the first period boundary, even
@@ -594,6 +667,8 @@ let () =
             test_blocked_since_no_leak;
           Alcotest.test_case "deferred sweep batches cycles" `Quick
             test_deferred_sweep_batches_cycles;
+          Alcotest.test_case "commit retires the state" `Quick
+            test_commit_retires_state;
         ] );
       ( "liveness",
         [
