@@ -1,4 +1,5 @@
 module Table = Prb_util.Table
+module Json = Prb_util.Json
 module Scheduler = Prb_core.Scheduler
 module Run_stats = Prb_core.Run_stats
 module Detection_policy = Prb_core.Detection_policy
@@ -438,181 +439,16 @@ let write_json ~path ?(quick = false) ?(policies = []) points =
 
 (* --- Reading benchmark JSON back (regression gate) -------------------- *)
 
-exception Parse_error of string
+exception Parse_error = Json.Parse_error
 
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-(* A minimal recursive-descent parser covering the JSON this module
-   itself emits — objects, arrays, strings, numbers, null, bools. *)
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg =
-    raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos))
-  in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal lit v =
-    let len = String.length lit in
-    if !pos + len <= n && String.equal (String.sub s !pos len) lit then begin
-      pos := !pos + len;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' ->
-            incr pos;
-            Buffer.contents b
-        | '\\' ->
-            incr pos;
-            if !pos >= n then fail "truncated escape";
-            (match s.[!pos] with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | 'r' -> Buffer.add_char b '\r'
-            | c -> fail (Printf.sprintf "unsupported escape \\%c" c));
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> J_str (parse_string ())
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          J_obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ((k, v) :: acc)
-            | Some '}' ->
-                incr pos;
-                J_obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          J_list []
-        end
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elements (v :: acc)
-            | Some ']' ->
-                incr pos;
-                J_list (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | Some 'n' -> literal "null" J_null
-    | Some 't' -> literal "true" (J_bool true)
-    | Some 'f' -> literal "false" (J_bool false)
-    | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          &&
-          match s.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        do
-          incr pos
-        done;
-        if !pos = start then fail "unexpected character";
-        (match float_of_string_opt (String.sub s start (!pos - start)) with
-        | Some f -> J_num f
-        | None -> fail "malformed number")
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
-
-let obj_field name = function
-  | J_obj fields -> (
-      match List.assoc_opt name fields with
-      | Some v -> v
-      | None -> raise (Parse_error ("missing field \"" ^ name ^ "\"")))
-  | _ -> raise (Parse_error "expected an object")
-
-let as_float = function
-  | J_num f -> f
-  | J_null -> nan (* json_float writes NaN as null *)
-  | _ -> raise (Parse_error "expected a number")
-
-let as_int = function
-  | J_num f when Float.is_integer f -> int_of_float f
-  | _ -> raise (Parse_error "expected an integer")
-
-let as_string = function
-  | J_str s -> s
-  | _ -> raise (Parse_error "expected a string")
-
-let as_list = function
-  | J_list l -> l
-  | _ -> raise (Parse_error "expected an array")
-
+(* [json_float] writes NaN as null, which [Json.to_float] reads back. *)
 let gate_point_of_json j : gate_point =
   {
-    engine = as_string (obj_field "engine" j);
-    txns = as_int (obj_field "txns" j);
-    contention = as_string (obj_field "contention" j);
-    commits_per_sec = as_float (obj_field "commits_per_sec" j);
-    allocated_mwords = as_float (obj_field "allocated_mwords" j);
+    engine = Json.to_string (Json.field "engine" j);
+    txns = Json.to_int (Json.field "txns" j);
+    contention = Json.to_string (Json.field "contention" j);
+    commits_per_sec = Json.to_float (Json.field "commits_per_sec" j);
+    allocated_mwords = Json.to_float (Json.field "allocated_mwords" j);
   }
 
 let read_file path =
@@ -626,12 +462,9 @@ let read_file path =
    puzzling "missing field check_seconds" from the first point. *)
 let check_schema j =
   let v =
-    match j with
-    | J_obj fields -> (
-        match List.assoc_opt "schema_version" fields with
-        | Some v -> as_int v
-        | None -> 1)
-    | _ -> 1
+    match Json.member "schema_version" j with
+    | Some v -> Json.to_int v
+    | None -> 1
   in
   if v <> schema_version then
     raise
@@ -642,9 +475,9 @@ let check_schema j =
             v schema_version))
 
 let load ~path =
-  let j = parse_json (read_file path) in
+  let j = Json.parse (read_file path) in
   check_schema j;
-  List.map gate_point_of_json (as_list (obj_field "points" j))
+  List.map gate_point_of_json (Json.to_list (Json.field "points" j))
 
 (* Each baseline point gates two regressions at the same tolerance: a
    throughput floor and an allocation ceiling (a perf win paid for with

@@ -5,8 +5,6 @@
 val bank_store : n_accounts:int -> balance:int -> Prb_storage.Store.t
 (** Accounts ["acct000" ...], each holding [balance]. *)
 
-val account_name : int -> string
-
 val transfer :
   name:string -> from_acct:int -> to_acct:int -> amount:int -> Prb_txn.Program.t
 (** Debit one account, credit another — the classic deadlock-prone pair
@@ -24,8 +22,6 @@ val balance_invariant :
 val inventory_store :
   n_items:int -> stock:int -> Prb_storage.Store.t
 (** Items ["item000" ...] with a stock counter each. *)
-
-val item_name : int -> string
 
 val order :
   name:string -> items:(int * int) list -> Prb_txn.Program.t
