@@ -107,7 +107,8 @@ let fig1 () =
       Waits_for.clear_wait wfg 2;
       let released = Txn_state.rollback_to ts2 (Txn_state.rollback_target ts2 "b") in
       note "rollback of T2 also released %s -> T1 no longer waits (Figure 1b)"
-        (String.concat "," (List.sort compare released));
+        (String.concat ","
+           (List.sort compare (List.map (Store.name store) released)));
       (* b goes to T3 and a to T1. *)
       Waits_for.clear_wait wfg 3;
       Waits_for.clear_wait wfg 1;
@@ -185,11 +186,12 @@ let fig2 () =
 
 let fig3 () =
   header "E3 / Figure 3" "shared locks: multi-cycle deadlocks and cut sets";
-  let locks = Lock_table.create ~fair:false () in
+  let store = Store.create () in
+  let locks = Lock_table.create ~fair:false store in
   let wfg = Waits_for.create () in
   List.iter (Waits_for.add_txn wfg) [ 1; 2; 3 ];
   let must_grant id mode e =
-    match Lock_table.request locks id mode e with
+    match Lock_table.request locks id mode (Store.id store e) with
     | Lock_table.Granted -> ()
     | Lock_table.Blocked _ -> assert false
   in
@@ -198,7 +200,7 @@ let fig3 () =
   must_grant 2 Lock_mode.Shared "f";
   must_grant 3 Lock_mode.Shared "f";
   let block id e =
-    match Lock_table.request locks id Lock_mode.Exclusive e with
+    match Lock_table.request locks id Lock_mode.Exclusive (Store.id store e) with
     | Lock_table.Blocked holders -> Waits_for.set_wait wfg ~waiter:id ~holders e
     | Lock_table.Granted -> assert false
   in
@@ -208,7 +210,9 @@ let fig3 () =
   note "T1 requests X(f); conflicting holders: %s (Type %s conflict)"
     (String.concat ", "
        (List.map (Printf.sprintf "T%d") (Lock_table.blockers locks 1)))
-    (match Lock_table.classify locks 1 Lock_mode.Exclusive "f" with
+    (match
+       Lock_table.classify locks 1 Lock_mode.Exclusive (Store.id store "f")
+     with
     | Lock_table.Type2 -> "2"
     | Lock_table.Type1 -> "1"
     | Lock_table.No_conflict -> "none");

@@ -152,15 +152,19 @@ let bench_site_probe =
 (* Commit-path held-locks lookup: O(locks held) via the per-transaction
    index, independent of how many entries the table has accumulated. *)
 let bench_held_by =
-  let t = Prb_lock.Lock_table.create () in
+  let store = Store.create () in
+  let t = Prb_lock.Lock_table.create store in
   let mode = Prb_txn.Lock_mode.Exclusive in
+  let request who e =
+    ignore (Prb_lock.Lock_table.request t who mode (Store.id store e))
+  in
   for i = 0 to 4999 do
-    ignore (Prb_lock.Lock_table.request t 1 mode (Printf.sprintf "a%d" i));
-    ignore (Prb_lock.Lock_table.request t 2 mode (Printf.sprintf "b%d" i))
+    request 1 (Printf.sprintf "a%d" i);
+    request 2 (Printf.sprintf "b%d" i)
   done;
-  ignore (Prb_lock.Lock_table.request t 3 mode "z1");
-  ignore (Prb_lock.Lock_table.request t 3 mode "z2");
-  ignore (Prb_lock.Lock_table.request t 3 mode "z3");
+  request 3 "z1";
+  request 3 "z2";
+  request 3 "z3";
   Test.make ~name:"held_by (3 held, 10k-entry table)"
     (Staged.stage (fun () -> Prb_lock.Lock_table.held_by t 3))
 
@@ -305,12 +309,13 @@ let bench_sdg_analysis =
     (Staged.stage (fun () -> Sdg_view.well_defined_states growing_program))
 
 (* The steady-state lock hot path: grant then release against a warm
-   table whose entity slots are already interned, so the loop touches
-   only the dense per-entity buffers. *)
+   table, by the store ids admission resolves, so the loop touches only
+   the dense per-entity buffers. *)
 let bench_lock_grant_release =
-  let t = Prb_lock.Lock_table.create () in
+  let store = Store.create () in
+  let t = Prb_lock.Lock_table.create store in
   let mode = Prb_txn.Lock_mode.Exclusive in
-  let names = Array.init 16 (Printf.sprintf "W%d") in
+  let names = Array.init 16 (fun i -> Store.id store (Printf.sprintf "W%d" i)) in
   Array.iter
     (fun e ->
       ignore (Prb_lock.Lock_table.request t 0 mode e);
@@ -324,8 +329,8 @@ let bench_lock_grant_release =
              ignore (Prb_lock.Lock_table.release t 0 e))
            names))
 
-(* Re-interning a known name — the per-request cost of the slot map that
-   replaced the string-keyed spine. *)
+(* Re-interning a known name — what admission pays per lock state to
+   resolve its entity to a store id (Store.id). *)
 let bench_interner =
   let it = Prb_util.Dense.Interner.create () in
   let names = Array.init 64 (Printf.sprintf "E%d") in

@@ -833,7 +833,7 @@ let lint_deep_arg =
     value & flag
     & info [ "deep" ]
         ~doc:
-          "Also run the typed deep pass (rules A1/P1/H1). Directory \
+          "Also run the typed deep pass (rules A1/A2/P1/H1). Directory \
            arguments are analyzed through the .cmt files of the \
            enclosing dune build ($(b,_build/default/lib)) — run \
            $(b,dune build) first; dune emits the needed bin-annot \
@@ -954,16 +954,18 @@ let lint_cmd =
       `P
         "With $(b,--deep), additionally loads the typed trees (.cmt) of \
          the enclosing dune build and checks A1 (functions marked \
-         [@hot] are transitively allocation-free), P1 (static \
-         two-phase locking: no lock acquire after a release of the same \
-         transaction, except through the rollback layer) and H1 \
-         (unsafe_* access stays in lib/util).";
+         [@hot] are transitively allocation-free), A2 (no Hashtbl \
+         find, find_opt, mem, replace, add or hash is reachable from a \
+         [@hot] function: hot paths reach entities by store id and hash \
+         no name), P1 (static two-phase locking: no lock acquire after \
+         a release of the same transaction, except through the rollback \
+         layer) and H1 (unsafe_* access stays in lib/util).";
       `P
         "Violations print as $(b,file:line:col: rule-id message). Suppress \
          a finding with $(b,[@lint.allow \"D1\"]) on the expression, \
          $(b,[@@lint.allow \"D1\"]) on the enclosing let-binding, or a \
          floating $(b,[@@@lint.allow \"D1 D2\"]) for the rest of the \
-         file. Deep rules (A1/P1/H1) additionally require a rationale: \
+         file. Deep rules (A1/A2/P1/H1) additionally require a rationale: \
          $(b,[@lint.allow \"A1: why this site is exempt\"]).";
       `P "Exits 0 when clean, 1 on violations, 2 on parse/usage errors.";
     ]

@@ -33,7 +33,7 @@ type t =
       (** a sweep cadence tuned online to the observed deadlock-arrival
           rate (after Ling et al.): a sweep that finds deadlocks halves
           the interval, two consecutive empty sweeps double it, clamped to
-          [adaptive_min]..[adaptive_max] *)
+          8..512 ticks, starting at 64 *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -57,10 +57,6 @@ val stall_bound : t -> int
 val initial_interval : t -> int
 (** First scheduled pass delay; 0 for [Eager]. *)
 
-val adaptive_min : int
-val adaptive_max : int
-val adaptive_start : int
-
 (** The [Adaptive] cadence. The engine core holds one per run and adapts
     it after each scheduled pass ([Engine.scheduled_pass]). *)
 type cadence = {
@@ -73,8 +69,7 @@ val cadence : int -> cadence
 
 val adapt : cadence -> found:bool -> unit
 (** After a pass: one that found deadlocks halves the interval, two
-    consecutive empty ones double it, clamped to
-    [adaptive_min]..[adaptive_max]. *)
+    consecutive empty ones double it, clamped to 8..512 ticks. *)
 
 val all : t list
 (** Representative instances of every policy, for sweeps and matrices. *)

@@ -90,9 +90,9 @@ let create ~strategy ~policy ~detection ~starvation_limit ~cycle_limit ~clock
     cycle_limit;
     clock;
     store;
-    locks = Lock_table.create ~fair ();
+    locks = Lock_table.create ~fair store;
     wfg = Waits_for.create ();
-    hist = History.create ();
+    hist = History.create store;
     rng = Rng.make seed;
     events = Pqueue.create ();
     pool = History_stack.Pool.create ();
@@ -226,10 +226,11 @@ let immune e v =
   | None -> false
 
 (* An unlock step: install the entity's final value and close its history
-   interval; the caller releases the lock. *)
+   interval; the caller releases the lock. Entities travel as the store
+   ids their lock states resolved at admission (DESIGN.md §12). *)
 let unlock e id =
   let x, final = Txn_state.perform_unlock (live_state e id) in
-  (match final with Some v -> Store.install e.store x v | None -> ());
+  (match final with Some v -> Store.install_at e.store x v | None -> ());
   History.note_release e.hist ~tick:e.tick id x;
   x
 
@@ -266,7 +267,7 @@ let retire e id ts =
    buffers go back to the pool for the next admission. *)
 let commit e s ~release id =
   let ts = live_state e id in
-  List.iter (fun (x, v) -> Store.install e.store x v) (Txn_state.commit ts);
+  List.iter (fun (x, v) -> Store.install_at e.store x v) (Txn_state.commit ts);
   let held = Lock_table.held_by e.locks id in
   List.iter (fun (x, _) -> History.note_release e.hist ~tick:e.tick id x) held;
   List.iter (fun (x, _) -> release s id x) held;
@@ -386,11 +387,11 @@ let[@lint.allow
       if queued then
         Log.debug (fun m ->
             m "[%d] grant %a(%s) to T%d (from queue)" e.tick Lock_mode.pp mode
-              x id)
+              (Store.name e.store x) id)
       else
         Log.debug (fun m ->
             m "[%d] T%d blocked on %a(%s) behind %s" e.tick id Lock_mode.pp
-              mode x
+              mode (Store.name e.store x)
               (String.concat "," (List.map (Printf.sprintf "T%d") holders)))
   | Some _ | None -> ()
 
@@ -411,7 +412,8 @@ let[@lint.allow
       (fun (w, _) ->
         match Lock_table.blockers e.locks w with
         | [] -> () (* about to be granted by the caller's grant pass *)
-        | holders -> Waits_for.set_wait e.wfg ~waiter:w ~holders x)
+        | holders ->
+            Waits_for.set_wait e.wfg ~waiter:w ~holders (Store.name e.store x))
       (Lock_table.waiters e.locks x)
 
 (* A queued request granted: its wait ends and its interval opens. *)
@@ -439,7 +441,7 @@ let request e s ~granted ~blocked id mode x =
       granted s id x
   | Lock_table.Blocked holders ->
       debug_line e ~queued:false id mode x holders;
-      Waits_for.set_wait e.wfg ~waiter:id ~holders x;
+      Waits_for.set_wait e.wfg ~waiter:id ~holders (Store.name e.store x);
       (* Every block is tracked, whatever follows it: the duration feeds
          the blocked-time statistics, the stall watchdog and the timeout
          interventions. *)

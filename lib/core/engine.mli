@@ -8,13 +8,16 @@
     resolution fixpoint and the scheduled detection pass live here once,
     with one resolution rule: a round's [deferred] flag alone decides its
     cycle budget, its cut-solver routing and its victims' backoff and
-    escalation. Engine-specific steps are top-level functions of the
-    embedder's state ['s], passed as labelled arguments so no call builds
-    a closure: [granted s w x] tells [w] it was granted [x]; [blocked s id
-    x holders] is what a block triggers; [drop_wait s v] abandons [v]'s
-    pending request; [release s v released] releases what a rollback gave
-    up; [restart s v ~resume_at] is the engine's full restart. The core
-    also fills the one {!Run_stats.stats} record both engines report. *)
+    escalation. Entities travel as the store's ids
+    ({!Prb_storage.Store.id}), resolved per lock state at admission;
+    waits-for labels and the resolver's lists stay names. Engine-specific
+    steps are top-level functions of the embedder's state ['s], passed as
+    labelled arguments so no call builds a closure: [granted s w x] tells
+    [w] it was granted [x]; [blocked s id x holders] is what a block
+    triggers; [drop_wait s v] abandons [v]'s pending request; [release s
+    v released] releases what a rollback gave up; [restart s v
+    ~resume_at] is the engine's full restart. The core also fills the one
+    {!Run_stats.stats} record both engines report. *)
 
 module Store = Prb_storage.Store
 module Txn_state = Prb_rollback.Txn_state
@@ -133,13 +136,13 @@ val live_ids : t -> int list
 
 val max_txn_rollbacks : t -> int
 
-val unlock : t -> int -> Store.entity
+val unlock : t -> int -> int
 (** Perform the pending unlock: install the final value and close the
-    history interval. Returns the entity, whose lock the caller
+    history interval. Returns the entity's id, whose lock the caller
     releases. *)
 
 val commit :
-  t -> 's -> release:('s -> int -> Store.entity -> unit) -> int -> unit
+  t -> 's -> release:('s -> int -> int -> unit) -> int -> unit
 (** Commit: install the final values, close the intervals of the locks
     still held and [release] each, count the program's length in
     [ops_committed], then retire the transaction: its history buffers go
@@ -151,24 +154,23 @@ val commit :
 val request :
   t ->
   's ->
-  granted:('s -> int -> Store.entity -> unit) ->
-  blocked:('s -> int -> Store.entity -> int list -> unit) ->
+  granted:('s -> int -> int -> unit) ->
+  blocked:('s -> int -> int -> int list -> unit) ->
   int ->
   Prb_txn.Lock_mode.t ->
-  Store.entity ->
+  int ->
   unit
-(** A grant opens the request's history interval and re-points the
-    entity's waiters; a block installs its waits-for edges and starts its
-    wait clock. *)
+(** [request t s ~granted ~blocked id mode x] asks for entity id [x]. A
+    grant opens the request's history interval and re-points the entity's
+    waiters; a block installs its waits-for edges, labelled with the
+    entity's name, and starts its wait clock. *)
 
 val release :
-  t -> 's -> granted:('s -> int -> Store.entity -> unit) -> int ->
-  Store.entity -> unit
+  t -> 's -> granted:('s -> int -> int -> unit) -> int -> int -> unit
 (** Release one lock: grant the waiters it unblocks (their waits end,
     their intervals open) and re-point the rest. *)
 
-val withdraw :
-  t -> 's -> granted:('s -> int -> Store.entity -> unit) -> int -> unit
+val withdraw : t -> 's -> granted:('s -> int -> int -> unit) -> int -> unit
 (** Withdraw the transaction's queued request, if any, granting as
     {!release}, and end its wait. *)
 
@@ -195,7 +197,7 @@ val restart :
   t ->
   's ->
   drop_wait:('s -> int -> unit) ->
-  release:('s -> int -> Store.entity list -> unit) ->
+  release:('s -> int -> int list -> unit) ->
   resume_at:int ->
   int ->
   unit
@@ -205,21 +207,21 @@ val apply_partial_rollback :
   t ->
   's ->
   drop_wait:('s -> int -> unit) ->
-  release:('s -> int -> Store.entity list -> unit) ->
+  release:('s -> int -> int list -> unit) ->
   deferred:bool ->
   stagger:int ->
   int ->
   Store.entity list ->
   unit
-(** Requeue, or roll back to the latest state releasing every held arc
-    (counting overshoot); resume next tick, backed off in deferred
-    rounds. *)
+(** Requeue, or roll back to the latest state releasing every held arc of
+    the named entities (counting overshoot) and hand [release] the ids it
+    gave up; resume next tick, backed off in deferred rounds. *)
 
 val apply_rollback :
   t ->
   's ->
   drop_wait:('s -> int -> unit) ->
-  release:('s -> int -> Store.entity list -> unit) ->
+  release:('s -> int -> int list -> unit) ->
   restart:('s -> int -> resume_at:int -> unit) ->
   deferred:bool ->
   stagger:int ->
@@ -232,9 +234,9 @@ val apply_rollback :
 val wound_younger :
   t ->
   's ->
-  wound:('s -> int -> Store.entity -> int -> unit) ->
+  wound:('s -> int -> int -> int -> unit) ->
   int ->
-  Store.entity ->
+  int ->
   int list ->
   unit
 (** [wound_younger t s ~wound requester x blockers]: wound-wait

@@ -242,7 +242,8 @@ let[@lint.allow
 (* Wound-wait (centralised): each wounded blocker partially rolls back
    just far enough to release the entity (or requeues, if it was merely
    queued ahead). *)
-let wound t requester e b =
+let wound t requester x b =
+  let e = Store.name t.eng.store x in
   Log.info (fun m -> m "[%d] T%d wounds T%d over %s" t.eng.tick requester b e);
   roll_back_victim t ~deferred:false ~stagger:0 b [ e ]
 
@@ -285,7 +286,7 @@ let rec any_blocker_older (id : int) = function
   | b :: rest -> b < id || any_blocker_older id rest
 
 (* What a block triggers: the intervention, or an eager check. *)
-let[@hot] blocked t id e holders =
+let[@hot] blocked t id x holders =
   let eng = t.eng in
   match t.cfg.intervention with
   | Detect -> (
@@ -307,7 +308,7 @@ let[@hot] blocked t id e holders =
   | Timeout_abort n ->
       Pqueue.push eng.events ~priority:(eng.tick + n) ~tag:ev_timer ~a:id ~b:0
   | Wound_wait_c ->
-      (Engine.wound_younger eng t ~wound id e holders
+      (Engine.wound_younger eng t ~wound id x holders
        [@lint.allow
          "A1: a wound rolls the younger blocker back far enough to release \
           the entity — the prevention baseline's rollback path allocates \
@@ -316,7 +317,8 @@ let[@hot] blocked t id e holders =
       if any_blocker_older id holders then begin
         (* younger than a blocker: die, keeping the timestamp *)
         eng.preventions <- eng.preventions + 1;
-        (Log.info (fun m -> m "[%d] T%d dies over %s" eng.tick id e)
+        (Log.info (fun m ->
+             m "[%d] T%d dies over %s" eng.tick id (Store.name eng.store x))
          [@lint.allow
            "A1: log msgf closure renders only when a reporter is armed"]);
         self_restart t id
@@ -348,8 +350,9 @@ let exec_one t id =
         ()
       else
         match Txn_state.next_action ts with
-        | Txn_state.Need_lock (mode, e) ->
-            Engine.request t.eng t ~granted ~blocked id mode e
+        | Txn_state.Need_lock (mode, _) ->
+            Engine.request t.eng t ~granted ~blocked id mode
+              (Txn_state.next_lock_id ts)
         | Txn_state.Need_unlock _ -> handle_unlock t id
         | Txn_state.Data_step ->
             Txn_state.exec_data_op ts;

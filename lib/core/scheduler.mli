@@ -176,15 +176,9 @@ end
 
 val stats : t -> stats
 
-val submit_tick : t -> int -> int option
-(** Tick at which the transaction was admitted. *)
-
-val commit_tick : t -> int -> int option
-(** Tick at which it committed, once it has. *)
-
 val latency : t -> int -> int option
-(** [commit_tick - submit_tick]: the response time the paper's
-    introduction worries about. *)
+(** Ticks from admission to commit, once the transaction has committed:
+    the response time the paper's introduction worries about. *)
 
 val set_deadlock_hook :
   t ->

@@ -5,7 +5,6 @@ module Waits_for = Prb_wfg.Waits_for
 module Strategy = Prb_rollback.Strategy
 module Txn_state = Prb_rollback.Txn_state
 module History = Prb_history.History
-module Interner = Prb_util.Dense.Interner
 module Pqueue = Prb_util.Dense.Pqueue
 module Txn_id = Prb_txn.Txn_id
 module Policy = Prb_core.Policy
@@ -57,27 +56,27 @@ exception Stuck = Engine.Stuck
    model: messages are counted, never materialised). With a plan, remote
    lock requests, grant replies and unlock/commit releases become events
    that can be lost, duplicated or delayed; crashes and recoveries are
-   events too. *)
+   events too. Entities travel as the store's ids (DESIGN.md §12). *)
 type event =
   | Exec of int
   | Detector
-  | Req_arrive of int * Lock_mode.t * Store.entity
+  | Req_arrive of int * Lock_mode.t * int
       (** a (possibly retransmitted) remote lock request reaches the
           entity's site *)
-  | Req_timeout of int * Store.entity
+  | Req_timeout of int * int
       (** requester-side probe: retransmit a lost request, rediscover a
           lost grant *)
-  | Grant_arrive of int * Store.entity
+  | Grant_arrive of int * int
       (** the site's grant reply reaches the requester *)
-  | Release_arrive of int * Store.entity
-  | Release_retry of int * Store.entity * int  (** attempt count *)
+  | Release_arrive of int * int
+  | Release_retry of int * int * int  (** attempt count *)
   | Crash of int * int  (** site, downtime *)
   | Recover of int
 
 type meta = {
   home : int;
   mutable last_site : int;
-  mutable pending : (Lock_mode.t * Store.entity) option;
+  mutable pending : (Lock_mode.t * int) option;
       (** the remote request in flight (or queued remotely); the owner is
           parked until a grant is observed *)
   mutable attempt : int;  (** retransmissions of the pending request *)
@@ -92,7 +91,9 @@ type t = {
   at_site : (Store.entity -> bool) option array;
       (** per site, the label filter of its block-time probe: the entity
           lives at that site. Built once, so a probe allocates nothing *)
-  entities : Interner.t;  (** entity slots for event payloads *)
+  mutable sites : int array;
+      (** by entity id, its site once asked for, else [-1]: [site_fn]
+          runs once per entity, not once per message *)
   mutable metas : meta option array;  (** indexed by transaction id *)
   faults : Fault.t option;
   down : bool array;
@@ -117,8 +118,8 @@ type t = {
 
 (* Events travel through the engine's dense (tag, a, b) queue and are
    decoded back into [event] for dispatch. [a] is the transaction (or
-   site); an entity travels as its interned slot in the low 32 bits of
-   [b], with a mode bit or attempt count above it. *)
+   site); an entity travels as its id in the low 32 bits of [b], with a
+   mode bit or attempt count above it. *)
 let ev_exec = Engine.ev_exec
 let ev_detector = 1
 let ev_req_arrive = 2
@@ -133,43 +134,40 @@ let pack slot k = (k lsl 32) lor slot
 let slot_of b = b land 0xffff_ffff
 let count_of b = b lsr 32
 
-let encode t ev =
-  let slot e = Interner.intern t.entities e in
-  match ev with
+let encode = function
   | Exec id -> (ev_exec, id, 0)
   | Detector -> (ev_detector, 0, 0)
-  | Req_arrive (id, mode, e) ->
+  | Req_arrive (id, mode, x) ->
       let bit =
         match mode with Lock_mode.Shared -> 0 | Lock_mode.Exclusive -> 1
       in
-      (ev_req_arrive, id, pack (slot e) bit)
-  | Req_timeout (id, e) -> (ev_req_timeout, id, slot e)
-  | Grant_arrive (id, e) -> (ev_grant_arrive, id, slot e)
-  | Release_arrive (id, e) -> (ev_release_arrive, id, slot e)
-  | Release_retry (id, e, attempt) ->
-      (ev_release_retry, id, pack (slot e) attempt)
+      (ev_req_arrive, id, pack x bit)
+  | Req_timeout (id, x) -> (ev_req_timeout, id, x)
+  | Grant_arrive (id, x) -> (ev_grant_arrive, id, x)
+  | Release_arrive (id, x) -> (ev_release_arrive, id, x)
+  | Release_retry (id, x, attempt) -> (ev_release_retry, id, pack x attempt)
   | Crash (s, downtime) -> (ev_crash, s, downtime)
   | Recover s -> (ev_recover, s, 0)
 
-let decode t tag a b =
-  let entity () = Interner.name t.entities (slot_of b) in
+let decode tag a b =
+  let x = slot_of b in
   if tag = ev_exec then Exec a
   else if tag = ev_detector then Detector
   else if tag = ev_req_arrive then
     let mode =
       if count_of b = 1 then Lock_mode.Exclusive else Lock_mode.Shared
     in
-    Req_arrive (a, mode, entity ())
-  else if tag = ev_req_timeout then Req_timeout (a, entity ())
-  else if tag = ev_grant_arrive then Grant_arrive (a, entity ())
-  else if tag = ev_release_arrive then Release_arrive (a, entity ())
-  else if tag = ev_release_retry then Release_retry (a, entity (), count_of b)
+    Req_arrive (a, mode, x)
+  else if tag = ev_req_timeout then Req_timeout (a, x)
+  else if tag = ev_grant_arrive then Grant_arrive (a, x)
+  else if tag = ev_release_arrive then Release_arrive (a, x)
+  else if tag = ev_release_retry then Release_retry (a, x, count_of b)
   else if tag = ev_crash then Crash (a, b)
   else if tag = ev_recover then Recover a
   else invalid_arg "Dist_scheduler: unknown event tag"
 
 let push t ~at ev =
-  let tag, a, b = encode t ev in
+  let tag, a, b = encode ev in
   Pqueue.push t.eng.events ~priority:at ~tag ~a ~b
 
 let default_site_of n_sites e = Prb_storage.Value.string_hash e mod n_sites
@@ -211,7 +209,7 @@ let create ?site_of config store =
       at_site =
         Array.init n_sites (fun s ->
             Some (fun e -> Site_id.equal (checked_site site_fn n_sites e) s));
-      entities = Interner.create ();
+      sites = [||];
       metas = Array.make (Array.length eng.txns) None;
       faults;
       down = Array.make config.n_sites false;
@@ -246,6 +244,19 @@ let create ?site_of config store =
   t
 
 let site_of t e = checked_site t.site_fn t.cfg.n_sites e
+
+(* The site of entity id [x], mapped once. *)
+let site_at t x =
+  let n = Array.length t.sites in
+  if x >= n then t.sites <- Engine.grown t.sites (max (x + 1) (2 * n)) (-1);
+  let s = t.sites.(x) in
+  if s >= 0 then s
+  else begin
+    let s = site_of t (Store.name t.eng.store x) in
+    t.sites.(x) <- s;
+    s
+  end
+
 let waits_for t = t.eng.wfg
 let lock_table t = t.eng.locks
 let now t = t.eng.tick
@@ -286,7 +297,7 @@ let schedule t id = Engine.schedule_at t.eng id ~at:(t.eng.tick + 1)
 
 (* The requester learns its lock was granted (synchronously, via a grant
    reply, or via a probe that rediscovers a grant whose reply was lost). *)
-let notify_grant t w e =
+let notify_grant t w x =
   let ts = Engine.live_state t.eng w in
   let m = meta t w in
   m.pending <- None;
@@ -294,7 +305,7 @@ let notify_grant t w e =
   Txn_state.lock_granted ts;
   (* The lock stream of [w] has now touched [e]'s site: partial
      strategies ship their bookkeeping along (Section 3.3). *)
-  let s = site_of t e in
+  let s = site_at t x in
   if s <> m.last_site then begin
     if not (Strategy.equal t.cfg.strategy Strategy.Total) then begin
       t.messages <- t.messages + 1;
@@ -326,40 +337,40 @@ let deliver t f ~release ev =
 (* A lost grant reply needs no retry: the waiter's probe keeps running
    while its request is pending and rediscovers the grant in the lock
    table. *)
-let send_grant t f w e =
+let send_grant t f w x =
   t.messages <- t.messages + 1;
-  ignore (deliver t f ~release:false (Grant_arrive (w, e)))
+  ignore (deliver t f ~release:false (Grant_arrive (w, x)))
 
 (* How a grant reaches its waiter: at once, by a reply message from a
    remote site, or not at all from a down one. *)
-let granted t w e =
+let granted t w x =
   match t.faults with
-  | Some _ when t.down.(site_of t e) ->
+  | Some _ when t.down.(site_at t x) ->
       (* decided in memory that died with the site; the rebuild will
          purge the row and the waiter's probe re-requests *)
       t.msgs_lost <- t.msgs_lost + 1
-  | Some f when site_of t e <> (meta t w).home -> send_grant t f w e
-  | _ -> notify_grant t w e
+  | Some f when site_at t x <> (meta t w).home -> send_grant t f w x
+  | _ -> notify_grant t w x
 
 (* The requester accepts a grant its site already made, whose reply was
    lost or is still in flight. *)
-let accept_grant t id e =
+let accept_grant t id x =
   Engine.end_wait t.eng id;
-  notify_grant t id e
+  notify_grant t id x
 
-let release_lock t id e =
-  if site_of t e <> (meta t id).home then t.messages <- t.messages + 1;
-  Engine.release t.eng t ~granted id e
+let release_lock t id x =
+  if site_at t x <> (meta t id).home then t.messages <- t.messages + 1;
+  Engine.release t.eng t ~granted id x
 
-let transmit_release t f id e ~attempt =
+let transmit_release t f id x ~attempt =
   t.messages <- t.messages + 1;
-  if t.down.(site_of t e) then
+  if t.down.(site_at t x) then
     (* swallowed by the dead site; the row dies in the rebuild *)
     t.msgs_lost <- t.msgs_lost + 1
-  else if not (deliver t f ~release:true (Release_arrive (id, e))) then
+  else if not (deliver t f ~release:true (Release_arrive (id, x))) then
     push_release t
       ~at:(t.eng.tick + Fault.request_timeout + Fault.backoff ~attempt)
-      (Release_retry (id, e, attempt + 1))
+      (Release_retry (id, x, attempt + 1))
 
 (* Unlock/commit releases travel as (retried, idempotent) messages under
    a fault plan. Rollback releases never do: a transaction that rolled
@@ -367,25 +378,25 @@ let transmit_release t f id e ~attempt =
    release racing that re-request could destroy the fresh lock — so
    rollback is modelled as a reliable coordination round (which is what
    the per-site message accounting below already charges for). *)
-let async_release t id e =
+let async_release t id x =
   match t.faults with
-  | Some f when site_of t e <> (meta t id).home ->
-      transmit_release t f id e ~attempt:0
-  | _ -> release_lock t id e
+  | Some f when site_at t x <> (meta t id).home ->
+      transmit_release t f id x ~attempt:0
+  | _ -> release_lock t id x
 
-let transmit_request t f id mode e =
+let transmit_request t f id mode x =
   t.messages <- t.messages + 1;
-  if t.down.(site_of t e) then t.msgs_lost <- t.msgs_lost + 1
-  else ignore (deliver t f ~release:false (Req_arrive (id, mode, e)))
+  if t.down.(site_at t x) then t.msgs_lost <- t.msgs_lost + 1
+  else ignore (deliver t f ~release:false (Req_arrive (id, mode, x)))
 
-let send_request t f id mode e =
+let send_request t f id mode x =
   let m = meta t id in
-  m.pending <- Some (mode, e);
+  m.pending <- Some (mode, x);
   m.attempt <- 0;
-  transmit_request t f id mode e;
+  transmit_request t f id mode x;
   push t
     ~at:(t.eng.tick + Fault.request_timeout)
-    (Req_timeout (id, e))
+    (Req_timeout (id, x))
 
 (* --- Rollback: this engine's steps for the shared core --------------- *)
 
@@ -393,9 +404,9 @@ let send_request t f id mode e =
    recovery purges the row. *)
 let release_rolled_back t v released =
   List.iter
-    (fun e ->
-      History.discard t.eng.hist v e;
-      if not t.down.(site_of t e) then release_lock t v e)
+    (fun x ->
+      History.discard t.eng.hist v x;
+      if not t.down.(site_at t x) then release_lock t v x)
     released
 
 (* The wait ends before a lock granted table-side is handed back: a
@@ -404,13 +415,14 @@ let forget_wait t v =
   Engine.withdraw t.eng t ~granted v;
   let m = meta t v in
   (match m.pending with
-  | Some (_, e)
-    when Lock_table.holds t.eng.locks v e <> None
-         && Txn_state.holds (txn_state t v) e = None ->
+  | Some (_, x)
+    when Lock_table.holds t.eng.locks v x <> None
+         && Txn_state.holds (txn_state t v) (Store.name t.eng.store x) = None
+    ->
       (* Granted table-side but the reply never reached us (lost or still
          in flight) and now we are rolling back: the lock would leak —
          hand it straight back. *)
-      release_rolled_back t v [ e ]
+      release_rolled_back t v [ x ]
   | Some _ | None -> ());
   m.pending <- None;
   m.attempt <- 0
@@ -420,7 +432,7 @@ let forget_wait t v =
 let release_victim t v released =
   let home = (meta t v).home in
   let sites =
-    List.sort_uniq Site_id.compare (List.map (site_of t) released)
+    List.sort_uniq Site_id.compare (List.map (site_at t) released)
     |> List.filter (fun s -> not (Site_id.equal s home))
   in
   t.messages <- t.messages + List.length sites;
@@ -485,8 +497,8 @@ let[@hot] local_probe t id s ~holders =
    requester lies on its site, so it skips only the enumerations whose
    site filter would keep nothing — with or without the cycle limit
    binding — and every decision is the unfiltered probe's. *)
-let local_check t id e ~holders =
-  let s = site_of t e in
+let local_check t id x ~holders =
+  let s = site_at t x in
   if local_probe t id s ~holders then resolve_local t id s 0
 
 let blocked_txns t =
@@ -556,9 +568,9 @@ let detector_round t ~period =
 (* Wound-wait: a wounded holder rolls back to release the entity, a
    wounded queued request requeues behind; a wound to a remote holder
    costs a message. *)
-let wound t _requester e b =
-  if site_of t e <> (meta t b).home then t.messages <- t.messages + 1;
-  roll_back_victim t ~deferred:false ~stagger:0 b [ e ]
+let wound t _requester x b =
+  if site_at t x <> (meta t b).home then t.messages <- t.messages + 1;
+  roll_back_victim t ~deferred:false ~stagger:0 b [ Store.name t.eng.store x ]
 
 (* --- Site crash and recovery ----------------------------------------- *)
 
@@ -606,16 +618,18 @@ let crash_site t s downtime =
    transaction that still holds the entity are purged. Skipping this —
    plan.rebuild_locks = false — leaves phantom holders that block every
    later requester forever; the chaos harness exists to catch exactly
-   that kind of recovery bug. *)
+   that kind of recovery bug. Entities are visited in name order, each
+   resolved through the store's numbering. *)
 let rebuild_site_locks t s =
   let locks = t.eng.locks in
   List.iter
     (fun e ->
-      if site_of t e = s then begin
+      let x = Store.id t.eng.store e in
+      if site_at t x = s then begin
         (* tail-first, so removing one waiter never grants another *)
         List.iter
           (fun (w, _) -> Engine.withdraw t.eng t ~granted w)
-          (List.rev (Lock_table.waiters locks e));
+          (List.rev (Lock_table.waiters locks x));
         List.iter
           (fun (h, _) ->
             let stale =
@@ -627,10 +641,10 @@ let rebuild_site_locks t s =
             in
             if stale then begin
               t.purged_locks <- t.purged_locks + 1;
-              History.discard t.eng.hist h e;
-              Engine.release t.eng t ~granted h e
+              History.discard t.eng.hist h x;
+              Engine.release t.eng t ~granted h x
             end)
-          (Lock_table.holders locks e)
+          (Lock_table.holders locks x)
       end)
     (Store.entities t.eng.store)
 
@@ -644,30 +658,30 @@ let recover_site t s =
 (* --- Message handlers ------------------------------------------------- *)
 
 (* What a block triggers: a wound, or the site-local check. *)
-let blocked t id e holders =
+let blocked t id x holders =
   match t.cfg.detection with
-  | Wound_wait -> Engine.wound_younger t.eng t ~wound id e holders
-  | Local_then_global _ -> local_check t id e ~holders
+  | Wound_wait -> Engine.wound_younger t.eng t ~wound id x holders
+  | Local_then_global _ -> local_check t id x ~holders
 
-let req_arrive t id mode e =
-  if t.down.(site_of t e) then ()
+let req_arrive t id mode x =
+  if t.down.(site_at t x) then ()
   else
     let m = meta t id in
     let locks = t.eng.locks in
     match m.pending with
-    | Some (mode', e') when String.equal e' e && Lock_mode.equal mode' mode -> (
-        match Lock_table.holds locks id e with
+    | Some (mode', x') when Int.equal x' x && Lock_mode.equal mode' mode -> (
+        match Lock_table.holds locks id x with
         | Some held when Lock_mode.covers held mode ->
             (* a retransmission of a request already granted: the grant
                reply was lost — resend it (idempotent on arrival) *)
-            granted t id e
+            granted t id x
         | _ ->
             if Lock_table.waiting_for locks id <> None then
               () (* already queued: duplicate arrival *)
-            else Engine.request t.eng t ~granted ~blocked id mode e)
+            else Engine.request t.eng t ~granted ~blocked id mode x)
     | Some _ | None -> () (* the transaction moved on; stale request *)
 
-let req_timeout t id e =
+let req_timeout t id x =
   match t.faults with
   | None -> ()
   | Some f -> (
@@ -675,82 +689,82 @@ let req_timeout t id e =
       let now = t.eng.tick in
       let locks = t.eng.locks in
       match m.pending with
-      | Some (mode, e') when String.equal e' e ->
-          if t.down.(site_of t e) then
+      | Some (mode, x') when Int.equal x' x ->
+          if t.down.(site_at t x) then
             (* the site cannot answer a probe; any table row we might see
                is dead memory — stay parked until after its rebuild *)
-            push t ~at:(now + Fault.request_timeout) (Req_timeout (id, e))
+            push t ~at:(now + Fault.request_timeout) (Req_timeout (id, x))
           else
           let satisfied =
-            match Lock_table.holds locks id e with
+            match Lock_table.holds locks id x with
             | Some held -> Lock_mode.covers held mode
             | None -> false
           in
           if satisfied then
             (* grant reply lost: the probe rediscovers the lock *)
-            accept_grant t id e
+            accept_grant t id x
           else if Lock_table.waiting_for locks id <> None then
             (* queued at the site: stay parked, keep probing *)
-            push t ~at:(now + Fault.request_timeout) (Req_timeout (id, e))
+            push t ~at:(now + Fault.request_timeout) (Req_timeout (id, x))
           else begin
             (* the request (or our queue entry, if the site crashed)
                vanished: retransmit with bounded exponential backoff *)
             m.attempt <- m.attempt + 1;
             t.retransmissions <- t.retransmissions + 1;
-            transmit_request t f id mode e;
+            transmit_request t f id mode x;
             push t
               ~at:
                 (now + Fault.request_timeout + Fault.backoff ~attempt:m.attempt)
-              (Req_timeout (id, e))
+              (Req_timeout (id, x))
           end
       | Some _ | None -> () (* stale probe *))
 
-let grant_arrive t id e =
-  match Lock_table.holds t.eng.locks id e with
+let grant_arrive t id x =
+  match Lock_table.holds t.eng.locks id x with
   | None -> () (* released or purged before the reply landed *)
   | Some held -> (
       let m = meta t id in
       let ts = txn_state t id in
       match m.pending with
-      | Some (mode, e') when String.equal e' e ->
-          if Lock_mode.covers held mode then accept_grant t id e
+      | Some (mode, x') when Int.equal x' x ->
+          if Lock_mode.covers held mode then accept_grant t id x
       | Some _ | None ->
-          if Txn_state.holds ts e <> None then
+          if Txn_state.holds ts (Store.name t.eng.store x) <> None then
             () (* duplicate of an accepted grant *)
           else begin
             (* granted to a transaction that rolled back meanwhile: hand
                the lock straight back so it cannot leak *)
-            History.discard t.eng.hist id e;
-            release_lock t id e
+            History.discard t.eng.hist id x;
+            release_lock t id x
           end)
 
-let release_arrive t id e =
-  if t.down.(site_of t e) then ()
+let release_arrive t id x =
+  if t.down.(site_at t x) then ()
     (* the site died again before the release landed; rebuild reconciles *)
   else
-    match Lock_table.holds t.eng.locks id e with
+    match Lock_table.holds t.eng.locks id x with
     | None -> () (* duplicate delivery, or the row was purged *)
-    | Some _ -> Engine.release t.eng t ~granted id e
+    | Some _ -> Engine.release t.eng t ~granted id x
 
-let release_retry t id e attempt =
+let release_retry t id x attempt =
   match t.faults with
   | None -> ()
   | Some f ->
-      if Lock_table.holds t.eng.locks id e = None then ()
+      if Lock_table.holds t.eng.locks id x = None then ()
       else begin
         t.retransmissions <- t.retransmissions + 1;
-        transmit_release t f id e ~attempt
+        transmit_release t f id x ~attempt
       end
 
 (* --- Transaction stepping -------------------------------------------- *)
 
-let handle_lock_request t id mode e =
+let handle_lock_request t id mode x =
   let home = (meta t id).home in
   match t.faults with
-  | Some f when site_of t e <> home -> send_request t f id mode e
+  | Some f when site_at t x <> home -> send_request t f id mode x
   | _ ->
-      if site_of t e <> home then t.messages <- t.messages + 2;
-      Engine.request t.eng t ~granted ~blocked id mode e
+      if site_at t x <> home then t.messages <- t.messages + 2;
+      Engine.request t.eng t ~granted ~blocked id mode x
 
 let handle_unlock t id =
   async_release t id (Engine.unlock t.eng id);
@@ -771,7 +785,8 @@ let exec_one t id =
         Engine.schedule_at t.eng id ~at:(t.up_at.(m.home) + 1)
       else
         match Txn_state.next_action ts with
-        | Txn_state.Need_lock (mode, e) -> handle_lock_request t id mode e
+        | Txn_state.Need_lock (mode, _) ->
+            handle_lock_request t id mode (Txn_state.next_lock_id ts)
         | Txn_state.Need_unlock _ -> handle_unlock t id
         | Txn_state.Data_step ->
             Txn_state.exec_data_op ts;
@@ -788,7 +803,7 @@ let step t =
     if tick > t.cfg.max_ticks then false
     else begin
       t.eng.tick <- max t.eng.tick tick;
-      (match decode t (Pqueue.cur_tag q) (Pqueue.cur_a q) (Pqueue.cur_b q) with
+      (match decode (Pqueue.cur_tag q) (Pqueue.cur_a q) (Pqueue.cur_b q) with
       | Exec id -> exec_one t id
       | Detector -> (
           match t.cfg.detection with

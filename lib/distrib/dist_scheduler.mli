@@ -114,10 +114,11 @@ val create :
   Prb_storage.Store.t ->
   t
 (** [site_of] defaults to {!Prb_storage.Value.string_hash} of the entity
-    name modulo [n_sites], which allocates nothing. A custom [site_of]
-    runs on every lookup and is not cached: on every lock request, grant
-    and release, and once per waiter the site-local block-time probe
-    searches through, so it should be cheap and allocation-free.
+    name modulo [n_sites], which allocates nothing. Message routing asks
+    it once per entity and keeps the answer by store id; the site-local
+    block-time probe still asks it once per waiter it searches through
+    (waits-for labels are names), and detection rounds once per cycle
+    arc, so it should be cheap and allocation-free.
     @raise Invalid_argument when [n_sites < 1], on a
     [Local_then_global] period below 1, or on a [Periodic n] detection
     policy with [n < 1] ({!Prb_core.Detection_policy.check}). A [site_of]

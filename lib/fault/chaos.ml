@@ -101,12 +101,13 @@ type execution = {
           aborts), which the starvation bound must excuse *)
 }
 
-let residual_locks locks =
+let residual_locks store locks =
   List.filter_map
     (fun e ->
+      let x = Store.id store e in
       match
-        List.length (Lock_table.holders locks e)
-        + List.length (Lock_table.waiters locks e)
+        List.length (Lock_table.holders locks x)
+        + List.length (Lock_table.waiters locks x)
       with
       | 0 -> None
       | n -> Some (e, n))
@@ -128,7 +129,7 @@ let execution ~stuck ~all_committed history locks store (s : Run_stats.stats) =
     x_witness_ok =
       (not serializable)
       || Option.is_some (History.equivalent_serial_order history);
-    x_residual_locks = residual_locks locks;
+    x_residual_locks = residual_locks store locks;
     x_store = Store.snapshot store;
     x_sum_ok = Store.Constraint.holds conserved store;
     x_stuck = stuck;

@@ -39,22 +39,20 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-val run_one : engine -> seed:int -> plan:Prb_fault.Fault.plan -> report
-(** Run the workload for [seed] under [plan] (twice, for the replay
-    check) and verify all five invariants. *)
-
 val sweep : ?horizon:int -> seeds:int -> unit -> report list
 (** For each seed in [0 .. seeds-1], draw a randomized plan per engine
-    ({!Prb_fault.Fault.random}; site crashes only for the distributed one) and
-    {!run_one} both engines — [2 * seeds] reports, deterministic in the
-    seed range. [horizon] defaults to 400 ticks. *)
+    ({!Prb_fault.Fault.random}; site crashes only for the distributed one),
+    run the workload for the seed on both engines under it (twice each,
+    for the replay check) and verify all five invariants — [2 * seeds]
+    reports, deterministic in the seed range. [horizon] defaults to 400
+    ticks. *)
 
 val policy_matrix : seeds:int -> unit -> report list
 (** The liveness matrix for deferred detection: every
     {!Prb_core.Detection_policy.all} policy, on both engines, under a
     clean plan and under a detector-outage-only plan (nothing else fails,
     so violations are attributable to detection scheduling), with the
-    starvation guard armed. Each cell is checked for the five {!run_one}
+    starvation guard armed. Each cell is checked for the five {!sweep}
     invariants {e plus} the no-starvation bound: when no resolution had
     to override victim immunity, no transaction may have been rolled back
     more than the guard's limit (excused only by degraded-mode forced

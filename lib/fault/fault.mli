@@ -58,11 +58,8 @@ val request_timeout : int
 (** 40: how long a requester waits for evidence its remote request arrived
     (a grant, or its presence in the queue) before retransmitting. *)
 
-val backoff_base : int
-(** 10: the first retry's backoff increment. *)
-
 val backoff_cap : int
-(** 5: the most doublings of [backoff_base] (and of [readmit_delay]). *)
+(** 5: the most doublings of the retry backoff (and of [readmit_delay]). *)
 
 val degraded_timeout : int
 (** 120: while the global detector is out, a transaction blocked at least
@@ -73,8 +70,8 @@ val readmit_delay : int
     the same transaction, capped by [backoff_cap]. *)
 
 val backoff : attempt:int -> int
-(** Bounded exponential backoff: [backoff_base * 2^min(attempt,
-    backoff_cap)], attempt 0 giving [backoff_base]. *)
+(** Bounded exponential backoff: [10 * 2^min(attempt, backoff_cap)]
+    ticks, attempt 0 giving the base increment of 10. *)
 
 (** {1 Plans} *)
 

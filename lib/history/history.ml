@@ -1,5 +1,5 @@
 module Lock_mode = Prb_txn.Lock_mode
-module Interner = Prb_util.Dense.Interner
+module Store = Prb_storage.Store
 module Pqueue = Prb_util.Dense.Pqueue
 
 type txn = int
@@ -17,7 +17,8 @@ type interval = {
 (* Flat int state (DESIGN.md §10). Every index below is an int into a
    recycled pool; -1 ends a chain.
 
-   Interval cells carry an owner slot, an interned entity, a mode and the
+   Interval cells carry an owner slot, an entity (the store's id, DESIGN.md
+   §12; the store is read only for names in reports), a mode and the
    grant and release ticks. [iv_next] chains a live transaction's open
    intervals, and its closed ones newest first; commit reverses the
    closed chain in place into release order, and it stays the retained
@@ -48,7 +49,7 @@ let retained = 2
 let quiescent = 3
 
 type t = {
-  names : Interner.t;
+  store : Store.t;
   mutable ent_head : int array;  (* entity -> newest retained interval *)
   mutable iv_owner : int array;
   mutable iv_ent : int array;
@@ -85,9 +86,9 @@ type t = {
   mutable now : int;  (* highest tick observed *)
 }
 
-let create () =
+let create store =
   {
-    names = Interner.create ();
+    store;
     ent_head = [||];
     iv_owner = [||];
     iv_ent = [||];
@@ -236,11 +237,10 @@ let live_slot t txn ~tick =
     s
   end
 
-let intern t entity =
-  let e = Interner.intern t.names entity in
+let ensure_entity t e =
+  if e < 0 then invalid_arg "History: negative entity id";
   if e >= Array.length t.ent_head then
-    t.ent_head <- grown t.ent_head (e + 1) (-1);
-  e
+    t.ent_head <- grown t.ent_head (e + 1) (-1)
 
 let rec find_open t e c =
   if c < 0 || t.iv_ent.(c) = e then c else find_open t e t.iv_next.(c)
@@ -255,15 +255,13 @@ let rec unlink_open t s e prev c =
   end
   else unlink_open t s e c t.iv_next.(c)
 
-let take_open t s entity =
-  let e = Interner.find t.names entity in
-  if e < 0 then -1 else unlink_open t s e (-1) t.sl_open.(s)
+let take_open t s e = unlink_open t s e (-1) t.sl_open.(s)
 
-let[@hot] note_grant t ~tick txn entity mode =
+let[@hot] note_grant t ~tick txn e mode =
   if tick > t.now then t.now <- tick;
+  ensure_entity t e;
   let s = live_slot t txn ~tick in
   if tick < t.sl_first.(s) then t.sl_first.(s) <- tick;
-  let e = intern t entity in
   let c = find_open t e t.sl_open.(s) in
   let c =
     if c >= 0 then c
@@ -317,7 +315,7 @@ let discard_txn t txn =
 let interval_of t c =
   {
     txn = t.sl_txn.(t.iv_owner.(c));
-    entity = Interner.name t.names t.iv_ent.(c);
+    entity = Store.name t.store t.iv_ent.(c);
     mode = t.iv_mode.(c);
     granted_at = t.iv_granted.(c);
     released_at = t.iv_released.(c);

@@ -48,17 +48,19 @@ type interval = {
 
 type t
 
-val create : unit -> t
+val create : Prb_storage.Store.t -> t
+(** The store numbers the entities: the entry points below take its ids
+    ({!Prb_storage.Store.id}), and reports name them through it. *)
 
-val note_grant : t -> tick:int -> txn -> entity -> mode -> unit
-(** A lock was granted. *)
+val note_grant : t -> tick:int -> txn -> int -> mode -> unit
+(** A lock was granted on the entity with this id. *)
 
-val note_release : t -> tick:int -> txn -> entity -> unit
+val note_release : t -> tick:int -> txn -> int -> unit
 (** The lock was released at unlock/commit time: closes the open
     interval. Ignored when no interval is open (shared locks released by a
     rollback are discarded instead). *)
 
-val discard : t -> txn -> entity -> unit
+val discard : t -> txn -> int -> unit
 (** Partial rollback released this entity: erase the open interval. *)
 
 val discard_txn : t -> txn -> unit

@@ -8,9 +8,9 @@
 module P = Parsetree
 module A = Ast_iterator
 
-type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | P1 | H1
+type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | A2 | P1 | H1
 
-let all_rules = [ D1; D2; D3; L1; L2; L3; A1; P1; H1 ]
+let all_rules = [ D1; D2; D3; L1; L2; L3; A1; A2; P1; H1 ]
 
 let rule_id = function
   | D1 -> "D1"
@@ -20,6 +20,7 @@ let rule_id = function
   | L2 -> "L2"
   | L3 -> "L3"
   | A1 -> "A1"
+  | A2 -> "A2"
   | P1 -> "P1"
   | H1 -> "H1"
 
@@ -32,6 +33,7 @@ let rule_of_id s =
   | "L2" -> Some L2
   | "L3" -> Some L3
   | "A1" -> Some A1
+  | "A2" -> Some A2
   | "P1" -> Some P1
   | "H1" -> Some H1
   | _ -> None
@@ -173,7 +175,7 @@ let rec lid_last_module = function
 
 (* An allow payload is "IDS" or "IDS: rationale" — e.g.
    [[@lint.allow "D1 D2"]] or [[@lint.allow "A1: amortized growth"]].
-   The deep rules (A1/P1/H1) refuse a suppression whose rationale is
+   The deep rules (A1/A2/P1/H1) refuse a suppression whose rationale is
    missing or empty; the syntactic rules ignore the rationale. *)
 let parse_allow_payload s =
   let ids_part, rationale =

@@ -37,7 +37,8 @@
       [clear_wait], so every lock-table transition exists once, in the
       engine core both schedulers embed.
 
-    Three further rules — {b A1} (hot paths are allocation-free), {b P1}
+    Four further rules — {b A1} (hot paths are allocation-free), {b A2}
+    (hot paths hash no name: no [Stdlib.Hashtbl] lookup or update), {b P1}
     (static two-phase locking discipline) and {b H1} ([unsafe_*] access
     stays in [lib/util]) — need type and call-graph information and are
     implemented by the typed deep pass ({!Lint_deep}, [prb lint --deep]).
@@ -51,7 +52,7 @@
     [[@lint.allow "A1: amortized buffer growth"]] — and is {e required}
     by the deep rules. *)
 
-type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | P1 | H1
+type rule = D1 | D2 | D3 | L1 | L2 | L3 | A1 | A2 | P1 | H1
 
 val all_rules : rule list
 

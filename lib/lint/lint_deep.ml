@@ -1,7 +1,7 @@
-(* The typed deep pass: A1 (allocation-free hot paths), P1 (static
-   two-phase locking discipline) and H1 (unchecked access confined to
-   [lib/util]), applied to the event streams Lint_graph distills from
-   typed trees.
+(* The typed deep pass: A1 (allocation-free hot paths), A2 (hot paths
+   hash no name), P1 (static two-phase locking discipline) and H1
+   (unchecked access confined to [lib/util]), applied to the event
+   streams Lint_graph distills from typed trees.
 
    A1 closes the call graph from every [[@hot]] root: an allocation
    anywhere in the reachable set is a violation, attributed back to its
@@ -10,6 +10,13 @@
    that definition (the annotation is the reviewed boundary between the
    steady-state lane and machinery that allocates by design); an
    expression-level allow vouches for one call site.
+
+   A2 closes the same graph its own way, stopping only at an A2 allow:
+   a [Stdlib.Hashtbl] lookup or update (find, find_opt, mem, replace,
+   add, hash) anywhere in the reachable set is a violation, because on a
+   string-keyed table it hashes the whole name. Entities reach the hot
+   paths as store ids resolved at admission (DESIGN.md §12); a table the
+   hot path must keep needs an allow with its reason.
 
    P1 tracks, per definition in [lib/core]/[lib/distrib], which
    transaction variables have had a lock released (directly or through a
@@ -34,9 +41,12 @@ let violation rule (loc : Location.t) message =
 
 let allowed id l = List.mem id l
 
-(* --- A1 ---------------------------------------------------------------- *)
+(* --- A1 and A2 --------------------------------------------------------- *)
 
-let a1_check (g : G.graph) =
+(* The call graph closed from every [[@hot]] root, skipping definitions
+   and calls that carry an [id] allow. [visit ~where ev] sees every event
+   of every definition reached; [where ()] names its provenance. *)
+let hot_closure (g : G.graph) id visit =
   let parents : (string, string option) Hashtbl.t = Hashtbl.create 64 in
   let queue = Queue.create () in
   let roots =
@@ -55,7 +65,6 @@ let a1_check (g : G.graph) =
         Queue.add k queue
       end)
     roots;
-  let out = ref [] in
   let chain k =
     let rec up k acc =
       match Hashtbl.find_opt parents k with
@@ -64,47 +73,68 @@ let a1_check (g : G.graph) =
     in
     up k []
   in
+  let where key =
+    match chain key with
+    | [] -> Printf.sprintf "in [@hot] %s" key
+    | root :: _ as path ->
+        Printf.sprintf "in %s, reachable from [@hot] %s%s" key root
+          (match path with
+          | [ _ ] -> ""
+          | _ -> " via " ^ String.concat " -> " (List.tl path))
+  in
   while not (Queue.is_empty queue) do
     let key = Queue.pop queue in
     match Hashtbl.find_opt g.table key with
     | None -> ()
     | Some (_, d) ->
-        if not (allowed "A1" d.d_allowed) then
+        if not (allowed id d.d_allowed) then
           List.iter
             (fun ev ->
+              visit ~where:(fun () -> where key) ev;
               match ev with
-              | G.Alloc a ->
-                  if not (allowed "A1" a.a_allowed) then
-                    let path = chain key in
-                    let where =
-                      match path with
-                      | [] -> Printf.sprintf "in [@hot] %s" key
-                      | root :: _ ->
-                          Printf.sprintf "in %s, reachable from [@hot] %s%s"
-                            key root
-                            (match path with
-                            | [ _ ] -> ""
-                            | _ ->
-                                " via "
-                                ^ String.concat " -> " (List.tl path))
-                    in
-                    out :=
-                      violation Lint.A1 a.a_loc
-                        (Printf.sprintf
-                           "heap allocation (%s) %s; hot paths must be \
-                            allocation-free (suppress with [@lint.allow \
-                            \"A1: rationale\"])"
-                           a.a_what where)
-                      :: !out
-              | G.Call c ->
-                  if not (allowed "A1" c.c_allowed) then (
-                    match G.resolve g c with
-                    | Some (k, _, _) when not (Hashtbl.mem parents k) ->
-                        Hashtbl.add parents k (Some key);
-                        Queue.add k queue
-                    | _ -> ()))
+              | G.Call c when not (allowed id c.c_allowed) -> (
+                  match G.resolve g c with
+                  | Some (k, _, _) when not (Hashtbl.mem parents k) ->
+                      Hashtbl.add parents k (Some key);
+                      Queue.add k queue
+                  | _ -> ())
+              | G.Call _ | G.Alloc _ -> ())
             d.events
-  done;
+  done
+
+let a1_check (g : G.graph) =
+  let out = ref [] in
+  hot_closure g "A1" (fun ~where ev ->
+      match ev with
+      | G.Alloc a when not (allowed "A1" a.a_allowed) ->
+          out :=
+            violation Lint.A1 a.a_loc
+              (Printf.sprintf
+                 "heap allocation (%s) %s; hot paths must be \
+                  allocation-free (suppress with [@lint.allow \
+                  \"A1: rationale\"])"
+                 a.a_what (where ()))
+            :: !out
+      | G.Alloc _ | G.Call _ -> ());
+  List.rev !out
+
+let a2_check (g : G.graph) =
+  let out = ref [] in
+  hot_closure g "A2" (fun ~where ev ->
+      match ev with
+      | G.Call c
+        when (not (allowed "A2" c.c_allowed))
+             && List.exists G.is_hash_key c.candidates ->
+          out :=
+            violation Lint.A2 c.c_loc
+              (Printf.sprintf
+                 "hash-table lookup or update (%s) %s; hot paths reach \
+                  entities by store id, hashing no name (suppress with \
+                  [@lint.allow \"A2: rationale\"])"
+                 (List.find G.is_hash_key c.candidates)
+                 (where ()))
+            :: !out
+      | G.Call _ | G.Alloc _ -> ());
   List.rev !out
 
 (* --- P1 ---------------------------------------------------------------- *)
@@ -257,7 +287,8 @@ let analyze (sources : Lint_cmt.unit_source list) =
   let units = List.map G.extract sources in
   let g = G.build units in
   List.sort Lint.compare_violation
-    (meta_violations units @ a1_check g @ p1_check g @ h1_check g)
+    (meta_violations units @ a1_check g @ a2_check g @ p1_check g
+   @ h1_check g)
 
 let check_source ~file source =
   match Lint_cmt.unit_of_source ~file source with

@@ -4,8 +4,9 @@
    flat [def]: its parameters, its [[@hot]] / [[@lint.allow]] markings,
    and an ordered stream of the events the deep rules care about —
    allocation sites (A1) and calls with their argument identifiers (A1
-   reachability, P1 sequencing, H1 confinement). The global phase
-   (Lint_deep) never re-touches the typedtree: it resolves call
+   and A2 reachability, A2's hash calls, P1 sequencing, H1
+   confinement). The global phase (Lint_deep) never re-touches the
+   typedtree: it resolves call
    candidates against the definition table, closes the graph, and
    applies the rules to the event streams.
 
@@ -199,7 +200,23 @@ let is_arrow_type t =
 
 (* --- Attribute helpers ------------------------------------------------- *)
 
-let deep_ids = [ "A1"; "P1"; "H1" ]
+let deep_ids = [ "A1"; "A2"; "P1"; "H1" ]
+
+(* --- Name hashing (A2) ------------------------------------------------- *)
+
+(* The [Stdlib.Hashtbl] calls that hash their key: a lookup or update on
+   a string-keyed table hashes the whole name, and a hit compares it. *)
+let hash_prims =
+  [
+    "Stdlib.Hashtbl.find";
+    "Stdlib.Hashtbl.find_opt";
+    "Stdlib.Hashtbl.mem";
+    "Stdlib.Hashtbl.replace";
+    "Stdlib.Hashtbl.add";
+    "Stdlib.Hashtbl.hash";
+  ]
+
+let is_hash_key k = List.mem k hash_prims
 
 let is_hot_attrs (attrs : Parsetree.attributes) =
   List.exists
@@ -211,7 +228,7 @@ let is_hot_attrs (attrs : Parsetree.attributes) =
 (* Split the allows on [attrs] into (granted deep-or-any ids backed by a
    rationale or not needing one, deep ids suppressed without the required
    rationale at loc). Untyped ids pass through untouched — the deep pass
-   only consumes A1/P1/H1. *)
+   only consumes A1/A2/P1/H1. *)
 let allow_partition (attrs : Parsetree.attributes) =
   List.fold_left
     (fun (ok, bad) (a : Parsetree.attribute) ->

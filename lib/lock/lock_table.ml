@@ -1,18 +1,19 @@
 module Lock_mode = Prb_txn.Lock_mode
 module Txn_id = Prb_txn.Txn_id
-module Entity = Prb_storage.Store.Entity
-module Interner = Prb_util.Dense.Interner
+module Store = Prb_storage.Store
+module Entity = Store.Entity
 
 type txn = Txn_id.t
-type entity = Prb_storage.Store.entity
+type entity = int
 type mode = Lock_mode.t
 
-(* Dense representation: entities are interned to contiguous slot ids and
-   every per-entity / per-transaction map is a flat array indexed by that
-   id. Holder sets and FIFO queues live in per-slot packed int buffers
-   (txn * 2 lor mode bit), so the request/grant/release hot path touches
-   no hashtable but the interner's (one lookup per request) and allocates
-   nothing when a request is granted or an uncontended lock released.
+(* Dense representation: entities arrive as the store's ids (DESIGN.md
+   §12) and every per-entity / per-transaction map is a flat array indexed
+   by them. Holder sets and FIFO queues live in per-slot packed int
+   buffers (txn * 2 lor mode bit), so the request/grant/release hot path
+   touches no hashtable and allocates nothing when a request is granted
+   or an uncontended lock released. The store is read only for names, to
+   keep [held_by] in name order.
    Holder-set order is not observable through the API (every reader sorts
    or tests membership), so holders use swap-remove; queues preserve FIFO
    order with a sliding window. The previous hashtable-of-entries
@@ -28,7 +29,7 @@ let bits_conflict a b = a lor b <> 0
 
 type t = {
   fair : bool;
-  ids : Interner.t;
+  store : Store.t;
   (* entity-slot-indexed *)
   mutable live : bool array; (* mirrors presence in the old entry table *)
   mutable hold_buf : int array array; (* packed (txn, mode); unordered *)
@@ -48,10 +49,10 @@ type t = {
   mutable blocks : int;
 }
 
-let create ?(fair = true) () =
+let create ?(fair = true) store =
   {
     fair;
-    ids = Interner.create ~size_hint:128 ();
+    store;
     live = [||];
     hold_buf = [||];
     hold_len = [||];
@@ -133,10 +134,8 @@ let rec holder_index buf n who i =
 let find_holding t eid who =
   holder_index t.hold_buf.(eid) t.hold_len.(eid) who 0
 
-(* Slot of [e] when the table has touched it, or -1. *)
-let slot t e =
-  let eid = Interner.find t.ids e in
-  if eid < Array.length t.live then eid else -1
+(* [eid] when the table's per-entity arrays cover it, or -1. *)
+let slot t eid = if eid >= 0 && eid < Array.length t.live then eid else -1
 
 let rec conflicting_from buf n who mode_bit i =
   if i >= n then false
@@ -266,12 +265,12 @@ let queue_remove_at t eid p =
 
 type outcome = Granted | Blocked of txn list
 
-let[@hot] request t who mode e =
+let[@hot] request t who mode eid =
   ensure_txn t who;
   if t.wait_eid.(who) >= 0 then
     invalid_arg "Lock_table.request: transaction is already waiting";
+  if eid < 0 then invalid_arg "Lock_table.request: negative entity id";
   t.requests <- t.requests + 1;
-  let eid = Interner.intern t.ids e in
   ensure_eid t eid;
   if not t.live.(eid) then begin
     t.live.(eid) <- true;
@@ -366,8 +365,7 @@ let[@lint.allow "A1: cancellation happens only on rollback/timeout, off the stea
   if eid < 0 then None
   else begin
     t.wait_eid.(who) <- -1;
-    let e = Interner.name t.ids eid in
-    if not t.live.(eid) then Some (e, [])
+    if not t.live.(eid) then Some (eid, [])
     else begin
       let s = t.q_start.(eid) in
       let rec find p =
@@ -378,10 +376,11 @@ let[@lint.allow "A1: cancellation happens only on rollback/timeout, off the stea
       let p = find s in
       if p >= 0 then queue_remove_at t eid p;
       (* Removing a queued conflict may unblock those behind it. *)
-      Some (e, try_grants t eid)
+      Some (eid, try_grants t eid)
     end
   end
 
+(* Sorted by name, never by id: ids follow the store's definition order. *)
 let held_by t txn =
   if txn < 0 || txn >= t.txn_cap then []
   else begin
@@ -390,11 +389,11 @@ let held_by t txn =
       if i < 0 then acc
       else
         let p = buf.(i) in
-        collect (i - 1)
-          ((Interner.name t.ids (p lsr 1), mode_of_bit (p land 1)) :: acc)
+        collect (i - 1) ((p lsr 1, mode_of_bit (p land 1)) :: acc)
     in
     List.sort
-      (fun (a, _) (b, _) -> Entity.compare a b)
+      (fun (a, _) (b, _) ->
+        Entity.compare (Store.name t.store a) (Store.name t.store b))
       (collect (t.held_len.(txn) - 1) [])
   end
 
@@ -437,8 +436,7 @@ let has_waiters t e =
   let eid = slot t e in
   eid >= 0 && t.q_len.(eid) > 0
 
-let holds t txn e =
-  let eid = Interner.find t.ids e in
+let holds t txn eid =
   if txn < 0 || txn >= t.txn_cap || eid < 0 then None
   else
     let buf = t.held_buf.(txn) in
@@ -453,7 +451,7 @@ let holds t txn e =
 let waiting_for t txn =
   if txn < 0 || txn >= t.txn_cap || t.wait_eid.(txn) < 0 then None
   else
-    Some (Interner.name t.ids t.wait_eid.(txn), mode_of_bit t.wait_mode.(txn))
+    Some (t.wait_eid.(txn), mode_of_bit t.wait_mode.(txn))
 
 let blockers t txn =
   if txn < 0 || txn >= t.txn_cap || t.wait_eid.(txn) < 0 then []

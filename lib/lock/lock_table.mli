@@ -23,16 +23,23 @@
 
     A transaction holds each entity in exactly one mode: a second request
     for a held entity, in either mode, is rejected. {!Prb_txn.Program.validate}
-    already rejects a re-lock, so no run converts a lock. *)
+    already rejects a re-lock, so no run converts a lock.
+
+    Entities are named by their {!Prb_storage.Store.id}: the engine
+    resolves each lock state's name once at admission, and every entry
+    point here takes or returns that id. *)
 
 type txn = int
-type entity = Prb_storage.Store.entity
+type entity = int
+(** A {!Prb_storage.Store.id}. *)
+
 type mode = Prb_txn.Lock_mode.t
 
 type t
 
-val create : ?fair:bool -> unit -> t
-(** [fair] defaults to [true]. *)
+val create : ?fair:bool -> Prb_storage.Store.t -> t
+(** [fair] defaults to [true]. The store numbers the entities; the table
+    reads it only for names, to order {!held_by}. *)
 
 val is_fair : t -> bool
 
@@ -45,8 +52,8 @@ type outcome =
 
 val request : t -> txn -> mode -> entity -> outcome
 (** @raise Invalid_argument when the transaction already holds the entity
-    (in any mode), or when it is already waiting for something (a
-    transaction blocks on one request at a time). *)
+    (in any mode), when it is already waiting for something (a
+    transaction blocks on one request at a time), or on a negative id. *)
 
 val release : t -> txn -> entity -> (txn * mode) list
 (** Release a held lock; returns the waiters granted as a consequence, in
@@ -69,8 +76,9 @@ val has_waiters : t -> entity -> bool
     skip the waiter re-pointing pass for uncontended entities. *)
 
 val held_by : t -> txn -> (entity * mode) list
-(** Sorted by entity. O(locks held): served from a per-transaction index,
-    not a scan over every entry in the table. *)
+(** Sorted by entity name, not by id. O(locks held) before the sort:
+    served from a per-transaction index, not a scan over every entry in
+    the table. *)
 
 val n_held : t -> txn -> int
 (** O(1): how many locks the transaction holds. *)

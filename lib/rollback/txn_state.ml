@@ -11,16 +11,21 @@ type var = Expr.var
 type phase = Growing | Shrinking | Committed
 
 (* Dense per-transaction state. The locals' histories sit in [locals] in
-   declaration order. Lock state [k] (0 <= k < lock_idx) is the program's
-   k-th lock request: its entity, mode and pc (the position of the lock
-   op, which is the state index at that lock state) sit at index [k] of
-   [ls_entity], [ls_mode] and [ls_pc], and its shadow history at
-   [ls_shadow.(k)] while the entity is held exclusively — [no_history]
-   once it is unlocked, and for shared locks. A valid program locks an
-   entity at most once, so an entity has at most one lock state. Indices
-   at or above [lock_idx] are leftovers of a rollback and never read; a
-   rollback resets their shadows to [no_history]. [dispose] empties
-   [locals] and [ls_shadow]. *)
+   declaration order. Lock state [k] is the program's k-th lock request:
+   its entity, the entity's store id, its mode and its pc (the position
+   of the lock op, which is the state index at that lock state) sit at
+   index [k] of [ls_entity], [ls_eid], [ls_mode] and [ls_pc], filled from
+   the program at admission, and its shadow history at [ls_shadow.(k)]
+   while the entity is held exclusively — [no_history] once it is
+   unlocked, and for shared locks, and at every [k >= lock_idx]. A valid
+   program locks an entity at most once, so an entity has at most one
+   lock state. [dispose] empties [locals] and [ls_shadow].
+
+   The ids are resolved per admission, one store lookup per lock state,
+   and never stored in the program: the same program may run against
+   another store, numbered differently. Every store, lock-table and
+   certifier access the engine makes for this transaction goes through
+   them (DESIGN.md §12). *)
 type t = {
   id : int;
   program : Program.t;
@@ -38,6 +43,7 @@ type t = {
   mutable phase : phase;
   mutable locals : History_stack.t array;
   ls_entity : entity array;
+  ls_eid : int array;
   ls_mode : Lock_mode.t array;
   ls_pc : int array;
   mutable ls_shadow : History_stack.t array;
@@ -88,6 +94,19 @@ let rec fill_locals t i = function
           ~created_at:0 ~initial:init;
       fill_locals t (i + 1) rest
 
+(* Lock state [k] is the program's [k]-th lock op. *)
+let rec fill_lock_states t i k =
+  if i < Array.length t.program.Program.ops then
+    match t.program.Program.ops.(i) with
+    | Program.Lock (mode, e) ->
+        t.ls_entity.(k) <- e;
+        t.ls_mode.(k) <- mode;
+        t.ls_pc.(k) <- i;
+        fill_lock_states t (i + 1) (k + 1)
+    | Program.Unlock _ | Program.Read _ | Program.Write _ | Program.Assign _
+      ->
+        fill_lock_states t (i + 1) k
+
 let create ?copy_allocation ?pool ~strategy ~id ~store program =
   (match Program.validate program with
   | Ok () -> ()
@@ -114,6 +133,7 @@ let create ?copy_allocation ?pool ~strategy ~id ~store program =
       phase = Growing;
       locals = Array.make n_locals no_history;
       ls_entity = Array.make n_locks "";
+      ls_eid = Array.make n_locks 0;
       ls_mode = Array.make n_locks Lock_mode.Shared;
       ls_pc = Array.make n_locks 0;
       ls_shadow = Array.make n_locks no_history;
@@ -126,6 +146,10 @@ let create ?copy_allocation ?pool ~strategy ~id ~store program =
     }
   in
   fill_locals t 0 program.Program.locals;
+  fill_lock_states t 0 0;
+  for k = 0 to n_locks - 1 do
+    t.ls_eid.(k) <- Store.id store t.ls_entity.(k)
+  done;
   t
 
 let id t = t.id
@@ -174,28 +198,27 @@ let rec find_state entities e k =
 
 let state_of t e = find_state t.ls_entity e (t.lock_idx - 1)
 
+let next_lock_id t = t.ls_eid.(t.lock_idx)
+
 let[@lint.allow
      "A1: an exclusive grant takes the pooled shadow stack the paper \
       charges per lock; it is built fresh only on a pool miss, and its \
       copy_allocation key only under a non-uniform allocation"] shadow_stack
-    t e =
+    t k =
   acquire_stack t.pool
-    ~budget:(object_budget t.budget t.copy_alloc "G:" e)
-    ~created_at:t.lock_idx ~initial:(Store.get t.store e)
+    ~budget:(object_budget t.budget t.copy_alloc "G:" t.ls_entity.(k))
+    ~created_at:t.lock_idx ~initial:(Store.get_at t.store t.ls_eid.(k))
 
 let lock_granted t =
   (if finished t then
      invalid_arg "Txn_state.lock_granted: current op is not a lock request"
    else
      match t.program.Program.ops.(t.pc) with
-     | Program.Lock (mode, e) ->
+     | Program.Lock (mode, _) ->
          let k = t.lock_idx in
-         t.ls_entity.(k) <- e;
-         t.ls_mode.(k) <- mode;
-         t.ls_pc.(k) <- t.pc;
          (match mode with
          | Lock_mode.Exclusive ->
-             t.ls_shadow.(k) <- shadow_stack t e;
+             t.ls_shadow.(k) <- shadow_stack t k;
              t.live_copies <- t.live_copies + 1
          | Lock_mode.Shared -> ());
          t.lock_idx <- k + 1;
@@ -224,7 +247,7 @@ let read_view t e =
     if h != no_history then History_stack.current h
     else
       match t.ls_mode.(k) with
-      | Lock_mode.Shared -> Store.get t.store e
+      | Lock_mode.Shared -> Store.get_at t.store t.ls_eid.(k)
       | Lock_mode.Exclusive -> assert false (* shadow must exist *)
 
 (* A write may add a version, coalesce in place, or trade a new version
@@ -287,8 +310,9 @@ let[@lint.allow
     match t.program.Program.ops.(t.pc) with
     | Program.Unlock e ->
         let k = state_of t e in
+        if k < 0 then invalid_arg "Txn_state.perform_unlock: entity not held";
         let final =
-          if k >= 0 && t.ls_shadow.(k) != no_history then begin
+          if t.ls_shadow.(k) != no_history then begin
             let v = History_stack.current t.ls_shadow.(k) in
             drop_shadow t k;
             Some v
@@ -298,7 +322,7 @@ let[@lint.allow
         t.phase <- Shrinking;
         t.pc <- t.pc + 1;
         t.total_executed <- t.total_executed + 1;
-        (e, final)
+        (t.ls_eid.(k), final)
     | Program.Lock _ | Program.Read _ | Program.Write _ | Program.Assign _ ->
         fail ()
 
@@ -325,7 +349,7 @@ let rec finals_below t above acc =
   if k < 0 then acc
   else
     finals_below t k
-      ((t.ls_entity.(k), History_stack.current t.ls_shadow.(k)) :: acc)
+      ((t.ls_eid.(k), History_stack.current t.ls_shadow.(k)) :: acc)
 
 (* Retire every shadow at lock states [lo, lock_idx), newest first. *)
 let drop_shadows_from t lo =
@@ -421,10 +445,10 @@ let[@hot] cost_of_target t q =
 
 let cost_to_release t e = cost_of_target t (rollback_target t e)
 
-(* Entities of lock states [lo, lock_idx), newest first. *)
-let entities_from t lo =
+(* Store ids of lock states [lo, lock_idx), newest first. *)
+let ids_from t lo =
   let rec up k acc =
-    if k >= t.lock_idx then acc else up (k + 1) (t.ls_entity.(k) :: acc)
+    if k >= t.lock_idx then acc else up (k + 1) (t.ls_eid.(k) :: acc)
   in
   up lo []
 
@@ -443,7 +467,7 @@ let rollback_to t target =
   let old_pc = t.pc in
   (* Lock states >= target are undone (all of them for a restart). *)
   let undone_from = max target 0 in
-  let released = entities_from t undone_from in
+  let released = ids_from t undone_from in
   drop_shadows_from t undone_from;
   if target = restart_target then begin
     (* Full restart: locals are rebuilt from declared initials and the
@@ -482,19 +506,6 @@ let dispose t =
 
 let no_locals _ = raise Not_found
 
-(* Lock state [k] of a finished program is its [k]-th lock op. *)
-let rec fill_lock_states t i k =
-  if i < Array.length t.program.Program.ops then
-    match t.program.Program.ops.(i) with
-    | Program.Lock (mode, e) ->
-        t.ls_entity.(k) <- e;
-        t.ls_mode.(k) <- mode;
-        t.ls_pc.(k) <- i;
-        fill_lock_states t (i + 1) (k + 1)
-    | Program.Unlock _ | Program.Read _ | Program.Write _ | Program.Assign _
-      ->
-        fill_lock_states t (i + 1) k
-
 (* A committed transaction ran every op and holds every lock state, so
    its disposed state follows from the program and four counters; pc is
    the program's length, so the progress lost is what was executed
@@ -519,6 +530,7 @@ let committed ~strategy ~id ~store ~total_executed ~n_rollbacks ~peak_copies
       phase = Committed;
       locals = [||];
       ls_entity = Array.make n_locks "";
+      ls_eid = [||];
       ls_mode = Array.make n_locks Lock_mode.Shared;
       ls_pc = Array.make n_locks 0;
       ls_shadow = [||];

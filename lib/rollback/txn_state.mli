@@ -37,8 +37,11 @@ val create :
     computed by {!Allocation}. [pool] recycles history-stack buffers
     across histories and transactions (see {!History_stack.Pool});
     schedulers share one pool across every transaction they run.
+    Resolves each lock state's entity to its {!Prb_storage.Store.id}, one
+    lookup per lock op; the ids stay in the state, never in the program.
     @raise Invalid_argument when the program fails
-    {!Prb_txn.Program.validate}. *)
+    {!Prb_txn.Program.validate}, which reads the verdict [Program.make]
+    recorded. *)
 
 val dispose : t -> unit
 (** Return every remaining history buffer to the creation [pool] (no-op
@@ -94,6 +97,10 @@ type action =
 
 val next_action : t -> action
 
+val next_lock_id : t -> int
+(** The store id of the entity a pending [Need_lock] names: lock state
+    {!lock_index}'s, resolved at admission. Only for a live state. *)
+
 val lock_granted : t -> unit
 (** The pending [Need_lock] was granted: record lock state [lock_index]
     (entity, mode, pc), shadow the entity with a history when exclusive,
@@ -103,15 +110,17 @@ val exec_data_op : t -> unit
 (** Execute the [Read]/[Write]/[Assign] at [pc].
     @raise Invalid_argument on a lock-discipline op. *)
 
-val perform_unlock : t -> entity * Prb_storage.Value.t option
+val perform_unlock : t -> int * Prb_storage.Value.t option
 (** Execute the [Unlock] at [pc]: leave the growing phase, drop the
-    entity's shadow and return the final value the scheduler must install
-    (None for shared locks). The scheduler releases the lock itself. *)
+    entity's shadow and return the entity's store id with the final value
+    the scheduler must install (None for shared locks). The scheduler
+    releases the lock itself. *)
 
-val commit : t -> (entity * Prb_storage.Value.t) list
+val commit : t -> (int * Prb_storage.Value.t) list
 (** Terminate at end of program: returns the final values of entities
-    still held exclusively, for installation; the scheduler releases all
-    remaining locks. Marks the transaction [Committed]. *)
+    still held exclusively, by store id in entity-name order, for
+    installation; the scheduler releases all remaining locks. Marks the
+    transaction [Committed]. *)
 
 (* Locks and views *)
 
@@ -166,12 +175,12 @@ val cost_of_target : t -> int -> int
 val cost_to_release : t -> entity -> int
 (** [cost_of_target t (rollback_target t entity)]. *)
 
-val rollback_to : t -> int -> entity list
+val rollback_to : t -> int -> int list
 (** Perform the rollback of Section 2: restore locals and surviving
     shadows to their values at the target lock state (or restart, for
     {!restart_target}), discard newer history, reset [pc], and return the
-    entities whose locks the scheduler must now release (those acquired
-    at lock states [>= target]).
+    store ids of the entities whose locks the scheduler must now release
+    (those acquired at lock states [>= target]), newest first.
     @raise Invalid_argument when not [Growing], when the target exceeds
     the current lock state, or when a non-restart target is not
     well-defined. *)

@@ -9,58 +9,105 @@ module Entity = struct
   let pp = Format.pp_print_string
 end
 
+module Interner = Prb_util.Dense.Interner
+
+(* One numbering of entity names for the whole engine (DESIGN.md §12):
+   [ids] gives each name the next id the first time anyone asks, defined
+   or not, and values sit in [values] at that id. A name with an id but
+   no value holds [undefined], a constant block no caller can reach, so a
+   lookup tells the two apart with one physical comparison. *)
 type t = {
-  table : (entity, Value.t) Hashtbl.t;
+  ids : Interner.t;
+  mutable values : Value.t array;
+  mutable defined : int;
   mutable installs : int;
 }
 
-let create () = { table = Hashtbl.create 256; installs = 0 }
+let undefined = Value.Text "<undefined>"
 
-let define t e v = Hashtbl.replace t.table e v
+let create () =
+  {
+    ids = Interner.create ~size_hint:256 ();
+    values = [||];
+    defined = 0;
+    installs = 0;
+  }
+
+let id t e =
+  let i = Interner.intern t.ids e in
+  if i >= Array.length t.values then begin
+    let values = Array.make (max 64 (2 * Array.length t.values)) undefined in
+    Array.blit t.values 0 values 0 (Array.length t.values);
+    t.values <- values
+  end;
+  i
+
+let name t i = Interner.name t.ids i
+
+let define t e v =
+  let i = id t e in
+  if t.values.(i) == undefined then t.defined <- t.defined + 1;
+  t.values.(i) <- v
 
 let of_list bindings =
   let t = create () in
   List.iter (fun (e, v) -> define t e v) bindings;
   t
 
-let mem t e = Hashtbl.mem t.table e
+(* The value at an id, or [undefined] for an id the store never handed
+   out (-1 from a failed [Interner.find] included). *)
+let value t i =
+  if i >= 0 && i < Array.length t.values then t.values.(i) else undefined
 
-let get t e =
-  match Hashtbl.find_opt t.table e with
-  | Some v -> v
-  | None -> raise Not_found
+let get_at t i =
+  let v = value t i in
+  if v == undefined then raise Not_found else v
 
-let find_opt t e = Hashtbl.find_opt t.table e
-
-let[@lint.allow
-     "A1: installs a final/committed value over an existing key — \
-      Hashtbl.replace touches a bucket only on the replace path, once \
-      per entity per transaction"] install t e v =
-  if not (mem t e) then raise Not_found;
-  Hashtbl.replace t.table e v;
+let install_at t i v =
+  if value t i == undefined then raise Not_found;
+  t.values.(i) <- v;
   t.installs <- t.installs + 1
 
-let entities t =
-  Hashtbl.fold (fun e _ acc -> e :: acc) t.table []
-  |> List.sort Entity.compare
+let mem t e = value t (Interner.find t.ids e) != undefined
+let get t e = get_at t (Interner.find t.ids e)
 
-let size t = Hashtbl.length t.table
+let find_opt t e =
+  let v = value t (Interner.find t.ids e) in
+  if v == undefined then None else Some v
 
-let snapshot t = List.map (fun e -> (e, get t e)) (entities t)
+let install t e v = install_at t (Interner.find t.ids e) v
 
-(* Size check then single-pass membership lookup — no sorted snapshots.
-   Equal sizes make the one-directional containment an equality. *)
+let snapshot t =
+  let rec collect i acc =
+    if i < 0 then acc
+    else
+      let v = t.values.(i) in
+      collect (i - 1) (if v == undefined then acc else (name t i, v) :: acc)
+  in
+  List.sort
+    (fun (a, _) (b, _) -> Entity.compare a b)
+    (collect (Interner.count t.ids - 1) [])
+
+let entities t = List.map fst (snapshot t)
+let size t = t.defined
+
+(* Size check then one membership lookup per entity of [a], by name: the
+   two stores may number their entities differently. Equal sizes make the
+   one-directional containment an equality. *)
 let equal_state a b =
   size a = size b
-  && (try
-        Hashtbl.iter
-          (fun e va ->
-            match find_opt b e with
-            | Some vb when Value.equal va vb -> ()
-            | _ -> raise Exit)
-          a.table;
-        true
-      with Exit -> false)
+  &&
+  let rec from i =
+    i < 0
+    || (let va = a.values.(i) in
+        (va == undefined
+        ||
+        match find_opt b (name a i) with
+        | Some vb -> Value.equal va vb
+        | None -> false)
+        && from (i - 1))
+  in
+  from (Interner.count a.ids - 1)
 
 let install_count t = t.installs
 

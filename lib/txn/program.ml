@@ -14,13 +14,8 @@ type t = {
   name : string;
   locals : (var * Value.t) list;
   ops : op array;
+  valid : bool;
 }
-
-let make ~name ~locals ops =
-  let names = List.map fst locals in
-  if List.length (List.sort_uniq compare names) <> List.length names then
-    invalid_arg "Program.make: duplicate local variable";
-  { name; locals; ops = Array.of_list ops }
 
 type violation =
   | Lock_after_unlock
@@ -125,28 +120,44 @@ let rec all_declared locals = function
       all_declared locals a && all_declared locals b
   | Expr.Neg a | Expr.Mix a -> all_declared locals a
 
-let rec valid_from t ~unlocked i =
-  i >= Array.length t.ops
+let rec valid_from ops locals ~unlocked i =
+  i >= Array.length ops
   ||
-  match t.ops.(i) with
+  match ops.(i) with
   | Lock (_, e) ->
       (not unlocked)
-      && (not (held_at t.ops e i))
-      && valid_from t ~unlocked (i + 1)
-  | Unlock e -> held_at t.ops e i && valid_from t ~unlocked:true (i + 1)
+      && (not (held_at ops e i))
+      && valid_from ops locals ~unlocked (i + 1)
+  | Unlock e -> held_at ops e i && valid_from ops locals ~unlocked:true (i + 1)
   | Read (e, v) ->
-      held_at t.ops e i && declared v t.locals
-      && valid_from t ~unlocked (i + 1)
+      held_at ops e i && declared v locals
+      && valid_from ops locals ~unlocked (i + 1)
   | Write (e, x) ->
-      held_exclusive_at t.ops e i
-      && all_declared t.locals x
-      && valid_from t ~unlocked (i + 1)
+      held_exclusive_at ops e i
+      && all_declared locals x
+      && valid_from ops locals ~unlocked (i + 1)
   | Assign (v, x) ->
-      declared v t.locals && all_declared t.locals x
-      && valid_from t ~unlocked (i + 1)
+      declared v locals && all_declared locals x
+      && valid_from ops locals ~unlocked (i + 1)
 
-let validate t =
-  if valid_from t ~unlocked:false 0 then Ok () else violations t
+let rec distinct = function
+  | [] -> true
+  | (v, _) :: rest -> (not (declared v rest)) && distinct rest
+
+(* The verdict is decided here, once per program, so admission and the
+   generator read it instead of scanning the ops again. *)
+let make ~name ~locals ops =
+  if not (distinct locals) then
+    invalid_arg "Program.make: duplicate local variable";
+  let ops = Array.of_list ops in
+  { name; locals; ops; valid = valid_from ops locals ~unlocked:false 0 }
+
+(* A reordered copy: the transforms preserve validity, but the verdict is
+   the new ops' own. *)
+let with_ops t ops =
+  { t with ops; valid = valid_from ops t.locals ~unlocked:false 0 }
+
+let validate t = if t.valid then Ok () else violations t
 
 let length t = Array.length t.ops
 
@@ -297,7 +308,7 @@ let cluster_writes t =
       end
     done
   done;
-  { t with ops }
+  with_ops t ops
 
 let make_three_phase t =
   match last_lock_position t with
@@ -332,7 +343,7 @@ let make_three_phase t =
           end
         done
       done;
-      { t with ops }
+      with_ops t ops
 
 let hoist_locks t =
   let ops = Array.copy t.ops in
@@ -366,7 +377,7 @@ let hoist_locks t =
       end
     done
   done;
-  { t with ops }
+  with_ops t ops
 
 let make_acquire_update_release t = make_three_phase (hoist_locks t)
 

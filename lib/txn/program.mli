@@ -27,13 +27,16 @@ type t = private {
   name : string;
   locals : (var * Prb_storage.Value.t) list;  (** declared initial values *)
   ops : op array;
+  valid : bool;
+      (** {!validate}'s verdict, decided once when the program is built *)
 }
 
 val make :
   name:string -> locals:(var * Prb_storage.Value.t) list -> op list -> t
 (** Build a program. @raise Invalid_argument on duplicate local names. Does
     {e not} validate locking discipline — use {!validate} so callers can
-    report all violations at once. *)
+    report all violations at once. The verdict alone is recorded in
+    [valid], in one allocation-free pass. *)
 
 (** Locking-discipline violations detected by {!validate}; each is paired
     with the offending operation's index. *)
@@ -50,7 +53,8 @@ val pp_violation : Format.formatter -> violation -> unit
 val validate : t -> (unit, (int * violation) list) result
 (** Check the locking discipline. A valid program may omit trailing
     unlocks; the system releases remaining locks at termination (paper
-    Section 1). *)
+    Section 1). Reads [valid], so it scans nothing for a valid program, and
+    builds the violation list only for an invalid one. *)
 
 (* Analysis *)
 
@@ -122,7 +126,6 @@ val make_acquire_update_release : t -> t
 
 (* Pretty-printing *)
 
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

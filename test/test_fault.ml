@@ -62,10 +62,11 @@ let config ?(detection = D.Local_then_global 50) ?(max_ticks = 10_000) plan =
     faults = Some plan;
   }
 
-let residual_rows locks =
+let residual_rows store locks =
   List.filter
     (fun e ->
-      Lock_table.holders locks e <> [] || Lock_table.waiters locks e <> [])
+      let x = Store.id store e in
+      Lock_table.holders locks x <> [] || Lock_table.waiters locks x <> [])
     [ "l0"; "r0" ]
 
 (* --- Site crash: partial rollback + recovery rebuild ------------------ *)
@@ -104,7 +105,7 @@ let test_site_crash_partial_rollback () =
   checkb "rebuild purged the dead row" true (s.D.purged_locks >= 1);
   checkb "requests died with the site" true (s.D.msgs_lost >= 1);
   checkb "serializable" true (History.serializable (D.history sched));
-  checkb "no residual locks" true (residual_rows (D.lock_table sched) = []);
+  checkb "no residual locks" true (residual_rows store (D.lock_table sched) = []);
   checkb "final writes installed" true
     (Value.as_int (Store.get store "r0") = 2
     && Value.as_int (Store.get store "l0") = 1)
@@ -140,7 +141,7 @@ let test_site_crash_during_deadlock () =
   checkb "all committed" true (D.all_committed sched);
   checki "one crash" 1 s.D.site_crashes;
   checkb "serializable" true (History.serializable (D.history sched));
-  checkb "no residual locks" true (residual_rows (D.lock_table sched) = [])
+  checkb "no residual locks" true (residual_rows store (D.lock_table sched) = [])
 
 (* --- Message faults: duplication is idempotent ------------------------ *)
 
@@ -173,7 +174,7 @@ let test_duplicate_messages_idempotent () =
   checkb "all committed" true (D.all_committed sched);
   checkb "duplicates actually happened" true (s.D.msgs_duplicated > 0);
   checkb "serializable" true (History.serializable (D.history sched));
-  checkb "no residual locks" true (residual_rows (D.lock_table sched) = [])
+  checkb "no residual locks" true (residual_rows store (D.lock_table sched) = [])
 
 (* --- Detector outage: degradation to timeout-abort -------------------- *)
 
@@ -208,7 +209,7 @@ let test_detector_outage_degrades () =
   checkb "detector rounds were missed" true (s.D.missed_passes >= 1);
   checkb "degraded mode aborted blocked txns" true (s.D.timeouts >= 1);
   checkb "serializable" true (History.serializable (D.history sched));
-  checkb "no residual locks" true (residual_rows (D.lock_table sched) = [])
+  checkb "no residual locks" true (residual_rows store (D.lock_table sched) = [])
 
 (* A deadlock formed while the detector is out, under a deferred policy
    on the centralised engine: every scheduled sweep in the window is
@@ -360,19 +361,19 @@ let broken_recovery_run ~rebuild_locks =
   ignore (D.submit sched ~home:0 t0);
   ignore (D.submit sched ~home:0 t1);
   D.run sched;
-  sched
+  (store, sched)
 
 let test_rebuild_recovers () =
-  let sched = broken_recovery_run ~rebuild_locks:true in
+  let store, sched = broken_recovery_run ~rebuild_locks:true in
   checkb "all committed with rebuild" true (D.all_committed sched);
   checkb "phantom row purged" true ((D.stats sched).D.purged_locks >= 1);
-  checkb "no residual locks" true (residual_rows (D.lock_table sched) = [])
+  checkb "no residual locks" true (residual_rows store (D.lock_table sched) = [])
 
 let test_broken_rebuild_caught () =
-  let sched = broken_recovery_run ~rebuild_locks:false in
+  let store, sched = broken_recovery_run ~rebuild_locks:false in
   checkb "stuck transactions detected" false (D.all_committed sched);
   checkb "orphaned lock detected" true
-    (residual_rows (D.lock_table sched) <> [])
+    (residual_rows store (D.lock_table sched) <> [])
 
 (* --- The chaos sweep -------------------------------------------------- *)
 

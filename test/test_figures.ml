@@ -44,11 +44,14 @@ let program_with_locks ~name ~length locks =
 
 (* --- Figure 1 --------------------------------------------------------- *)
 
+(* Shared by every Figure 1 state: they read it, never write it. *)
+let fig1_store =
+  Store.of_list (List.map (fun e -> (e, Value.int 0)) [ "a"; "b"; "c"; "e" ])
+
 let fig1_states () =
-  let store =
-    Store.of_list (List.map (fun e -> (e, Value.int 0)) [ "a"; "b"; "c"; "e" ])
+  let mk id program =
+    Txn_state.create ~strategy:Strategy.Mcs ~id ~store:fig1_store program
   in
-  let mk id program = Txn_state.create ~strategy:Strategy.Mcs ~id ~store program in
   let ts2 =
     mk 2 (program_with_locks ~name:"T2" ~length:16 [ (8, "b"); (10, "a"); (12, "e") ])
   in
@@ -88,7 +91,9 @@ let test_fig1_rollback_frees_a () =
      — the paper's "T1 no longer waits for T2". *)
   let ts2, _, _ = fig1_states () in
   let target = Txn_state.rollback_target ts2 "b" in
-  let released = Txn_state.rollback_to ts2 target in
+  let released =
+    List.map (Store.name fig1_store) (Txn_state.rollback_to ts2 target)
+  in
   checkb "a and b released" true (List.sort compare released = [ "a"; "b" ]);
   checki "T2 resumes at its 8th state" 8 (Txn_state.pc ts2);
   checkb "e was never held" true (Txn_state.holds ts2 "e" = None);
@@ -167,11 +172,13 @@ let test_fig2_mutual_preemption_livelock () =
 (* --- Figure 3 --------------------------------------------------------- *)
 
 let fig3_configuration () =
-  let locks = Lock_table.create ~fair:false () in
+  let store = Store.create () in
+  let locks = Lock_table.create ~fair:false store in
   let wfg = Waits_for.create () in
   List.iter (Waits_for.add_txn wfg) [ 1; 2; 3 ];
+  let request id mode e = Lock_table.request locks id mode (Store.id store e) in
   let must_grant id mode e =
-    match Lock_table.request locks id mode e with
+    match request id mode e with
     | Lock_table.Granted -> ()
     | Lock_table.Blocked _ -> assert false
   in
@@ -179,19 +186,19 @@ let fig3_configuration () =
   must_grant 1 Lock_mode.Exclusive "b";
   must_grant 2 Lock_mode.Shared "f";
   must_grant 3 Lock_mode.Shared "f";
-  (match Lock_table.request locks 2 Lock_mode.Exclusive "a" with
+  (match request 2 Lock_mode.Exclusive "a" with
   | Lock_table.Blocked holders -> Waits_for.set_wait wfg ~waiter:2 ~holders "a"
   | Lock_table.Granted -> assert false);
-  (match Lock_table.request locks 3 Lock_mode.Exclusive "b" with
+  (match request 3 Lock_mode.Exclusive "b" with
   | Lock_table.Blocked holders -> Waits_for.set_wait wfg ~waiter:3 ~holders "b"
   | Lock_table.Granted -> assert false);
-  (match Lock_table.request locks 1 Lock_mode.Exclusive "f" with
+  (match request 1 Lock_mode.Exclusive "f" with
   | Lock_table.Blocked holders -> Waits_for.set_wait wfg ~waiter:1 ~holders "f"
   | Lock_table.Granted -> assert false);
-  (locks, wfg)
+  (store, locks, wfg)
 
 let test_fig3_two_cycles_through_requester () =
-  let _, wfg = fig3_configuration () in
+  let _, _, wfg = fig3_configuration () in
   let cycles = Waits_for.cycles_through wfg 1 in
   checki "two cycles" 2 (List.length cycles);
   List.iter
@@ -199,14 +206,16 @@ let test_fig3_two_cycles_through_requester () =
     cycles
 
 let test_fig3_conflict_classification () =
-  let locks, _ = fig3_configuration () in
+  let store, locks, _ = fig3_configuration () in
   checkb "X on shared-held f is Type 2" true
-    (Lock_table.classify locks 9 Lock_mode.Exclusive "f" = Lock_table.Type2);
+    (Lock_table.classify locks 9 Lock_mode.Exclusive (Store.id store "f")
+    = Lock_table.Type2);
   checkb "S on X-held a is Type 1" true
-    (Lock_table.classify locks 9 Lock_mode.Shared "a" = Lock_table.Type1)
+    (Lock_table.classify locks 9 Lock_mode.Shared (Store.id store "a")
+    = Lock_table.Type1)
 
 let test_fig3_cut_alternatives () =
-  let _, wfg = fig3_configuration () in
+  let _, _, wfg = fig3_configuration () in
   let cycles = Waits_for.cycles_through wfg 1 in
   let exact cost =
     match Cutset.exact { Cutset.cycles; cost } with
@@ -294,7 +303,9 @@ let test_fig4_rollback_stops_at_4 () =
   advance ts ~stop_pc:(Program.length p);
   checki "target for F" 4 (Txn_state.rollback_target ts "F");
   checkb "E and F released" true
-    (List.sort compare (Txn_state.rollback_to ts 4) = [ "E"; "F" ]);
+    (List.sort compare
+       (List.map (Store.name store) (Txn_state.rollback_to ts 4))
+    = [ "E"; "F" ]);
   (* with C := K present the same rollback must fall all the way to lock
      state 0 — the only non-trivial well-defined state left *)
   let ts' =

@@ -2,7 +2,19 @@
    streaming checker and its agreement with the retained naive
    construction. *)
 
-module History = Prb_history.History
+(* The certifier takes store ids. These tests name entities, resolved
+   through one numbering that every history below shares. *)
+module History = struct
+  include Prb_history.History
+
+  let names = Prb_storage.Store.create ()
+  let id = Prb_storage.Store.id names
+  let create () = create names
+  let note_grant t ~tick txn e mode = note_grant t ~tick txn (id e) mode
+  let note_release t ~tick txn e = note_release t ~tick txn (id e)
+  let discard t txn e = discard t txn (id e)
+end
+
 module Naive = History_naive
 module Rng = Prb_util.Rng
 module Lock_mode = Prb_txn.Lock_mode

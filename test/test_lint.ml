@@ -131,7 +131,8 @@ let test_deep_fixture_rules () =
     ("clean__hot_ok.ml", []);
     ("core__a1_tick_alloc.ml", [ "A1" ]);
     ("core__a1_two_calls_deep.ml", [ "A1" ]);
-    ("core__a1_find_opt.ml", [ "A1" ]);
+    ("core__a1_find_opt.ml", [ "A1"; "A2" ]);
+    ("core__a2_hot_hash.ml", [ "A2" ]);
     ("core__deep_allow_ok.ml", []);
     ("core__deep_allow_norationale.ml", [ "A1" ]);
     ("core__p1_acquire_after_release.ml", [ "P1"; "P1" ]);

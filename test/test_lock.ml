@@ -1,7 +1,37 @@
 (* Tests for Prb_lock.Lock_table under both grant disciplines. *)
 
-module Lock_table = Prb_lock.Lock_table
 module Lock_mode = Prb_txn.Lock_mode
+module Store = Prb_storage.Store
+
+(* The table names entities by store id. These tests name them, resolved
+   through one numbering that every table below shares. *)
+module Lock_table = struct
+  module L = Prb_lock.Lock_table
+
+  type outcome = L.outcome = Granted | Blocked of int list
+  type conflict_kind = L.conflict_kind = No_conflict | Type1 | Type2
+
+  let names = Store.create ()
+  let id = Store.id names
+  let named (x, v) = (Store.name names x, v)
+  let create ?fair () = L.create ?fair names
+  let request t who mode e = L.request t who mode (id e)
+  let release t who e = L.release t who (id e)
+  let cancel_wait t who = Option.map named (L.cancel_wait t who)
+  let holders t e = L.holders t (id e)
+  let waiters t e = L.waiters t (id e)
+  let has_waiters t e = L.has_waiters t (id e)
+  let held_by t who = List.map named (L.held_by t who)
+  let holds t who e = L.holds t who (id e)
+  let waiting_for t who = Option.map named (L.waiting_for t who)
+  let classify t who mode e = L.classify t who mode (id e)
+  let n_held = L.n_held
+  let blockers = L.blockers
+  let n_entries = L.n_entries
+  let n_requests = L.n_requests
+  let n_blocks = L.n_blocks
+  let n_upgrades = L.n_upgrades
+end
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)

@@ -45,7 +45,7 @@ let test_umbrella_surface () =
   checkb "cutset" true (Cutset.greedy { Cutset.cycles = []; cost = (fun _ -> 1.) } = []);
   checkb "stats" true (Stats.count (Stats.create ()) = 0);
   checkb "table" true (String.length (Table.render (Table.create [ ("x", Table.Left) ])) > 0);
-  checkb "lock table" true (Lock_table.is_fair (Lock_table.create ()));
+  checkb "lock table" true (Lock_table.is_fair (Lock_table.create (Store.create ())));
   checkb "waits-for" true (Waits_for.txns (Waits_for.create ()) = []);
   checkb "history stack" true
     (Value.equal

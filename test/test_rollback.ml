@@ -323,7 +323,7 @@ let test_txn_rollback_mcs_exact () =
   let store = fresh_store () in
   let ts = Txn_state.create ~strategy:Strategy.Mcs ~id:0 ~store growing_program in
   advance_to ts 8;
-  let released = Txn_state.rollback_to ts 1 in
+  let released = List.map (Store.name store) (Txn_state.rollback_to ts 1) in
   checkb "released E1, E2" true (List.sort compare released = [ "E1"; "E2" ]);
   checki "pc back to lock E1's request" 3 (Txn_state.pc ts);
   checki "lock idx" 1 (Txn_state.lock_index ts);
@@ -352,7 +352,7 @@ let test_txn_sdg_overshoot () =
      Releasing E2 (lock state 2) must overshoot to state 0. *)
   checkil "well-defined states" [ 0; 3 ] (Txn_state.well_defined_states ts);
   checki "target for E2 overshoots to 0" 0 (Txn_state.rollback_target ts "E2");
-  let released = Txn_state.rollback_to ts 0 in
+  let released = List.map (Store.name store) (Txn_state.rollback_to ts 0) in
   checkb "all three released" true
     (List.sort compare released = [ "E0"; "E1"; "E2" ]);
   checki "pc = first lock request" 0 (Txn_state.pc ts)
@@ -386,8 +386,9 @@ let test_txn_commit_values () =
   advance_to ts 8;
   let finals = run_to_end ts in
   checkb "committed" true (Txn_state.phase ts = Txn_state.Committed);
-  checkb "E0 final" true (List.assoc "E0" finals |> Value.equal (vint 400));
-  checkb "E1 final" true (List.assoc "E1" finals |> Value.equal (vint 5))
+  let final e = List.assoc (Store.id store e) finals in
+  checkb "E0 final" true (final "E0" |> Value.equal (vint 400));
+  checkb "E1 final" true (final "E1" |> Value.equal (vint 5))
 
 let test_txn_monitored_writes () =
   let store = fresh_store () in
@@ -446,7 +447,7 @@ let test_txn_copy_accounting () =
   (* Partial rollback to L_1: E1's shadow (2 copies) goes, the v version
      written at lock index 2 truncates away; E0's write at index 1 stays. *)
   let released = Txn_state.rollback_to ts 1 in
-  checkb "E1 released" true (released = [ "E1" ]);
+  checkb "E1 released" true (released = [ Store.id store "E1" ]);
   checki "after partial rollback" 3 (Txn_state.current_copies ts);
   checki "peak saw the high-water mark" 6 (Txn_state.peak_copies ts);
   (* Full restart: only the declared local's initial remains charged. *)
@@ -543,16 +544,17 @@ let qcheck_rollback_restores_oracle strategy =
       (* for each claimed well-defined state, replay and roll back *)
       List.for_all
         (fun q ->
-          let ts =
-            Txn_state.create ~strategy ~id:0 ~store:(fresh_store ()) program
-          in
+          let store = fresh_store () in
+          let ts = Txn_state.create ~strategy ~id:0 ~store program in
           let held_before =
             let _ = run_with_snapshots ts in
             Txn_state.locks_held ts
           in
           if not (Txn_state.well_defined ts q) then true
           else begin
-            let released = Txn_state.rollback_to ts q in
+            let released =
+              List.map (Store.name store) (Txn_state.rollback_to ts q)
+            in
             (* entities locked at state >= q released, earlier ones kept *)
             List.for_all
               (fun (e, _, k) ->
@@ -1004,6 +1006,8 @@ let differential_run ~pool ~ref_pool ~strategy ~copy_allocation ~store
   let r =
     R.create ?copy_allocation ?pool:ref_pool ~strategy ~id:0 ~store program
   in
+  (* The state hands back store ids; the reference, names. *)
+  let name = Store.name store in
   let es =
     "nope"
     :: List.sort_uniq String.compare
@@ -1036,22 +1040,25 @@ let differential_run ~pool ~ref_pool ~strategy ~copy_allocation ~store
                 | [] -> Txn_state.lock_index ts
                 | sub -> Txn_state.rollback_target_all ts sub)
           in
-          outcome (fun () -> Txn_state.rollback_to ts target)
+          outcome (fun () -> List.map name (Txn_state.rollback_to ts target))
           = outcome (fun () -> R.rollback_to r target)
         else
           match (Txn_state.next_action ts, R.next_action r) with
-          | Txn_state.Need_lock _, R.Need_lock _ ->
+          | Txn_state.Need_lock _, R.Need_lock (_, e) ->
+              let same_id = Txn_state.next_lock_id ts = Store.id store e in
               Txn_state.lock_granted ts;
               R.lock_granted r;
-              true
+              same_id
           | Txn_state.Data_step, R.Data_step ->
               Txn_state.exec_data_op ts;
               R.exec_data_op r;
               true
           | Txn_state.Need_unlock _, R.Need_unlock _ ->
-              Txn_state.perform_unlock ts = R.perform_unlock r
+              let x, final = Txn_state.perform_unlock ts in
+              (name x, final) = R.perform_unlock r
           | Txn_state.At_end, R.At_end ->
-              Txn_state.commit ts = R.commit r
+              List.map (fun (x, v) -> (name x, v)) (Txn_state.commit ts)
+              = R.commit r
           | _ -> false
       in
       ok

@@ -149,6 +149,77 @@ let qcheck_install_get =
       Store.install s e (Value.int v);
       Value.equal (Store.get s e) (Value.int v))
 
+(* The id-indexed store against a hashtable model, over random scripts
+   that define and reset entities, number names nobody defines, read and
+   install by name and by id, and compare with a second store that
+   numbers the same names in the opposite order. [Not_found] must be
+   raised exactly where the model raises it. *)
+let qcheck_store_vs_model =
+  let names = [| "n0"; "n1"; "n2"; "n3"; "n4"; "n5" |] in
+  QCheck.Test.make ~name:"id-indexed store matches a hashtable model"
+    ~count:500
+    QCheck.(list (triple (int_bound 9) (int_bound 5) small_int))
+    (fun script ->
+      let a = Store.create () and b = Store.create () in
+      for i = Array.length names - 1 downto 0 do
+        ignore (Store.id b names.(i))
+      done;
+      let ma = Hashtbl.create 8 and mb = Hashtbl.create 8 in
+      let installs = ref 0 in
+      let outcome f = match f () with v -> Some v | exception Not_found -> None in
+      let bindings m =
+        List.sort compare (Hashtbl.fold (fun e v acc -> (e, v) :: acc) m [])
+      in
+      let model_install e v =
+        ignore (Hashtbl.find ma e);
+        Hashtbl.replace ma e v;
+        incr installs
+      in
+      let agree () =
+        Store.snapshot a = bindings ma
+        && Store.entities a = List.map fst (bindings ma)
+        && Store.size a = Hashtbl.length ma
+        && Store.install_count a = !installs
+        && Store.equal_state a b = (bindings ma = bindings mb)
+        && Store.equal_state b a = (bindings ma = bindings mb)
+      in
+      List.for_all
+        (fun (op, ni, n) ->
+          let e = names.(ni) and v = Value.int n in
+          (match op with
+          | 0 ->
+              Store.define a e v;
+              Hashtbl.replace ma e v;
+              Store.define b e v;
+              Hashtbl.replace mb e v;
+              true
+          | 1 ->
+              (* a program naming an entity the store never defined *)
+              String.equal (Store.name a (Store.id a e)) e
+          | 2 -> outcome (fun () -> Store.get a e) = outcome (fun () -> Hashtbl.find ma e)
+          | 3 ->
+              outcome (fun () -> Store.get_at a (Store.id a e))
+              = outcome (fun () -> Hashtbl.find ma e)
+          | 4 ->
+              outcome (fun () -> Store.install a e v)
+              = outcome (fun () -> model_install e v)
+          | 5 ->
+              outcome (fun () -> Store.install_at a (Store.id a e) v)
+              = outcome (fun () -> model_install e v)
+          | 6 ->
+              Store.mem a e = Hashtbl.mem ma e
+              && Store.find_opt a e = Hashtbl.find_opt ma e
+          | 7 ->
+              Store.define b e v;
+              Hashtbl.replace mb e v;
+              true
+          | 8 ->
+              outcome (fun () -> Store.get_at b (Store.id b e))
+              = outcome (fun () -> Hashtbl.find mb e)
+          | _ -> Store.equal_state a (Store.of_list (Store.snapshot a)))
+          && agree ())
+        script)
+
 let () =
   Alcotest.run "prb_storage"
     [
@@ -171,6 +242,7 @@ let () =
           Alcotest.test_case "equal_state edge cases" `Quick
             test_store_equal_state_edges;
           QCheck_alcotest.to_alcotest qcheck_install_get;
+          QCheck_alcotest.to_alcotest qcheck_store_vs_model;
         ] );
       ( "constraint",
         [
