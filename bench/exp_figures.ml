@@ -19,7 +19,7 @@ let advance ts ~stop_pc =
     match Txn_state.next_action ts with
     | Txn_state.Need_lock _ -> Txn_state.lock_granted ts
     | Txn_state.Data_step -> Txn_state.exec_data_op ts
-    | Txn_state.Need_unlock _ -> ignore (Txn_state.perform_unlock ts)
+    | Txn_state.Need_unlock -> ignore (Txn_state.perform_unlock ts)
     | Txn_state.At_end -> failwith "advance: past end"
   done
 

@@ -155,29 +155,15 @@ let allocation () =
     List.map (fun (key, _) -> (key, k)) (Allocation.chunks p)
   in
   let dynamic allocate =
-    let store = Generator.populate params in
-    let config =
-      { Sim.scheduler = { Scheduler.default_config with seed = 7 }; mpl = 10 }
+    let sched =
+      Scheduler.create ~config:{ Scheduler.default_config with seed = 7 }
+        (Generator.populate params)
     in
-    let sched = Scheduler.create ~config:config.Sim.scheduler store in
-    let pending = ref programs and submitted = ref 0 in
-    let refill () =
-      while !pending <> [] && !submitted - Scheduler.n_committed sched < 10 do
-        match !pending with
-        | [] -> ()
-        | p :: rest ->
-            pending := rest;
-            incr submitted;
-            let alloc = allocate p in
-            ignore
-              (Scheduler.submit ~copy_allocation:(Allocation.lookup alloc)
-                 sched p)
-      done
+    let submit p =
+      Scheduler.submit ~copy_allocation:(Allocation.lookup (allocate p)) sched
+        p
     in
-    refill ();
-    while Scheduler.step sched do
-      refill ()
-    done;
+    Sim.drive { (Sim.central sched) with submit } ~mpl:10 programs;
     Scheduler.stats sched
   in
   let table =

@@ -34,53 +34,25 @@ let three_phase () =
   in
   List.iter
     (fun (name, params, transform) ->
-      let config =
-        {
-          Sim.scheduler = { Scheduler.default_config with seed = 6 };
-          mpl = 10;
-        }
-      in
       let store = Generator.populate params in
       let programs =
         List.map transform (Generator.generate params ~seed:6 ~n:n_txns)
       in
-      (* drive the scheduler directly so the per-transaction monitored
-         write counters stay inspectable after the run *)
-      let sched = Scheduler.create ~config:config.Sim.scheduler store in
-      let pending = ref programs and submitted = ref 0 in
-      let refill () =
-        while
-          !pending <> [] && !submitted - Scheduler.n_committed sched < 10
-        do
-          match !pending with
-          | [] -> ()
-          | p :: rest ->
-              pending := rest;
-              incr submitted;
-              ignore (Scheduler.submit sched p)
-        done
+      (* keep the scheduler so the per-transaction monitored write
+         counters stay inspectable after the run *)
+      let sched =
+        Scheduler.create ~config:{ Scheduler.default_config with seed = 6 }
+          store
       in
-      refill ();
-      while Scheduler.step sched do
-        refill ()
-      done;
-      let s = Scheduler.stats sched in
+      let e = Sim.central sched in
+      Sim.drive e ~mpl:10 programs;
+      let r = Sim.result e ~store programs in
+      let s = r.Sim.stats in
       let monitored =
         List.fold_left
           (fun acc id ->
             acc + Txn_state.monitored_writes (Scheduler.txn_state sched id))
           0 (Scheduler.all_txns sched)
-      in
-      let throughput =
-        if s.Scheduler.ticks = 0 then nan
-        else
-          1000.0 *. float_of_int s.Scheduler.commits
-          /. float_of_int s.Scheduler.ticks
-      in
-      let mean_cost =
-        if s.Scheduler.rollbacks = 0 then nan
-        else
-          float_of_int s.Scheduler.ops_lost /. float_of_int s.Scheduler.rollbacks
       in
       Table.add_row table
         [
@@ -88,9 +60,9 @@ let three_phase () =
           i s.Scheduler.deadlocks;
           i s.Scheduler.ops_lost;
           i s.Scheduler.overshoot_ops;
-          f2 mean_cost;
+          f2 r.Sim.mean_rollback_cost;
           i monitored;
-          f2 throughput;
+          f2 r.Sim.throughput;
         ])
     [
       ("scattered writes", { base with clustering = 0.0 }, Fun.id);

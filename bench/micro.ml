@@ -263,7 +263,7 @@ let rec grow ts =
   | Txn_state.Data_step ->
       Txn_state.exec_data_op ts;
       grow ts
-  | Txn_state.Need_unlock _ | Txn_state.At_end -> ()
+  | Txn_state.Need_unlock | Txn_state.At_end -> ()
 
 let bench_txn_execute =
   let store = bench_store () in
@@ -329,18 +329,6 @@ let bench_lock_grant_release =
              ignore (Prb_lock.Lock_table.release t 0 e))
            names))
 
-(* Re-interning a known name — what admission pays per lock state to
-   resolve its entity to a store id (Store.id). *)
-let bench_interner =
-  let it = Prb_util.Dense.Interner.create () in
-  let names = Array.init 64 (Printf.sprintf "E%d") in
-  Array.iter (fun e -> ignore (Prb_util.Dense.Interner.intern it e)) names;
-  Test.make ~name:"interner re-lookup (64 warm names)"
-    (Staged.stage (fun () ->
-         Array.iter
-           (fun e -> ignore (Prb_util.Dense.Interner.intern it e))
-           names))
-
 (* Segment recycling: a full history lifetime (create, 16 writes,
    dispose) against a warm pool, so every buffer comes from and returns
    to the free list instead of the allocator. *)
@@ -392,7 +380,6 @@ let run () =
       bench_victim_costing;
       bench_sdg_analysis;
       bench_lock_grant_release;
-      bench_interner;
       bench_pool_recycle;
       bench_articulation;
     ]

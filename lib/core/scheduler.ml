@@ -350,10 +350,10 @@ let exec_one t id =
         ()
       else
         match Txn_state.next_action ts with
-        | Txn_state.Need_lock (mode, _) ->
+        | Txn_state.Need_lock mode ->
             Engine.request t.eng t ~granted ~blocked id mode
               (Txn_state.next_lock_id ts)
-        | Txn_state.Need_unlock _ -> handle_unlock t id
+        | Txn_state.Need_unlock -> handle_unlock t id
         | Txn_state.Data_step ->
             Txn_state.exec_data_op ts;
             schedule t id

@@ -243,6 +243,7 @@ let create ?site_of config store =
   | None -> ());
   t
 
+let config t = t.cfg
 let site_of t e = checked_site t.site_fn t.cfg.n_sites e
 
 (* The site of entity id [x], mapped once. *)
@@ -785,9 +786,9 @@ let exec_one t id =
         Engine.schedule_at t.eng id ~at:(t.up_at.(m.home) + 1)
       else
         match Txn_state.next_action ts with
-        | Txn_state.Need_lock (mode, _) ->
+        | Txn_state.Need_lock mode ->
             handle_lock_request t id mode (Txn_state.next_lock_id ts)
-        | Txn_state.Need_unlock _ -> handle_unlock t id
+        | Txn_state.Need_unlock -> handle_unlock t id
         | Txn_state.Data_step ->
             Txn_state.exec_data_op ts;
             schedule t id

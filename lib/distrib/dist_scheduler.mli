@@ -126,6 +126,8 @@ val create :
     [Invalid_argument] naming the entity, the site and [n_sites] from the
     first {!step} or {!val-site_of} that asks for that entity. *)
 
+val config : t -> config
+
 val submit : t -> home:int -> Prb_txn.Program.t -> int
 (** Timestamps for wound-wait are admission order (smaller id = older). *)
 

@@ -1,61 +1,31 @@
 module D = Dist_scheduler
-module History = Prb_history.History
+module Sim = Prb_sim.Sim
 
 type config = { scheduler : D.config; mpl : int }
 
 let default_config = { scheduler = D.default_config; mpl = 8 }
 
-type result = {
-  stats : D.stats;
-  n_txns : int;
-  throughput : float;
-  messages_per_commit : float;
-  shipped_per_commit : float;
-  mean_rollback_cost : float;
-  serializable : bool;
-}
+include Prb_sim.Run_result
+
+let engine d =
+  let n_sites = (D.config d).D.n_sites and submitted = ref 0 in
+  {
+    Sim.submit =
+      (fun p ->
+        let home = !submitted mod n_sites in
+        incr submitted;
+        D.submit d ~home p);
+    step = (fun () -> D.step d);
+    n_committed = (fun () -> D.n_committed d);
+    stats = (fun () -> D.stats d);
+    history = D.history d;
+    lock_table = D.lock_table d;
+  }
 
 let run ?(config = default_config) ~store programs =
-  if config.mpl < 1 then invalid_arg "Dist_sim.run: mpl must be >= 1";
-  let sched = D.create config.scheduler store in
-  let pending = ref programs in
-  let submitted = ref 0 in
-  let submit_next () =
-    match !pending with
-    | [] -> ()
-    | p :: rest ->
-        pending := rest;
-        let home = !submitted mod config.scheduler.D.n_sites in
-        incr submitted;
-        ignore (D.submit sched ~home p)
-  in
-  let refill () =
-    while !pending <> [] && !submitted - D.n_committed sched < config.mpl do
-      submit_next ()
-    done
-  in
-  refill ();
-  while D.step sched do
-    refill ()
-  done;
-  let stats = D.stats sched in
-  let fl = float_of_int in
-  let per_commit x =
-    if stats.D.commits = 0 then nan else fl x /. fl stats.D.commits
-  in
-  {
-    stats;
-    n_txns = List.length programs;
-    throughput =
-      (if stats.D.ticks = 0 then nan
-       else 1000.0 *. fl stats.D.commits /. fl stats.D.ticks);
-    messages_per_commit = per_commit stats.D.messages;
-    shipped_per_commit = per_commit stats.D.shipped_copies;
-    mean_rollback_cost =
-      (if stats.D.rollbacks = 0 then nan
-       else fl stats.D.ops_lost /. fl stats.D.rollbacks);
-    serializable = History.serializable (D.history sched);
-  }
+  let e = engine (D.create config.scheduler store) in
+  Sim.drive e ~mpl:config.mpl programs;
+  Sim.result e ~store programs
 
 let pp_result ppf r =
   Fmt.pf ppf

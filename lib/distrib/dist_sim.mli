@@ -1,6 +1,6 @@
-(** Closed-system driver for the multi-site engine, mirroring
-    {!Prb_sim.Sim}: a fixed multiprogramming level per run, admissions
-    round-robin across home sites, derived metrics. *)
+(** The multi-site engine under {!Prb_sim.Sim}'s closed loop: a fixed
+    multiprogramming level per run, admissions round-robin across home
+    sites, and the one result record both engines report. *)
 
 type config = {
   scheduler : Dist_scheduler.config;
@@ -9,21 +9,18 @@ type config = {
 
 val default_config : config
 
-type result = {
-  stats : Dist_scheduler.stats;
-  n_txns : int;
-  throughput : float;  (** commits per 1000 ticks *)
-  messages_per_commit : float;
-  shipped_per_commit : float;
-  mean_rollback_cost : float;
-  serializable : bool;
-}
+include module type of struct
+  include Prb_sim.Run_result
+end
+
+val engine : Dist_scheduler.t -> Prb_sim.Sim.engine
+(** Home sites are assigned round-robin in submission order. *)
 
 val run :
   ?config:config ->
   store:Prb_storage.Store.t ->
   Prb_txn.Program.t list ->
   result
-(** Home sites are assigned round-robin in submission order. *)
+(** {!Prb_sim.Sim.drive} over {!engine}, then {!Prb_sim.Sim.result}. *)
 
 val pp_result : Format.formatter -> result -> unit

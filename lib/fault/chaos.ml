@@ -8,9 +8,10 @@ module Lock_table = Prb_lock.Lock_table
 module History = Prb_history.History
 module Scheduler = Prb_core.Scheduler
 module Engine = Prb_core.Engine
-module Run_stats = Prb_core.Run_stats
 module Detection_policy = Prb_core.Detection_policy
 module D = Prb_distrib.Dist_scheduler
+module Sim = Prb_sim.Sim
+module Dist_sim = Prb_distrib.Dist_sim
 
 type engine = Centralized | Distributed
 
@@ -115,8 +116,10 @@ let residual_locks store locks =
 
 (* The one fingerprint of a finished run, over the record both engines
    report. [faults_seen] is the documented sum; each engine leaves the
-   counters it has no use for at 0. *)
-let execution ~stuck ~all_committed history locks store (s : Run_stats.stats) =
+   counters it has no use for at 0. Every program was admitted before the
+   first step, so all committed means [n_txns] commits. *)
+let execution ~stuck (e : Sim.engine) store =
+  let s = e.stats () and history = e.history in
   let serializable = History.serializable history in
   {
     x_commits = s.commits;
@@ -124,12 +127,12 @@ let execution ~stuck ~all_committed history locks store (s : Run_stats.stats) =
     x_faults =
       s.msgs_lost + s.msgs_duplicated + s.site_crashes + s.txn_crashes
       + s.missed_passes;
-    x_all_committed = all_committed;
+    x_all_committed = e.n_committed () = n_txns;
     x_serializable = serializable;
     x_witness_ok =
       (not serializable)
       || Option.is_some (History.equivalent_serial_order history);
-    x_residual_locks = residual_locks store locks;
+    x_residual_locks = residual_locks store e.lock_table;
     x_store = Store.snapshot store;
     x_sum_ok = Store.Constraint.holds conserved store;
     x_stuck = stuck;
@@ -144,54 +147,45 @@ let stuck_of run =
     None
   with Engine.Stuck msg -> Some msg
 
-let exec_centralized ?(detection = Detection_policy.Eager) ?starvation_limit
+(* Both engines run the same programs through the one closed loop, every
+   program admitted at once. *)
+let execute ?(detection = Detection_policy.Eager) ?starvation_limit engine
     ~seed plan =
   let store = fresh_store () in
-  let config =
-    {
-      Scheduler.default_config with
-      seed;
-      max_ticks;
-      faults = Some plan;
-      detection;
-      starvation_limit;
-    }
+  let faults = Some plan in
+  let e =
+    match engine with
+    | Centralized ->
+        Sim.central
+          (Scheduler.create
+             ~config:
+               {
+                 Scheduler.default_config with
+                 seed;
+                 max_ticks;
+                 faults;
+                 detection;
+                 starvation_limit;
+               }
+             store)
+    | Distributed ->
+        Dist_sim.engine
+          (D.create
+             {
+               D.default_config with
+               n_sites;
+               seed;
+               max_ticks;
+               faults;
+               detection_policy = detection;
+               starvation_limit;
+             }
+             store)
   in
-  let sched = Scheduler.create ~config store in
-  List.iter (fun p -> ignore (Scheduler.submit sched p))
-    (transfer_programs ~seed);
-  let stuck = stuck_of (fun () -> Scheduler.run sched) in
-  execution ~stuck
-    ~all_committed:(Scheduler.all_committed sched)
-    (Scheduler.history sched) (Scheduler.lock_table sched) store
-    (Scheduler.stats sched)
-
-let exec_distributed ?(detection = Detection_policy.Eager) ?starvation_limit
-    ~seed plan =
-  let store = fresh_store () in
-  let config =
-    {
-      D.default_config with
-      n_sites;
-      seed;
-      max_ticks;
-      faults = Some plan;
-      detection_policy = detection;
-      starvation_limit;
-    }
+  let stuck =
+    stuck_of (fun () -> Sim.drive e ~mpl:n_txns (transfer_programs ~seed))
   in
-  let sched = D.create config store in
-  List.iteri
-    (fun k p -> ignore (D.submit sched ~home:(k mod n_sites) p))
-    (transfer_programs ~seed);
-  let stuck = stuck_of (fun () -> D.run sched) in
-  execution ~stuck ~all_committed:(D.all_committed sched) (D.history sched)
-    (D.lock_table sched) store (D.stats sched)
-
-let execute ?detection ?starvation_limit engine ~seed plan =
-  match engine with
-  | Centralized -> exec_centralized ?detection ?starvation_limit ~seed plan
-  | Distributed -> exec_distributed ?detection ?starvation_limit ~seed plan
+  execution ~stuck e store
 
 let check x =
   let v = ref [] in

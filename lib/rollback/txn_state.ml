@@ -166,21 +166,20 @@ let pc t = t.pc
 let lock_index t = t.lock_idx
 let finished t = t.pc >= Program.length t.program
 
-type action =
-  | Need_lock of Lock_mode.t * entity
-  | Need_unlock of entity
-  | Data_step
-  | At_end
+type action = Need_lock of Lock_mode.t | Need_unlock | Data_step | At_end
 
-let[@lint.allow
-     "A1: the action variant is the dispatch API between transaction \
-      state and scheduler — a short-lived two-word block per executed \
-      op, retained nowhere"] next_action t =
+(* The two lock actions are static constants: [next_action] allocates
+   nothing. The entity is [next_lock_id]'s. *)
+let need_shared = Need_lock Lock_mode.Shared
+let need_exclusive = Need_lock Lock_mode.Exclusive
+
+let next_action t =
   if finished t then At_end
   else
     match t.program.Program.ops.(t.pc) with
-    | Program.Lock (m, e) -> Need_lock (m, e)
-    | Program.Unlock e -> Need_unlock e
+    | Program.Lock (Lock_mode.Shared, _) -> need_shared
+    | Program.Lock (Lock_mode.Exclusive, _) -> need_exclusive
+    | Program.Unlock _ -> Need_unlock
     | Program.Read _ | Program.Write _ | Program.Assign _ -> Data_step
 
 let current_copies t = t.live_copies

@@ -90,12 +90,14 @@ val finished : t -> bool
 
 (** What the scheduler must do to advance this transaction one step. *)
 type action =
-  | Need_lock of Prb_txn.Lock_mode.t * entity
-  | Need_unlock of entity
+  | Need_lock of Prb_txn.Lock_mode.t
+      (** a lock request in this mode on {!next_lock_id} *)
+  | Need_unlock  (** an [Unlock]; run it with {!perform_unlock} *)
   | Data_step  (** a Read/Write/Assign; run it with {!exec_data_op} *)
   | At_end  (** program exhausted; {!commit} it *)
 
 val next_action : t -> action
+(** Allocates nothing. *)
 
 val next_lock_id : t -> int
 (** The store id of the entity a pending [Need_lock] names: lock state

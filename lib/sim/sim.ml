@@ -6,24 +6,49 @@ type config = { scheduler : Scheduler.config; mpl : int }
 
 let default_config = { scheduler = Scheduler.default_config; mpl = 8 }
 
-type result = {
-  stats : Scheduler.stats;
-  n_txns : int;
-  throughput : float;
-  deadlock_rate : float;
-  mean_rollback_cost : float;
-  wasted_fraction : float;
-  serializable : bool;
-  peak_copies : int;
-  store_installs : int;
-  check_seconds : float;
-  check_calls : int;
-  enumerate_seconds : float;
-  enumerate_calls : int;
+type engine = {
+  submit : Prb_txn.Program.t -> int;
+  step : unit -> bool;
+  n_committed : unit -> int;
+  stats : unit -> Prb_core.Run_stats.stats;
+  history : History.t;
+  lock_table : Prb_lock.Lock_table.t;
 }
 
-let result sched ~store programs =
-  let stats = Scheduler.stats sched in
+let central sched =
+  {
+    submit = Scheduler.submit sched;
+    step = (fun () -> Scheduler.step sched);
+    n_committed = (fun () -> Scheduler.n_committed sched);
+    stats = (fun () -> Scheduler.stats sched);
+    history = Scheduler.history sched;
+    lock_table = Scheduler.lock_table sched;
+  }
+
+let drive e ~mpl programs =
+  if mpl < 1 then invalid_arg "Sim.drive: mpl must be >= 1";
+  let pending = ref programs and submitted = ref 0 in
+  (* Keep [mpl] transactions in the system until the program list dries
+     up; every non-blocked live transaction always has a pending event, so
+     [step] returning false means the run is over. *)
+  let rec refill () =
+    match !pending with
+    | p :: rest when !submitted - e.n_committed () < mpl ->
+        pending := rest;
+        incr submitted;
+        ignore (e.submit p);
+        refill ()
+    | _ -> ()
+  in
+  refill ();
+  while e.step () do
+    refill ()
+  done
+
+include Run_result
+
+let result (e : engine) ~store programs =
+  let stats = e.stats () in
   let fl = float_of_int in
   let per x y = if y = 0 then nan else fl x /. fl y in
   {
@@ -34,7 +59,9 @@ let result sched ~store programs =
     mean_rollback_cost = per stats.ops_lost stats.rollbacks;
     wasted_fraction =
       per (stats.ops_executed - stats.ops_committed) stats.ops_executed;
-    serializable = History.serializable (Scheduler.history sched);
+    messages_per_commit = per stats.messages stats.commits;
+    shipped_per_commit = per stats.shipped_copies stats.commits;
+    serializable = History.serializable e.history;
     peak_copies = stats.peak_copies;
     store_installs = Store.install_count store;
     check_seconds = stats.check_seconds;
@@ -44,33 +71,9 @@ let result sched ~store programs =
   }
 
 let run ?(config = default_config) ~store programs =
-  if config.mpl < 1 then invalid_arg "Sim.run: mpl must be >= 1";
-  let sched = Scheduler.create ~config:config.scheduler store in
-  let pending = ref programs in
-  let submitted = ref 0 in
-  let submit_next () =
-    match !pending with
-    | [] -> ()
-    | p :: rest ->
-        pending := rest;
-        incr submitted;
-        ignore (Scheduler.submit sched p)
-  in
-  (* Keep [mpl] transactions in the system until the program list dries
-     up; every non-blocked live transaction always has a pending event, so
-     [step] returning false means the run is over. *)
-  let refill () =
-    while
-      !pending <> [] && !submitted - Scheduler.n_committed sched < config.mpl
-    do
-      submit_next ()
-    done
-  in
-  refill ();
-  while Scheduler.step sched do
-    refill ()
-  done;
-  result sched ~store programs
+  let e = central (Scheduler.create ~config:config.scheduler store) in
+  drive e ~mpl:config.mpl programs;
+  result e ~store programs
 
 let run_generated ?config ~params ~seed ~n_txns () =
   let store = Prb_workload.Generator.populate params in
@@ -113,7 +116,7 @@ module Open = struct
         ids
       |> Array.of_list
     in
-    let closed = result sched ~store programs in
+    let closed = result (central sched) ~store programs in
     let pct p =
       if Array.length latencies = 0 then nan
       else Prb_util.Stats.percentile latencies p

@@ -1,7 +1,7 @@
-(** Closed-system simulation driver: keep a fixed multiprogramming level
-    (MPL) of concurrent transactions, admit the next program whenever one
-    commits, and reduce a finished run to the derived metrics the
-    experiments report. *)
+(** The closed-system driver for both engines: keep a fixed
+    multiprogramming level (MPL) of concurrent transactions, admit the
+    next program whenever one commits, and reduce a finished run to the
+    derived metrics the experiments report. *)
 
 type config = {
   scheduler : Prb_core.Scheduler.config;
@@ -10,28 +10,35 @@ type config = {
 
 val default_config : config
 
-type result = {
-  stats : Prb_core.Scheduler.stats;
-  n_txns : int;
-  throughput : float;  (** commits per 1000 ticks *)
-  deadlock_rate : float;  (** deadlock resolutions per committed txn *)
-  mean_rollback_cost : float;
-      (** ops lost per rollback event; [nan] when no rollbacks *)
-  wasted_fraction : float;
-      (** (ops executed - net committed progress) / ops executed *)
-  serializable : bool;
-  peak_copies : int;
-  store_installs : int;
-  check_seconds : float;
-      (** wall-clock seconds spent in the boolean deadlock checks
-          (would-deadlock probes, cycle-membership censuses) when the
-          scheduler config carries a [clock]; [0.] otherwise *)
-  check_calls : int;  (** boolean deadlock checks run *)
-  enumerate_seconds : float;
-      (** wall-clock seconds spent enumerating cycles for the resolver
-          when the scheduler config carries a [clock]; [0.] otherwise *)
-  enumerate_calls : int;  (** cycle enumerations run *)
+(** One engine as the closed loop sees it: what {!drive} calls and what a
+    caller reads once the run is over. {!central} and
+    [Dist_sim.engine] build one over each scheduler; a caller that needs
+    more wraps a field (a [submit] that passes a copy allocation, a
+    [step] that reads mid-run state). *)
+type engine = {
+  submit : Prb_txn.Program.t -> int;  (** admit a program; its txn id *)
+  step : unit -> bool;  (** one event; [false] once the run is over *)
+  n_committed : unit -> int;
+  stats : unit -> Prb_core.Run_stats.stats;
+  history : Prb_history.History.t;  (** the certifier; live view *)
+  lock_table : Prb_lock.Lock_table.t;  (** live view — do not mutate *)
 }
+
+val central : Prb_core.Scheduler.t -> engine
+
+val drive : engine -> mpl:int -> Prb_txn.Program.t list -> unit
+(** The closed loop: keep [mpl] transactions admitted, in list order,
+    admit the next program whenever one commits, and step until the
+    engine reports the run over (everything committed, or its tick
+    limit). @raise Invalid_argument when [mpl < 1]. *)
+
+include module type of struct
+  include Run_result
+end
+
+val result :
+  engine -> store:Prb_storage.Store.t -> Prb_txn.Program.t list -> result
+(** The derived metrics of a finished run of [programs] on [store]. *)
 
 val run :
   ?config:config ->

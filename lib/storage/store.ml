@@ -9,16 +9,17 @@ module Entity = struct
   let pp = Format.pp_print_string
 end
 
-module Interner = Prb_util.Dense.Interner
-
 (* One numbering of entity names for the whole engine (DESIGN.md §12):
    [ids] gives each name the next id the first time anyone asks, defined
-   or not, and values sit in [values] at that id. A name with an id but
-   no value holds [undefined], a constant block no caller can reach, so a
-   lookup tells the two apart with one physical comparison. *)
+   or not; [names] maps an id back and values sit in [values] at that id.
+   A name with an id but no value holds [undefined], a constant block no
+   caller can reach, so a lookup tells the two apart with one physical
+   comparison. *)
 type t = {
-  ids : Interner.t;
+  ids : (entity, int) Hashtbl.t;
+  mutable names : entity array;
   mutable values : Value.t array;
+  mutable n : int;  (** ids handed out *)
   mutable defined : int;
   mutable installs : int;
 }
@@ -27,22 +28,42 @@ let undefined = Value.Text "<undefined>"
 
 let create () =
   {
-    ids = Interner.create ~size_hint:256 ();
+    ids = Hashtbl.create 256;
+    names = [||];
     values = [||];
+    n = 0;
     defined = 0;
     installs = 0;
   }
 
-let id t e =
-  let i = Interner.intern t.ids e in
-  if i >= Array.length t.values then begin
-    let values = Array.make (max 64 (2 * Array.length t.values)) undefined in
-    Array.blit t.values 0 values 0 (Array.length t.values);
-    t.values <- values
-  end;
-  i
+(* [Hashtbl.find] rather than [find_opt]: a hit returns the bare int
+   instead of boxing it in [Some]. -1 for a name never numbered. *)
+let find t e = try Hashtbl.find t.ids e with Not_found -> -1
 
-let name t i = Interner.name t.ids i
+let id t e =
+  let i = find t e in
+  if i >= 0 then i
+  else begin
+    let i = t.n in
+    if i >= Array.length t.values then begin
+      let cap = max 64 (2 * i) in
+      let grow a fill =
+        let a' = Array.make cap fill in
+        Array.blit a 0 a' 0 i;
+        a'
+      in
+      t.names <- grow t.names "";
+      t.values <- grow t.values undefined
+    end;
+    t.names.(i) <- e;
+    t.n <- i + 1;
+    Hashtbl.replace t.ids e i;
+    i
+  end
+
+let name t i =
+  if i < 0 || i >= t.n then invalid_arg "Store.name: unknown id";
+  t.names.(i)
 
 let define t e v =
   let i = id t e in
@@ -55,7 +76,7 @@ let of_list bindings =
   t
 
 (* The value at an id, or [undefined] for an id the store never handed
-   out (-1 from a failed [Interner.find] included). *)
+   out (-1 from a failed [find] included). *)
 let value t i =
   if i >= 0 && i < Array.length t.values then t.values.(i) else undefined
 
@@ -68,14 +89,14 @@ let install_at t i v =
   t.values.(i) <- v;
   t.installs <- t.installs + 1
 
-let mem t e = value t (Interner.find t.ids e) != undefined
-let get t e = get_at t (Interner.find t.ids e)
+let mem t e = value t (find t e) != undefined
+let get t e = get_at t (find t e)
 
 let find_opt t e =
-  let v = value t (Interner.find t.ids e) in
+  let v = value t (find t e) in
   if v == undefined then None else Some v
 
-let install t e v = install_at t (Interner.find t.ids e) v
+let install t e v = install_at t (find t e) v
 
 let snapshot t =
   let rec collect i acc =
@@ -86,7 +107,7 @@ let snapshot t =
   in
   List.sort
     (fun (a, _) (b, _) -> Entity.compare a b)
-    (collect (Interner.count t.ids - 1) [])
+    (collect (t.n - 1) [])
 
 let entities t = List.map fst (snapshot t)
 let size t = t.defined
@@ -107,7 +128,7 @@ let equal_state a b =
         | None -> false)
         && from (i - 1))
   in
-  from (Interner.count a.ids - 1)
+  from (a.n - 1)
 
 let install_count t = t.installs
 

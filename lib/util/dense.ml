@@ -1,48 +1,7 @@
 (* Dense int-indexed building blocks for the flat hot paths (DESIGN.md
-   Section 12): a string interner mapping entity names to contiguous slot
-   ids, and an int-payload priority queue whose steady-state push/pop
-   allocates nothing. Both are deterministic: behaviour depends only on
-   the call sequence, never on hashing or allocation addresses. *)
-
-module Interner = struct
-  type t = {
-    fwd : (string, int) Hashtbl.t;
-    mutable names : string array;
-    mutable n : int;
-  }
-
-  let create ?(size_hint = 64) () =
-    { fwd = Hashtbl.create size_hint; names = [||]; n = 0 }
-
-  let[@lint.allow
-       "A1: runs once per fresh entity name; repeat lookups on the hot \
-        lock path hit the table through [find]"] add t name =
-    let id = t.n in
-    if id >= Array.length t.names then begin
-      let ncap = max 16 (2 * Array.length t.names) in
-      let nn = Array.make ncap "" in
-      Array.blit t.names 0 nn 0 t.n;
-      t.names <- nn
-    end;
-    t.names.(id) <- name;
-    t.n <- id + 1;
-    Hashtbl.replace t.fwd name id;
-    id
-
-  (* [Hashtbl.find] rather than [find_opt]: a hit returns the bare int
-     instead of boxing it in [Some]. *)
-  let find t name = try Hashtbl.find t.fwd name with Not_found -> -1
-
-  let intern t name =
-    let id = find t name in
-    if id >= 0 then id else add t name
-
-  let name t id =
-    if id < 0 || id >= t.n then invalid_arg "Interner.name: unknown id";
-    t.names.(id)
-
-  let count t = t.n
-end
+   Section 12): an int-payload priority queue whose steady-state push/pop
+   allocates nothing. It is deterministic: behaviour depends only on the
+   call sequence, never on hashing or allocation addresses. *)
 
 module Pqueue = struct
   (* Int-payload binary min-heap on parallel arrays. Tie-break is

@@ -1,31 +1,9 @@
 (** Dense int-indexed building blocks for the flat, allocation-free hot
     paths (DESIGN.md Section 12).
 
-    Both structures are deterministic: behaviour depends only on the
-    call sequence, never on hashing, addresses or clocks, so replay
-    discipline is preserved when replay-critical modules are rebuilt on
-    top of them. *)
-
-module Interner : sig
-  (** Maps strings (entity names) to contiguous slot ids [0, 1, 2, ...]
-      in first-intern order, with O(1) reverse lookup. Ids are never
-      recycled — an interner grows monotonically with the name universe,
-      which for this system is the store's entity set. *)
-
-  type t
-
-  val create : ?size_hint:int -> unit -> t
-  val intern : t -> string -> int
-  (** Existing id, or the next unused one for a fresh name. *)
-
-  val find : t -> string -> int
-  (** The name's id, or -1 if it was never interned. Allocates nothing. *)
-
-  val name : t -> int -> string
-  (** @raise Invalid_argument on an id never returned by {!intern}. *)
-
-  val count : t -> int
-end
+    Deterministic: behaviour depends only on the call sequence, never on
+    hashing, addresses or clocks, so replay discipline is preserved when
+    replay-critical modules are rebuilt on top of it. *)
 
 module Pqueue : sig
   (** Int-payload binary min-heap on parallel int arrays. The tie-break

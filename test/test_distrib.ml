@@ -367,77 +367,54 @@ let pp_workload ppf w =
     p.Generator.n_entities p.zipf_theta p.read_fraction p.min_locks
     p.max_locks w.w_mpl w.w_seed w.w_n w.w_max_ticks
 
-(* Sim.run's closed loop, for either engine: keep [mpl] transactions in
-   the system until the programs run out. *)
-let closed_loop ~mpl ~submit ~step ~n_committed programs =
-  let pending = ref programs and submitted = ref 0 in
-  let refill () =
-    while !pending <> [] && !submitted - n_committed () < mpl do
-      match !pending with
-      | p :: rest ->
-          pending := rest;
-          incr submitted;
-          submit p
-      | [] -> ()
-    done
-  in
-  refill ();
-  while step () do
-    refill ()
-  done
-
 (* One configuration through both engines: what differs, by name. The
    intervention is detection under [policy], or wound-wait when [policy]
    is [None]. *)
 let equivalence_diffs w strategy policy =
   let programs = Generator.generate w.w_params ~seed:w.w_seed ~n:w.w_n in
   let c =
-    Scheduler.create
-      ~config:
-        {
-          Scheduler.default_config with
-          strategy;
-          policy = Option.value policy ~default:Policy.Ordered_min_cost;
-          intervention =
-            (if policy = None then Scheduler.Wound_wait_c else Scheduler.Detect);
-          seed = w.w_seed;
-          max_ticks = w.w_max_ticks;
-        }
-      (Generator.populate w.w_params)
+    Sim.central
+      (Scheduler.create
+         ~config:
+           {
+             Scheduler.default_config with
+             strategy;
+             policy = Option.value policy ~default:Policy.Ordered_min_cost;
+             intervention =
+               (if policy = None then Scheduler.Wound_wait_c
+                else Scheduler.Detect);
+             seed = w.w_seed;
+             max_ticks = w.w_max_ticks;
+           }
+         (Generator.populate w.w_params))
   in
-  closed_loop ~mpl:w.w_mpl
-    ~submit:(fun p -> ignore (Scheduler.submit c p))
-    ~step:(fun () -> Scheduler.step c)
-    ~n_committed:(fun () -> Scheduler.n_committed c)
-    programs;
   let d =
-    D.create
-      {
-        D.default_config with
-        n_sites = 1;
-        strategy;
-        policy = Option.value policy ~default:D.default_config.D.policy;
-        detection =
-          (if policy = None then D.Wound_wait else D.default_config.D.detection);
-        seed = w.w_seed;
-        max_ticks = w.w_max_ticks;
-      }
-      (Generator.populate w.w_params)
+    Dist_sim.engine
+      (D.create
+         {
+           D.default_config with
+           n_sites = 1;
+           strategy;
+           policy = Option.value policy ~default:D.default_config.D.policy;
+           detection =
+             (if policy = None then D.Wound_wait
+              else D.default_config.D.detection);
+           seed = w.w_seed;
+           max_ticks = w.w_max_ticks;
+         }
+         (Generator.populate w.w_params))
   in
-  closed_loop ~mpl:w.w_mpl
-    ~submit:(fun p -> ignore (D.submit d ~home:0 p))
-    ~step:(fun () -> D.step d)
-    ~n_committed:(fun () -> D.n_committed d)
-    programs;
-  let cs = Scheduler.stats c and ds = D.stats d in
+  Sim.drive c ~mpl:w.w_mpl programs;
+  Sim.drive d ~mpl:w.w_mpl programs;
+  let cs = c.stats () and ds = d.stats () in
   List.filter_map
     (fun (what, get) -> if get cs = get ds then None else Some what)
     shared_counters
   @ (if ds.D.global_deadlocks = 0 then [] else [ "global deadlocks" ])
   @
   if
-    History.equivalent_serial_order (Scheduler.history c)
-    = History.equivalent_serial_order (D.history d)
+    History.equivalent_serial_order c.history
+    = History.equivalent_serial_order d.history
   then []
   else [ "serial order" ]
 
@@ -729,7 +706,7 @@ let test_name_order () =
     match Ts.next_action ts with
     | Ts.Need_lock _ -> Ts.lock_granted ts; drive ()
     | Ts.Data_step -> Ts.exec_data_op ts; drive ()
-    | Ts.Need_unlock _ -> ignore (Ts.perform_unlock ts); drive ()
+    | Ts.Need_unlock -> ignore (Ts.perform_unlock ts); drive ()
     | Ts.At_end -> ()
   in
   drive ();

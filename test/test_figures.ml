@@ -28,7 +28,7 @@ let advance ts ~stop_pc =
     match Txn_state.next_action ts with
     | Txn_state.Need_lock _ -> Txn_state.lock_granted ts
     | Txn_state.Data_step -> Txn_state.exec_data_op ts
-    | Txn_state.Need_unlock _ -> ignore (Txn_state.perform_unlock ts)
+    | Txn_state.Need_unlock -> ignore (Txn_state.perform_unlock ts)
     | Txn_state.At_end -> failwith "advance: past end"
   done
 
@@ -100,8 +100,8 @@ let test_fig1_rollback_frees_a () =
   (* Back before its first lock, T2 waits for nothing: Figure 1(b) has
      no arc out of T2. *)
   checkb "T2 next asks for b again" true
-    (Txn_state.next_action ts2
-    = Txn_state.Need_lock (Lock_mode.Exclusive, "b"))
+    (Txn_state.next_action ts2 = Txn_state.Need_lock Lock_mode.Exclusive
+    && Store.name fig1_store (Txn_state.next_lock_id ts2) = "b")
 
 let test_fig1_graph_is_single_cycle () =
   let wfg = Waits_for.create () in

@@ -21,6 +21,8 @@ module Lock_mode = Prb_txn.Lock_mode
 module Generator = Prb_workload.Generator
 module Scheduler = Prb_core.Scheduler
 module D = Prb_distrib.Dist_scheduler
+module Sim = Prb_sim.Sim
+module Dist_sim = Prb_distrib.Dist_sim
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -267,34 +269,28 @@ let pinned_params =
 
 let mid_step = 1500
 
-let pinned_run ~submit ~step ~n_committed ~history =
-  let pending = ref (Generator.generate pinned_params ~seed:11 ~n:400) in
-  let submitted = ref 0 and steps = ref 0 and mid = ref None in
-  let refill () =
-    while !pending <> [] && !submitted - n_committed () < 16 do
-      match !pending with
-      | p :: rest ->
-          pending := rest;
-          incr submitted;
-          submit p
-      | [] -> ()
-    done
-  in
-  refill ();
-  while step () do
-    incr steps;
-    if !steps = mid_step then begin
-      let h = history () in
-      mid :=
-        Some (History.n_retained_txns h, History.equivalent_serial_order h)
+(* [Sim.drive] with [step] wrapped to read the witness mid-run. *)
+let pinned_run (e : Sim.engine) =
+  let steps = ref 0 and mid = ref None in
+  let step () =
+    let more = e.step () in
+    if more then begin
+      incr steps;
+      if !steps = mid_step then
+        mid :=
+          Some
+            ( History.n_retained_txns e.history,
+              History.equivalent_serial_order e.history )
     end;
-    refill ()
-  done;
-  checki "all committed" 400 (n_committed ());
+    more
+  in
+  Sim.drive { e with step } ~mpl:16
+    (Generator.generate pinned_params ~seed:11 ~n:400);
+  checki "all committed" 400 (e.n_committed ());
   match !mid with
   | None -> Alcotest.fail "run ended before the mid-run step"
   | Some (retained, order) ->
-      (retained, order, History.equivalent_serial_order (history ()))
+      (retained, order, History.equivalent_serial_order e.history)
 
 let central_mid_order =
   Some
@@ -380,29 +376,21 @@ let check_pinned (retained, mid, final) ~mid_order ~final_order =
   checkb "final witness" true (final = final_order)
 
 let test_pinned_witness_central () =
-  let c =
-    Scheduler.create
-      ~config:{ Scheduler.default_config with seed = 11 }
-      (Generator.populate pinned_params)
-  in
   check_pinned
     (pinned_run
-       ~submit:(fun p -> ignore (Scheduler.submit c p))
-       ~step:(fun () -> Scheduler.step c)
-       ~n_committed:(fun () -> Scheduler.n_committed c)
-       ~history:(fun () -> Scheduler.history c))
+       (Sim.central
+          (Scheduler.create
+             ~config:{ Scheduler.default_config with seed = 11 }
+             (Generator.populate pinned_params))))
     ~mid_order:central_mid_order ~final_order:central_final_order
 
 let test_pinned_witness_distrib () =
-  let d =
-    D.create { D.default_config with seed = 11 } (Generator.populate pinned_params)
-  in
   check_pinned
     (pinned_run
-       ~submit:(fun p -> ignore (D.submit d ~home:0 p))
-       ~step:(fun () -> D.step d)
-       ~n_committed:(fun () -> D.n_committed d)
-       ~history:(fun () -> D.history d))
+       (Dist_sim.engine
+          (D.create
+             { D.default_config with seed = 11 }
+             (Generator.populate pinned_params))))
     ~mid_order:distrib_mid_order ~final_order:distrib_final_order
 
 (* --- Differential property vs the naive construction ------------------ *)

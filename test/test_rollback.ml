@@ -252,7 +252,7 @@ let advance_to ts stop_pc =
     match Txn_state.next_action ts with
     | Txn_state.Need_lock _ -> Txn_state.lock_granted ts
     | Txn_state.Data_step -> Txn_state.exec_data_op ts
-    | Txn_state.Need_unlock _ -> ignore (Txn_state.perform_unlock ts)
+    | Txn_state.Need_unlock -> ignore (Txn_state.perform_unlock ts)
     | Txn_state.At_end -> failwith "advance_to: past end"
   done
 
@@ -265,7 +265,7 @@ let run_to_end ts =
     | Txn_state.Data_step ->
         Txn_state.exec_data_op ts;
         go ()
-    | Txn_state.Need_unlock _ ->
+    | Txn_state.Need_unlock ->
         ignore (Txn_state.perform_unlock ts);
         go ()
     | Txn_state.At_end -> Txn_state.commit ts
@@ -511,7 +511,7 @@ let run_with_snapshots ts =
     | Txn_state.Data_step ->
         Txn_state.exec_data_op ts;
         go ()
-    | Txn_state.Need_unlock _ | Txn_state.At_end -> ()
+    | Txn_state.Need_unlock | Txn_state.At_end -> ()
   in
   go ();
   List.rev !snapshots
@@ -889,24 +889,29 @@ let cost_outcome f =
       Raised "out of range"
   | o -> o
 
-let action_string = function
-  | Txn_state.Need_lock (m, e) ->
-      Fmt.str "lock %a %s" Prb_txn.Lock_mode.pp m e
-  | Txn_state.Need_unlock e -> "unlock " ^ e
+(* The state's actions carry no entity: a lock's is [next_lock_id]'s,
+   named back through the store, and an unlock's is the op at [pc], which
+   "pc" already compares. *)
+let action_string ~name ts =
+  match Txn_state.next_action ts with
+  | Txn_state.Need_lock m ->
+      Fmt.str "lock %a %s" Prb_txn.Lock_mode.pp m
+        (name (Txn_state.next_lock_id ts))
+  | Txn_state.Need_unlock -> "unlock"
   | Txn_state.Data_step -> "data"
   | Txn_state.At_end -> "end"
 
 let ref_action_string = function
   | Txn_state_ref.Need_lock (m, e) ->
       Fmt.str "lock %a %s" Prb_txn.Lock_mode.pp m e
-  | Txn_state_ref.Need_unlock e -> "unlock " ^ e
+  | Txn_state_ref.Need_unlock _ -> "unlock"
   | Txn_state_ref.Data_step -> "data"
   | Txn_state_ref.At_end -> "end"
 
 (* Every observable of the two states, compared. [es] is the entity
    universe (the program's entities and one it never locks), [subsets]
    the entity sets whose set target and its cost are asked. *)
-let agree ts r ~es ~vars ~subsets ~after_dispose =
+let agree ts r ~name ~es ~vars ~subsets ~after_dispose =
   let module R = Txn_state_ref in
   let same name a b =
     if a = b then true
@@ -938,7 +943,7 @@ let agree ts r ~es ~vars ~subsets ~after_dispose =
        (R.monitored_writes r)
   && (after_dispose
      || same "next_action"
-          (outcome (fun () -> action_string (Txn_state.next_action ts)))
+          (outcome (fun () -> action_string ~name ts))
           (outcome (fun () -> ref_action_string (R.next_action r)))
         && same "pp" (Fmt.str "%a" Txn_state.pp ts) (Fmt.str "%a" R.pp r)
         && List.for_all
@@ -1023,7 +1028,7 @@ let differential_run ~pool ~ref_pool ~strategy ~copy_allocation ~store
       es
   in
   let check ~after_dispose =
-    agree ts r ~es ~vars ~after_dispose
+    agree ts r ~name ~es ~vars ~after_dispose
       ~subsets:[ []; subset (); subset (); held_subset () ]
   in
   let rec go steps =
@@ -1053,7 +1058,7 @@ let differential_run ~pool ~ref_pool ~strategy ~copy_allocation ~store
               Txn_state.exec_data_op ts;
               R.exec_data_op r;
               true
-          | Txn_state.Need_unlock _, R.Need_unlock _ ->
+          | Txn_state.Need_unlock, R.Need_unlock _ ->
               let x, final = Txn_state.perform_unlock ts in
               (name x, final) = R.perform_unlock r
           | Txn_state.At_end, R.At_end ->
@@ -1075,7 +1080,7 @@ let differential_run ~pool ~ref_pool ~strategy ~copy_allocation ~store
             ~monitored_writes:(Txn_state.monitored_writes ts) program
         in
         check ~after_dispose:true
-        && agree rebuilt r ~es ~vars ~after_dispose:true ~subsets:[]
+        && agree rebuilt r ~name ~es ~vars ~after_dispose:true ~subsets:[]
         && Fmt.str "%a" Txn_state.pp rebuilt = Fmt.str "%a" Txn_state.pp ts
       end
       else go (steps - 1)

@@ -7,6 +7,8 @@ module Policy = Prb_core.Policy
 module Generator = Prb_workload.Generator
 module Scenarios = Prb_workload.Scenarios
 module Store = Prb_storage.Store
+module D = Prb_distrib.Dist_scheduler
+module Dist_sim = Prb_distrib.Dist_sim
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -29,6 +31,33 @@ let test_mpl_respected () =
   checki "no blocks under mpl 1" 0 r.Sim.stats.Scheduler.blocks;
   checki "no deadlocks" 0 r.Sim.stats.Scheduler.deadlocks;
   checki "commits" 20 r.Sim.stats.Scheduler.commits
+
+(* Both engines under the one closed loop, [submit] and [step] wrapped to
+   count: before every step (so after every refill) min(mpl, programs
+   left) transactions are in flight, and an admission never takes the
+   count past [mpl]. *)
+let test_drive_holds_mpl () =
+  let n = 40 and mpl = 6 in
+  let programs = Generator.generate small_params ~seed:2 ~n in
+  let check name (e : Sim.engine) =
+    let submitted = ref 0 in
+    let in_flight () = !submitted - e.n_committed () in
+    let submit p =
+      checkb (name ^ ": room to admit") true (in_flight () < mpl);
+      incr submitted;
+      e.submit p
+    in
+    let step () =
+      checki (name ^ ": in flight") (min mpl (n - e.n_committed ()))
+        (in_flight ());
+      e.step ()
+    in
+    Sim.drive { e with submit; step } ~mpl programs;
+    checki (name ^ ": all commit") n (e.n_committed ())
+  in
+  let store () = Generator.populate small_params in
+  check "central" (Sim.central (Scheduler.create (store ())));
+  check "distributed" (Dist_sim.engine (D.create D.default_config (store ())))
 
 let test_contention_rises_with_mpl () =
   let run mpl =
@@ -142,9 +171,14 @@ let test_open_bad_rate () =
            ~arrival_seed:1 []))
 
 let test_bad_mpl_rejected () =
-  Alcotest.check_raises "mpl 0" (Invalid_argument "Sim.run: mpl must be >= 1")
-    (fun () ->
-      ignore (Sim.run ~config:{ Sim.default_config with mpl = 0 } ~store:(Store.create ()) []))
+  let err = Invalid_argument "Sim.drive: mpl must be >= 1" in
+  Alcotest.check_raises "central mpl 0" err (fun () ->
+      ignore (Sim.run ~config:{ Sim.default_config with mpl = 0 } ~store:(Store.create ()) []));
+  Alcotest.check_raises "distributed mpl 0" err (fun () ->
+      ignore
+        (Dist_sim.run
+           ~config:{ Dist_sim.default_config with mpl = 0 }
+           ~store:(Store.create ()) []))
 
 let () =
   Alcotest.run "prb_sim"
@@ -153,6 +187,7 @@ let () =
         [
           Alcotest.test_case "runs everything" `Quick test_runs_everything;
           Alcotest.test_case "mpl 1 is serial" `Quick test_mpl_respected;
+          Alcotest.test_case "drive holds mpl" `Quick test_drive_holds_mpl;
           Alcotest.test_case "contention grows with mpl" `Quick
             test_contention_rises_with_mpl;
           Alcotest.test_case "wasted fraction sane" `Quick test_wasted_fraction_sane;

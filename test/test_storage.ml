@@ -153,7 +153,9 @@ let qcheck_install_get =
    that define and reset entities, number names nobody defines, read and
    install by name and by id, and compare with a second store that
    numbers the same names in the opposite order. [Not_found] must be
-   raised exactly where the model raises it. *)
+   raised exactly where the model raises it. Ids are 0, 1, 2, ... in the
+   order names were first defined or asked for, and an id past them (or
+   -1) names nothing. *)
 let qcheck_store_vs_model =
   let names = [| "n0"; "n1"; "n2"; "n3"; "n4"; "n5" |] in
   QCheck.Test.make ~name:"id-indexed store matches a hashtable model"
@@ -165,7 +167,12 @@ let qcheck_store_vs_model =
         ignore (Store.id b names.(i))
       done;
       let ma = Hashtbl.create 8 and mb = Hashtbl.create 8 in
-      let installs = ref 0 in
+      let installs = ref 0 and asked = ref [] in
+      let unknown i =
+        match Store.name a i with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
       let outcome f = match f () with v -> Some v | exception Not_found -> None in
       let bindings m =
         List.sort compare (Hashtbl.fold (fun e v acc -> (e, v) :: acc) m [])
@@ -182,10 +189,16 @@ let qcheck_store_vs_model =
         && Store.install_count a = !installs
         && Store.equal_state a b = (bindings ma = bindings mb)
         && Store.equal_state b a = (bindings ma = bindings mb)
+        && List.init (List.length !asked) (Store.name a) = List.rev !asked
+        && unknown (List.length !asked)
+        && unknown (-1)
       in
       List.for_all
         (fun (op, ni, n) ->
           let e = names.(ni) and v = Value.int n in
+          (* these ops define [e] in [a] or ask its id *)
+          if (op = 0 || op = 1 || op = 3 || op = 5) && not (List.mem e !asked)
+          then asked := e :: !asked;
           (match op with
           | 0 ->
               Store.define a e v;

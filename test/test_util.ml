@@ -264,17 +264,6 @@ let test_heap_qcheck_sorted_drain =
 
 (* --- Dense --- *)
 
-let test_interner_contiguous () =
-  let it = Dense.Interner.create () in
-  checki "first" 0 (Dense.Interner.intern it "a");
-  checki "second" 1 (Dense.Interner.intern it "b");
-  checki "re-intern stable" 0 (Dense.Interner.intern it "a");
-  checki "third" 2 (Dense.Interner.intern it "c");
-  checki "count" 3 (Dense.Interner.count it);
-  check Alcotest.string "reverse" "b" (Dense.Interner.name it 1);
-  checki "find existing" 2 (Dense.Interner.find it "c");
-  checki "find missing" (-1) (Dense.Interner.find it "z")
-
 (* qcheck: Pqueue pops in exactly Heap's order — same priorities, same
    tie-break by push sequence — so the scheduler's event loop is
    order-identical on either queue. Pops are interleaved with pushes to
@@ -392,7 +381,6 @@ let () =
         ] );
       ( "dense",
         [
-          Alcotest.test_case "interner contiguous" `Quick test_interner_contiguous;
           QCheck_alcotest.to_alcotest test_pqueue_qcheck_matches_heap;
         ] );
       ( "table",
