@@ -46,7 +46,7 @@ let three_phase () =
       in
       let e = Sim.central sched in
       Sim.drive e ~mpl:10 programs;
-      let r = Sim.result e ~store programs in
+      let r = Sim.result e programs in
       let s = r.Sim.stats in
       let monitored =
         List.fold_left

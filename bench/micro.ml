@@ -227,6 +227,39 @@ let bench_victim_choice =
            ~rng
            (Waits_for.enumerate ~limit:256 g 0)))
 
+(* Victim choice alone on the mean hotspot deadlock's shape: 36 cycles of
+   six arcs over 12 members. The requester (0) waits on two shared
+   holders, each of them on the next layer of two, then three, then
+   three, then on one transaction that waits back on the requester. Entry
+   order makes the first three layers older than the requester and the
+   requester older than the rest, so under ordered min-cost each cycle's
+   candidates are its member of the last two layers: the three-holder
+   layer (cost 15 together) beats the one transaction past it (17),
+   greedy finds it, and branch-and-bound proves it in a few nodes. The
+   record is enumerated once, outside the timing. *)
+let bench_victim_choice_mean =
+  let g = Waits_for.create () in
+  let layers = [| [ 1; 2 ]; [ 3; 4 ]; [ 5; 6; 7 ]; [ 8; 9; 10 ]; [ 11 ] |] in
+  Waits_for.set_wait g ~waiter:0 ~holders:layers.(0) "r";
+  Array.iteri
+    (fun i layer ->
+      List.iter
+        (fun v ->
+          Waits_for.set_wait g ~waiter:v
+            ~holders:(if i = 4 then [ 0 ] else layers.(i + 1))
+            (Printf.sprintf "e%d" v))
+        layer)
+    layers;
+  let c = Waits_for.enumerate g 0 in
+  assert (c.Waits_for.n_cycles = 36 && c.Waits_for.n_members = 12);
+  let rng = Prb_util.Rng.make 1 in
+  Test.make ~name:"victim choice only (36 cycles, 12 members)"
+    (Staged.stage (fun () ->
+         Resolver.choose_cycles ~policy:Policy.Ordered_min_cost ~requester:0
+           ~entry_order:(fun v -> if v = 0 then 7 else v)
+           ~release_cost:(fun v es -> List.length es + if v = 11 then 14 else 2)
+           ~rng c))
+
 let bench_history_write =
   Test.make ~name:"history write (mcs, 16 segments)"
     (Staged.stage (fun () ->
@@ -374,6 +407,7 @@ let run () =
       bench_fixpoint;
       bench_cycles_through;
       bench_victim_choice;
+      bench_victim_choice_mean;
       bench_history_write;
       bench_txn_execute;
       bench_rollback;

@@ -19,9 +19,10 @@ type decision = {
    eligibility, its immunity, its cost — is worked out once per member,
    never once per arc, and no cycle is rebuilt as a list. Members are
    ascending by transaction id, so member-index order is id order: the
-   cut solver's candidates and each cycle's candidate set come out
-   ascending, which fixes branch-and-bound's branch order and greedy's
-   lowest-vertex tie-break exactly as the list resolver had them. *)
+   cut solver's candidates are member indices, and a cycle's candidate
+   mask read bit by bit is ascending by id, which fixes branch-and-bound's
+   branch order and greedy's lowest-vertex tie-break exactly as the list
+   resolver had them. *)
 
 let rec mem_entity (x : entity) = function
   | [] -> false
@@ -70,81 +71,19 @@ let cheapest_cut (c : Waits_for.cycles) ~req ~released ~release_cost
      members keeps them (immunity bends before liveness — the caller reads
      [starved_fallback] off the decision). A cycle with no eligible member
      at all falls back to the requester (which is on every cycle), so a
-     cut always exists. In [rank] terms, a cycle keeps its members of the
-     lowest rank present on it, rank 2 meaning the requester alone. *)
-  let n = c.n_cycles and nm = c.n_members in
-  let rank =
-    Array.init nm (fun m ->
-        if not eligible.(m) then 2 else if immune.(m) then 1 else 0)
+     cut always exists. *)
+  let tier =
+    Array.init c.n_members (fun m ->
+        if not (eligible m) then 2 else if immune.(m) then 1 else 0)
   in
-  let tier = Array.make n 2 in
-  let cand = Array.make nm (-1) in
-  for k = 0 to n - 1 do
-    let first = c.first.(k) and stop = c.first.(k + 1) in
-    for p = first to stop - 1 do
-      let r = rank.(c.member.(p)) in
-      if r < tier.(k) then tier.(k) <- r
-    done;
-    if tier.(k) = 2 then cand.(req) <- 0
-    else
-      for p = first to stop - 1 do
-        let m = c.member.(p) in
-        if rank.(m) = tier.(k) then cand.(m) <- 0
-      done
-  done;
-  (* Candidates numbered in member order, hence ascending by id. *)
-  let ncand = ref 0 in
-  for m = 0 to nm - 1 do
-    if cand.(m) >= 0 then begin
-      cand.(m) <- !ncand;
-      incr ncand
-    end
-  done;
-  let ncand = !ncand in
-  let cand_member = Array.make ncand 0 in
-  for m = 0 to nm - 1 do
-    if cand.(m) >= 0 then cand_member.(cand.(m)) <- m
-  done;
-  (* Each cycle's candidates, laid out flat like the record's arcs (a
-     cycle has at least as many arcs as candidates). *)
-  let seen = Array.make ncand (-1) in
-  let first = Array.make (n + 1) 0 and cands = Array.make c.first.(n) 0 in
-  for k = 0 to n - 1 do
-    let lo = first.(k) in
-    let hi = ref lo in
-    if tier.(k) = 2 then begin
-      cands.(lo) <- cand.(req);
-      incr hi
-    end
-    else
-      for p = c.first.(k) to c.first.(k + 1) - 1 do
-        let i = cand.(c.member.(p)) in
-        if rank.(c.member.(p)) = tier.(k) && seen.(i) <> k then begin
-          seen.(i) <- k;
-          (* insertion keeps the cycle's candidates ascending *)
-          let j = ref !hi in
-          while !j > lo && cands.(!j - 1) > i do
-            cands.(!j) <- cands.(!j - 1);
-            decr j
-          done;
-          cands.(!j) <- i;
-          incr hi
-        end
-      done;
-    first.(k + 1) <- !hi
-  done;
-  let costs =
-    Array.map
-      (fun m -> float_of_int (release_cost c.members.(m) released.(m)))
-      cand_member
+  let x =
+    Cutset.of_cycles ~n_cycles:c.n_cycles ~first:c.first ~member:c.member
+      ~tier ~fallback:req
+      ~cost:(fun m -> float_of_int (release_cost c.members.(m) released.(m)))
   in
-  let x = { Cutset.costs; first; cands } in
-  let chosen, optimal =
-    match Cutset.exact_indexed x with
-    | Some chosen -> (chosen, true)
-    | None -> (Cutset.greedy_indexed x, false)
-  in
-  (List.map (fun i -> cand_member.(i)) chosen, optimal)
+  match Cutset.exact_indexed x with
+  | Some chosen -> (chosen, true)
+  | None -> (Cutset.greedy_indexed x, false)
 
 (* Break the cycles in order: the first cycle no pick so far hits gets a
    member by [pick]. A hit cycle stays hit, so one forward pass visits
@@ -187,7 +126,7 @@ let choose_cycles ?(immune = fun _ -> false) ~policy ~requester ~entry_order
   | Policy.Min_cost ->
       let chosen, optimal =
         cheapest_cut c ~req ~released ~release_cost
-          ~eligible:(Array.make c.n_members true)
+          ~eligible:(fun _ -> true)
           ~immune
       in
       decide ~optimal chosen
@@ -198,12 +137,9 @@ let choose_cycles ?(immune = fun _ -> false) ~policy ~requester ~entry_order
          must eventually commit); a cycle whose members are all older
          falls back to rolling the requester itself. *)
       let requester_order = entry_order requester in
-      let eligible =
-        Array.init c.n_members (fun m ->
-            entry_order c.members.(m) > requester_order)
-      in
       let chosen, optimal =
-        cheapest_cut c ~req ~released ~release_cost ~eligible ~immune
+        cheapest_cut c ~req ~released ~release_cost ~immune
+          ~eligible:(fun m -> entry_order c.members.(m) > requester_order)
       in
       decide ~optimal chosen
   | Policy.Youngest ->

@@ -25,7 +25,7 @@ let engine d =
 let run ?(config = default_config) ~store programs =
   let e = engine (D.create config.scheduler store) in
   Sim.drive e ~mpl:config.mpl programs;
-  Sim.result e ~store programs
+  Sim.result e programs
 
 let pp_result ppf r =
   Fmt.pf ppf

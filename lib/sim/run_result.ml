@@ -17,14 +17,6 @@ type result = {
   shipped_per_commit : float;  (** shipped bookkeeping copies per commit *)
   serializable : bool;
   peak_copies : int;
-  store_installs : int;
-  check_seconds : float;
-      (** wall-clock seconds spent in the boolean deadlock checks
-          (would-deadlock probes, cycle-membership censuses) when the
-          scheduler config carries a [clock]; [0.] otherwise *)
   check_calls : int;  (** boolean deadlock checks run *)
-  enumerate_seconds : float;
-      (** wall-clock seconds spent enumerating cycles for the resolver
-          when the scheduler config carries a [clock]; [0.] otherwise *)
   enumerate_calls : int;  (** cycle enumerations run *)
 }

@@ -1,6 +1,5 @@
 module Scheduler = Prb_core.Scheduler
 module History = Prb_history.History
-module Store = Prb_storage.Store
 
 type config = { scheduler : Scheduler.config; mpl : int }
 
@@ -47,7 +46,7 @@ let drive e ~mpl programs =
 
 include Run_result
 
-let result (e : engine) ~store programs =
+let result (e : engine) programs =
   let stats = e.stats () in
   let fl = float_of_int in
   let per x y = if y = 0 then nan else fl x /. fl y in
@@ -63,17 +62,14 @@ let result (e : engine) ~store programs =
     shipped_per_commit = per stats.shipped_copies stats.commits;
     serializable = History.serializable e.history;
     peak_copies = stats.peak_copies;
-    store_installs = Store.install_count store;
-    check_seconds = stats.check_seconds;
     check_calls = stats.check_calls;
-    enumerate_seconds = stats.enumerate_seconds;
     enumerate_calls = stats.enumerate_calls;
   }
 
 let run ?(config = default_config) ~store programs =
   let e = central (Scheduler.create ~config:config.scheduler store) in
   drive e ~mpl:config.mpl programs;
-  result e ~store programs
+  result e programs
 
 let run_generated ?config ~params ~seed ~n_txns () =
   let store = Prb_workload.Generator.populate params in
@@ -116,7 +112,7 @@ module Open = struct
         ids
       |> Array.of_list
     in
-    let closed = result (central sched) ~store programs in
+    let closed = result (central sched) programs in
     let pct p =
       if Array.length latencies = 0 then nan
       else Prb_util.Stats.percentile latencies p

@@ -36,9 +36,8 @@ include module type of struct
   include Run_result
 end
 
-val result :
-  engine -> store:Prb_storage.Store.t -> Prb_txn.Program.t list -> result
-(** The derived metrics of a finished run of [programs] on [store]. *)
+val result : engine -> Prb_txn.Program.t list -> result
+(** The derived metrics of a finished run of [programs]. *)
 
 val run :
   ?config:config ->

@@ -3,7 +3,7 @@
    test_resolver can assert that victim choice over flat cycle records
    (DESIGN.md Section 16) decides identically. Not used by any engine. *)
 
-module Cutset = Prb_graph.Cutset
+module Cutset = Cutset_ref
 module Rng = Prb_util.Rng
 module Txn_id = Prb_txn.Txn_id
 module Entity = Prb_storage.Store.Entity

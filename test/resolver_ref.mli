@@ -3,7 +3,8 @@
 
     One pass over the cycle lists builds the per-member released-entity
     table; the cut policies restrict every cycle to its eligible, then
-    non-immune, members and hand the lists to {!Prb_graph.Cutset}; the
+    non-immune, members and hand the lists to {!Cutset_ref}, the solver
+    the library had before its member-bitmask form; the
     iterative policies refilter the surviving cycles after every pick. *)
 
 type txn = int

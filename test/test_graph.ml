@@ -397,6 +397,57 @@ let qcheck_exact_beats_greedy =
           && Cutset.total_cost inst cut
              <= Cutset.total_cost inst (Cutset.greedy inst) +. 1e-9)
 
+(* qcheck: the member-bitmask solver against [Cutset_ref], the solver on
+   per-cycle candidate lists it replaced. Instances have 1-130 candidates
+   and 1-300 cycles, so masks span several words both ways; costs come
+   from three values, so ties occur; node budgets start at 1, so a [None]
+   must agree too. Both entry points: the indexed one the resolver calls,
+   and the vertex-list one. *)
+let mask_instance_gen =
+  QCheck.Gen.(
+    oneof [ pair (int_range 1 12) (int_range 1 40);
+            pair (int_range 1 130) (int_range 1 300) ]
+    >>= fun (n, n_cycles) ->
+    int_range 1 6 >>= fun width ->
+    triple
+      (array_repeat n (oneofl [ 1.0; 2.0; 3.5 ]))
+      (list_repeat n_cycles (list_size (int_range 1 width) (int_bound (n - 1))))
+      (oneof [ int_range 1 40; int_range 1 20_000 ]))
+
+let print_mask_instance (costs, cycles, budget) =
+  Printf.sprintf "%d candidates, %d cycles, budget %d: %s"
+    (Array.length costs) (List.length cycles) budget
+    (String.concat " | "
+       (List.map (fun c -> String.concat "," (List.map string_of_int c)) cycles))
+
+let both_forms costs cycles =
+  let cycles = List.map (List.sort_uniq Int.compare) cycles in
+  let n_cycles = List.length cycles in
+  let first = Array.make (n_cycles + 1) 0 in
+  List.iteri (fun k c -> first.(k + 1) <- first.(k) + List.length c) cycles;
+  let member = Array.of_list (List.concat cycles) in
+  ( Cutset.of_cycles ~n_cycles ~first ~member
+      ~tier:(Array.make (Array.length costs) 0)
+      ~fallback:0
+      ~cost:(fun i -> costs.(i)),
+    { Cutset_ref.costs; first; cands = member } )
+
+let qcheck_mask_solver_as_reference =
+  QCheck.Test.make ~name:"mask solver = reference" ~count:300
+    (QCheck.make ~print:print_mask_instance mask_instance_gen)
+    (fun (costs, cycles, node_budget) ->
+      let x, xr = both_forms costs cycles in
+      (* vertex ids spread out and not starting at 0 *)
+      let vertex i = (3 * i) + 7 in
+      let cost v = costs.((v - 7) / 3) in
+      let inst = { Cutset.cycles = List.map (List.map vertex) cycles; cost } in
+      let inst_ref = { Cutset_ref.cycles = inst.cycles; cost } in
+      Cutset.exact_indexed ~node_budget x
+      = Cutset_ref.exact_indexed ~node_budget xr
+      && Cutset.greedy_indexed x = Cutset_ref.greedy_indexed xr
+      && Cutset.exact ~node_budget inst = Cutset_ref.exact ~node_budget inst_ref
+      && Cutset.greedy inst = Cutset_ref.greedy inst_ref)
+
 let () =
   Alcotest.run "prb_graph"
     [
@@ -449,5 +500,6 @@ let () =
           Alcotest.test_case "cost asked once per vertex" `Quick
             test_cutset_cost_once;
           QCheck_alcotest.to_alcotest qcheck_exact_beats_greedy;
+          QCheck_alcotest.to_alcotest qcheck_mask_solver_as_reference;
         ] );
     ]

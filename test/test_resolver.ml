@@ -255,6 +255,53 @@ let qcheck_list_entry_as_reference =
           && Rng.int rng 1_000_000 = Rng.int rng_ref 1_000_000)
         Policy.all)
 
+(* A record wider than one mask word both ways: requester 0 waits on 70
+   shared holders, each waiting back on it, so 70 two-arc cycles over 71
+   members. Every decision must also be the reference's. *)
+let test_wide_record () =
+  let g = W.create () in
+  let holders = List.init 70 (fun i -> i + 1) in
+  W.set_wait g ~waiter:0 ~holders "r";
+  List.iter
+    (fun v -> W.set_wait g ~waiter:v ~holders:[ 0 ] (Printf.sprintf "e%d" v))
+    holders;
+  let c = W.enumerate g 0 in
+  checkb "70 cycles over 71 members" true
+    (c.W.n_cycles = 70 && c.W.n_members = 71);
+  let decide ?(immune = fun _ -> false) policy release_cost =
+    let d =
+      Resolver.choose_cycles ~immune ~policy ~requester:0 ~entry_order:Fun.id
+        ~release_cost ~rng:(Rng.make 1) c
+    in
+    checkb "reference decides the same" true
+      (d
+      = Resolver_ref.choose ~immune ~policy ~requester:0 ~entry_order:Fun.id
+          ~release_cost ~rng:(Rng.make 1) (W.arcs c));
+    d
+  in
+  (* the requester is older than every holder: each cycle loses its
+     holder *)
+  let d = decide Policy.Ordered_min_cost (fun _ es -> List.length es) in
+  checkb "every holder, optimally" true
+    (victims d = holders && d.Resolver.optimal);
+  checkb "each releases r" true
+    (List.for_all (fun (_, es) -> es = [ "r" ]) d.Resolver.victims);
+  (* the requester costs more than the 70 holders together, then less *)
+  let d = decide Policy.Min_cost (fun v _ -> if v = 0 then 71 else 1) in
+  checkb "holders cheaper" true (victims d = holders);
+  let d = decide Policy.Min_cost (fun v _ -> if v = 0 then 69 else 1) in
+  checkb "requester cheaper" true (victims d = [ 0 ]);
+  (* immune holders past bit 62: under min-cost their cycles fall to the
+     requester; under ordered min-cost, where the requester is not
+     eligible, to the immune holders themselves *)
+  let immune v = v > 62 in
+  let d = decide ~immune Policy.Min_cost (fun v _ -> if v = 0 then 69 else 1) in
+  checkb "immune leave it to the requester" true
+    (victims d = [ 0 ] && not d.Resolver.starved_fallback);
+  let d = decide ~immune Policy.Ordered_min_cost (fun _ _ -> 1) in
+  checkb "immunity bends" true
+    (victims d = holders && d.Resolver.starved_fallback)
+
 let () =
   Alcotest.run "prb_resolver"
     [
@@ -286,5 +333,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_record_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_flat_decides_as_reference;
           QCheck_alcotest.to_alcotest qcheck_list_entry_as_reference;
+          Alcotest.test_case "more than 62 members" `Quick test_wide_record;
         ] );
     ]

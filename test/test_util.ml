@@ -99,6 +99,84 @@ let test_rng_pick_member () =
     checkb "pick returns a member" true (Array.mem (Rng.pick rng a) a)
   done
 
+(* SplitMix64, bit for bit: per seed, a raw draw, [int] at two bounds, a
+   [float]'s bits, then a split's first raw draw and [int], and the
+   parent's next raw draw; then [int] near the top of the range, where
+   rejection redraws (twice in these sixteen), and a checksum over 21
+   seeds of 10,000 mixed [int]/[float]/[split]/[chance] draws. The
+   constants were recorded from the generator when its state was a boxed
+   [int64] field. *)
+let test_rng_pinned () =
+  List.iter
+    (fun (seed, raw, i6, i7, fl, split_raw, split_int, raw') ->
+      let t = Rng.make seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      check Alcotest.int64 (name "raw") raw (Rng.bits64 t);
+      checki (name "int 1e6") i6 (Rng.int t 1_000_000);
+      checki (name "int 7") i7 (Rng.int t 7);
+      check Alcotest.int64 (name "float") fl
+        (Int64.bits_of_float (Rng.float t 1.0));
+      let s = Rng.split t in
+      check Alcotest.int64 (name "split raw") split_raw (Rng.bits64 s);
+      checki (name "split int") split_int (Rng.int s 1000);
+      check Alcotest.int64 (name "raw after split") raw' (Rng.bits64 t))
+    [
+      (0, 0xe220a8397b1dcdafL, 177850, 4, 0x3fef1177150e4990L,
+       0xf45cca6d3670ffc3L, 581, 0x53cb9f0c747ea2eaL);
+      (1, 0xbfef8030ddc2d772L, 333347, 2, 0x3fee881fc76c58f3L,
+       0x34b7e0300fa7d8beL, 188, 0x98843f48a94b7866L);
+      (3, 0xd0bb866aae328182L, 647368, 4, 0x3fea66ead5121059L,
+       0xe9ad9442902bb5a0L, 675, 0xb88f26fcc93054abL);
+      (11, 0xa06e94f7a6c27ddL, 857992, 5, 0x3fe64f00ecd3a05aL,
+       0x1a4f3ede4bf14053L, 414, 0xb990c39ffb1d3786L);
+      (42, 0x989b3f130a063869L, 95595, 0, 0x3fa896d649de0310L,
+       0x5cba4671d75004d3L, 362, 0x3c30fc5fd50692c3L);
+      (-7, 0xa39b91cb5ecb1a80L, 594324, 2, 0x3fd86b9d1c56630cL,
+       0xb7fe307fb65bc456L, 446, 0x4590305d0928c0efL);
+      (max_int, 0x2de2ce032c245fa7L, 249622, 6, 0x3fe92e245b8bb29cL,
+       0x1987ecbe9ddcd944L, 153, 0x854a3ddf1ed989e5L);
+    ];
+  let t = Rng.make 11 in
+  check
+    Alcotest.(list int)
+    "near the top of the range"
+    [
+      361260658902569966; 1055094977129947669; 1980634202443353427;
+      2740669621887448275; 147353871713079039; 2996352378029697168;
+      1174950866574848034; 3180912002789483202; 2010893465706618743;
+      2609216891276829760; 3468474840810594642; 74049403454061405;
+      3092830403172791974; 818388627353693467; 1551715833251764808;
+      3015142208717323131;
+    ]
+    (List.init 16 (fun _ -> Rng.int t 3_689_348_814_741_910_323));
+  let acc = ref 0L in
+  for seed = 0 to 20 do
+    let t = ref (Rng.make seed) in
+    for i = 1 to 10_000 do
+      let x =
+        match i mod 4 with
+        | 0 -> Int64.of_int (Rng.int !t (1 + (i * 7919 mod 100_000)))
+        | 1 -> Int64.bits_of_float (Rng.float !t 3.0)
+        | 2 ->
+            t := Rng.split !t;
+            Rng.bits64 !t
+        | _ -> if Rng.chance !t 0.3 then 1L else 0L
+      in
+      acc := Int64.add (Int64.mul !acc 31L) x
+    done
+  done;
+  check Alcotest.int64 "mixed-stream checksum" 0x6781e6e45978249cL !acc
+
+(* The state is unboxed, and [int]'s rejection loop is no closure. *)
+let test_rng_int_allocates_nothing () =
+  let t = Rng.make 5 in
+  ignore (Rng.int t 1000);
+  let before = Gc.minor_words () in
+  for bound = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Rng.int t bound))
+  done;
+  check (Alcotest.float 0.) "minor words" 0. (Gc.minor_words () -. before)
+
 (* --- Zipf --- *)
 
 let test_zipf_uniform_theta0 () =
@@ -351,6 +429,9 @@ let () =
           Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick member" `Quick test_rng_pick_member;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_rng_int_allocates_nothing;
         ] );
       ( "zipf",
         [
