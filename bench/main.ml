@@ -13,6 +13,7 @@
 let sections =
   [
     ("E1-E5", "paper figures 1-5", Exp_figures.run);
+    ("E3+FLOW", "where max flow decides the Section 3.2 cut", Exp_flow.run);
     ("E6+E11", "storage accounting and SDG+k", Exp_storage.run);
     ("E7+E8", "trade-off sweep and victim ablation", Exp_tradeoff.run);
     ("E9", "three-phase structure", Exp_structure.run);

@@ -236,8 +236,12 @@ let bench_victim_choice =
    candidates are its member of the last two layers: the three-holder
    layer (cost 15 together) beats the one transaction past it (17),
    greedy finds it, and branch-and-bound proves it in a few nodes. The
-   record is enumerated once, outside the timing. *)
-let bench_victim_choice_mean =
+   record is enumerated once, outside the timing. Two more entries time
+   the path the engine takes on the same graph — enumeration and victim
+   choice together — and the one max flow replaces it with (DESIGN.md
+   Section 16, "The cut by max-flow"): the requester's component and the
+   cut, with no cycle listed. *)
+let mean_wfg =
   let g = Waits_for.create () in
   let layers = [| [ 1; 2 ]; [ 3; 4 ]; [ 5; 6; 7 ]; [ 8; 9; 10 ]; [ 11 ] |] in
   Waits_for.set_wait g ~waiter:0 ~holders:layers.(0) "r";
@@ -250,15 +254,40 @@ let bench_victim_choice_mean =
             (Printf.sprintf "e%d" v))
         layer)
     layers;
-  let c = Waits_for.enumerate g 0 in
+  g
+
+let mean_order v = if v = 0 then 7 else v
+let mean_cost v es = List.length es + if v = 11 then 14 else 2
+
+let bench_victim_choice_mean =
+  let c = Waits_for.enumerate mean_wfg 0 in
   assert (c.Waits_for.n_cycles = 36 && c.Waits_for.n_members = 12);
   let rng = Prb_util.Rng.make 1 in
   Test.make ~name:"victim choice only (36 cycles, 12 members)"
     (Staged.stage (fun () ->
          Resolver.choose_cycles ~policy:Policy.Ordered_min_cost ~requester:0
-           ~entry_order:(fun v -> if v = 0 then 7 else v)
-           ~release_cost:(fun v es -> List.length es + if v = 11 then 14 else 2)
-           ~rng c))
+           ~entry_order:mean_order ~release_cost:mean_cost ~rng c))
+
+let bench_enumerate_and_choose_mean =
+  let rng = Prb_util.Rng.make 1 in
+  Test.make ~name:"enumerate + victim choice (36 cycles, 12 members)"
+    (Staged.stage (fun () ->
+         Resolver.choose_cycles ~policy:Policy.Ordered_min_cost ~requester:0
+           ~entry_order:mean_order ~release_cost:mean_cost ~rng
+           (Waits_for.enumerate ~limit:256 mean_wfg 0)))
+
+let bench_victim_choice_flow_mean =
+  let flow = Prb_graph.Flow_cut.create () in
+  assert (
+    Resolver.choose_flow ~policy:Policy.Ordered_min_cost ~entry_order:mean_order
+      ~release_cost:mean_cost flow
+      (Waits_for.component ~limit:256 mean_wfg 0)
+    <> None);
+  Test.make ~name:"victim choice by flow (36 cycles, 12 members)"
+    (Staged.stage (fun () ->
+         Resolver.choose_flow ~policy:Policy.Ordered_min_cost
+           ~entry_order:mean_order ~release_cost:mean_cost flow
+           (Waits_for.component ~limit:256 mean_wfg 0)))
 
 let bench_history_write =
   Test.make ~name:"history write (mcs, 16 segments)"
@@ -408,6 +437,8 @@ let run () =
       bench_cycles_through;
       bench_victim_choice;
       bench_victim_choice_mean;
+      bench_enumerate_and_choose_mean;
+      bench_victim_choice_flow_mean;
       bench_history_write;
       bench_txn_execute;
       bench_rollback;

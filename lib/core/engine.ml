@@ -69,6 +69,10 @@ type t = {
   mutable check_calls : int;
   mutable enumerate_seconds : float;
   mutable enumerate_calls : int;
+  flow : Prb_graph.Flow_cut.t;
+  mutable flow_incomplete : int;
+  mutable flow_tied : int;
+  mutable flow_decided : int;
 }
 
 let initial_txn_cap = 64
@@ -129,6 +133,10 @@ let create ~strategy ~policy ~detection ~starvation_limit ~cycle_limit ~clock
     check_calls = 0;
     enumerate_seconds = 0.0;
     enumerate_calls = 0;
+    flow = Prb_graph.Flow_cut.create ();
+    flow_incomplete = 0;
+    flow_tied = 0;
+    flow_decided = 0;
   }
 
 (* --- Transactions -------------------------------------------------- *)
@@ -335,14 +343,13 @@ let enumerate wfg limit requester () =
    survivors re-collide indefinitely.) *)
 let deferred_cycle_budget = 8
 
+let cycle_budget e ~deferred =
+  if deferred then min deferred_cycle_budget e.cycle_limit else e.cycle_limit
+
 (* The enumeration already records each cycle in the resolver's form —
    member and entity to release per arc — so this is the whole step. *)
 let resolver_cycles e ~deferred requester =
-  let limit =
-    if deferred then min deferred_cycle_budget e.cycle_limit
-    else e.cycle_limit
-  in
-  clocked e Enumerate enumerate limit requester ()
+  clocked e Enumerate enumerate (cycle_budget e ~deferred) requester ()
 
 (* --- Rollback ------------------------------------------------------ *)
 
@@ -601,10 +608,10 @@ let resolution_policy e ~deferred n_cycles =
   then Policy.Ordered_min_cost
   else e.policy
 
-let resolve_round e s ~deferred ~apply requester (cycles : Waits_for.cycles) =
-  if not (Waits_for.intact e.wfg cycles) then
-    raise (Stuck "waits-for edge vanished during resolution");
-  let n = cycles.Waits_for.n_cycles in
+(* A round's bookkeeping, hook and rollbacks, once its decision is made.
+   Only an installed hook pays for the list view, and for a round decided
+   without a record it pays for the enumeration too. *)
+let finish_round e s ~deferred ~apply requester n decision cycles =
   (match Logs.Src.level log_src with
   | Some (Logs.Info | Logs.Debug) ->
       Log.info (fun m ->
@@ -612,6 +619,27 @@ let resolve_round e s ~deferred ~apply requester (cycles : Waits_for.cycles) =
   | Some (Logs.App | Logs.Error | Logs.Warning) | None -> ());
   e.deadlocks <- e.deadlocks + 1;
   e.cycles_broken <- e.cycles_broken + n;
+  if decision.Resolver.optimal then
+    e.optimal_resolutions <- e.optimal_resolutions + 1;
+  if decision.Resolver.starved_fallback then
+    e.starvation_fallbacks <- e.starvation_fallbacks + 1;
+  (match e.hook with
+  | Some h ->
+      let cycles =
+        match cycles with
+        | Some c -> c
+        | None -> resolver_cycles e ~deferred requester
+      in
+      h ~requester ~cycles:(Waits_for.arcs cycles) ~decision
+  | None -> ());
+  List.iteri
+    (fun i (v, entities) -> apply s ~deferred ~stagger:i v entities)
+    decision.Resolver.victims
+
+let resolve_round e s ~deferred ~apply requester (cycles : Waits_for.cycles) =
+  if not (Waits_for.intact e.wfg cycles) then
+    raise (Stuck "waits-for edge vanished during resolution");
+  let n = cycles.Waits_for.n_cycles in
   let decision =
     Resolver.choose_cycles ~immune:(immune e)
       ~policy:(resolution_policy e ~deferred n)
@@ -619,34 +647,73 @@ let resolve_round e s ~deferred ~apply requester (cycles : Waits_for.cycles) =
       ~entry_order:(fun v -> Txn_state.entry_order (live_state e v))
       ~release_cost:(release_cost e) ~rng:e.rng cycles
   in
-  if decision.Resolver.optimal then
-    e.optimal_resolutions <- e.optimal_resolutions + 1;
-  if decision.Resolver.starved_fallback then
-    e.starvation_fallbacks <- e.starvation_fallbacks + 1;
-  (* Only an installed hook pays for the list view. *)
-  (match e.hook with
-  | Some h -> h ~requester ~cycles:(Waits_for.arcs cycles) ~decision
-  | None -> ());
-  List.iteri
-    (fun i (v, entities) -> apply s ~deferred ~stagger:i v entities)
-    decision.Resolver.victims
+  finish_round e s ~deferred ~apply requester n decision (Some cycles)
 
-(* The first candidate that still has cycles once [keep] has filtered
-   them, with its cycle record. *)
-let rec first_cycles e ~deferred keep = function
-  | [] -> None
+(* The cut policies' decision by max flow over the requester's component
+   (DESIGN §16, "The cut by max-flow"), when it provably is the one
+   enumeration and branch-and-bound would reach: with its cycle count. A
+   round whose policy cannot come out a cut policy is not looked at. *)
+let flow_decision e ~deferred requester =
+  match e.policy with
+  | (Policy.Requester | Policy.Youngest | Policy.Random_victim)
+    when not deferred ->
+      None
+  | Policy.Requester | Policy.Youngest | Policy.Random_victim
+  | Policy.Min_cost | Policy.Ordered_min_cost -> (
+      let c =
+        Waits_for.component ~limit:(cycle_budget e ~deferred) e.wfg requester
+      in
+      let n = c.Waits_for.n_cycles in
+      if not c.Waits_for.complete then begin
+        e.flow_incomplete <- e.flow_incomplete + 1;
+        None
+      end
+      else
+        match resolution_policy e ~deferred n with
+        | (Policy.Min_cost | Policy.Ordered_min_cost) as policy when n > 0 -> (
+            match
+              Resolver.choose_flow ~immune:(immune e) ~policy
+                ~entry_order:(fun v -> Txn_state.entry_order (live_state e v))
+                ~release_cost:(release_cost e) e.flow c
+            with
+            | Some decision ->
+                e.flow_decided <- e.flow_decided + 1;
+                Some (n, decision)
+            | None ->
+                e.flow_tied <- e.flow_tied + 1;
+                None)
+        | Policy.Min_cost | Policy.Ordered_min_cost | Policy.Requester
+        | Policy.Youngest | Policy.Random_victim ->
+            None)
+
+(* The round of the first candidate that still has cycles once [keep]
+   has filtered them; with no filter, max flow may decide it before any
+   enumeration. Returns whether a round was applied. *)
+let rec first_round e s ~deferred ~keep ~apply = function
+  | [] ->
+      (* enumeration hit its budget everywhere, or [keep] hid every cycle:
+         the changed set stays, so the next resolution looks again *)
+      false
   | b :: rest -> (
-      let cycles = resolver_cycles e ~deferred b in
-      (match keep with
-      | Some keep -> Waits_for.keep_cycles cycles (keep cycles)
-      | None -> ());
-      match cycles.Waits_for.n_cycles with
-      | 0 -> first_cycles e ~deferred keep rest
-      | _ -> Some (b, cycles))
+      match
+        match keep with None -> flow_decision e ~deferred b | Some _ -> None
+      with
+      | Some (n, decision) ->
+          finish_round e s ~deferred ~apply b n decision None;
+          true
+      | None -> (
+          let cycles = resolver_cycles e ~deferred b in
+          (match keep with
+          | Some keep -> Waits_for.keep_cycles cycles (keep cycles)
+          | None -> ());
+          match cycles.Waits_for.n_cycles with
+          | 0 -> first_round e s ~deferred ~keep ~apply rest
+          | _ ->
+              resolve_round e s ~deferred ~apply b cycles;
+              true))
 
 (* One round of the fixpoint over the census's cycle members: [primary]
-   first when it is one of them, then the rest in id order. Returns
-   whether a round was applied. *)
+   first when it is one of them, then the rest in id order. *)
 let[@lint.allow
      "A1: runs only when the census reported a cycle — cycle enumeration \
       and victim selection allocate their reports by design"] resolve_one e s
@@ -657,14 +724,7 @@ let[@lint.allow
         p :: List.filter (fun v -> not (Int.equal v p)) on_cycle
     | Some _ | None -> on_cycle
   in
-  match first_cycles e ~deferred keep candidates with
-  | None ->
-      (* enumeration hit its budget everywhere, or [keep] hid every cycle:
-         the changed set stays, so the next resolution looks again *)
-      false
-  | Some (requester, cycles) ->
-      resolve_round e s ~deferred ~apply requester cycles;
-      true
+  first_round e s ~deferred ~keep ~apply candidates
 
 (* Every cycle passes through a changed waiter (Waits_for.changed), so a
    census seeded there sees them all, and an empty one proves the graph
@@ -753,4 +813,7 @@ let stats e =
     check_calls = e.check_calls;
     enumerate_seconds = e.enumerate_seconds;
     enumerate_calls = e.enumerate_calls;
+    flow_decided = e.flow_decided;
+    flow_tied = e.flow_tied;
+    flow_incomplete = e.flow_incomplete;
   }

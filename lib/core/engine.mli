@@ -87,6 +87,11 @@ type t = {
   mutable check_calls : int;
   mutable enumerate_seconds : float;
   mutable enumerate_calls : int;
+  flow : Prb_graph.Flow_cut.t;  (** the max-flow cut's scratch *)
+  mutable flow_incomplete : int;
+  mutable flow_tied : int;
+  mutable flow_decided : int;
+      (** the rounds max flow looked at, by outcome: {!Run_stats.stats} *)
 }
 
 val default_cycle_limit : int
@@ -275,7 +280,12 @@ val resolve :
     check), enumerate the cycles through its members — [primary] first
     when it is one, then ascending — and {!resolve_round} the first with
     cycles left after [keep] (cycle [k] of a record survives when
-    [keep cycles k]). An empty census {!Prb_wfg.Waits_for.settle}s the
+    [keep cycles k]). With no [keep], a round whose policy comes out a
+    cut policy is first offered to max flow over the member's component
+    ({!Resolver.choose_flow}), which decides it without enumerating when
+    it provably picks the same victims; a [hook] then still gets the
+    enumerated cycles (an enumeration counted and timed as one). An
+    empty census {!Prb_wfg.Waits_for.settle}s the
     graph; when no member has cycles left, it returns unsettled. Both
     engines' detection passes and the central eager check end here.
     @raise Stuck after 1000 rounds. *)

@@ -51,6 +51,23 @@ val choose_cycles :
     once. Same contract and decisions as {!choose} on the record's
     {!Prb_wfg.Waits_for.arcs}. *)
 
+val choose_flow :
+  ?immune:(txn -> bool) ->
+  policy:Policy.t ->
+  entry_order:(txn -> int) ->
+  release_cost:(txn -> entity list -> int) ->
+  Prb_graph.Flow_cut.t ->
+  Prb_wfg.Waits_for.component ->
+  decision option
+(** {!choose_cycles}'s decision on the cycles through the component's
+    root, its requester, when max flow proves it without listing them
+    (DESIGN.md Section 16, "The cut by max-flow"): the policy is
+    [Min_cost] or [Ordered_min_cost], the component is
+    {{!Prb_wfg.Waits_for.component}[complete]} with a cycle, at most nine
+    members are candidates (so branch-and-bound would be exact), and the
+    minimum cut is unique. [None] otherwise. Asks [release_cost] only of
+    candidates. *)
+
 val choose :
   ?immune:(txn -> bool) ->
   policy:Policy.t ->

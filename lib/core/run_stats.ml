@@ -73,4 +73,13 @@ type stats = {
       (** wall time enumerating cycles for the resolver; 0 unless the
           config supplies a clock *)
   enumerate_calls : int;  (** cycle enumerations run *)
+  flow_decided : int;
+      (** resolution rounds max flow decided without enumerating their
+          cycles (DESIGN.md Section 16, "The cut by max-flow") *)
+  flow_tied : int;
+      (** cut-policy rounds it left to enumeration because the minimum
+          cut is tied or more than nine members are candidates *)
+  flow_incomplete : int;
+      (** rounds it looked at whose enumeration a cap would cut short, or
+          whose component holds a cycle that avoids the requester *)
 }

@@ -16,6 +16,21 @@ type entity = Prb_storage.Store.entity
    implementation is retained verbatim as the test suite's
    [Waits_for_ref], the oracle of the differential tests. *)
 
+(* A root's strongly connected component, flat (DESIGN §16, "The cut by
+   max-flow"): members ascending, each member's arcs within the
+   component as member indices, each member's wait label, and what the
+   enumeration of the root's cycles would find. *)
+type component = {
+  mutable complete : bool;
+  mutable n_cycles : int;
+  mutable members : int array;
+  mutable n_members : int;
+  mutable root : int;
+  mutable first : int array;
+  mutable heads : int array;
+  mutable labels : entity array;
+}
+
 (* A cycle enumeration's output, flat (DESIGN §16): cycle [c] owns arc
    positions [first.(c) .. first.(c+1) - 1], in the resolver's order
    [v1; ...; vk; root]; each arc names the member it enters (an index
@@ -57,6 +72,11 @@ type t = {
   mutable n_chg : int;
   mutable settles : int;
   cyc : cycles; (* the last enumeration's record, overwritten by the next *)
+  comp : component; (* the last component, overwritten by the next *)
+  (* per component member: non-root predecessors not yet ordered, and
+     paths from the root *)
+  mutable deg : int array;
+  mutable paths : int array;
   mutable removals : int; (* calls that deleted edges, ever *)
 }
 
@@ -69,6 +89,18 @@ let empty_cycles () =
     release = [||];
     members = [||];
     n_members = 0;
+  }
+
+let empty_component () =
+  {
+    complete = false;
+    n_cycles = 0;
+    members = [||];
+    n_members = 0;
+    root = -1;
+    first = [| 0 |];
+    heads = [||];
+    labels = [||];
   }
 
 let create () =
@@ -94,12 +126,15 @@ let create () =
     n_chg = 0;
     settles = 1;
     cyc = empty_cycles ();
+    comp = empty_component ();
+    deg = [||];
+    paths = [||];
     removals = 0;
   }
 
 let[@lint.allow
      "A1: amortized geometric growth — allocates only when a dense array \
-      doubles, never in steady state"] grow_int cap fill arr =
+      doubles, never in steady state"] grow cap fill arr =
   let narr = Array.make cap fill in
   Array.blit arr 0 narr 0 (Array.length arr);
   narr
@@ -119,23 +154,23 @@ let[@lint.allow
     let bufs = Array.make cap [||] in
     Array.blit t.in_buf 0 bufs 0 t.cap;
     t.in_buf <- bufs;
-    t.out_len <- grow_int cap 0 t.out_len;
-    t.in_len <- grow_int cap 0 t.in_len;
+    t.out_len <- grow cap 0 t.out_len;
+    t.in_len <- grow cap 0 t.in_len;
     let nl = Array.make cap "" in
     Array.blit t.label 0 nl 0 t.cap;
     t.label <- nl;
-    t.fwd_mark <- grow_int cap 0 t.fwd_mark;
-    t.bwd_mark <- grow_int cap 0 t.bwd_mark;
-    t.seen_mark <- grow_int cap 0 t.seen_mark;
+    t.fwd_mark <- grow cap 0 t.fwd_mark;
+    t.bwd_mark <- grow cap 0 t.bwd_mark;
+    t.seen_mark <- grow cap 0 t.seen_mark;
     let nb = Array.make cap false in
     Array.blit t.on_path 0 nb 0 t.cap;
     t.on_path <- nb;
-    t.idx <- grow_int cap 0 t.idx;
-    t.low <- grow_int cap 0 t.low;
+    t.idx <- grow cap 0 t.idx;
+    t.low <- grow cap 0 t.low;
     let nb = Array.make cap false in
     Array.blit t.on_stack 0 nb 0 t.cap;
     t.on_stack <- nb;
-    t.chg_mark <- grow_int cap 0 t.chg_mark;
+    t.chg_mark <- grow cap 0 t.chg_mark;
     t.cap <- cap
   end
 
@@ -231,7 +266,7 @@ let record_changed t v =
   if t.chg_mark.(v) <> t.settles then begin
     t.chg_mark.(v) <- t.settles;
     if t.n_chg >= Array.length t.chg_ids then
-      t.chg_ids <- grow_int (max 16 (2 * t.n_chg)) 0 t.chg_ids;
+      t.chg_ids <- grow (max 16 (2 * t.n_chg)) 0 t.chg_ids;
     t.chg_ids.(t.n_chg) <- v;
     t.n_chg <- t.n_chg + 1
   end
@@ -305,7 +340,7 @@ let edges t =
 
 let stack_push t n v =
   if n >= Array.length t.stack then
-    t.stack <- grow_int (max 64 (2 * Array.length t.stack)) 0 t.stack;
+    t.stack <- grow (max 64 (2 * Array.length t.stack)) 0 t.stack;
   t.stack.(n) <- v;
   n + 1
 
@@ -409,13 +444,13 @@ let[@lint.allow
   let cap = Array.length r.member in
   if arcs > cap then begin
     let cap = max 64 (max arcs (2 * cap)) in
-    r.member <- grow_int cap 0 r.member;
+    r.member <- grow cap 0 r.member;
     let nr = Array.make cap "" in
     Array.blit r.release 0 nr 0 (Array.length r.release);
     r.release <- nr
   end;
   if r.n_cycles + 2 > Array.length r.first then
-    r.first <- grow_int (max 16 (2 * Array.length r.first)) 0 r.first
+    r.first <- grow (max 16 (2 * Array.length r.first)) 0 r.first
 
 (* A member seen for the first time in this enumeration joins [members];
    [seen_mark] under the enumeration's stamp is the membership test. *)
@@ -424,7 +459,7 @@ let cy_note t stamp v =
     t.seen_mark.(v) <- stamp;
     let r = t.cyc in
     if r.n_members >= Array.length r.members then
-      r.members <- grow_int (max 16 (2 * r.n_members)) 0 r.members;
+      r.members <- grow (max 16 (2 * r.n_members)) 0 r.members;
     r.members.(r.n_members) <- v;
     r.n_members <- r.n_members + 1
   end
@@ -625,6 +660,158 @@ let keep_cycles c keep =
   done;
   c.n_cycles <- !n;
   c.n_members <- !m
+
+(* --- A root's component ------------------------------------------------ *)
+
+(* A member of the root's component joins [members]. *)
+let comp_note t v =
+  let k = t.comp in
+  if k.n_members >= Array.length k.members then begin
+    let cap = max 16 (2 * k.n_members) in
+    k.members <- grow cap 0 k.members;
+    k.labels <- grow cap "" k.labels;
+    k.first <- grow (cap + 1) 0 k.first;
+    t.deg <- grow cap 0 t.deg;
+    t.paths <- grow cap 0 t.paths
+  end;
+  k.members.(k.n_members) <- v;
+  k.n_members <- k.n_members + 1
+
+let in_component t stamp v = t.fwd_mark.(v) = stamp && t.bwd_mark.(v) = stamp
+
+(* Backward from the root through what its forward search marked: what
+   this marks is the root's component, each member noted once (the root
+   when reached again). *)
+let rec comp_scan t stamp (b : int array) n i top =
+  if i >= n then top
+  else
+    let w = b.(i) in
+    if t.fwd_mark.(w) = stamp && t.bwd_mark.(w) <> stamp then begin
+      t.bwd_mark.(w) <- stamp;
+      comp_note t w;
+      comp_scan t stamp b n (i + 1) (stack_push t top w)
+    end
+    else comp_scan t stamp b n (i + 1) top
+
+let rec comp_drain t stamp top =
+  if top > 0 then
+    let v = t.stack.(top - 1) in
+    comp_drain t stamp (comp_scan t stamp t.in_buf.(v) t.in_len.(v) 0 (top - 1))
+
+(* Member arcs from [b.(i ..)] into the component, as member indices
+   (ranked in [idx]) from position [p]; returns the next free one. *)
+let rec comp_arcs t stamp (b : int array) n i p =
+  if i >= n then p
+  else
+    let w = b.(i) in
+    if in_component t stamp w then begin
+      let k = t.comp in
+      if p >= Array.length k.heads then
+        k.heads <- grow (max 64 (2 * Array.length k.heads)) 0 k.heads;
+      k.heads.(p) <- t.idx.(w);
+      comp_arcs t stamp b n (i + 1) (p + 1)
+    end
+    else comp_arcs t stamp b n (i + 1) p
+
+(* Counts saturate at [cap], the enumeration's edge budget, which is
+   above its cycle limit. *)
+let sat_add cap a b = if a >= cap - b then cap else a + b
+let sat_mul cap a b = if b > 0 && a > cap / b then cap else a * b
+
+(* Kahn's order over the members other than the root, pushing each onto
+   [t.stack] once its last predecessor is ordered, and along it the
+   paths from the root: every path reaching the root closes a cycle. *)
+let rec comp_relax t cap i p stop tail =
+  if p >= stop then tail
+  else
+    let k = t.comp in
+    let w = k.heads.(p) in
+    if w = k.root then begin
+      k.n_cycles <- sat_add cap k.n_cycles t.paths.(i);
+      comp_relax t cap i (p + 1) stop tail
+    end
+    else begin
+      t.paths.(w) <- sat_add cap t.paths.(w) t.paths.(i);
+      t.deg.(w) <- t.deg.(w) - 1;
+      comp_relax t cap i (p + 1) stop
+        (if t.deg.(w) = 0 then stack_push t tail w else tail)
+    end
+
+let rec comp_order t cap head tail =
+  if head >= tail then tail
+  else
+    let i = t.stack.(head) and k = t.comp in
+    comp_order t cap (head + 1)
+      (comp_relax t cap i k.first.(i) k.first.(i + 1) tail)
+
+let rec comp_sources t i tail =
+  if i >= t.comp.n_members then tail
+  else
+    comp_sources t (i + 1)
+      (if i <> t.comp.root && t.deg.(i) = 0 then stack_push t tail i else tail)
+
+(* The enumeration's edge traversals: its DFS stands on each member once
+   per path from the root and tries every out-edge there, inside the
+   component or not. *)
+let rec comp_steps t cap i acc =
+  let k = t.comp in
+  if i >= k.n_members then acc
+  else
+    comp_steps t cap (i + 1)
+      (sat_add cap acc
+         (sat_mul cap t.paths.(i) t.out_len.(k.members.(i))))
+
+let[@hot] record_component t limit root =
+  let k = t.comp in
+  k.complete <- false;
+  k.n_cycles <- 0;
+  k.n_members <- 0;
+  k.root <- -1;
+  if root >= 0 && root < t.cap && t.present.(root) then begin
+    let stamp = next_stamp t in
+    reach t t.fwd_mark t.out_buf t.out_len stamp root;
+    if t.fwd_mark.(root) <> stamp then k.complete <- true
+    else begin
+      comp_drain t stamp (stack_push t 0 root);
+      let n = k.n_members in
+      for i = 1 to n - 1 do
+        ins_shift k.members (i - 1) k.members.(i)
+      done;
+      for i = 0 to n - 1 do
+        t.idx.(k.members.(i)) <- i
+      done;
+      k.root <- t.idx.(root);
+      for i = 0 to n - 1 do
+        let v = k.members.(i) in
+        k.labels.(i) <- t.label.(v);
+        k.first.(i + 1) <- comp_arcs t stamp t.out_buf.(v) t.out_len.(v) 0 k.first.(i)
+      done;
+      for i = 0 to n - 1 do
+        t.deg.(i) <- 0;
+        t.paths.(i) <- 0
+      done;
+      for p = 0 to k.first.(n) - 1 do
+        let w = k.heads.(p) in
+        t.deg.(w) <- t.deg.(w) + 1
+      done;
+      (* the root's own arcs order nothing: each starts one path *)
+      for p = k.first.(k.root) to k.first.(k.root + 1) - 1 do
+        let w = k.heads.(p) in
+        t.deg.(w) <- t.deg.(w) - 1;
+        t.paths.(w) <- 1
+      done;
+      t.paths.(k.root) <- 1;
+      let budget = 200 * (limit + 50) in
+      let ordered = comp_order t budget 0 (comp_sources t 0 0) in
+      k.complete <-
+        ordered = n - 1
+        && k.n_cycles < limit
+        && comp_steps t budget 0 0 < budget
+    end
+  end;
+  k
+
+let component ?(limit = 10_000) t root = record_component t limit root
 
 (* Edges only vanish through [clear_wait] and [remove_txn], which count
    themselves in [removals]: a record enumerated since the last such call

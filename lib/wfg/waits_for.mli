@@ -131,6 +131,42 @@ val keep_cycles : cycles -> (int -> bool) -> unit
     once per cycle, against the record as it was), in order, and drop the
     members left on none of them. *)
 
+(** {2 A requester's component}
+
+    The cut policies decide most deadlocks from the requester's strongly
+    connected component, without listing its cycles (DESIGN.md Section
+    16, "The cut by max-flow"). *)
+
+type component = private {
+  mutable complete : bool;
+      (** the component without its root is acyclic, and {!enumerate}
+          with the same [limit] would stop at neither of its caps: the
+          cycles through the root are then exactly the root-to-root paths
+          of the component, and the enumeration would record them all *)
+  mutable n_cycles : int;  (** the cycles through the root, if [complete] *)
+  mutable members : txn array;
+      (** the component, ascending, in [members.(0 .. n_members-1)] *)
+  mutable n_members : int;
+  mutable root : int;  (** the root's index in [members] *)
+  mutable first : int array;
+  mutable heads : int array;
+      (** member [i]'s edges within the component go to the members
+          [heads.(p)], [p] from [first.(i)] to [first.(i+1) - 1],
+          ascending *)
+  mutable labels : entity array;
+      (** member [i]'s wait label, carried by each of its out-edges: the
+          entity a member entered from [i] on a cycle must release *)
+}
+
+val component : ?limit:int -> t -> txn -> component
+(** The strongly connected component of the transaction, with the count
+    of its cycles (saturating) and whether {!enumerate} [~limit] (default
+    10,000) would be complete on it. A transaction on no cycle gets an
+    empty, complete record with no cycles; past an incomplete verdict the
+    other fields may be partial. The record belongs to [t]: the next call
+    overwrites it. Allocation-free once its buffers have grown (a
+    [[@hot]] path, so deep-lint rule A1 checks it). *)
+
 val intact : t -> cycles -> bool
 (** Has no edge of the graph been removed since the record was
     enumerated from it — so that every arc it holds is still an edge?

@@ -302,6 +302,232 @@ let test_wide_record () =
   checkb "immunity bends" true
     (victims d = holders && d.Resolver.starved_fallback)
 
+(* --- The cut by max-flow against enumeration ----------------------- *)
+
+module Flow_cut = Prb_graph.Flow_cut
+
+(* A waits-for graph shaped like a hotspot deadlock: the requester waits
+   on a first layer of shared holders, each member of a layer on some of
+   the next layer, the last layer on the requester (1-4 layers of 1-3
+   members), plus a few arbitrary extra waits, which may close cycles
+   that avoid the requester. Transactions get distinct ids from 0..31,
+   labels come from a small pool (so released lists merge), and each
+   transaction a cost from {1, 2, 3, 5}, an entry order and an immunity
+   bit. *)
+type fan = {
+  waits : (int * int list * string) list;  (** waiter, holders, label *)
+  requester : int;
+  cost : int array;
+  order : int array;
+  immune_bits : bool array;
+}
+
+let fan_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 4) (int_range 1 3) >>= fun widths ->
+    let n = 1 + List.fold_left ( + ) 0 widths in
+    shuffle_l (List.init 32 Fun.id) >>= fun ids ->
+    let id = Array.of_list ids in
+    (* layer [i]'s positions, the requester at position 0 *)
+    let layers =
+      let start = ref 1 in
+      List.map
+        (fun w ->
+          let l = List.init w (fun j -> !start + j) in
+          start := !start + w;
+          l)
+        widths
+    in
+    let nl = List.length layers in
+    let pick_some l =
+      list_size (int_range 1 (List.length l)) (oneofl l) >|= List.sort_uniq compare
+    in
+    let rec waits i acc =
+      if i > nl then return (List.rev acc)
+      else
+        let here = if i = 0 then [ 0 ] else List.nth layers (i - 1) in
+        let next = if i = nl then [ 0 ] else List.nth layers i in
+        flatten_l (List.map (fun v -> pick_some next >|= fun hs -> (v, hs)) here)
+        >>= fun ws -> waits (i + 1) (List.rev_append ws acc)
+    in
+    waits 0 [] >>= fun base ->
+    list_size (int_range 0 3) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    >>= fun extra ->
+    let extra = List.filter (fun (u, v) -> u <> v) extra in
+    let base =
+      List.map
+        (fun (v, hs) ->
+          (v, List.sort_uniq compare (hs @ List.filter_map (fun (u, w) -> if u = v then Some w else None) extra)))
+        base
+    in
+    list_repeat n (oneofl [ "a"; "b"; "c"; "d"; "e"; "f" ]) >>= fun labels ->
+    array_repeat 32 (oneofl [ 1; 2; 3; 5 ]) >>= fun cost ->
+    shuffle_l (List.init 32 Fun.id) >|= Array.of_list >>= fun order ->
+    array_repeat 32 (frequency [ (3, return false); (1, return true) ])
+    >>= fun immune_bits ->
+    return
+      {
+        waits =
+          List.map
+            (fun (v, hs) -> (id.(v), List.map (fun h -> id.(h)) hs, List.nth labels v))
+            base;
+        requester = id.(0);
+        cost;
+        order;
+        immune_bits;
+      })
+
+let print_fan f =
+  Printf.sprintf "requester %d; %s" f.requester
+    (String.concat "; "
+       (List.map
+          (fun (w, hs, e) ->
+            Printf.sprintf "%d-%s->%s" w e
+              (String.concat "," (List.map string_of_int hs)))
+          f.waits))
+
+let fan_graph f =
+  let g = W.create () in
+  List.iter (fun (w, hs, e) -> W.set_wait g ~waiter:w ~holders:hs e) f.waits;
+  g
+
+(* Brute force over the full enumeration: is the requester's cut
+   unique, with at most nine candidates, and every cycle through the
+   requester found within [limit]; and is its strongly connected
+   component acyclic without it? *)
+let flow_should_answer f policy limit =
+  let g = fan_graph f in
+  let r = f.requester in
+  let all = W.cycles_through ~limit:1_000_000 g r in
+  let d = Digraph.create () in
+  List.iter (fun (w, hs, _) -> List.iter (fun h -> Digraph.add_edge d w h) hs) f.waits;
+  let scc =
+    List.filter
+      (fun v -> v <> r && Digraph.path_exists d r v && Digraph.path_exists d v r)
+      (Digraph.vertices d)
+  in
+  let rest = Digraph.create () in
+  List.iter
+    (fun (u, v) -> if List.mem u scc && List.mem v scc then Digraph.add_edge rest u v)
+    (Digraph.edges d);
+  let tier v =
+    let eligible =
+      match policy with
+      | Policy.Ordered_min_cost -> f.order.(v) > f.order.(r)
+      | _ -> true
+    in
+    if not eligible then 2 else if f.immune_bits.(v) then 1 else 0
+  in
+  let cands cycle =
+    let low = List.fold_left (fun m v -> min m (tier v)) 2 cycle in
+    if low < 2 then List.filter (fun v -> tier v = low) cycle else [ r ]
+  in
+  let per_cycle = List.map cands all in
+  let candidates = List.sort_uniq compare (List.concat per_cycle) in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | v :: rest ->
+        let s = subsets rest in
+        s @ List.map (fun x -> v :: x) s
+  in
+  let best = ref max_int and ties = ref 0 in
+  if List.length candidates <= 9 then
+    List.iter
+      (fun set ->
+        if List.for_all (List.exists (fun v -> List.mem v set)) per_cycle then begin
+          let c = List.fold_left (fun a v -> a + f.cost.(v)) 0 set in
+          if c < !best then (best := c; ties := 1)
+          else if c = !best then incr ties
+        end)
+      (subsets candidates);
+  all <> []
+  && List.length all < limit
+  && (not (Digraph.has_cycle rest))
+  && List.length candidates <= 9
+  && !ties = 1
+
+let flow_decides f policy limit =
+  let g = fan_graph f in
+  let immune v = f.immune_bits.(v) and entry_order v = f.order.(v) in
+  let release_cost v _ = f.cost.(v) in
+  let c = W.component ~limit g f.requester in
+  let n_cycles = c.W.n_cycles in
+  let flow =
+    Resolver.choose_flow ~immune ~policy ~entry_order ~release_cost
+      (Flow_cut.create ()) c
+  in
+  let record = W.enumerate ~limit g f.requester in
+  let agrees =
+    match flow with
+    | None -> true
+    | Some d ->
+        n_cycles = record.W.n_cycles
+        && d
+           = Resolver.choose_cycles ~immune ~policy ~requester:f.requester
+               ~entry_order ~release_cost ~rng:(Rng.make 1) record
+        && d.Resolver.optimal
+  in
+  (flow <> None, agrees)
+
+let qcheck_flow_as_enumeration =
+  QCheck.Test.make ~name:"flow decision = enumerated decision" ~count:2000
+    (QCheck.make ~print:print_fan fan_gen)
+    (fun f ->
+      List.for_all
+        (fun (policy, limit) ->
+          let answered, agrees = flow_decides f policy limit in
+          agrees && (answered || not (flow_should_answer f policy limit)))
+        [
+          (Policy.Min_cost, 8);
+          (Policy.Min_cost, 256);
+          (Policy.Ordered_min_cost, 8);
+          (Policy.Ordered_min_cost, 256);
+        ])
+
+(* Figure 3(c): T1 requests X against shared holders T2 and T3, which
+   wait on T1, so two cycles through T1. At equal cost {T1} and
+   {T2, T3} tie, and flow leaves the choice to enumeration; at T1's
+   cost 3 the pair is cheaper and flow decides it. *)
+let test_flow_declines_tie () =
+  let g = W.create () in
+  W.set_wait g ~waiter:1 ~holders:[ 2; 3 ] "x";
+  W.set_wait g ~waiter:2 ~holders:[ 1 ] "y";
+  W.set_wait g ~waiter:3 ~holders:[ 1 ] "z";
+  let decide cost =
+    Resolver.choose_flow ~policy:Policy.Min_cost ~entry_order:Fun.id
+      ~release_cost:(fun v _ -> cost v) (Flow_cut.create ())
+      (W.component ~limit:256 g 1)
+  in
+  checkb "tied: declined" true (decide (fun v -> if v = 1 then 2 else 1) = None);
+  match decide (fun v -> if v = 1 then 3 else 1) with
+  | Some d -> checkb "pair decided" true (victims d = [ 2; 3 ])
+  | None -> Alcotest.fail "a unique cut was declined"
+
+(* The 256-cycle fan of the micro-benchmarks reaches the cycle limit, so
+   enumeration would be cut short: flow declines. *)
+let test_flow_declines_capped () =
+  let g = W.create () in
+  let layer i = [ (2 * i) + 1; (2 * i) + 2 ] in
+  W.set_wait g ~waiter:0 ~holders:(layer 0) "r";
+  for i = 0 to 7 do
+    List.iter
+      (fun v ->
+        W.set_wait g ~waiter:v
+          ~holders:(if i = 7 then [ 0 ] else layer (i + 1))
+          (Printf.sprintf "e%d" v))
+      (layer i)
+  done;
+  let c = W.component ~limit:256 g 0 in
+  checkb "256 cycles: incomplete" false c.W.complete;
+  checkb "declined" true
+    (Resolver.choose_flow ~policy:Policy.Ordered_min_cost ~entry_order:Fun.id
+       ~release_cost:(fun _ es -> List.length es)
+       (Flow_cut.create ()) c
+    = None);
+  checkb "complete under a higher limit" true
+    (let c = W.component ~limit:257 g 0 in
+     c.W.complete && c.W.n_cycles = 256)
+
 let () =
   Alcotest.run "prb_resolver"
     [
@@ -334,5 +560,9 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_flat_decides_as_reference;
           QCheck_alcotest.to_alcotest qcheck_list_entry_as_reference;
           Alcotest.test_case "more than 62 members" `Quick test_wide_record;
+          QCheck_alcotest.to_alcotest qcheck_flow_as_enumeration;
+          Alcotest.test_case "flow declines a tie" `Quick test_flow_declines_tie;
+          Alcotest.test_case "flow declines a capped record" `Quick
+            test_flow_declines_capped;
         ] );
     ]

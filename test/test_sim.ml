@@ -16,18 +16,33 @@ let checki = Alcotest.(check int)
 let small_params =
   { Generator.default_params with n_entities = 16; zipf_theta = 0.7; max_locks = 5 }
 
+(* Every run gets a tick budget about ten times what it needs and must
+   commit everything within it, so a livelock fails in seconds instead
+   of spinning to the default cap. *)
+let budget ?(mpl = Sim.default_config.Sim.mpl) ?(scheduler = Scheduler.default_config)
+    max_ticks =
+  { Sim.scheduler = { scheduler with max_ticks }; mpl }
+
+let check_all name n (r : Sim.result) =
+  checki (name ^ ": all commit") n r.Sim.stats.Scheduler.commits
+
 let test_runs_everything () =
-  let r = Sim.run_generated ~params:small_params ~seed:2 ~n_txns:60 () in
+  (* needs 782 ticks *)
+  let r =
+    Sim.run_generated ~config:(budget 7_800) ~params:small_params ~seed:2
+      ~n_txns:60 ()
+  in
   checki "all commit" 60 r.Sim.stats.Scheduler.commits;
   checkb "serializable" true r.Sim.serializable;
   checkb "throughput positive" true (r.Sim.throughput > 0.0)
 
 let test_mpl_respected () =
   (* with mpl=1 transactions run strictly serially: no blocks at all *)
-  let config =
-    { Sim.scheduler = Scheduler.default_config; mpl = 1 }
+  (* needs 435 ticks *)
+  let r =
+    Sim.run_generated ~config:(budget ~mpl:1 4_400) ~params:small_params
+      ~seed:2 ~n_txns:20 ()
   in
-  let r = Sim.run_generated ~config ~params:small_params ~seed:2 ~n_txns:20 () in
   checki "no blocks under mpl 1" 0 r.Sim.stats.Scheduler.blocks;
   checki "no deadlocks" 0 r.Sim.stats.Scheduler.deadlocks;
   checki "commits" 20 r.Sim.stats.Scheduler.commits
@@ -56,25 +71,46 @@ let test_drive_holds_mpl () =
     checki (name ^ ": all commit") n (e.n_committed ())
   in
   let store () = Generator.populate small_params in
-  check "central" (Sim.central (Scheduler.create (store ())));
-  check "distributed" (Dist_sim.engine (D.create D.default_config (store ())))
+  (* they need 453 and 986 ticks *)
+  check "central"
+    (Sim.central
+       (Scheduler.create
+          ~config:{ Scheduler.default_config with max_ticks = 4_500 }
+          (store ())));
+  check "distributed"
+    (Dist_sim.engine
+       (D.create { D.default_config with max_ticks = 9_900 } (store ())))
 
 let test_contention_rises_with_mpl () =
+  (* mpl 2 needs 997 ticks, mpl 12 1,154 *)
   let run mpl =
-    let config = { Sim.scheduler = Scheduler.default_config; mpl } in
-    (Sim.run_generated ~config ~params:small_params ~seed:2 ~n_txns:80 ())
-      .Sim.stats.Scheduler.blocks
+    let r =
+      Sim.run_generated ~config:(budget ~mpl 12_000) ~params:small_params
+        ~seed:2 ~n_txns:80 ()
+    in
+    check_all (Printf.sprintf "mpl %d" mpl) 80 r;
+    r.Sim.stats.Scheduler.blocks
   in
   checkb "mpl 12 blocks more than mpl 2" true (run 12 > run 2)
 
 let test_wasted_fraction_sane () =
-  let r = Sim.run_generated ~params:small_params ~seed:7 ~n_txns:60 () in
+  (* needs 935 ticks *)
+  let r =
+    Sim.run_generated ~config:(budget 9_400) ~params:small_params ~seed:7
+      ~n_txns:60 ()
+  in
+  check_all "seed 7" 60 r;
   checkb "wasted in [0,1)" true
     (r.Sim.wasted_fraction >= 0.0 && r.Sim.wasted_fraction < 1.0)
 
 let test_deterministic () =
-  let run () = Sim.run_generated ~params:small_params ~seed:3 ~n_txns:50 () in
+  (* needs 770 ticks *)
+  let run () =
+    Sim.run_generated ~config:(budget 7_700) ~params:small_params ~seed:3
+      ~n_txns:50 ()
+  in
   let a = run () and b = run () in
+  check_all "seed 3" 50 a;
   checkb "same stats" true (a.Sim.stats = b.Sim.stats)
 
 let test_run_explicit_programs () =
@@ -87,7 +123,8 @@ let test_run_explicit_programs () =
           ~to_acct:((i + 1) mod 6)
           ~amount:1)
   in
-  let r = Sim.run ~store programs in
+  (* needs 34 ticks *)
+  let r = Sim.run ~config:(budget 340) ~store programs in
   checki "commits" 10 r.Sim.stats.Scheduler.commits;
   checkb "invariant" true
     (Store.Constraint.holds
@@ -98,12 +135,12 @@ let test_strategy_tradeoff_shape () =
   (* The paper's core claim at workload level: under identical contention,
      MCS never loses more progress than Total, and peak copies order the
      other way. *)
+  (* each strategy needs 1,963-2,011 ticks *)
   let run strategy =
     let config =
-      {
-        Sim.scheduler = { Scheduler.default_config with strategy; seed = 1 };
-        mpl = 10;
-      }
+      budget ~mpl:10
+        ~scheduler:{ Scheduler.default_config with strategy; seed = 1 }
+        20_000
     in
     Sim.run_generated ~config
       ~params:{ small_params with zipf_theta = 0.9; min_writes = 2; max_writes = 3 }
@@ -118,11 +155,19 @@ let test_strategy_tradeoff_shape () =
 
 (* --- open-system driver --- *)
 
+(* An open-system run on a tick budget (the closed runs' rule above). *)
+let open_run ~max_ticks ~store ~arrivals_per_ktick ~arrival_seed programs =
+  Sim.Open.run
+    ~scheduler:{ Scheduler.default_config with max_ticks }
+    ~store ~arrivals_per_ktick ~arrival_seed programs
+
 let test_open_runs_and_measures () =
   let store = Generator.populate small_params in
   let programs = Generator.generate small_params ~seed:5 ~n:40 in
+  (* needs 587 ticks *)
   let r =
-    Sim.Open.run ~store ~arrivals_per_ktick:50.0 ~arrival_seed:5 programs
+    open_run ~max_ticks:5_900 ~store ~arrivals_per_ktick:50.0 ~arrival_seed:5
+      programs
   in
   checki "all commit" 40 r.Sim.Open.closed.Sim.stats.Scheduler.commits;
   checkb "latencies positive" true (r.Sim.Open.mean_latency > 0.0);
@@ -131,11 +176,16 @@ let test_open_runs_and_measures () =
   checkb "serializable" true r.Sim.Open.closed.Sim.serializable
 
 let test_open_latency_grows_with_load () =
+  (* rate 200 needs 2,107 ticks, rate 10 4,909 *)
   let run rate =
     let store = Generator.populate small_params in
     let programs = Generator.generate small_params ~seed:5 ~n:80 in
-    (Sim.Open.run ~store ~arrivals_per_ktick:rate ~arrival_seed:5 programs)
-      .Sim.Open.mean_latency
+    let r =
+      open_run ~max_ticks:49_000 ~store ~arrivals_per_ktick:rate
+        ~arrival_seed:5 programs
+    in
+    check_all (Printf.sprintf "rate %g" rate) 80 r.Sim.Open.closed;
+    r.Sim.Open.mean_latency
   in
   checkb "heavier load, slower responses" true (run 200.0 > run 10.0)
 
@@ -144,9 +194,12 @@ let test_open_light_load_is_uncontended () =
      transactions effectively run alone: latency ~ own execution time *)
   let store = Generator.populate small_params in
   let programs = Generator.generate small_params ~seed:6 ~n:20 in
+  (* needs 88,484 ticks, almost all of them waiting for arrivals *)
   let r =
-    Sim.Open.run ~store ~arrivals_per_ktick:0.2 ~arrival_seed:7 programs
+    open_run ~max_ticks:885_000 ~store ~arrivals_per_ktick:0.2
+      ~arrival_seed:7 programs
   in
+  check_all "sparse arrivals" 20 r.Sim.Open.closed;
   checki "no blocks" 0 r.Sim.Open.closed.Sim.stats.Scheduler.blocks;
   checki "no deadlocks" 0 r.Sim.Open.closed.Sim.stats.Scheduler.deadlocks;
   checkb "latency = own execution time" true (r.Sim.Open.max_latency < 40.0)
@@ -155,9 +208,12 @@ let test_open_deterministic () =
   let run () =
     let store = Generator.populate small_params in
     let programs = Generator.generate small_params ~seed:7 ~n:30 in
+    (* needs 454 ticks *)
     let r =
-      Sim.Open.run ~store ~arrivals_per_ktick:60.0 ~arrival_seed:7 programs
+      open_run ~max_ticks:4_500 ~store ~arrivals_per_ktick:60.0
+        ~arrival_seed:7 programs
     in
+    check_all "seed 7" 30 r.Sim.Open.closed;
     (r.Sim.Open.mean_latency, r.Sim.Open.closed.Sim.stats)
   in
   checkb "identical" true (run () = run ())
@@ -209,9 +265,8 @@ let () =
                   max_locks = 6;
                 }
               in
-              let config =
-                { Sim.scheduler = Scheduler.default_config; mpl = 20 }
-              in
+              (* needs 7,637 ticks *)
+              let config = budget ~mpl:20 76_000 in
               let r =
                 Sim.run_generated ~config ~params ~seed:1 ~n_txns:1000 ()
               in
