@@ -15,6 +15,7 @@ module Policy = Prb_core.Policy
 module Run_stats = Prb_core.Run_stats
 module DP = Prb_core.Detection_policy
 module Sim = Prb_sim.Sim
+module Fault = Prb_fault.Fault
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -713,6 +714,238 @@ let test_name_order () =
   Alcotest.(check (list string)) "commit finals" sorted
     (List.map name (Ts.commit ts))
 
+(* --- Every stats field, pinned ------------------------------------- *)
+
+(* Every field of the one record, as "name=value" words. The record
+   pattern names them all, so a new field does not compile here until it
+   is pinned (warning 9). Across the runs below every field but two reads
+   nonzero somewhere: no run has a clock, so [check_seconds] and
+   [enumerate_seconds] read 0 in all of them. *)
+let fields (s : Run_stats.stats) =
+  let {
+    Run_stats.ticks; commits; deadlocks; cycles_broken; rollbacks; requeues;
+    ops_lost; overshoot_ops; ops_committed; ops_executed; blocks; peak_copies;
+    optimal_resolutions; timeouts; preventions; txn_crashes; detection_passes;
+    watchdog_fires; starvation_fallbacks; missed_passes; max_blocked_ticks;
+    total_blocked_ticks; max_txn_rollbacks; local_deadlocks; global_deadlocks;
+    messages; shipped_copies; site_crashes; site_recoveries; purged_locks;
+    msgs_lost; msgs_duplicated; retransmissions; deferred_detection;
+    check_seconds; check_calls; enumerate_seconds; enumerate_calls;
+    flow_decided; flow_tied; flow_incomplete;
+  } =
+    s
+  in
+  let i name v = Printf.sprintf "%s=%d" name v
+  and f name v = Printf.sprintf "%s=%g" name v in
+  [
+    i "ticks" ticks; i "commits" commits; i "deadlocks" deadlocks;
+    i "cycles_broken" cycles_broken; i "rollbacks" rollbacks;
+    i "requeues" requeues; i "ops_lost" ops_lost;
+    i "overshoot_ops" overshoot_ops; i "ops_committed" ops_committed;
+    i "ops_executed" ops_executed; i "blocks" blocks;
+    i "peak_copies" peak_copies; i "optimal_resolutions" optimal_resolutions;
+    i "timeouts" timeouts; i "preventions" preventions;
+    i "txn_crashes" txn_crashes; i "detection_passes" detection_passes;
+    i "watchdog_fires" watchdog_fires;
+    i "starvation_fallbacks" starvation_fallbacks;
+    i "missed_passes" missed_passes; i "max_blocked_ticks" max_blocked_ticks;
+    i "total_blocked_ticks" total_blocked_ticks;
+    i "max_txn_rollbacks" max_txn_rollbacks;
+    i "local_deadlocks" local_deadlocks; i "global_deadlocks" global_deadlocks;
+    i "messages" messages; i "shipped_copies" shipped_copies;
+    i "site_crashes" site_crashes; i "site_recoveries" site_recoveries;
+    i "purged_locks" purged_locks; i "msgs_lost" msgs_lost;
+    i "msgs_duplicated" msgs_duplicated; i "retransmissions" retransmissions;
+    Printf.sprintf "deferred_detection=%b" deferred_detection;
+    f "check_seconds" check_seconds; i "check_calls" check_calls;
+    f "enumerate_seconds" enumerate_seconds; i "enumerate_calls" enumerate_calls;
+    i "flow_decided" flow_decided; i "flow_tied" flow_tied;
+    i "flow_incomplete" flow_incomplete;
+  ]
+
+let check_fields expected s =
+  Alcotest.(check (list string))
+    "every field"
+    (String.split_on_char ' ' expected)
+    (fields s)
+
+let pin_params =
+  {
+    Generator.default_params with
+    n_entities = 16;
+    zipf_theta = 0.8;
+    min_locks = 3;
+    max_locks = 6;
+    read_fraction = 0.3;
+  }
+
+let pin_store () = Generator.populate pin_params
+let pin_programs n = Generator.generate pin_params ~seed:5 ~n
+
+let central_pin ?(n = 80) cfg =
+  let config =
+    { Sim.scheduler = { cfg with Scheduler.max_ticks = 400_000 }; mpl = 8 }
+  in
+  (Sim.run ~config ~store:(pin_store ()) (pin_programs n)).Sim.stats
+
+let no_msg_faults = { Fault.loss = 0.0; dup = 0.0; delay = 0.0; max_delay = 1 }
+
+let plan ?(msg = no_msg_faults) ?(site_crashes = []) ?(outages = [])
+    ?(txn_crashes = []) () =
+  {
+    Fault.fault_seed = 9;
+    horizon = 4000;
+    msg;
+    site_crashes;
+    detector_outages = outages;
+    txn_crashes;
+    rebuild_locks = true;
+  }
+
+(* An eager Ordered_min_cost hot set: the flow, check and enumerate
+   counts. *)
+let test_pin_eager_hot_set () =
+  check_fields
+    "ticks=1611 commits=80 deadlocks=149 cycles_broken=620 rollbacks=161 \
+     requeues=40 ops_lost=1037 overshoot_ops=20 ops_committed=1765 \
+     ops_executed=2802 blocks=576 peak_copies=24 optimal_resolutions=149 \
+     timeouts=0 preventions=0 txn_crashes=0 detection_passes=0 \
+     watchdog_fires=0 starvation_fallbacks=0 missed_passes=0 \
+     max_blocked_ticks=200 total_blocked_ticks=9250 max_txn_rollbacks=8 \
+     local_deadlocks=0 global_deadlocks=0 messages=0 shipped_copies=0 \
+     site_crashes=0 site_recoveries=0 purged_locks=0 msgs_lost=0 \
+     msgs_duplicated=0 retransmissions=0 deferred_detection=false \
+     check_seconds=0 check_calls=871 enumerate_seconds=0 enumerate_calls=2 \
+     flow_decided=147 flow_tied=2 flow_incomplete=0"
+    (central_pin Scheduler.default_config)
+
+(* Periodic sweeps with transaction crashes and a detector outage long
+   enough for the watchdog to fire when it ends. *)
+let test_pin_periodic_faults () =
+  let faults =
+    plan
+      ~outages:[ { Fault.out_from = 150; out_until = 600 } ]
+      ~txn_crashes:
+        [
+          { Fault.crash_at = 40; victim = 0 };
+          { Fault.crash_at = 90; victim = 3 };
+          { Fault.crash_at = 700; victim = 1 };
+        ]
+      ()
+  in
+  check_fields
+    "ticks=3255 commits=80 deadlocks=142 cycles_broken=363 rollbacks=142 \
+     requeues=14 ops_lost=837 overshoot_ops=4 ops_committed=1765 \
+     ops_executed=2602 blocks=518 peak_copies=24 optimal_resolutions=142 \
+     timeouts=0 preventions=0 txn_crashes=3 detection_passes=176 \
+     watchdog_fires=1 starvation_fallbacks=15 missed_passes=28 \
+     max_blocked_ticks=566 total_blocked_ticks=21518 max_txn_rollbacks=6 \
+     local_deadlocks=0 global_deadlocks=0 messages=0 shipped_copies=0 \
+     site_crashes=0 site_recoveries=0 purged_locks=0 msgs_lost=0 \
+     msgs_duplicated=0 retransmissions=0 deferred_detection=true \
+     check_seconds=0 check_calls=313 enumerate_seconds=0 enumerate_calls=51 \
+     flow_decided=91 flow_tied=4 flow_incomplete=47"
+    (central_pin
+       {
+         Scheduler.default_config with
+         detection = DP.Periodic 16;
+         starvation_limit = Some 3;
+         faults = Some faults;
+       })
+
+(* The prevention and timeout baselines. *)
+let test_pin_baselines () =
+  check_fields
+    "ticks=1140 commits=80 deadlocks=0 cycles_broken=0 rollbacks=181 \
+     requeues=93 ops_lost=750 overshoot_ops=22 ops_committed=1765 \
+     ops_executed=2515 blocks=558 peak_copies=24 optimal_resolutions=0 \
+     timeouts=0 preventions=274 txn_crashes=0 detection_passes=0 \
+     watchdog_fires=0 starvation_fallbacks=0 missed_passes=0 \
+     max_blocked_ticks=92 total_blocked_ticks=5868 max_txn_rollbacks=7 \
+     local_deadlocks=0 global_deadlocks=0 messages=0 shipped_copies=0 \
+     site_crashes=0 site_recoveries=0 purged_locks=0 msgs_lost=0 \
+     msgs_duplicated=0 retransmissions=0 deferred_detection=false \
+     check_seconds=0 check_calls=0 enumerate_seconds=0 enumerate_calls=0 \
+     flow_decided=0 flow_tied=0 flow_incomplete=0"
+    (central_pin
+       { Scheduler.default_config with intervention = Scheduler.Wound_wait_c });
+  check_fields
+    "ticks=2701 commits=80 deadlocks=0 cycles_broken=0 rollbacks=599 \
+     requeues=0 ops_lost=1939 overshoot_ops=0 ops_committed=1765 \
+     ops_executed=3704 blocks=1008 peak_copies=24 optimal_resolutions=0 \
+     timeouts=599 preventions=0 txn_crashes=0 detection_passes=0 \
+     watchdog_fires=0 starvation_fallbacks=0 missed_passes=0 \
+     max_blocked_ticks=20 total_blocked_ticks=16429 max_txn_rollbacks=43 \
+     local_deadlocks=0 global_deadlocks=0 messages=0 shipped_copies=0 \
+     site_crashes=0 site_recoveries=0 purged_locks=0 msgs_lost=0 \
+     msgs_duplicated=0 retransmissions=0 deferred_detection=false \
+     check_seconds=0 check_calls=0 enumerate_seconds=0 enumerate_calls=0 \
+     flow_decided=0 flow_tied=0 flow_incomplete=0"
+    (central_pin
+       { Scheduler.default_config with intervention = Scheduler.Timeout_abort 20 })
+
+(* Four sites under message faults, a site crash and a detector outage:
+   the message, fault and site counters and the local/global split. *)
+let test_pin_distributed_faults () =
+  let faults =
+    plan
+      ~msg:{ Fault.loss = 0.1; dup = 0.1; delay = 0.2; max_delay = 4 }
+      ~site_crashes:[ { Fault.site = 1; at = 200; downtime = 120 } ]
+      ~outages:[ { Fault.out_from = 400; out_until = 800 } ]
+      ()
+  in
+  let config =
+    {
+      Dist_sim.scheduler =
+        {
+          D.default_config with
+          n_sites = 4;
+          detection = D.Local_then_global 30;
+          seed = 5;
+          max_ticks = 400_000;
+          faults = Some faults;
+        };
+      mpl = 8;
+    }
+  in
+  check_fields
+    "ticks=6937 commits=80 deadlocks=178 cycles_broken=626 rollbacks=188 \
+     requeues=8 ops_lost=1272 overshoot_ops=32 ops_committed=1765 \
+     ops_executed=3037 blocks=600 peak_copies=24 optimal_resolutions=0 \
+     timeouts=12 preventions=0 txn_crashes=0 detection_passes=218 \
+     watchdog_fires=0 starvation_fallbacks=0 missed_passes=13 \
+     max_blocked_ticks=612 total_blocked_ticks=47602 max_txn_rollbacks=11 \
+     local_deadlocks=24 global_deadlocks=154 messages=3328 \
+     shipped_copies=4455 site_crashes=1 site_recoveries=1 purged_locks=3 \
+     msgs_lost=65 msgs_duplicated=49 retransmissions=39 \
+     deferred_detection=false check_seconds=0 check_calls=959 \
+     enumerate_seconds=0 enumerate_calls=249 flow_decided=0 flow_tied=0 \
+     flow_incomplete=0"
+    (Dist_sim.run ~config ~store:(pin_store ()) (pin_programs 80)).Dist_sim.stats
+
+(* A record [stats] handed out mid-run does not move as the run goes on. *)
+let test_stats_is_a_snapshot () =
+  let central = Scheduler.create (pin_store ()) in
+  List.iter (fun p -> ignore (Scheduler.submit central p)) (pin_programs 20);
+  let dist = D.create { D.default_config with n_sites = 2 } (pin_store ()) in
+  List.iteri
+    (fun i p -> ignore (D.submit dist ~home:(i mod 2) p))
+    (pin_programs 20);
+  let snapshot stats step =
+    for _ = 1 to 60 do
+      ignore (step ())
+    done;
+    let s = stats () in
+    let before = fields s in
+    while step () do
+      ()
+    done;
+    Alcotest.(check (list string)) "unchanged" before (fields s);
+    checkb "the run went on" true ((stats ()).Run_stats.ticks > s.Run_stats.ticks)
+  in
+  snapshot (fun () -> Scheduler.stats central) (fun () -> Scheduler.step central);
+  snapshot (fun () -> D.stats dist) (fun () -> D.step dist)
+
 let () =
   Alcotest.run "prb_distrib"
     [
@@ -751,4 +984,15 @@ let () =
           Alcotest.test_case "default site map" `Quick test_default_site_map;
         ] );
       ("numbering", [ Alcotest.test_case "name order" `Quick test_name_order ]);
+      ( "stats pin",
+        [
+          Alcotest.test_case "eager hot set" `Quick test_pin_eager_hot_set;
+          Alcotest.test_case "periodic with faults" `Quick
+            test_pin_periodic_faults;
+          Alcotest.test_case "baselines" `Quick test_pin_baselines;
+          Alcotest.test_case "distributed with faults" `Quick
+            test_pin_distributed_faults;
+          Alcotest.test_case "stats is a snapshot" `Quick
+            test_stats_is_a_snapshot;
+        ] );
     ]
