@@ -39,7 +39,7 @@ let thm3 () =
         }
       in
       let peak strategy =
-        (run_sim ~strategy ~params ~n_txns ~seed:2 ()).Sim.peak_copies
+        (run_sim ~strategy ~params ~n_txns ~seed:2 ()).Sim.stats.peak_copies
       in
       (* the bound counts copies of globals only; our accounting adds one
          saved initial per locked entity (n more) and the four registers'
@@ -92,7 +92,7 @@ let sdg_k () =
       Table.add_row table
         [
           Strategy.to_string strategy;
-          i r.Sim.peak_copies;
+          i s.Scheduler.peak_copies;
           i s.Scheduler.rollbacks;
           i s.Scheduler.ops_lost;
           f2 r.Sim.mean_rollback_cost;

@@ -65,7 +65,7 @@ let tradeoff () =
                      else r.Sim.mean_rollback_cost));
               pct (mean (fun r -> r.Sim.wasted_fraction));
               f2 (mean (fun r -> r.Sim.throughput));
-              f2 (mean (fun r -> float_of_int r.Sim.peak_copies));
+              f2 (mean (fun r -> float_of_int r.Sim.stats.peak_copies));
             ])
         Strategy.all_basic;
       Table.add_separator table)

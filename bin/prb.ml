@@ -308,7 +308,7 @@ let run_sweep policy seed txns mpl params max_ticks =
           Table.cell_int s.Scheduler.ops_lost;
           Table.cell_float r.Sim.mean_rollback_cost;
           Table.cell_pct r.Sim.wasted_fraction;
-          Table.cell_int r.Sim.peak_copies;
+          Table.cell_int r.Sim.stats.peak_copies;
           Table.cell_float r.Sim.throughput;
         ])
     (Strategy.all_basic @ [ Strategy.Sdg_k 2 ]);

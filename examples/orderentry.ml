@@ -97,7 +97,7 @@ let () =
           Table.cell_int s.Scheduler.ops_lost;
           Table.cell_int s.Scheduler.overshoot_ops;
           Table.cell_float r.Sim.mean_rollback_cost;
-          Table.cell_int r.Sim.peak_copies;
+          Table.cell_int r.Sim.stats.peak_copies;
         ])
     (Strategy.all_basic @ [ Strategy.Sdg_k 2 ]);
   Table.print table;

@@ -48,31 +48,10 @@ type t = {
     option;
   mutable next_id : int;
   mutable tick : int;
-  mutable commits : int;
-  mutable deadlocks : int;
-  mutable cycles_broken : int;
-  mutable rollback_events : int;
-  mutable requeue_events : int;
-  mutable overshoot_ops : int;
-  mutable optimal_resolutions : int;
-  mutable ops_committed : int;
   mutable committed_executed : int;
   mutable committed_peak_copies : int;
-  mutable timeouts : int;
-  mutable preventions : int;
-  mutable detection_passes : int;
-  mutable missed_passes : int;
-  mutable starvation_fallbacks : int;
-  mutable max_blocked_ticks : int;
-  mutable total_blocked_ticks : int;
-  mutable check_seconds : float;
-  mutable check_calls : int;
-  mutable enumerate_seconds : float;
-  mutable enumerate_calls : int;
+  st : Run_stats.stats;
   flow : Prb_graph.Flow_cut.t;
-  mutable flow_incomplete : int;
-  mutable flow_tied : int;
-  mutable flow_decided : int;
 }
 
 let initial_txn_cap = 64
@@ -112,31 +91,25 @@ let create ~strategy ~policy ~detection ~starvation_limit ~cycle_limit ~clock
     hook = None;
     next_id = 0;
     tick = 0;
-    commits = 0;
-    deadlocks = 0;
-    cycles_broken = 0;
-    rollback_events = 0;
-    requeue_events = 0;
-    overshoot_ops = 0;
-    optimal_resolutions = 0;
-    ops_committed = 0;
     committed_executed = 0;
     committed_peak_copies = 0;
-    timeouts = 0;
-    preventions = 0;
-    detection_passes = 0;
-    missed_passes = 0;
-    starvation_fallbacks = 0;
-    max_blocked_ticks = 0;
-    total_blocked_ticks = 0;
-    check_seconds = 0.0;
-    check_calls = 0;
-    enumerate_seconds = 0.0;
-    enumerate_calls = 0;
+    st =
+      {
+        Run_stats.ticks = 0; commits = 0; deadlocks = 0; cycles_broken = 0;
+        rollbacks = 0; requeues = 0; ops_lost = 0; overshoot_ops = 0;
+        ops_committed = 0; ops_executed = 0; blocks = 0; peak_copies = 0;
+        optimal_resolutions = 0; timeouts = 0; preventions = 0;
+        txn_crashes = 0; detection_passes = 0; watchdog_fires = 0;
+        starvation_fallbacks = 0; missed_passes = 0; max_blocked_ticks = 0;
+        total_blocked_ticks = 0; max_txn_rollbacks = 0; local_deadlocks = 0;
+        global_deadlocks = 0; messages = 0; shipped_copies = 0;
+        site_crashes = 0; site_recoveries = 0; purged_locks = 0;
+        msgs_lost = 0; msgs_duplicated = 0; retransmissions = 0;
+        deferred_detection = false; check_seconds = 0.0; check_calls = 0;
+        enumerate_seconds = 0.0; enumerate_calls = 0; flow_decided = 0;
+        flow_tied = 0; flow_incomplete = 0;
+      };
     flow = Prb_graph.Flow_cut.create ();
-    flow_incomplete = 0;
-    flow_tied = 0;
-    flow_decided = 0;
   }
 
 (* --- Transactions -------------------------------------------------- *)
@@ -200,13 +173,6 @@ let live_ids e =
   in
   down (e.next_id - 1) []
 
-let max_txn_rollbacks e =
-  let m = ref 0 in
-  for id = 0 to e.next_id - 1 do
-    if e.rollback_counts.(id) > !m then m := e.rollback_counts.(id)
-  done;
-  !m
-
 let note_blocked e id =
   if e.blocked_since.(id) < 0 then e.n_blocked <- e.n_blocked + 1;
   e.blocked_since.(id) <- e.tick
@@ -217,13 +183,18 @@ let note_unblocked e id =
   let since = e.blocked_since.(id) in
   if since >= 0 then begin
     let d = e.tick - since in
-    if d > e.max_blocked_ticks then e.max_blocked_ticks <- d;
-    e.total_blocked_ticks <- e.total_blocked_ticks + d;
+    if d > e.st.max_blocked_ticks then e.st.max_blocked_ticks <- d;
+    e.st.total_blocked_ticks <- e.st.total_blocked_ticks + d;
     e.blocked_since.(id) <- -1;
     e.n_blocked <- e.n_blocked - 1
   end
 
-let note_rollback e v = e.rollback_counts.(v) <- e.rollback_counts.(v) + 1
+(* A transaction's count only grows, so the worst-hit one's is a running
+   maximum. *)
+let note_rollback e v =
+  let n = e.rollback_counts.(v) + 1 in
+  e.rollback_counts.(v) <- n;
+  if n > e.st.max_txn_rollbacks then e.st.max_txn_rollbacks <- n
 
 (* The starvation guard: a transaction rolled back at least
    [starvation_limit] times is shielded from victim selection (the
@@ -285,8 +256,9 @@ let commit e s ~release id =
     e.blocked_since.(id) <- -1;
     e.n_blocked <- e.n_blocked - 1
   end;
-  e.commits <- e.commits + 1;
-  e.ops_committed <- e.ops_committed + Program.length (Txn_state.program ts);
+  e.st.commits <- e.st.commits + 1;
+  e.st.ops_committed <-
+    e.st.ops_committed + Program.length (Txn_state.program ts);
   Txn_state.dispose ts;
   retire e id ts
 
@@ -304,8 +276,8 @@ let[@lint.allow
      "A1: detection wall-clock accounting boxes floats only when a clock \
       is configured"] clocked e meter f x y z =
   (match meter with
-  | Check -> e.check_calls <- e.check_calls + 1
-  | Enumerate -> e.enumerate_calls <- e.enumerate_calls + 1);
+  | Check -> e.st.check_calls <- e.st.check_calls + 1
+  | Enumerate -> e.st.enumerate_calls <- e.st.enumerate_calls + 1);
   match e.clock with
   | None -> f e.wfg x y z
   | Some clk -> (
@@ -313,10 +285,10 @@ let[@lint.allow
       let r = f e.wfg x y z in
       match meter with
       | Check ->
-          e.check_seconds <- e.check_seconds +. (clk () -. t0);
+          e.st.check_seconds <- e.st.check_seconds +. (clk () -. t0);
           r
       | Enumerate ->
-          e.enumerate_seconds <- e.enumerate_seconds +. (clk () -. t0);
+          e.st.enumerate_seconds <- e.st.enumerate_seconds +. (clk () -. t0);
           r)
 
 let deadlock_probe wfg label_ok waiter holders =
@@ -475,7 +447,7 @@ let withdraw e s ~granted v =
    engine's [release]. *)
 let roll_back e s ~release v ts target =
   let released = Txn_state.rollback_to ts target in
-  e.rollback_events <- e.rollback_events + 1;
+  e.st.rollbacks <- e.st.rollbacks + 1;
   note_rollback e v;
   release s v released
 
@@ -521,15 +493,15 @@ let apply_partial_rollback e s ~drop_wait ~release ~deferred ~stagger v
      remedy. *)
   drop_wait s v;
   (match lowest_held ts None (Txn_state.lock_index ts) entities with
-  | None -> e.requeue_events <- e.requeue_events + 1
+  | None -> e.st.requeues <- e.st.requeues + 1
   | Some x ->
       let target = Txn_state.rollback_target ts x in
       (* Overshoot: progress destroyed beyond the minimal release point —
          zero under MCS, the whole prefix under Total, the price of
          non-well-defined states under SDG. *)
       let minimal = Option.get (Txn_state.lock_state_of ts x) in
-      e.overshoot_ops <-
-        e.overshoot_ops
+      e.st.overshoot_ops <-
+        e.st.overshoot_ops
         + Txn_state.cost_of_target ts target
         - Txn_state.cost_of_target ts minimal;
       (match Logs.Src.level log_src with
@@ -583,7 +555,7 @@ let wound_younger e s ~wound requester x blockers =
         | None -> false (* committed, its release still in flight *)
       in
       if b > requester && growing then begin
-        e.preventions <- e.preventions + 1;
+        e.st.preventions <- e.st.preventions + 1;
         wound s requester x b
       end)
     blockers
@@ -617,12 +589,12 @@ let finish_round e s ~deferred ~apply requester n decision cycles =
       Log.info (fun m ->
           m "[%d] deadlock: %d cycle(s) through T%d" e.tick n requester)
   | Some (Logs.App | Logs.Error | Logs.Warning) | None -> ());
-  e.deadlocks <- e.deadlocks + 1;
-  e.cycles_broken <- e.cycles_broken + n;
+  e.st.deadlocks <- e.st.deadlocks + 1;
+  e.st.cycles_broken <- e.st.cycles_broken + n;
   if decision.Resolver.optimal then
-    e.optimal_resolutions <- e.optimal_resolutions + 1;
+    e.st.optimal_resolutions <- e.st.optimal_resolutions + 1;
   if decision.Resolver.starved_fallback then
-    e.starvation_fallbacks <- e.starvation_fallbacks + 1;
+    e.st.starvation_fallbacks <- e.st.starvation_fallbacks + 1;
   (match e.hook with
   | Some h ->
       let cycles =
@@ -665,7 +637,7 @@ let flow_decision e ~deferred requester =
       in
       let n = c.Waits_for.n_cycles in
       if not c.Waits_for.complete then begin
-        e.flow_incomplete <- e.flow_incomplete + 1;
+        e.st.flow_incomplete <- e.st.flow_incomplete + 1;
         None
       end
       else
@@ -677,10 +649,10 @@ let flow_decision e ~deferred requester =
                 ~release_cost:(release_cost e) e.flow c
             with
             | Some decision ->
-                e.flow_decided <- e.flow_decided + 1;
+                e.st.flow_decided <- e.st.flow_decided + 1;
                 Some (n, decision)
             | None ->
-                e.flow_tied <- e.flow_tied + 1;
+                e.st.flow_tied <- e.st.flow_tied + 1;
                 None)
         | Policy.Min_cost | Policy.Ordered_min_cost | Policy.Requester
         | Policy.Youngest | Policy.Random_victim ->
@@ -745,13 +717,13 @@ let[@hot] resolve e s ~deferred ?keep ~apply primary =
   fixpoint e s ~deferred ~keep ~apply primary 1
 
 let scheduled_pass e ~outage ~period pass =
-  (if outage then e.missed_passes <- e.missed_passes + 1
+  (if outage then e.st.missed_passes <- e.st.missed_passes + 1
    else
-     let before = e.deadlocks in
+     let before = e.st.deadlocks in
      pass ();
      match e.detection with
      | Detection_policy.Adaptive ->
-         Detection_policy.adapt e.cadence ~found:(e.deadlocks > before)
+         Detection_policy.adapt e.cadence ~found:(e.st.deadlocks > before)
      | Detection_policy.Eager | Detection_policy.Periodic _ -> ());
   match e.detection with
   | Detection_policy.Eager -> period
@@ -763,8 +735,8 @@ let scheduled_pass e ~outage ~period pass =
 let stats e =
   (* The committed transactions' aggregates are counters; only the live
      ones are read. A committed transaction lost what it executed beyond
-     its program's length. *)
-  let ops_lost = ref (e.committed_executed - e.ops_committed)
+     its program's length. The copy leaves [st] to go on counting. *)
+  let ops_lost = ref (e.committed_executed - e.st.ops_committed)
   and ops_executed = ref e.committed_executed
   and peak_copies = ref e.committed_peak_copies in
   List.iter
@@ -775,45 +747,11 @@ let stats e =
       peak_copies := max !peak_copies (Txn_state.peak_copies ts))
     (live_ids e);
   {
-    Run_stats.ticks = e.tick;
-    commits = e.commits;
-    deadlocks = e.deadlocks;
-    cycles_broken = e.cycles_broken;
-    rollbacks = e.rollback_events;
-    requeues = e.requeue_events;
+    e.st with
+    ticks = e.tick;
     ops_lost = !ops_lost;
-    overshoot_ops = e.overshoot_ops;
-    ops_committed = e.ops_committed;
     ops_executed = !ops_executed;
     blocks = Lock_table.n_blocks e.locks;
     peak_copies = !peak_copies;
-    optimal_resolutions = e.optimal_resolutions;
-    timeouts = e.timeouts;
-    preventions = e.preventions;
-    txn_crashes = 0;
-    detection_passes = e.detection_passes;
-    watchdog_fires = 0;
-    starvation_fallbacks = e.starvation_fallbacks;
-    missed_passes = e.missed_passes;
-    max_blocked_ticks = e.max_blocked_ticks;
-    total_blocked_ticks = e.total_blocked_ticks;
-    max_txn_rollbacks = max_txn_rollbacks e;
-    local_deadlocks = 0;
-    global_deadlocks = 0;
-    messages = 0;
-    shipped_copies = 0;
-    site_crashes = 0;
-    site_recoveries = 0;
-    purged_locks = 0;
-    msgs_lost = 0;
-    msgs_duplicated = 0;
-    retransmissions = 0;
     deferred_detection = not (Detection_policy.is_eager e.detection);
-    check_seconds = e.check_seconds;
-    check_calls = e.check_calls;
-    enumerate_seconds = e.enumerate_seconds;
-    enumerate_calls = e.enumerate_calls;
-    flow_decided = e.flow_decided;
-    flow_tied = e.flow_tied;
-    flow_incomplete = e.flow_incomplete;
   }

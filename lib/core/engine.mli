@@ -16,8 +16,9 @@
     [w] it was granted [x]; [blocked s id x holders] is what a block
     triggers; [drop_wait s v] abandons [v]'s pending request; [release s
     v released] releases what a rollback gave up; [restart s v
-    ~resume_at] is the engine's full restart. The core also fills the one
-    {!Run_stats.stats} record both engines report. *)
+    ~resume_at] is the engine's full restart. The core also holds the one
+    {!Run_stats.stats} record both engines report, and both schedulers
+    count their own events into it. *)
 
 module Store = Prb_storage.Store
 module Txn_state = Prb_rollback.Txn_state
@@ -65,33 +66,14 @@ type t = {
       (** shown every resolution decision, before its victims roll back *)
   mutable next_id : int;
   mutable tick : int;
-  mutable commits : int;
-  mutable deadlocks : int;  (** resolution rounds *)
-  mutable cycles_broken : int;
-  mutable rollback_events : int;
-  mutable requeue_events : int;
-  mutable overshoot_ops : int;
-  mutable optimal_resolutions : int;
-  mutable ops_committed : int;  (** counted by {!commit} *)
   mutable committed_executed : int;
   mutable committed_peak_copies : int;
       (** the committed transactions' share of {!stats}' aggregates *)
-  mutable timeouts : int;
-  mutable preventions : int;  (** {!wound_younger} counts its wounds *)
-  mutable detection_passes : int;
-  mutable missed_passes : int;
-  mutable starvation_fallbacks : int;
-  mutable max_blocked_ticks : int;
-  mutable total_blocked_ticks : int;
-  mutable check_seconds : float;
-  mutable check_calls : int;
-  mutable enumerate_seconds : float;
-  mutable enumerate_calls : int;
+  st : Run_stats.stats;
+      (** the run's counters, zeroed by {!create} and counted in place by
+          the core and its embedder; its derived fields read 0 here and
+          are filled by {!stats} *)
   flow : Prb_graph.Flow_cut.t;  (** the max-flow cut's scratch *)
-  mutable flow_incomplete : int;
-  mutable flow_tied : int;
-  mutable flow_decided : int;
-      (** the rounds max flow looked at, by outcome: {!Run_stats.stats} *)
 }
 
 val default_cycle_limit : int
@@ -139,8 +121,6 @@ val live_ids : t -> int list
 (** Admitted, uncommitted ids in ascending order, found between
     [oldest_live] and [next_id]. *)
 
-val max_txn_rollbacks : t -> int
-
 val unlock : t -> int -> int
 (** Perform the pending unlock: install the final value and close the
     history interval. Returns the entity's id, whose lock the caller
@@ -150,9 +130,9 @@ val commit :
   t -> 's -> release:('s -> int -> int -> unit) -> int -> unit
 (** Commit: install the final values, close the intervals of the locks
     still held and [release] each, count the program's length in
-    [ops_committed], then retire the transaction: its history buffers go
-    back to the pool, its accounting into the [committed_*] counters and
-    the id-indexed arrays, and its state is dropped. *)
+    [st.ops_committed], then retire the transaction: its history buffers
+    go back to the pool, its accounting into the [committed_*] counters
+    and the id-indexed arrays, and its state is dropped. *)
 
 (** {2 The request path} *)
 
@@ -246,7 +226,7 @@ val wound_younger :
   unit
 (** [wound_younger t s ~wound requester x blockers]: wound-wait
     prevention. Each growing blocker [b] younger than [requester] (a
-    larger id) is counted in [preventions] and handed to [wound s
+    larger id) is counted in [st.preventions] and handed to [wound s
     requester x b], which rolls it back far enough to release [x].
     Shrinking blockers are immune. *)
 
@@ -293,7 +273,7 @@ val resolve :
 val scheduled_pass :
   t -> outage:bool -> period:int -> (unit -> unit) -> int
 (** One firing of the scheduled detection service: during an [outage] a
-    missed pass, otherwise the pass, whose outcome (did [deadlocks]
+    missed pass, otherwise the pass, whose outcome (did [st.deadlocks]
     grow?) adapts the [Adaptive] cadence. Returns the delay until the
     next firing: the cadence's interval, [n] under [Periodic n], and
     [period] under [Eager], whose only scheduled passes are the
@@ -302,7 +282,6 @@ val scheduled_pass :
 (** {2 Statistics} *)
 
 val stats : t -> Run_stats.stats
-(** Every counter the core keeps, and [deferred_detection]; the
-    engine-specific ones ([txn_crashes], [watchdog_fires], the site and
-    message counters, the local/global deadlock split) read 0, for the
-    embedder to supply. *)
+(** A copy of [st] with its derived fields filled: [ticks], [ops_lost],
+    [ops_executed], [blocks], [peak_copies] and [deferred_detection].
+    Both schedulers' [stats] is this. *)

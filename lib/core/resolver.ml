@@ -28,29 +28,70 @@ let rec mem_entity (x : entity) = function
   | [] -> false
   | y :: rest -> String.equal x y || mem_entity x rest
 
-(* Each member's released entities: the sorted union of the labels of
-   its inbound arcs over every cycle of the record. An arc's label is its
-   predecessor's one stored string, so a repeat is usually the very same
-   string and the physical test settles it. *)
+(* [x] into the ascending list [l], which does not hold it. *)
+let rec insert (x : entity) = function
+  | y :: rest when Entity.compare y x < 0 -> y :: insert x rest
+  | l -> x :: l
+
+(* Each member's released entities: the ascending union of the labels of
+   its inbound arcs. An arc's label is its predecessor's one stored
+   string, so a repeat is usually the very same string and the physical
+   test settles it. [note raw m x] adds label [x] to member [m]'s. *)
+let note raw m x =
+  if not (List.memq x raw.(m) || mem_entity x raw.(m)) then
+    raw.(m) <- insert x raw.(m)
+
+(* Over every cycle of a record. *)
 let released (c : Waits_for.cycles) =
   let raw = Array.make c.n_members [] in
   for p = 0 to c.first.(c.n_cycles) - 1 do
-    let m = c.member.(p) and x = c.release.(p) in
-    if not (List.memq x raw.(m) || mem_entity x raw.(m)) then
-      raw.(m) <- x :: raw.(m)
+    note raw c.member.(p) c.release.(p)
   done;
-  Array.map (List.sort Entity.compare) raw
+  raw
 
-let decision_of (c : Waits_for.cycles) ~released ~immune ~optimal chosen =
+(* Over a component's edges, which carry their tail's wait label: with the
+   component acyclic without its root, every edge lies on a cycle through
+   the root, so these are the lists the enumerated record would give. *)
+let component_released (c : Waits_for.component) =
+  let raw = Array.make c.n_members [] in
+  for u = 0 to c.n_members - 1 do
+    for p = c.first.(u) to c.first.(u + 1) - 1 do
+      note raw c.heads.(p) c.labels.(u)
+    done
+  done;
+  raw
+
+(* [immune m] for member index [m]. *)
+let decision_of members ~released ~immune ~optimal chosen =
   {
     (* member indices ascending: victims sorted by txn id *)
-    victims = List.map (fun m -> (c.members.(m), released.(m))) chosen;
+    victims = List.map (fun m -> (members.(m), released.(m))) chosen;
     optimal;
     (* the starvation guard had to be overridden: some cycle offered no
        non-immune victim, so an immune transaction is rolled back anyway
        (deadlocks must break; immunity bends before liveness does) *)
-    starved_fallback = List.exists (fun m -> immune.(m)) chosen;
+    starved_fallback = List.exists immune chosen;
   }
+
+(* Each of the [n] members' tier in the cut ({!Cutset.of_cycles}): 2 when
+   the policy may not preempt it, 1 when the starvation guard shields it
+   ([immune m] for member index [m]), else 0. [Ordered_min_cost] is
+   Theorem 2 with entry time as the partial order: a conflict may only
+   preempt transactions that entered strictly later than the requester
+   (so the oldest live transaction is never preempted and must eventually
+   commit). *)
+let tiers ~policy ~entry_order ~requester members n ~immune =
+  let eligible =
+    match policy with
+    | Policy.Ordered_min_cost ->
+        let requester_order = entry_order requester in
+        fun v -> entry_order v > requester_order
+    | Policy.Min_cost | Policy.Requester | Policy.Youngest
+    | Policy.Random_victim ->
+        fun _ -> true
+  in
+  Array.init n (fun m ->
+      if not (eligible members.(m)) then 2 else if immune m then 1 else 0)
 
 (* Is member [m] among arcs [first .. p]? Scanned from the back: an
    enumerated cycle ends at its requester. *)
@@ -64,18 +105,12 @@ let ascending chosen =
   done;
   !acc
 
-let cheapest_cut (c : Waits_for.cycles) ~req ~released ~release_cost
-    ~eligible ~immune =
-  (* Hitting set over cycles restricted to eligible members. Starvation-
-     immune members are dropped first; a cycle with only immune eligible
-     members keeps them (immunity bends before liveness — the caller reads
-     [starved_fallback] off the decision). A cycle with no eligible member
-     at all falls back to the requester (which is on every cycle), so a
-     cut always exists. *)
-  let tier =
-    Array.init c.n_members (fun m ->
-        if not (eligible m) then 2 else if immune.(m) then 1 else 0)
-  in
+(* Hitting set over the cycles by tier. Tier-2 members are never
+   candidates; tier-1 (immune) ones only on a cycle with no tier-0 member
+   (immunity bends before liveness — the caller reads [starved_fallback]
+   off the decision). A cycle with no member below tier 2 falls back to
+   the requester (which is on every cycle), so a cut always exists. *)
+let cheapest_cut (c : Waits_for.cycles) ~req ~released ~release_cost ~tier =
   let x =
     Cutset.of_cycles ~n_cycles:c.n_cycles ~first:c.first ~member:c.member
       ~tier ~fallback:req
@@ -119,27 +154,18 @@ let choose_cycles ?(immune = fun _ -> false) ~policy ~requester ~entry_order
     fun m -> (not !any) || not immune.(m)
   in
   let decide ~optimal chosen =
-    decision_of c ~released ~immune ~optimal chosen
+    decision_of c.members ~released ~immune:(Array.get immune) ~optimal
+      chosen
   in
   match policy with
   | Policy.Requester -> decide ~optimal:false [ req ]
-  | Policy.Min_cost ->
-      let chosen, optimal =
-        cheapest_cut c ~req ~released ~release_cost
-          ~eligible:(fun _ -> true)
-          ~immune
+  | Policy.Min_cost | Policy.Ordered_min_cost ->
+      let tier =
+        tiers ~policy ~entry_order ~requester c.members c.n_members
+          ~immune:(Array.get immune)
       in
-      decide ~optimal chosen
-  | Policy.Ordered_min_cost ->
-      (* Theorem 2 with entry time as the partial order: a conflict may
-         only preempt transactions that entered strictly later than the
-         requester (so the oldest live transaction is never preempted and
-         must eventually commit); a cycle whose members are all older
-         falls back to rolling the requester itself. *)
-      let requester_order = entry_order requester in
       let chosen, optimal =
-        cheapest_cut c ~req ~released ~release_cost ~immune
-          ~eligible:(fun m -> entry_order c.members.(m) > requester_order)
+        cheapest_cut c ~req ~released ~release_cost ~tier
       in
       decide ~optimal chosen
   | Policy.Youngest ->
@@ -192,54 +218,29 @@ let exact_candidates = 9
 
 let choose_flow ?(immune = fun _ -> false) ~policy ~entry_order ~release_cost
     flow (c : Waits_for.component) =
-  let cut, ordered =
-    match policy with
-    | Policy.Min_cost -> (true, false)
-    | Policy.Ordered_min_cost -> (true, true)
-    | Policy.Requester | Policy.Youngest | Policy.Random_victim -> (false, false)
-  in
-  if not (cut && c.complete && c.n_cycles > 0) then None
-  else begin
-    let n = c.n_members in
-    (* the tiers of [cheapest_cut] *)
-    let requester_order = if ordered then entry_order c.members.(c.root) else 0 in
-    let tier =
-      Array.init n (fun m ->
-          let v = c.members.(m) in
-          if ordered && entry_order v <= requester_order then 2
-          else if immune v then 1
-          else 0)
-    in
-    (* A member's released entities are the labels of its in-edges in the
-       component, which are its in-arcs on the cycles through the root:
-       with the component acyclic without the root, every edge of it lies
-       on one. *)
-    let released = Array.make n [] in
-    let cost m =
-      let raw = ref [] in
-      for u = 0 to n - 1 do
-        for p = c.first.(u) to c.first.(u + 1) - 1 do
-          let x = c.labels.(u) in
-          if c.heads.(p) = m && not (List.memq x !raw || mem_entity x !raw)
-          then raw := x :: !raw
-        done
-      done;
-      released.(m) <- List.sort Entity.compare !raw;
-      release_cost c.members.(m) released.(m)
-    in
-    match
-      Prb_graph.Flow_cut.solve flow ~max_candidates:exact_candidates ~n
-        ~first:c.first ~heads:c.heads ~root:c.root ~tier ~cost ()
-    with
-    | Prb_graph.Flow_cut.Unique chosen ->
-        Some
-          {
-            victims = List.map (fun m -> (c.members.(m), released.(m))) chosen;
-            optimal = true;
-            starved_fallback = List.exists (fun m -> immune c.members.(m)) chosen;
-          }
-    | Prb_graph.Flow_cut.Tied _ | Prb_graph.Flow_cut.Over _ -> None
-  end
+  match policy with
+  | Policy.Requester | Policy.Youngest | Policy.Random_victim -> None
+  | Policy.Min_cost | Policy.Ordered_min_cost -> (
+      if not (c.complete && c.n_cycles > 0) then None
+      else
+        let n = c.n_members in
+        let immune m = immune c.members.(m) in
+        let tier =
+          tiers ~policy ~entry_order ~requester:c.members.(c.root) c.members n
+            ~immune
+        in
+        (* built on the first cost query, so an [Over] verdict builds none *)
+        let released = lazy (component_released c) in
+        let cost m = release_cost c.members.(m) (Lazy.force released).(m) in
+        match
+          Prb_graph.Flow_cut.solve flow ~max_candidates:exact_candidates ~n
+            ~first:c.first ~heads:c.heads ~root:c.root ~tier ~cost ()
+        with
+        | Prb_graph.Flow_cut.Unique chosen ->
+            Some
+              (decision_of c.members ~released:(Lazy.force released) ~immune
+                 ~optimal:true chosen)
+        | Prb_graph.Flow_cut.Tied _ | Prb_graph.Flow_cut.Over _ -> None)
 
 let choose ?immune ~policy ~requester ~entry_order ~release_cost ~rng cycles =
   choose_cycles ?immune ~policy ~requester ~entry_order ~release_cost ~rng

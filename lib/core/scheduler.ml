@@ -74,12 +74,10 @@ type t = {
   cfg : config;
   eng : Engine.t;
       (** per-transaction state, lock table, waits-for graph, history,
-          event queue and the shared counters *)
-  mutable txn_crash_events : int;
+          event queue and the stats record *)
   mutable crash_counts : int array;
       (** crashes suffered per transaction, driving re-admission backoff *)
   mutable last_detect_tick : int;  (** tick of the last detection sweep *)
-  mutable watchdog_fires : int;
   mutable submit_ticks : int array;  (** [-1] when never submitted *)
   mutable commit_ticks : int array;  (** [-1] when uncommitted *)
 }
@@ -96,10 +94,8 @@ let create ?(config = default_config) store =
     {
       cfg = config;
       eng;
-      txn_crash_events = 0;
       crash_counts = Array.make cap 0;
       last_detect_tick = 0;
-      watchdog_fires = 0;
       submit_ticks = Array.make cap (-1);
       commit_ticks = Array.make cap (-1);
     }
@@ -151,15 +147,15 @@ let submit ?copy_allocation t program =
 let txn_state t id = Engine.txn_state t.eng id
 let all_txns t = List.init t.eng.next_id Fun.id
 let now t = t.eng.tick
-let n_committed t = t.eng.commits
-let all_committed t = t.eng.commits = t.eng.next_id
+let n_committed t = t.eng.st.commits
+let all_committed t = t.eng.st.commits = t.eng.next_id
 let waits_for t = t.eng.wfg
 let lock_table t = t.eng.locks
 let history t = t.eng.hist
-let check_seconds t = t.eng.check_seconds
-let check_calls t = t.eng.check_calls
-let enumerate_seconds t = t.eng.enumerate_seconds
-let enumerate_calls t = t.eng.enumerate_calls
+let check_seconds t = t.eng.st.check_seconds
+let check_calls t = t.eng.st.check_calls
+let enumerate_seconds t = t.eng.st.enumerate_seconds
+let enumerate_calls t = t.eng.st.enumerate_calls
 let n_blocked_tracked t = t.eng.n_blocked
 
 let schedule t id =
@@ -205,7 +201,7 @@ let roll_back_victim t ~deferred ~stagger v entities =
 let[@lint.allow
      "A1: a full detection sweep is scheduled work off the request \
       path"] run_sweep t =
-  t.eng.detection_passes <- t.eng.detection_passes + 1;
+  t.eng.st.detection_passes <- t.eng.st.detection_passes + 1;
   Engine.resolve t.eng t ~deferred:true ~apply:roll_back_victim None;
   t.last_detect_tick <- t.eng.tick
 
@@ -269,7 +265,7 @@ let[@lint.allow
       let id = List.nth live (abs selector mod List.length live) in
       let n = 1 + t.crash_counts.(id) in
       t.crash_counts.(id) <- n;
-      t.txn_crash_events <- t.txn_crash_events + 1;
+      t.eng.st.txn_crashes <- t.eng.st.txn_crashes + 1;
       Log.info (fun m ->
           m "[%d] T%d crashed (crash #%d)" t.eng.tick id n);
       let delay =
@@ -316,7 +312,7 @@ let[@hot] blocked t id x holders =
   | Wait_die_c ->
       if any_blocker_older id holders then begin
         (* younger than a blocker: die, keeping the timestamp *)
-        eng.preventions <- eng.preventions + 1;
+        eng.st.preventions <- eng.st.preventions + 1;
         (Log.info (fun m ->
              m "[%d] T%d dies over %s" eng.tick id (Store.name eng.store x))
          [@lint.allow
@@ -371,7 +367,7 @@ let handle_timer t id =
   let since = eng.blocked_since.(id) in
   if since >= 0 && Waits_for.is_blocked eng.wfg id then
     if since + n <= eng.tick then begin
-      eng.timeouts <- eng.timeouts + 1;
+      eng.st.timeouts <- eng.st.timeouts + 1;
       (Log.info (fun m ->
            m "[%d] T%d timed out; restarting" eng.tick id)
        [@lint.allow
@@ -425,7 +421,7 @@ let handle_watchdog t =
       ~a:0 ~b:0
   else begin
     if watchdog_scan t bound 0 then begin
-      t.watchdog_fires <- t.watchdog_fires + 1;
+      eng.st.watchdog_fires <- eng.st.watchdog_fires + 1;
       (Log.info (fun m ->
            m "[%d] stall watchdog: forcing a full sweep" eng.tick)
        [@lint.allow
@@ -487,12 +483,7 @@ let latency t id =
   | Some s, Some c -> Some (c - s)
   | _ -> None
 
-let stats t =
-  {
-    (Engine.stats t.eng) with
-    txn_crashes = t.txn_crash_events;
-    watchdog_fires = t.watchdog_fires;
-  }
+let stats t = Engine.stats t.eng
 
 let pp_stats ppf s =
   Fmt.pf ppf

@@ -167,9 +167,10 @@ val n_blocked_tracked : t -> int
     transaction, whatever the intervention) — exposed so tests can assert
     it does not leak across commits. *)
 
-(** The statistics record both engines report ({!Run_stats.stats}).
-    This engine supplies [txn_crashes] and [watchdog_fires]; the site and
-    message counters and the local/global deadlock split read 0. *)
+(** The statistics record both engines report ({!Run_stats.stats}),
+    counted in place in the engine core's record ({!Engine.stats}). This
+    engine counts [txn_crashes] and [watchdog_fires] there too; the site
+    and message counters and the local/global deadlock split read 0. *)
 include module type of struct
   include Run_stats
 end

@@ -86,7 +86,7 @@ type t = {
   cfg : config;
   eng : Engine.t;
       (** per-transaction state, lock table, waits-for graph, history,
-          event queue and the shared counters *)
+          event queue and the stats record *)
   site_fn : Store.entity -> int;
   at_site : (Store.entity -> bool) option array;
       (** per site, the label filter of its block-time probe: the entity
@@ -102,16 +102,6 @@ type t = {
       (** release messages not yet delivered; the run is quiescent only
           once they drain, or end-of-run lock-table checks would see
           phantom rows *)
-  mutable local_deadlocks : int;
-  mutable global_deadlocks : int;
-  mutable messages : int;
-  mutable shipped_copies : int;
-  mutable site_crashes : int;
-  mutable site_recoveries : int;
-  mutable purged_locks : int;
-  mutable msgs_lost : int;
-  mutable msgs_duplicated : int;
-  mutable retransmissions : int;
 }
 
 (* --- Events ---------------------------------------------------------- *)
@@ -215,16 +205,6 @@ let create ?site_of config store =
       down = Array.make config.n_sites false;
       up_at = Array.make config.n_sites 0;
       inflight_releases = 0;
-      local_deadlocks = 0;
-      global_deadlocks = 0;
-      messages = 0;
-      shipped_copies = 0;
-      site_crashes = 0;
-      site_recoveries = 0;
-      purged_locks = 0;
-      msgs_lost = 0;
-      msgs_duplicated = 0;
-      retransmissions = 0;
     }
   in
   (match config.detection with
@@ -261,8 +241,8 @@ let site_at t x =
 let waits_for t = t.eng.wfg
 let lock_table t = t.eng.locks
 let now t = t.eng.tick
-let n_committed t = t.eng.commits
-let all_committed t = t.eng.commits = t.eng.next_id
+let n_committed t = t.eng.st.commits
+let all_committed t = t.eng.st.commits = t.eng.next_id
 
 (* The run ends once every transaction committed, no release is in flight
    and no site is down: a release swallowed by a down site leaves its row
@@ -296,6 +276,9 @@ let schedule t id = Engine.schedule_at t.eng id ~at:(t.eng.tick + 1)
 
 (* --- Messaging ------------------------------------------------------- *)
 
+let count_messages t n = t.eng.st.messages <- t.eng.st.messages + n
+let count_lost t = t.eng.st.msgs_lost <- t.eng.st.msgs_lost + 1
+
 (* The requester learns its lock was granted (synchronously, via a grant
    reply, or via a probe that rediscovers a grant whose reply was lost). *)
 let notify_grant t w x =
@@ -309,8 +292,9 @@ let notify_grant t w x =
   let s = site_at t x in
   if s <> m.last_site then begin
     if not (Strategy.equal t.cfg.strategy Strategy.Total) then begin
-      t.messages <- t.messages + 1;
-      t.shipped_copies <- t.shipped_copies + Txn_state.current_copies ts
+      count_messages t 1;
+      t.eng.st.shipped_copies <-
+        t.eng.st.shipped_copies + Txn_state.current_copies ts
     end;
     m.last_site <- s
   end;
@@ -327,19 +311,19 @@ let deliver t f ~release ev =
       push ~at:(now + 1 + d) ev;
       true
   | Fault.Duplicate (d1, d2) ->
-      t.msgs_duplicated <- t.msgs_duplicated + 1;
+      t.eng.st.msgs_duplicated <- t.eng.st.msgs_duplicated + 1;
       push ~at:(now + 1 + d1) ev;
       push ~at:(now + 1 + d2) ev;
       true
   | Fault.Lose ->
-      t.msgs_lost <- t.msgs_lost + 1;
+      count_lost t;
       false
 
 (* A lost grant reply needs no retry: the waiter's probe keeps running
    while its request is pending and rediscovers the grant in the lock
    table. *)
 let send_grant t f w x =
-  t.messages <- t.messages + 1;
+  count_messages t 1;
   ignore (deliver t f ~release:false (Grant_arrive (w, x)))
 
 (* How a grant reaches its waiter: at once, by a reply message from a
@@ -349,7 +333,7 @@ let granted t w x =
   | Some _ when t.down.(site_at t x) ->
       (* decided in memory that died with the site; the rebuild will
          purge the row and the waiter's probe re-requests *)
-      t.msgs_lost <- t.msgs_lost + 1
+      count_lost t
   | Some f when site_at t x <> (meta t w).home -> send_grant t f w x
   | _ -> notify_grant t w x
 
@@ -360,14 +344,14 @@ let accept_grant t id x =
   notify_grant t id x
 
 let release_lock t id x =
-  if site_at t x <> (meta t id).home then t.messages <- t.messages + 1;
+  if site_at t x <> (meta t id).home then count_messages t 1;
   Engine.release t.eng t ~granted id x
 
 let transmit_release t f id x ~attempt =
-  t.messages <- t.messages + 1;
+  count_messages t 1;
   if t.down.(site_at t x) then
     (* swallowed by the dead site; the row dies in the rebuild *)
-    t.msgs_lost <- t.msgs_lost + 1
+    count_lost t
   else if not (deliver t f ~release:true (Release_arrive (id, x))) then
     push_release t
       ~at:(t.eng.tick + Fault.request_timeout + Fault.backoff ~attempt)
@@ -386,8 +370,8 @@ let async_release t id x =
   | _ -> release_lock t id x
 
 let transmit_request t f id mode x =
-  t.messages <- t.messages + 1;
-  if t.down.(site_at t x) then t.msgs_lost <- t.msgs_lost + 1
+  count_messages t 1;
+  if t.down.(site_at t x) then count_lost t
   else ignore (deliver t f ~release:false (Req_arrive (id, mode, x)))
 
 let send_request t f id mode x =
@@ -436,7 +420,7 @@ let release_victim t v released =
     List.sort_uniq Site_id.compare (List.map (site_at t) released)
     |> List.filter (fun s -> not (Site_id.equal s home))
   in
-  t.messages <- t.messages + List.length sites;
+  count_messages t (List.length sites);
   release_rolled_back t v released
 
 (* Full restart: site-crash of the home site, a degraded-mode timeout
@@ -480,7 +464,7 @@ let rec resolve_local t requester s round =
     let at_s = Site_id.equal s in
     Waits_for.keep_cycles cycles (fun k -> all_sites t cycles k at_s);
     if cycles.n_cycles > 0 then begin
-      t.local_deadlocks <- t.local_deadlocks + 1;
+      t.eng.st.local_deadlocks <- t.eng.st.local_deadlocks + 1;
       Engine.resolve_round t.eng t ~deferred:(deferred t)
         ~apply:roll_back_victim requester cycles;
       resolve_local t requester s (round + 1)
@@ -514,27 +498,28 @@ let blocked_txns t =
    resolution round counts one deadlock, so the global ones are the
    difference. *)
 let run_global_detection t =
-  t.eng.detection_passes <- t.eng.detection_passes + 1;
+  t.eng.st.detection_passes <- t.eng.st.detection_passes + 1;
   let keep =
     match t.faults with
     | None ->
-        t.messages <- t.messages + t.cfg.n_sites;
+        count_messages t t.cfg.n_sites;
         None
     | Some f ->
         let visible =
           Array.init t.cfg.n_sites (fun s ->
               if t.down.(s) then false
               else begin
-                t.messages <- t.messages + 1;
+                count_messages t 1;
                 Fault.shipment_arrives f ~tick:t.eng.tick
               end)
         in
         Some (fun cycles k -> all_sites t cycles k (Array.get visible))
   in
-  let before = t.eng.deadlocks in
+  let st = t.eng.st in
+  let before = st.deadlocks in
   Engine.resolve t.eng t ~deferred:(deferred t) ?keep ~apply:roll_back_victim
     None;
-  t.global_deadlocks <- t.global_deadlocks + t.eng.deadlocks - before
+  st.global_deadlocks <- st.global_deadlocks + st.deadlocks - before
 
 (* Detector outage: no global rounds run; long-blocked transactions are
    timeout-aborted instead (graceful degradation — cross-site cycles
@@ -545,7 +530,7 @@ let degrade t =
       let now = t.eng.tick in
       let since = t.eng.blocked_since.(b) in
       if since >= 0 && now - since >= Fault.degraded_timeout then begin
-        t.eng.timeouts <- t.eng.timeouts + 1;
+        t.eng.st.timeouts <- t.eng.st.timeouts + 1;
         restart t b ~resume_at:(now + 1)
       end)
     (List.sort Txn_id.compare (blocked_txns t))
@@ -570,7 +555,7 @@ let detector_round t ~period =
    wounded queued request requeues behind; a wound to a remote holder
    costs a message. *)
 let wound t _requester x b =
-  if site_at t x <> (meta t b).home then t.messages <- t.messages + 1;
+  if site_at t x <> (meta t b).home then count_messages t 1;
   roll_back_victim t ~deferred:false ~stagger:0 b [ Store.name t.eng.store x ]
 
 (* --- Site crash and recovery ----------------------------------------- *)
@@ -590,7 +575,7 @@ let partial_crash_rollback t id ~site =
 let crash_site t s downtime =
   if not t.down.(s) then begin
     let now = t.eng.tick in
-    t.site_crashes <- t.site_crashes + 1;
+    t.eng.st.site_crashes <- t.eng.st.site_crashes + 1;
     t.down.(s) <- true;
     t.up_at.(s) <- now + downtime;
     push t ~at:(now + downtime) (Recover s);
@@ -641,7 +626,7 @@ let rebuild_site_locks t s =
               | exception Not_found -> true
             in
             if stale then begin
-              t.purged_locks <- t.purged_locks + 1;
+              t.eng.st.purged_locks <- t.eng.st.purged_locks + 1;
               History.discard t.eng.hist h x;
               Engine.release t.eng t ~granted h x
             end)
@@ -651,7 +636,7 @@ let rebuild_site_locks t s =
 
 let recover_site t s =
   t.down.(s) <- false;
-  t.site_recoveries <- t.site_recoveries + 1;
+  t.eng.st.site_recoveries <- t.eng.st.site_recoveries + 1;
   match t.faults with
   | Some f when not (Fault.plan f).Fault.rebuild_locks -> ()
   | _ -> rebuild_site_locks t s
@@ -711,7 +696,7 @@ let req_timeout t id x =
             (* the request (or our queue entry, if the site crashed)
                vanished: retransmit with bounded exponential backoff *)
             m.attempt <- m.attempt + 1;
-            t.retransmissions <- t.retransmissions + 1;
+            t.eng.st.retransmissions <- t.eng.st.retransmissions + 1;
             transmit_request t f id mode x;
             push t
               ~at:
@@ -753,7 +738,7 @@ let release_retry t id x attempt =
   | Some f ->
       if Lock_table.holds t.eng.locks id x = None then ()
       else begin
-        t.retransmissions <- t.retransmissions + 1;
+        t.eng.st.retransmissions <- t.eng.st.retransmissions + 1;
         transmit_release t f id x ~attempt
       end
 
@@ -764,7 +749,7 @@ let handle_lock_request t id mode x =
   match t.faults with
   | Some f when site_at t x <> home -> send_request t f id mode x
   | _ ->
-      if site_at t x <> home then t.messages <- t.messages + 2;
+      if site_at t x <> home then count_messages t 2;
       Engine.request t.eng t ~granted ~blocked id mode x
 
 let handle_unlock t id =
@@ -833,20 +818,7 @@ let run t =
 
 include Run_stats
 
-let stats t =
-  {
-    (Engine.stats t.eng) with
-    local_deadlocks = t.local_deadlocks;
-    global_deadlocks = t.global_deadlocks;
-    messages = t.messages;
-    shipped_copies = t.shipped_copies;
-    site_crashes = t.site_crashes;
-    site_recoveries = t.site_recoveries;
-    purged_locks = t.purged_locks;
-    msgs_lost = t.msgs_lost;
-    msgs_duplicated = t.msgs_duplicated;
-    retransmissions = t.retransmissions;
-  }
+let stats t = Engine.stats t.eng
 
 let pp_stats ppf s =
   Fmt.pf ppf

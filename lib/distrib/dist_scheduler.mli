@@ -151,11 +151,13 @@ val lock_table : t -> Prb_lock.Lock_table.t
 (** Live view — do not mutate. *)
 
 (** The statistics record both engines report
-    ({!Prb_core.Run_stats.stats}). This engine supplies the site, message
-    and message-fault counters and the local/global deadlock split;
-    [timeouts] counts degraded-mode aborts while the detector was out,
-    [detection_passes] global rounds and [missed_passes] rounds skipped by
-    detector outages. [txn_crashes] and [watchdog_fires] read 0. *)
+    ({!Prb_core.Run_stats.stats}), counted in place in the engine core's
+    record ({!Prb_core.Engine.stats}). This engine counts the site,
+    message and message-fault counters and the local/global deadlock split
+    there too; [timeouts] counts degraded-mode aborts while the detector
+    was out, [detection_passes] global rounds and [missed_passes] rounds
+    skipped by detector outages. [txn_crashes] and [watchdog_fires] read
+    0. *)
 include module type of struct
   include Prb_core.Run_stats
 end

@@ -16,7 +16,6 @@ type result = {
   messages_per_commit : float;
   shipped_per_commit : float;  (** shipped bookkeeping copies per commit *)
   serializable : bool;
-  peak_copies : int;
   check_calls : int;  (** boolean deadlock checks run *)
   enumerate_calls : int;  (** cycle enumerations run *)
 }

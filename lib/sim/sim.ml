@@ -61,7 +61,6 @@ let result (e : engine) programs =
     messages_per_commit = per stats.messages stats.commits;
     shipped_per_commit = per stats.shipped_copies stats.commits;
     serializable = History.serializable e.history;
-    peak_copies = stats.peak_copies;
     check_calls = stats.check_calls;
     enumerate_calls = stats.enumerate_calls;
   }

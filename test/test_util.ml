@@ -238,33 +238,6 @@ let test_zipf_invalid () =
 
 (* --- Stats --- *)
 
-let test_stats_empty () =
-  let s = Stats.create () in
-  checki "count" 0 (Stats.count s);
-  checkb "mean nan" true (Float.is_nan (Stats.mean s))
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  checki "count" 4 (Stats.count s);
-  check (Alcotest.float 1e-9) "mean" 2.5 (Stats.mean s);
-  check (Alcotest.float 1e-9) "total" 10.0 (Stats.total s);
-  check (Alcotest.float 1e-9) "min" 1.0 (Stats.min_value s);
-  check (Alcotest.float 1e-9) "max" 4.0 (Stats.max_value s);
-  check (Alcotest.float 1e-9) "variance" (5.0 /. 3.0) (Stats.variance s)
-
-let test_stats_merge_equals_combined () =
-  let a = Stats.create () and b = Stats.create () and all = Stats.create () in
-  List.iter
-    (fun x ->
-      Stats.add all x;
-      if x < 3.0 then Stats.add a x else Stats.add b x)
-    [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.5 ];
-  let m = Stats.merge a b in
-  checki "count" (Stats.count all) (Stats.count m);
-  check (Alcotest.float 1e-9) "mean" (Stats.mean all) (Stats.mean m);
-  check (Alcotest.float 1e-6) "variance" (Stats.variance all) (Stats.variance m)
-
 let test_stats_percentile () =
   let data = [| 10.0; 20.0; 30.0; 40.0 |] in
   check (Alcotest.float 1e-9) "p0" 10.0 (Stats.percentile data 0.0);
@@ -318,14 +291,6 @@ let test_heap_clear () =
   checki "size 0" 0 (Heap.size h);
   Heap.push h ~priority:5 "c";
   checkb "usable after clear" true (Heap.pop h = Some (5, "c"))
-
-let test_stats_helpers () =
-  let s = Stats.create () in
-  Stats.add_int s 3;
-  Stats.add_int s 5;
-  check (Alcotest.float 1e-9) "add_int feeds mean" 4.0 (Stats.mean s);
-  check (Alcotest.float 1e-9) "mean_of" 2.0 (Stats.mean_of [ 1.0; 2.0; 3.0 ]);
-  checkb "mean_of empty is nan" true (Float.is_nan (Stats.mean_of []))
 
 let test_heap_qcheck_sorted_drain =
   QCheck.Test.make ~name:"heap drains in nondecreasing priority" ~count:200
@@ -444,12 +409,8 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "empty" `Quick test_stats_empty;
-          Alcotest.test_case "basic moments" `Quick test_stats_basic;
-          Alcotest.test_case "merge" `Quick test_stats_merge_equals_combined;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "percentile invalid" `Quick test_stats_percentile_invalid;
-          Alcotest.test_case "helpers" `Quick test_stats_helpers;
         ] );
       ( "heap",
         [
